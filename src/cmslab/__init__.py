@@ -37,10 +37,10 @@ from .cover import (
 )
 from .cylinders import (
     EXACT,
+    CylinderRows,
     CylinderSet,
     CylinderTable,
     build_table,
-    chain_cyl_prob,
     count_words,
     cylinder_set,
     enumerate_words,
@@ -49,6 +49,7 @@ from .cylinders import (
     m_of_cylinder_set,
     phi0_cyl,
     stationary_vertex_distribution,
+    walk_cylinders,
 )
 from .errors import (
     AbsoluteContinuityViolation,

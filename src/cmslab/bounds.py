@@ -15,12 +15,13 @@ import math
 from dataclasses import dataclass, field
 
 from .cylinders import (
+    DEFAULT_WORD_CAP,
+    CylinderRows,
     CylinderSet,
     CylinderTable,
     Measure,
     build_table,
-    enumerate_words,
-    m_cyl,
+    walked_to,
 )
 from .errors import AbsoluteContinuityViolation, NotUniformlyContractive
 from .model import ConstantSet, MarkovSystem
@@ -109,25 +110,27 @@ def corollary_lower_bound(report: BoundReport, q: CylinderSet,
 
 
 def kstar_estimate(sys: MarkovSystem, window: int, depth: int,
-                   measure: Measure, cap: int = 10_000_000,
-                   table: CylinderTable | None = None) -> tuple[float, float]:
+                   measure: Measure, cap: int = DEFAULT_WORD_CAP,
+                   rows: dict[int, CylinderRows] | None = None
+                   ) -> tuple[float, float]:
     """Shift-maximized divergence estimate over a finite window.
 
     Enumerates words of length depth+window; each word is weighted by its
     chain mass and scored by the log of the largest depth-`depth` density
     over the window+1 backward shifts.  window=0 reproduces kl_n exactly.
+    `rows` is a walk_cylinders result under the same measure and cap; without
+    one reaching depth+window, the estimate walks for itself.
     """
     if window < 0:
         raise ValueError("window must be >= 0")
-    if table is None:
-        table = build_table(sys, depth, measure, cap=cap)
-    z_of = table.z_by_word()
+    rows = walked_to(sys, depth + window, measure, cap, rows)
+    z_of = build_table(sys, depth, measure, cap=cap, rows=rows).z_by_word()
 
-    words = enumerate_words(sys, depth + window, cap=cap)
+    long_rows = rows[depth + window]
     terms = []
     var = 0.0
-    for w in words:
-        m, se = m_cyl(sys, w, measure)
+    for w, m, se in zip(long_rows.words, long_rows.m_values.tolist(),
+                        long_rows.stderrs.tolist()):
         best = max(z_of[w[m_off:m_off + depth]] for m_off in range(window + 1))
         if m > 0.0:
             if best <= 0.0:

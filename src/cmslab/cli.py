@@ -27,12 +27,16 @@ from . import bounds as bounds_mod
 from . import cover as cover_mod
 from .coding import backward_orbit, coding_point, parse_word
 from .cylinders import (
+    DEFAULT_WORD_CAP,
     EXACT,
+    CylinderRows,
     CylinderSet,
     build_table,
+    count_words,
     cylinder_set,
     full_cylinder_set,
     m_of_cylinder_set,
+    walk_cylinders,
 )
 from .errors import (
     CertificateInvalid,
@@ -96,8 +100,6 @@ class ExperimentPlan:
                 "exact mode needs constant probability functions everywhere")
         if not self.depths:
             raise ConfigError("plan needs at least one table depth")
-        from .cylinders import count_words
-
         for n in self.depths:
             if count_words(system, n) > self.word_cap:
                 raise DepthOverflow(f"depth {n} exceeds the word cap")
@@ -124,6 +126,23 @@ def _resolve_query(system: MarkovSystem, raw: dict, cap: int) -> CylinderSet:
     if "whole_space_depth" in raw:
         return full_cylinder_set(system, int(raw["whole_space_depth"]), cap=cap)
     raise ConfigError(f"query needs 'words' or 'whole_space_depth': {raw}")
+
+
+def _walk_once(system: MarkovSystem, measure, depths: list[int],
+               kstar_depth: int, windows: list[int],
+               cap: int) -> dict[int, CylinderRows]:
+    """One walk of the word tree deep enough for every table depth and
+    every K* window.
+
+    Word lengths past the cap are left out; the kstar_estimate (or
+    build_table) call that needs one walks for itself and raises
+    DepthOverflow in its own stage.
+    """
+    lengths = [n for n in (*depths, *(kstar_depth + w for w in windows))
+               if n >= 1 and count_words(system, n) <= cap]
+    if not lengths:
+        return {}
+    return walk_cylinders(system, max(lengths), measure, cap=cap)
 
 
 def _env_seed(seed: int) -> int:
@@ -181,8 +200,11 @@ def run(plan: ExperimentPlan) -> int:
     tables_dir = out / "tables"
     tables_dir.mkdir(exist_ok=True)
     try:
+        rows = _walk_once(system, measure, plan.depths, plan.kstar_depth,
+                          plan.kstar_windows, plan.word_cap)
         for n in plan.depths:
-            table = build_table(system, n, measure, cap=plan.word_cap)
+            table = build_table(system, n, measure, cap=plan.word_cap,
+                                rows=rows)
             table.to_csv(tables_dir / f"depth_{n}.csv")
             tables[n] = table
     except DepthOverflow as exc:
@@ -199,7 +221,7 @@ def run(plan: ExperimentPlan) -> int:
         for w in plan.kstar_windows:
             kval, kerr = bounds_mod.kstar_estimate(
                 system, w, plan.kstar_depth, measure, cap=plan.word_cap,
-                table=tables.get(plan.kstar_depth))
+                rows=rows)
             report.kstar_estimates.append((w, plan.kstar_depth, kval, kerr))
     except DepthOverflow as exc:
         return fail("bounds", exc, EXIT_BUDGET)
@@ -463,12 +485,15 @@ def _dispatch(args: argparse.Namespace) -> int:
                                _env_seed(args.seed))
         constants = derive_constants(system, mu)
         report = bounds_mod.evaluate_bounds(system, constants)
+        rows = _walk_once(system, measure, args.depths, args.kstar_depth,
+                          args.windows, DEFAULT_WORD_CAP)
         for n in args.depths:
-            table = build_table(system, n, measure)
+            table = build_table(system, n, measure, rows=rows)
             v, s = bounds_mod.kl_n(table)
             report.k_n_series.append((n, v, s))
         for w in args.windows:
-            v, s = bounds_mod.kstar_estimate(system, w, args.kstar_depth, measure)
+            v, s = bounds_mod.kstar_estimate(system, w, args.kstar_depth,
+                                             measure, rows=rows)
             report.kstar_estimates.append((w, args.kstar_depth, v, s))
         _print_bounds(report)
         if args.out:

@@ -5,7 +5,9 @@ word on coordinates 1..n.  Three set functions are computed per word: the
 chain mass M (stationary chain in exact mode, weighted average of chain
 probabilities over an empirical measure in Monte Carlo mode), the base
 measure phi0 (average of chain probabilities started at the support base
-points), and their ratio Z with its logarithm.
+points), and their ratio Z with its logarithm.  walk_cylinders computes
+M and phi0 for every word up to a depth in one pass over the word tree;
+build_table checks one depth of its rows.
 """
 
 from __future__ import annotations
@@ -79,15 +81,20 @@ def count_words(sys: MarkovSystem, n: int, start_vertex: int | None = None) -> i
     return sum(counts.values())
 
 
+def _require_within_cap(sys: MarkovSystem, n: int, cap: int,
+                        start_vertex: int | None = None) -> None:
+    total = count_words(sys, n, start_vertex)
+    if total > cap:
+        raise DepthOverflow(
+            f"{total} admissible words of depth {n} exceed the cap {cap}")
+
+
 def enumerate_words(sys: MarkovSystem, n: int, start_vertex: int | None = None,
                     cap: int = DEFAULT_WORD_CAP) -> list[Word]:
     """All admissible length-n words, lexicographic by edge id sequence."""
     if n < 1:
         raise ValueError("depth must be >= 1")
-    total = count_words(sys, n, start_vertex)
-    if total > cap:
-        raise DepthOverflow(
-            f"{total} admissible words of depth {n} exceed the cap {cap}")
+    _require_within_cap(sys, n, cap, start_vertex)
     starts = ([start_vertex] if start_vertex is not None
               else sorted(v.index for v in sys.vertices))
     out: list[Word] = []
@@ -106,31 +113,59 @@ def enumerate_words(sys: MarkovSystem, n: int, start_vertex: int | None = None,
     return out
 
 
-def chain_cyl_prob(sys: MarkovSystem, state: tuple[int, np.ndarray],
-                   word: Sequence[str]) -> float:
-    """Probability that the chain started at `state` realizes the word."""
-    edges = sys.require_admissible(word)
-    vertex, x = state
-    if edges[0].source != vertex:
-        return 0.0
-    y = np.asarray(x, dtype=float)
-    prob = 1.0
-    for e in edges:
-        prob *= e.prob.value(y)
-        y = e.map.apply(y)
-    return prob
+# A chain state is a pair (probability, point): the probability that the
+# chain realizes the word read so far, and where that word leaves it.  Every
+# cylinder quantity is a fold of one one-edge step over a word; the step
+# multiplies by p_e at the current point and then moves the point by w_e,
+# except at a leaf, where nothing reads the point.  Three kinds of state:
+#   samples     (array over the mu samples, (N, k) array)   Monte Carlo M
+#   stationary  (float, None)                                exact M
+#   point       (float, (k,) array)                          phi0, from a base point
+
+def _samples_step(state, e, leaf: bool):
+    probs, pts = state
+    p_e = e.prob.value_many(pts)
+    p_e *= probs  # in place saves a temporary; the product commutes exactly
+    return p_e, None if leaf else e.map.apply_many(pts)
 
 
-def chain_cyl_prob_samples(sys: MarkovSystem, mu: EmpiricalMeasure,
-                           word: Sequence[str]) -> np.ndarray:
-    """chain_cyl_prob of every mu sample, vectorized."""
-    edges = sys.require_admissible(word)
-    probs = (mu.vertices == edges[0].source).astype(float)
-    pts = mu.points
-    for e in edges:
-        probs = probs * e.prob.value_many(pts)
-        pts = e.map.apply_many(pts)
-    return probs
+def _stationary_step(state, e, leaf: bool):
+    return state[0] * e.prob.alpha, None
+
+
+def _point_step(state, e, leaf: bool):
+    prob, y = state
+    return prob * e.prob.value(y), None if leaf else e.map.apply(y)
+
+
+def _fold(step, state, edges: Sequence) -> float | np.ndarray:
+    last = len(edges) - 1
+    for i, e in enumerate(edges):
+        state = step(state, e, i == last)
+    return state[0]
+
+
+def _sample_mean(weights: np.ndarray, g: np.ndarray) -> tuple[float, float]:
+    value = float(weights @ g)
+    # (weights * (g - value)) ** 2, bit for bit, with one temporary
+    dev = g - value
+    dev *= weights
+    stderr = float(np.sqrt(np.sum(np.square(dev, out=dev))))
+    return value, stderr
+
+
+def _mass_chain(sys: MarkovSystem, measure: Measure):
+    """(step, root state of a start vertex, (M, stderr) of a final
+    probability) for the chain mass under `measure`."""
+    if isinstance(measure, str):
+        if measure != EXACT:
+            raise ValueError(f"unknown measure mode {measure!r}")
+        pi = stationary_vertex_distribution(sys)
+        return (_stationary_step, lambda v: (float(pi[v - 1]), None),
+                lambda value: (value, 0.0))
+    return (_samples_step,
+            lambda v: ((measure.vertices == v).astype(float), measure.points),
+            lambda g: _sample_mean(measure.weights, g))
 
 
 def phi0_cyl(sys: MarkovSystem, word: Sequence[str]) -> float:
@@ -140,7 +175,7 @@ def phi0_cyl(sys: MarkovSystem, word: Sequence[str]) -> float:
     start = edges[0].source
     if start not in sys.support_set:
         return 0.0
-    prob = chain_cyl_prob(sys, (start, sys.base_point(start)), word)
+    prob = _fold(_point_step, (1.0, sys.base_point(start)), edges)
     return prob / len(sys.support_set)
 
 
@@ -176,18 +211,82 @@ def m_cyl(sys: MarkovSystem, word: Sequence[str],
     mode averages chain probabilities over the empirical measure.
     """
     edges = sys.require_admissible(word)
-    if isinstance(measure, str):
-        if measure != EXACT:
-            raise ValueError(f"unknown measure mode {measure!r}")
-        pi = stationary_vertex_distribution(sys)
-        value = float(pi[edges[0].source - 1])
-        for e in edges:
-            value *= e.prob.alpha
-        return value, 0.0
-    g = chain_cyl_prob_samples(sys, measure, word)
-    value = float(measure.weights @ g)
-    stderr = float(np.sqrt(np.sum((measure.weights * (g - value)) ** 2)))
-    return value, stderr
+    step, root, reduce = _mass_chain(sys, measure)
+    return reduce(_fold(step, root(edges[0].source), edges))
+
+
+@dataclass(frozen=True, eq=False)
+class CylinderRows:
+    """Unchecked M, M standard error and phi0 of every word at one depth,
+    in enumerate_words order."""
+
+    words: tuple[Word, ...]
+    m_values: np.ndarray
+    stderrs: np.ndarray
+    phi0_values: np.ndarray
+
+
+def _read_only(values: list[float]) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
+                   cap: int = DEFAULT_WORD_CAP) -> dict[int, CylinderRows]:
+    """Rows of every depth 1..n_max from one depth-first walk of the word tree.
+
+    Each child node extends its parent's chain states by one edge, so every
+    word costs one step, and exact mode solves the stationary law once.  The
+    walk holds one state per level of the current path.  Per word the
+    floating-point operations are those of m_cyl and phi0_cyl.  The rows are
+    unchecked; build_table checks them.
+    """
+    if n_max < 1:
+        raise ValueError("depth must be >= 1")
+    _require_within_cap(sys, n_max, cap)
+    step, root, reduce = _mass_chain(sys, measure)
+    n_support = len(sys.support_set)
+    found = {n: ([], [], [], []) for n in range(1, n_max + 1)}
+    # explicit stack of (word, out-edges not yet taken, M state, phi0 state)
+    # per level of the current path; a recursive closure would be a
+    # reference cycle that keeps the rows alive until the cyclic collector
+    stack = []
+    for v in sorted(v.index for v in sys.vertices):
+        base = (1.0, sys.base_point(v)) if v in sys.support_set else None
+        stack.append(((), iter(sys.out_edges(v)), root(v), base))
+        while stack:
+            word, edges, mass, base = stack[-1]
+            e = next(edges, None)
+            if e is None:
+                stack.pop()
+                continue
+            child = word + (e.id,)
+            leaf = len(child) == n_max
+            child_mass = step(mass, e, leaf)
+            child_base = None if base is None else _point_step(base, e, leaf)
+            m, err = reduce(child_mass[0])
+            words, m_vals, errs, phi_vals = found[len(child)]
+            words.append(child)
+            m_vals.append(m)
+            errs.append(err)
+            phi_vals.append(0.0 if child_base is None
+                            else child_base[0] / n_support)
+            if not leaf:
+                stack.append((child, iter(sys.out_edges(e.target)),
+                              child_mass, child_base))
+    return {n: CylinderRows(words=tuple(words), m_values=_read_only(m_vals),
+                            stderrs=_read_only(errs),
+                            phi0_values=_read_only(phi_vals))
+            for n, (words, m_vals, errs, phi_vals) in found.items()}
+
+
+def walked_to(sys: MarkovSystem, n: int, measure: Measure, cap: int,
+              rows: dict[int, CylinderRows] | None) -> dict[int, CylinderRows]:
+    """`rows` when it holds depth n, else a fresh walk to depth n."""
+    if rows is not None and n in rows:
+        return rows
+    return walk_cylinders(sys, n, measure, cap=cap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,36 +330,36 @@ class CylinderTable:
 
 
 def build_table(sys: MarkovSystem, n: int, measure: Measure,
-                cap: int = DEFAULT_WORD_CAP) -> CylinderTable:
+                cap: int = DEFAULT_WORD_CAP,
+                rows: dict[int, CylinderRows] | None = None) -> CylinderTable:
     """Depth-n cylinder table over every admissible word.
 
+    `rows` is a walk_cylinders result under the same measure and cap; the
+    table reads depth n from it, and walks for itself when it has none.
     Raises AbsoluteContinuityViolation when a word carries chain mass beyond
     sampling noise but zero base measure, which signals that the support set
     misses a vertex the chain visits.
     """
-    words = enumerate_words(sys, n, cap=cap)
+    raw = walked_to(sys, n, measure, cap, rows)[n]
     exact = isinstance(measure, str)
-    m_vals = np.empty(len(words))
-    phi_vals = np.empty(len(words))
-    errs = np.empty(len(words))
-    for i, w in enumerate(words):
-        m_vals[i], errs[i] = m_cyl(sys, w, measure)
-        phi_vals[i] = phi0_cyl(sys, w)
+    m_vals, phi_vals, errs = raw.m_values, raw.phi0_values, raw.stderrs
 
-    z_vals = np.zeros(len(words))
-    logz_vals = np.zeros(len(words))
-    for i, w in enumerate(words):
-        if phi_vals[i] > 0.0:
-            z_vals[i] = m_vals[i] / phi_vals[i]
-            logz_vals[i] = math.log(z_vals[i]) if z_vals[i] > 0.0 else -math.inf
+    z_list, logz_list = [], []
+    for w, m, phi, err in zip(raw.words, m_vals.tolist(), phi_vals.tolist(),
+                              errs.tolist()):
+        if phi > 0.0:
+            z = m / phi
+            z_list.append(z)
+            logz_list.append(math.log(z) if z > 0.0 else -math.inf)
         else:
-            tol = 0.0 if exact else 3.0 * errs[i]
-            if m_vals[i] > tol:
+            tol = 0.0 if exact else 3.0 * err
+            if m > tol:
                 raise AbsoluteContinuityViolation(
-                    f"word {'.'.join(w)} has chain mass {m_vals[i]:.3e} but zero "
+                    f"word {'.'.join(w)} has chain mass {m:.3e} but zero "
                     f"base measure; the support set is too small")
-            z_vals[i] = 0.0
-            logz_vals[i] = 0.0
+            z_list.append(0.0)
+            logz_list.append(0.0)
+    z_vals, logz_vals = _read_only(z_list), _read_only(logz_list)
 
     total_m = math.fsum(m_vals)
     total_phi = math.fsum(phi_vals)
@@ -272,9 +371,7 @@ def build_table(sys: MarkovSystem, n: int, measure: Measure,
         raise AbsoluteContinuityViolation(
             f"depth-{n} base measures sum to {total_phi!r}, not 1")
 
-    for arr in (m_vals, phi_vals, z_vals, logz_vals, errs):
-        arr.setflags(write=False)
-    return CylinderTable(depth=n, words=tuple(words), m_values=m_vals,
+    return CylinderTable(depth=n, words=raw.words, m_values=m_vals,
                          phi0_values=phi_vals, z_values=z_vals,
                          logz_values=logz_vals, stderrs=errs,
                          mode=EXACT if exact else "monte_carlo")

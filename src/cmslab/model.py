@@ -63,8 +63,10 @@ class AffineMap:
         return self.linear @ x + self.offset
 
     def apply_many(self, pts: np.ndarray) -> np.ndarray:
-        """Apply to an (n, k) array of points."""
-        return pts @ self.linear.T + self.offset
+        """Apply to an (n, k) array of points, allocating only the result."""
+        out = pts @ self.linear.T
+        out += self.offset
+        return out
 
     @property
     def lipschitz_constant(self) -> float:
@@ -137,7 +139,9 @@ class ProbabilityFunction:
         return self.alpha + float(self.beta @ x)
 
     def value_many(self, pts: np.ndarray) -> np.ndarray:
-        return self.alpha + pts @ self.beta
+        out = pts @ self.beta
+        out += self.alpha
+        return out
 
     @property
     def gradient_norm(self) -> float:
@@ -554,8 +558,10 @@ def modulus_geometric_sum(sys: MarkovSystem, ratio: float, scale: float,
 
 def estimate_c_hat(sys: MarkovSystem, mu: "EmpiricalMeasure") -> tuple[float, float]:
     """Weighted average distance of mu samples to their vertex base points."""
-    base = np.stack([sys.base_point(int(v)) for v in mu.vertices])
-    dist = np.linalg.norm(mu.points - base, axis=1)
+    by_index = np.zeros((max(v.index for v in sys.vertices) + 1, sys.dimension))
+    for v in sys.vertices:
+        by_index[v.index] = v.base_point
+    dist = np.linalg.norm(mu.points - by_index[mu.vertices], axis=1)
     value = float(mu.weights @ dist)
     stderr = float(np.sqrt(np.sum((mu.weights * (dist - value)) ** 2)))
     return value, stderr

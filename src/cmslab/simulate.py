@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .model import DirectedEdge, MarkovSystem, estimate_c_hat
 
 DEFAULT_BURN_IN = 1000
@@ -50,7 +50,10 @@ class EmpiricalMeasure:
 
     def validate_supports(self, sys: MarkovSystem) -> None:
         """Check every sample point lies in its vertex region."""
+        known = {v.index for v in sys.vertices}
         for idx in np.unique(self.vertices):
+            if int(idx) not in known:
+                raise ValidationError(f"sample vertex {idx} is not a system vertex")
             v = sys.vertex(int(idx))
             pts = self.points[self.vertices == idx]
             ok = np.all((pts >= v.lower - 1e-9) & (pts <= v.upper + 1e-9))
@@ -71,13 +74,27 @@ class EmpiricalMeasure:
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalMeasure":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        """Read a to_csv file; a missing, empty or malformed file raises
+        ConfigError naming it."""
+        try:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+        except OSError as exc:
+            raise ConfigError(f"cannot read measure CSV {path}: {exc}") from None
+        if len(rows) < 2 or len(rows[0]) < 3:
+            raise ConfigError(
+                f"measure CSV {path} needs a vertex,x_1..x_k,weight header "
+                f"and at least one sample row")
         header, body = rows[0], rows[1:]
         k = len(header) - 2
-        verts = np.array([int(r[0]) for r in body])
-        pts = np.array([[float(c) for c in r[1:1 + k]] for r in body])
-        wts = np.array([float(r[-1]) for r in body])
+        try:
+            if any(len(r) != k + 2 for r in body):
+                raise ValueError(f"every row needs {k + 2} fields")
+            verts = np.array([int(r[0]) for r in body])
+            pts = np.array([[float(c) for c in r[1:1 + k]] for r in body])
+            wts = np.array([float(r[-1]) for r in body])
+        except ValueError as exc:
+            raise ConfigError(f"malformed measure CSV {path}: {exc}") from None
         return cls(vertices=verts, points=pts, weights=wts)
 
 

@@ -74,3 +74,49 @@ def brute_min_cover_cost(target: int, pieces: list[tuple[float, int]]) -> float:
         return best
 
     return solve(0, 0)
+
+
+def chain_cyl_prob(sys, state, word) -> float:
+    """Probability that the chain started at `state` = (vertex, point)
+    realizes the word: the plain product of p_e along the path."""
+    edges = [sys.edge(i) for i in word]
+    vertex, x = state
+    if edges[0].source != vertex:
+        return 0.0
+    y = np.asarray(x, dtype=float)
+    prob = 1.0
+    for e in edges:
+        prob *= e.prob.value(y)
+        y = e.map.apply(y)
+    return prob
+
+
+def word_row(sys, word, measure, pi=None) -> tuple[float, float, float]:
+    """(M, stderr, phi0) of one word, each computed from scratch for it.
+
+    Exact mode (pi given, measure ignored) multiplies the stationary mass of
+    the start vertex by the edge constants.  Monte Carlo mode takes the
+    product of p_e over all measure samples, edge by edge, and its weighted
+    mean.  phi0 is chain_cyl_prob from the start vertex's base point.  Per
+    word the operations match the library's, so rows compare bit for bit.
+    """
+    edges = [sys.edge(i) for i in word]
+    start = edges[0].source
+    if pi is not None:
+        m = float(pi[start - 1])
+        for e in edges:
+            m *= e.prob.alpha
+        stderr = 0.0
+    else:
+        probs = (measure.vertices == start).astype(float)
+        pts = measure.points
+        for e in edges:
+            probs = probs * e.prob.value_many(pts)
+            pts = e.map.apply_many(pts)
+        m = float(measure.weights @ probs)
+        stderr = float(np.sqrt(np.sum((measure.weights * (probs - m)) ** 2)))
+    phi0 = 0.0
+    if start in sys.support_set:
+        phi0 = (chain_cyl_prob(sys, (start, sys.base_point(start)), word)
+                / len(sys.support_set))
+    return m, stderr, phi0

@@ -120,6 +120,25 @@ def test_kstar_nondecreasing_in_window(sys_b, mu_b):
         assert v2 >= v1 - 1e-15
 
 
+def test_kstar_from_shared_rows_equals_standalone(sys_b, mu_b, sys_c):
+    for sys_, measure in ((sys_b, mu_b), (sys_c, cl.EXACT)):
+        depth = 3
+        rows = cl.walk_cylinders(sys_, depth + 2, measure)
+        for window in (0, 1, 2):
+            shared = cl.kstar_estimate(sys_, window, depth, measure, rows=rows)
+            assert shared == cl.kstar_estimate(sys_, window, depth, measure)
+        k_n, _ = cl.kl_n(cl.build_table(sys_, depth, measure, rows=rows))
+        assert cl.kstar_estimate(sys_, 0, depth, measure, rows=rows)[0] == k_n
+
+
+def test_kstar_walks_past_short_rows(sys_c):
+    rows = cl.walk_cylinders(sys_c, 2, cl.EXACT)
+    assert (cl.kstar_estimate(sys_c, 1, 2, cl.EXACT, rows=rows)
+            == cl.kstar_estimate(sys_c, 1, 2, cl.EXACT))
+    with pytest.raises(cl.DepthOverflow):
+        cl.kstar_estimate(sys_c, 1, 2, cl.EXACT, cap=10, rows=rows)
+
+
 def test_kstar_absolute_continuity_pass_through():
     cfg = sys_c_config()
     cfg["support_set"] = [1]

@@ -96,6 +96,56 @@ def test_table_from_measure_csv(config_b, tmp_path):
                  "--measure", str(mu_path), "--out", str(out)]) == 0
 
 
+def test_table_empty_measure_csv_is_a_validation_error(config_b, tmp_path,
+                                                      capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    out = tmp_path / "t.csv"
+    assert main(["table", "--config", str(config_b), "--depth", "2",
+                 "--measure", str(empty), "--out", str(out)]) == 2
+    assert "empty.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_measure_csv_malformed_raises_config_error(tmp_path):
+    for name, text in (("empty.csv", ""),
+                       ("header.csv", "vertex,x_1,weight\n"),
+                       ("ragged.csv", "vertex,x_1,weight\n1,0.5\n"),
+                       ("words.csv", "vertex,x_1,weight\n1,abc,1.0\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(cl.ConfigError, match=name):
+            cl.EmpiricalMeasure.from_csv(path)
+    with pytest.raises(cl.ConfigError, match="missing.csv"):
+        cl.EmpiricalMeasure.from_csv(tmp_path / "missing.csv")
+
+
+def test_measure_csv_unknown_vertex_is_a_validation_error(config_a, tmp_path):
+    path = tmp_path / "mu.csv"
+    path.write_text("vertex,x_1,weight\n0,0.5,1.0\n")
+    out = tmp_path / "t.csv"
+    assert main(["table", "--config", str(config_a), "--depth", "1",
+                 "--measure", str(path), "--out", str(out)]) == 2
+
+
+def test_bounds_subcommand_walks_once(config_b, tmp_path, monkeypatch):
+    import cmslab.cylinders as cyl_mod
+
+    walks = []
+    original = cyl_mod.walk_cylinders
+
+    def counting(*args, **kwargs):
+        walks.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cyl_mod, "walk_cylinders", counting)
+    monkeypatch.setattr(cli_mod, "walk_cylinders", counting)
+    assert main(["bounds", "--config", str(config_b), "--depths", "1", "2",
+                 "3", "--windows", "0", "1", "2", "--kstar-depth", "2",
+                 "--samples", "500", "--seed", "5"]) == 0
+    assert walks == [4]
+
+
 def test_bounds_subcommand(config_b, tmp_path, capsys):
     out = tmp_path / "bounds.json"
     code = main(["bounds", "--config", str(config_b), "--depths", "1", "2",
@@ -197,6 +247,23 @@ def test_run_red_flag_exit_code(tmp_path, config_a, monkeypatch):
     monkeypatch.setattr(cli_mod.cover_mod, "consistency_check", always_fail)
     plan = _plan_a(tmp_path, config_a)
     assert run(plan) == 4
+
+
+def test_run_kstar_over_word_cap_fails_at_bounds(tmp_path, config_a):
+    # tables (depths 1-2, at most 4 words) fit the cap; K* window 2 at
+    # depth 2 needs the 16 words of depth 4 and does not
+    plan = _plan_a(tmp_path, config_a)
+    plan.depths, plan.kstar_depth, plan.kstar_windows = [1, 2], 2, [0, 1, 2]
+    plan.word_cap = 8
+    assert run(plan) == cli_mod.EXIT_BUDGET
+    out = tmp_path / "out"
+    manifest = json.loads((out / "MANIFEST.json").read_text())
+    assert manifest["failure"]["stage"] == "bounds"
+    assert manifest["failure"]["error"] == "DepthOverflow"
+    assert manifest["stages"]["tables"] == "ok"
+    assert (out / "tables" / "depth_1.csv").exists()
+    assert (out / "tables" / "depth_2.csv").exists()
+    assert not (out / "bounds.json").exists()
 
 
 def test_plan_from_dict_rejects_unknown_fields():

@@ -9,7 +9,8 @@ import pytest
 import cmslab as cl
 
 from conftest import sys_c_config
-from oracles import enumerate_paths, stationary_via_eig
+from oracles import (chain_cyl_prob, enumerate_paths, stationary_via_eig,
+                     word_row)
 
 
 # --- enumeration ------------------------------------------------------------
@@ -43,25 +44,27 @@ def test_depth_overflow(sys_a):
 def test_chain_prob_sys_a(sys_a):
     for n in (1, 3, 5):
         word = ("e1", "e2") * n
-        p = cl.chain_cyl_prob(sys_a, (1, np.array([0.25])), word[:n])
+        p = chain_cyl_prob(sys_a, (1, np.array([0.25])), word[:n])
         assert p == 0.5 ** n
 
 
 def test_chain_prob_sys_b_single(sys_b):
-    p = cl.chain_cyl_prob(sys_b, (1, np.array([0.0])), ("e1",))
+    p = chain_cyl_prob(sys_b, (1, np.array([0.0])), ("e1",))
     assert p == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_chain_prob_sys_b_two_step(sys_b):
     # direct substitution: p_e2(0) * p_e1(w_e2(0)) = (2/3) * ((1 + 1/2)/3)
-    p = cl.chain_cyl_prob(sys_b, (1, np.array([0.0])), ("e2", "e1"))
+    p = chain_cyl_prob(sys_b, (1, np.array([0.0])), ("e2", "e1"))
     oracle = (2.0 / 3.0) * ((1.0 + 0.5) / 3.0)
     assert p == oracle
     assert p == pytest.approx(1.0 / 3.0, abs=1e-15)
+    # 0 is the base point of the only support vertex
+    assert cl.phi0_cyl(sys_b, ("e2", "e1")) == p
 
 
 def test_chain_prob_vertex_mismatch(sys_c):
-    assert cl.chain_cyl_prob(sys_c, (2, np.array([2.5])), ("c11",)) == 0.0
+    assert chain_cyl_prob(sys_c, (2, np.array([2.5])), ("c11",)) == 0.0
 
 
 def test_phi0_values(sys_a, sys_b, sys_c):
@@ -125,9 +128,81 @@ def test_m_cyl_mc_matches_scalar_path(sys_b, mu_b):
     word = ("e2", "e1")
     value, _ = cl.m_cyl(sys_b, word, mu_b)
     direct = math.fsum(
-        w * cl.chain_cyl_prob(sys_b, (int(v), x), word)
+        w * chain_cyl_prob(sys_b, (int(v), x), word)
         for v, x, w in zip(mu_b.vertices, mu_b.points, mu_b.weights))
     assert value == pytest.approx(direct, abs=1e-13)
+
+
+# --- the prefix-shared walk -------------------------------------------------
+
+@pytest.fixture(scope="module")
+def small_measures(sys_a, sys_b, sys_c):
+    return {name: cl.estimate_invariant(s, 5000, burn_in=200, seed=3)
+            for name, s in (("sys_a", sys_a), ("sys_b", sys_b),
+                            ("sys_c", sys_c))}
+
+
+@pytest.mark.parametrize("name,mode", [
+    ("sys_a", "exact"), ("sys_a", "mc"), ("sys_b", "mc"),
+    ("sys_c", "exact"), ("sys_c", "mc"),
+])
+def test_walk_rows_match_per_word_oracle(name, mode, request, small_measures):
+    sys_ = request.getfixturevalue(name)
+    if mode == "exact":
+        measure, pi = cl.EXACT, cl.stationary_vertex_distribution(sys_)
+    else:
+        measure, pi = small_measures[name], None
+    rows = cl.walk_cylinders(sys_, 6, measure)
+    assert sorted(rows) == [1, 2, 3, 4, 5, 6]
+    for n in range(1, 7):
+        words = cl.enumerate_words(sys_, n)
+        assert rows[n].words == tuple(words)
+        oracle = [word_row(sys_, w, measure, pi) for w in words]
+        assert rows[n].m_values.tolist() == [r[0] for r in oracle]
+        assert rows[n].stderrs.tolist() == [r[1] for r in oracle]
+        assert rows[n].phi0_values.tolist() == [r[2] for r in oracle]
+        # the per-word folds share the walk's one-edge step
+        assert [cl.m_cyl(sys_, w, measure) for w in words] == [
+            r[:2] for r in oracle]
+        assert [cl.phi0_cyl(sys_, w) for w in words] == [r[2] for r in oracle]
+
+
+def test_walk_takes_one_step_per_tree_node(sys_b, small_measures, monkeypatch):
+    """Regression guard on the walk's cost, by counting instead of timing:
+    p_e is evaluated once per node of the word tree, not once per edge of
+    every word, and the points are moved only below internal nodes."""
+    calls = {"value_many": 0, "apply_many": 0}
+
+    def counting(cls, attr):
+        original = getattr(cls, attr)
+
+        def wrapper(self, pts):
+            calls[attr] += 1
+            return original(self, pts)
+
+        monkeypatch.setattr(cls, attr, wrapper)
+
+    counting(cl.ProbabilityFunction, "value_many")
+    counting(cl.AffineMap, "apply_many")
+    mu, n_max = small_measures["sys_b"], 6
+    rows = cl.walk_cylinders(sys_b, n_max, mu)
+    nodes = sum(cl.count_words(sys_b, n) for n in range(1, n_max + 1))
+    assert calls["value_many"] == nodes
+    assert calls["apply_many"] == nodes - cl.count_words(sys_b, n_max)
+
+    # tables and K* read the shared rows without stepping again
+    for n in range(1, 5):
+        cl.build_table(sys_b, n, mu, rows=rows)
+    for window in (0, 1, 2):
+        cl.kstar_estimate(sys_b, window, 4, mu, rows=rows)
+    assert calls["value_many"] == nodes
+
+
+def test_walk_respects_word_cap(sys_a):
+    with pytest.raises(cl.DepthOverflow):
+        cl.walk_cylinders(sys_a, 4, cl.EXACT, cap=8)
+    with pytest.raises(ValueError):
+        cl.walk_cylinders(sys_a, 0, cl.EXACT)
 
 
 # --- tables -----------------------------------------------------------------
