@@ -79,8 +79,6 @@ from .model import (
     derive_constants,
     estimate_c_hat,
     modulus_geometric_sum,
-    spectral_norm,
-    system_from_config,
     system_to_config,
     validate_system,
 )

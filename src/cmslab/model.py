@@ -6,8 +6,11 @@ from the source region into the target region together with a probability
 function (constant or affine) over the source region.  Out-edge probabilities
 at each vertex sum identically to 1.
 
-Configs are plain JSON objects; see ``system_from_config`` for the exact
-schema.  Validated systems are immutable and safe to share across workers.
+Configs are plain JSON objects; ``validate_system`` parses and checks them
+(the schema is in README.md).  Every check on a box region is a closed form:
+affine functions attain their extremes at corners, so ``box_range`` and
+``AffineMap.image_box`` are exact without enumerating the 2^k corners.
+Validated systems are immutable and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -33,7 +36,6 @@ from .errors import (
 if TYPE_CHECKING:
     from .simulate import EmpiricalMeasure
 
-GRID_POINTS_PER_AXIS = 5
 CONTAINMENT_TOL = 1e-9
 COEFF_TOL = 1e-12
 DINI_MAX_TERMS = 1_000_000
@@ -68,50 +70,34 @@ class AffineMap:
         out += self.offset
         return out
 
+    def image_box(self, lower: np.ndarray, upper: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact bounding box of the image of the box [lower, upper].
+
+        With centre c and half-width r it is A c + b +- |A| r; each bound is
+        attained at a corner of the box.
+        """
+        centre = self.apply((lower + upper) / 2.0)
+        radius = np.abs(self.linear) @ ((upper - lower) / 2.0)
+        return centre - radius, centre + radius
+
     @property
     def lipschitz_constant(self) -> float:
-        """Spectral norm of the linear part.
-
-        Closed form for k <= 2, power iteration on A^T A (relative
-        tolerance 1e-12) above that.
-        """
-        return spectral_norm(self.linear)
+        """Spectral norm (largest singular value) of the linear part."""
+        return float(np.linalg.norm(self.linear, 2))
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    k = a.shape[0]
-    if k == 1:
-        return abs(float(a[0, 0]))
-    if k == 2:
-        g = a.T @ a
-        t = float(g[0, 0] + g[1, 1])
-        det = float(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
-        disc = max(t * t - 4.0 * det, 0.0)
-        return math.sqrt(max((t + math.sqrt(disc)) / 2.0, 0.0))
-    return _power_iteration_norm(a)
+def box_range(alpha: float, beta: np.ndarray, lower: np.ndarray,
+              upper: np.ndarray) -> tuple[float, float]:
+    """Exact min and max of alpha + beta . x over the box [lower, upper].
 
-
-def _power_iteration_norm(a: np.ndarray, rel_tol: float = 1e-12,
-                          max_iter: int = 100_000) -> float:
-    g = a.T @ a
-    k = g.shape[0]
-    # deterministic start, slightly asymmetric so it is not orthogonal to
-    # the dominant eigenvector of typical matrices
-    v = np.ones(k) + 1e-3 * np.arange(k)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = g @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new_lam = float(v @ (g @ v))
-        if abs(new_lam - lam) <= rel_tol * max(new_lam, 1e-300):
-            lam = new_lam
-            break
-        lam = new_lam
-    return math.sqrt(max(lam, 0.0))
+    Each coordinate contributes independently, so the extremes take the
+    smaller or larger of beta_i lower_i and beta_i upper_i on every axis.
+    """
+    at_lower = beta * lower
+    at_upper = beta * upper
+    return (alpha + float(np.sum(np.minimum(at_lower, at_upper))),
+            alpha + float(np.sum(np.maximum(at_lower, at_upper))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,20 +160,6 @@ class VertexSpace:
 
     def contains(self, x: np.ndarray, tol: float = CONTAINMENT_TOL) -> bool:
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
-
-    def corners(self) -> Iterable[np.ndarray]:
-        for combo in itertools.product(*zip(self.lower, self.upper)):
-            yield np.array(combo)
-
-    def grid(self, points_per_axis: int = GRID_POINTS_PER_AXIS) -> np.ndarray:
-        """Deterministic validation grid, (points_per_axis^k, k).
-
-        Endpoints are included, so every corner is a grid point.
-        """
-        axes = [np.linspace(lo, hi, points_per_axis)
-                for lo, hi in zip(self.lower, self.upper)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,70 +270,93 @@ _TOP_FIELDS = {"dimension", "vertices", "edges", "support_set"}
 _VERTEX_FIELDS = {"index", "lower", "upper", "base_point"}
 _EDGE_FIELDS = {"id", "source", "target", "linear", "offset", "prob"}
 _PROB_FIELDS = {"family", "alpha", "beta"}
+_REQUIRED = object()
 
 
-def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
-    unknown = set(obj) - allowed
+def _object(value, allowed: set, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    unknown = set(value) - allowed
     if unknown:
         raise ConfigError(f"unknown fields in {where}: {sorted(unknown)}")
+    return value
+
+
+def _field(obj: dict, key: str, where: str, convert=None, default=_REQUIRED):
+    """obj[key] passed through convert; every failure names the field path."""
+    path = f"{where}.{key}" if where else key
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing config field {path}")
+        return default
+    try:
+        return obj[key] if convert is None else convert(obj[key])
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _matrix(value, k: int) -> np.ndarray:
+    linear = np.asarray(value, dtype=float)
+    if linear.ndim == 1:
+        if linear.size != k * k:
+            raise ConfigError(f"linear part needs {k * k} entries (row-major)")
+        linear = linear.reshape(k, k)
+    return _frozen(linear, (k, k))
 
 
 def _parse_raw(raw: dict):
-    if not isinstance(raw, dict):
-        raise ConfigError("system config must be a JSON object")
-    _reject_unknown(raw, _TOP_FIELDS, "system config")
-    try:
-        k = int(raw["dimension"])
-        raw_vertices = raw["vertices"]
-        raw_edges = raw["edges"]
-    except KeyError as exc:
-        raise ConfigError(f"missing config field {exc}") from None
+    _object(raw, _TOP_FIELDS, "system config")
+    k = _field(raw, "dimension", "", int)
     if k < 1:
         raise ConfigError("dimension must be >= 1")
 
+    def vector(value):
+        return _frozen(value, (k,))
+
     vertices = []
-    for rv in raw_vertices:
-        _reject_unknown(rv, _VERTEX_FIELDS, f"vertex {rv.get('index')}")
+    for i, rv in enumerate(_field(raw, "vertices", "", list)):
+        where = f"vertices[{i}]"
+        _object(rv, _VERTEX_FIELDS, where)
         vertices.append(VertexSpace(
-            index=int(rv["index"]),
-            lower=_frozen(rv["lower"], (k,)),
-            upper=_frozen(rv["upper"], (k,)),
-            base_point=_frozen(rv["base_point"], (k,)),
+            index=_field(rv, "index", where, int),
+            lower=_field(rv, "lower", where, vector),
+            upper=_field(rv, "upper", where, vector),
+            base_point=_field(rv, "base_point", where, vector),
         ))
 
     edges = []
-    for re_ in raw_edges:
-        _reject_unknown(re_, _EDGE_FIELDS, f"edge {re_.get('id')}")
-        rp = re_["prob"]
-        _reject_unknown(rp, _PROB_FIELDS, f"prob of edge {re_.get('id')}")
-        beta = rp.get("beta")
-        if beta is None:
-            beta = [0.0] * k
-        linear = np.asarray(re_["linear"], dtype=float)
-        if linear.ndim == 1:
-            if linear.size != k * k:
-                raise ConfigError(
-                    f"edge {re_['id']!r}: linear part needs {k * k} entries (row-major)")
-            linear = linear.reshape(k, k)
+    for i, re_ in enumerate(_field(raw, "edges", "", list)):
+        where = f"edges[{i}]"
+        _object(re_, _EDGE_FIELDS, where)
+        pw = f"{where}.prob"
+        rp = _object(_field(re_, "prob", where), _PROB_FIELDS, pw)
+        family = _field(rp, "family", pw)
+        alpha = _field(rp, "alpha", pw, float)
+        beta = _field(rp, "beta", pw,
+                      lambda v: vector([0.0] * k if v is None else v),
+                      default=np.zeros(k))
+        try:
+            prob = ProbabilityFunction(family=family, alpha=alpha, beta=beta)
+        except ConfigError as exc:
+            raise ConfigError(f"{pw}: {exc}") from None
         edges.append(DirectedEdge(
-            id=str(re_["id"]),
-            source=int(re_["source"]),
-            target=int(re_["target"]),
-            map=AffineMap(linear=linear, offset=_frozen(re_["offset"], (k,))),
-            prob=ProbabilityFunction(family=rp["family"],
-                                     alpha=float(rp["alpha"]),
-                                     beta=_frozen(beta, (k,))),
+            id=_field(re_, "id", where, str),
+            source=_field(re_, "source", where, int),
+            target=_field(re_, "target", where, int),
+            map=AffineMap(linear=_field(re_, "linear", where, lambda v: _matrix(v, k)),
+                          offset=_field(re_, "offset", where, vector)),
+            prob=prob,
         ))
 
-    support = raw.get("support_set")
+    support = _field(raw, "support_set", "",
+                     lambda v: v if v is None else frozenset(int(j) for j in v),
+                     default=None)
     if support is None:
-        support = [v.index for v in vertices]
-    return k, tuple(vertices), tuple(edges), frozenset(int(i) for i in support)
+        support = frozenset(v.index for v in vertices)
+    return k, tuple(vertices), tuple(edges), support
 
 
-def collect_violations(raw: dict) -> list[ValidationError]:
-    """All structural violations of a raw config, empty if it is valid."""
-    k, vertices, edges, support = _parse_raw(raw)
+def _violations(vertices, edges, support) -> list[ValidationError]:
     violations: list[ValidationError] = []
 
     indices = sorted(v.index for v in vertices)
@@ -403,37 +398,26 @@ def collect_violations(raw: dict) -> list[ValidationError]:
         if not out[v.index]:
             violations.append(ValidationError(f"vertex {v.index} has no out-edge"))
 
-    # region escape: affine image of a box is the convex hull of the corner
-    # images, so the corner check is exact; the grid is a redundancy check
     for e in edges:
-        if e.source not in by_index or e.target not in by_index:
-            continue
         src, tgt = by_index[e.source], by_index[e.target]
-        pts = np.vstack([src.grid(), list(src.corners())])
-        images = e.map.apply_many(pts)
-        inside = np.all((images >= tgt.lower - CONTAINMENT_TOL)
-                        & (images <= tgt.upper + CONTAINMENT_TOL), axis=1)
-        if not np.all(inside):
-            bad = pts[np.argmin(inside)]
+        lo, hi = e.map.image_box(src.lower, src.upper)
+        if (np.any(lo < tgt.lower - CONTAINMENT_TOL)
+                or np.any(hi > tgt.upper + CONTAINMENT_TOL)):
             violations.append(RegionEscape(
-                f"edge {e.id}: image of {bad.tolist()} leaves region of "
-                f"vertex {e.target}"))
-
-    # probability range at corners; min over corners equals min over the box
-    # for the affine family
+                f"edge {e.id}: image box {lo.tolist()}..{hi.tolist()} leaves "
+                f"region of vertex {e.target}"))
     for e in edges:
-        if e.source not in by_index:
-            continue
         src = by_index[e.source]
-        vals = [e.prob.value(c) for c in src.corners()]
-        if min(vals) <= 0.0:
+        lo, hi = box_range(e.prob.alpha, e.prob.beta, src.lower, src.upper)
+        if lo <= 0.0:
             violations.append(NonPositiveProbability(
-                f"edge {e.id}: probability {min(vals):.6g} <= 0 on source region"))
-        if max(vals) > 1.0 + COEFF_TOL:
+                f"edge {e.id}: probability {lo:.6g} <= 0 on source region"))
+        if hi > 1.0 + COEFF_TOL:
             violations.append(NonPositiveProbability(
-                f"edge {e.id}: probability {max(vals):.6g} > 1 on source region"))
+                f"edge {e.id}: probability {hi:.6g} > 1 on source region"))
 
-    # normalization, symbolic then numeric on the grid
+    # normalization: symbolic on the coefficients, then exact on the region,
+    # where coefficient sums within COEFF_TOL still add up on large boxes
     for v in vertices:
         if not out[v.index]:
             continue
@@ -444,21 +428,28 @@ def collect_violations(raw: dict) -> list[ValidationError]:
                 f"vertex {v.index}: out-edge probabilities sum to "
                 f"{alpha_sum:.12g} + {beta_sum.tolist()} . x, not identically 1"))
             continue
-        grid = v.grid()
-        total = np.sum([e.prob.value_many(grid) for e in out[v.index]], axis=0)
-        if np.any(np.abs(total - 1.0) > CONTAINMENT_TOL):
+        lo, hi = box_range(alpha_sum - 1.0, beta_sum, v.lower, v.upper)
+        gap = max(-lo, hi)
+        if gap > CONTAINMENT_TOL:
             violations.append(NormalizationError(
-                f"vertex {v.index}: grid normalization check failed"))
+                f"vertex {v.index}: out-edge probabilities sum to 1 only within "
+                f"{gap:.3g} on the region"))
 
     return violations
 
 
+def collect_violations(raw: dict) -> list[ValidationError]:
+    """All structural violations of a raw config, empty if it is valid."""
+    _, vertices, edges, support = _parse_raw(raw)
+    return _violations(vertices, edges, support)
+
+
 def validate_system(raw: dict) -> MarkovSystem:
     """Parse and validate a raw config, raising the first violation found."""
-    violations = collect_violations(raw)
+    k, vertices, edges, support = _parse_raw(raw)
+    violations = _violations(vertices, edges, support)
     if violations:
         raise violations[0]
-    k, vertices, edges, support = _parse_raw(raw)
     return MarkovSystem(dimension=k, vertices=vertices, edges=edges,
                         support_set=support)
 
@@ -494,8 +485,6 @@ def system_to_config(sys: MarkovSystem) -> dict:
         "support_set": sorted(sys.support_set),
     }
 
-
-system_from_config = validate_system
 
 
 # ---------------------------------------------------------------------------
@@ -579,20 +568,19 @@ def derive_constants(sys: MarkovSystem, mu: "EmpiricalMeasure",
             f"max edge Lipschitz constant is {a:.6g}; constants are only "
             f"defined for uniformly contractive systems")
 
-    delta = min(min(e.prob.value(c) for c in sys.vertex(e.source).corners())
+    delta = min(box_range(e.prob.alpha, e.prob.beta, sys.vertex(e.source).lower,
+                          sys.vertex(e.source).upper)[0]
                 for e in sys.edges)
     d = sys.max_displacement
 
-    # b: the summand is affine in x, so the grid (which contains every
-    # corner) attains the true maximum
+    # b: the expected one-step displacement sum_e disp_e p_e(x) is affine in x
     b = 0.0
     for v in sys.vertices:
         edges = sys.out_edges(v.index)
-        disp = np.array([sys.displacement(e) for e in edges])
-        grid = v.grid()
-        vals = np.sum([e.prob.value_many(grid) * c
-                       for e, c in zip(edges, disp)], axis=0)
-        b = max(b, float(np.max(vals)))
+        disp = [sys.displacement(e) for e in edges]
+        alpha = sum(c * e.prob.alpha for e, c in zip(edges, disp))
+        beta = np.sum([c * e.prob.beta for e, c in zip(edges, disp)], axis=0)
+        b = max(b, box_range(alpha, beta, v.lower, v.upper)[1])
 
     c_hat, c_stderr = estimate_c_hat(sys, mu)
     half = modulus_geometric_sum(sys, math.sqrt(a), c_hat, tail_tol)

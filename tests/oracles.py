@@ -120,3 +120,37 @@ def word_row(sys, word, measure, pi=None) -> tuple[float, float, float]:
         phi0 = (chain_cyl_prob(sys, (start, sys.base_point(start)), word)
                 / len(sys.support_set))
     return m, stderr, phi0
+
+
+def power_iteration_norm(a: np.ndarray, rel_tol: float = 1e-12,
+                         max_iter: int = 100_000) -> float:
+    """Spectral norm of `a` by power iteration on A^T A.
+
+    The Rayleigh quotient approaches the top eigenvalue from below, so this
+    is a lower estimate that converges to the largest singular value.
+    """
+    g = a.T @ a
+    k = g.shape[0]
+    # deterministic start, slightly asymmetric so it is not orthogonal to
+    # the dominant eigenvector of typical matrices
+    v = np.ones(k) + 1e-3 * np.arange(k)
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(max_iter):
+        w = g @ v
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            return 0.0
+        v = w / norm
+        new_lam = float(v @ (g @ v))
+        if abs(new_lam - lam) <= rel_tol * max(new_lam, 1e-300):
+            lam = new_lam
+            break
+        lam = new_lam
+    return math.sqrt(max(lam, 0.0))
+
+
+def corner_values(f, lower, upper) -> list:
+    """f evaluated at each of the 2^k corners of the box [lower, upper]."""
+    return [f(np.array(corner))
+            for corner in itertools.product(*zip(lower, upper))]

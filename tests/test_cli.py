@@ -47,6 +47,15 @@ def test_validate_failure_exit_code(tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == 2
 
 
+def test_validate_malformed_config_exit_code(tmp_path, capsys):
+    cfg = sys_a_config()
+    cfg["edges"] = 3
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "edges" in capsys.readouterr().err
+
+
 def test_simulate_deterministic(config_b, tmp_path):
     out1, out2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
     assert main(["simulate", "--config", str(config_b), "--samples", "500",

@@ -2,15 +2,19 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmslab as cl
 from cmslab import model as model_mod
 
 from conftest import sys_a_config, sys_b_config, sys_c_config
-from oracles import direct_modulus_series
+from oracles import corner_values, direct_modulus_series, power_iteration_norm
 
 
 # --- validation -------------------------------------------------------------
@@ -118,6 +122,29 @@ def test_constant_family_with_gradient_rejected():
         cl.validate_system(cfg)
 
 
+# each corruption of sys A, keyed by the field path its ConfigError names
+_MALFORMED = {
+    "vertices[0].lower": lambda c: c["vertices"][0].pop("lower"),
+    "edges[1].prob": lambda c: c["edges"][1].pop("prob"),
+    "edges": lambda c: c.update(edges=3),
+    "support_set": lambda c: c.update(support_set=5),
+    "edges[0].prob.alpha": lambda c: c["edges"][0]["prob"].update(alpha="x"),
+    "vertices[0]": lambda c: c.update(vertices=[1]),
+}
+
+
+@pytest.mark.parametrize("path", list(_MALFORMED))
+def test_malformed_config_raises_config_error_naming_the_field(path):
+    cfg = sys_a_config()
+    _MALFORMED[path](cfg)
+    with pytest.raises(cl.ConfigError, match=re.escape(path)):
+        cl.validate_system(cfg)
+    certificate = {"system": cfg, "query": {"words": ["e1"]},
+                   "pieces": [], "cost": 0.0}
+    with pytest.raises(cl.CertificateInvalid, match=re.escape(path)):
+        cl.verify_certificate_data(certificate)
+
+
 # --- derived constants ------------------------------------------------------
 
 def test_constants_sys_a(constants_a):
@@ -208,25 +235,160 @@ def test_modulus_sum_truncation_error_below_tolerance(sys_b):
         assert abs(got - 2.0 / 3.0) < tol
 
 
-# --- spectral norms ---------------------------------------------------------
-
-def test_spectral_norm_closed_form_matches_power_iteration():
-    rng = np.random.default_rng(2024)
-    for k in (1, 2):
-        for _ in range(50):
-            a = rng.normal(size=(k, k))
-            closed = cl.spectral_norm(a)
-            power = model_mod._power_iteration_norm(a)
-            assert closed == pytest.approx(power, abs=1e-10)
-
+# --- closed-form box geometry -----------------------------------------------
 
 def test_spectral_norm_against_numpy_svd():
     rng = np.random.default_rng(7)
     for k in (1, 2, 3, 5):
         for _ in range(20):
             a = rng.normal(size=(k, k))
-            assert cl.spectral_norm(a) == pytest.approx(
-                float(np.linalg.norm(a, 2)), rel=1e-9, abs=1e-12)
+            lip = cl.AffineMap(linear=a, offset=np.zeros(k)).lipschitz_constant
+            assert lip == pytest.approx(
+                float(np.linalg.svd(a, compute_uv=False)[0]), rel=1e-9, abs=1e-12)
+
+
+@st.composite
+def box_configs(draw):
+    """Configs of 1-2 disjoint boxes in R^k, k in 1..4, two out-edges each.
+
+    Probabilities are normalized by construction; `positive` keeps them in
+    (0, 1) and `inside` centres every image box in its target box, so a
+    config with both is valid and the others exercise the rejections.
+    """
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 2))
+    inside, positive = draw(st.booleans()), draw(st.booleans())
+
+    def vec(lo, hi):
+        return np.array([draw(st.floats(lo, hi)) for _ in range(k)])
+
+    vertices = []
+    for i in range(n):
+        lower = vec(-5.0, 5.0) + 20.0 * i
+        upper = lower + vec(1.0, 3.0)
+        vertices.append({"index": i + 1, "lower": lower.tolist(),
+                         "upper": upper.tolist(), "base_point": lower.tolist()})
+
+    # |beta . x| <= 0.1 on every box when positive (coordinates below 28)
+    scale = 0.1 / (28.0 * k) if positive else 0.1
+    edges = []
+    for v in vertices:
+        alpha = draw(st.floats(0.2, 0.8))
+        beta = scale * vec(-1.0, 1.0)
+        centre = (np.array(v["lower"]) + np.array(v["upper"])) / 2.0
+        for j, (a, b) in enumerate(((alpha, beta), (1.0 - alpha, -beta))):
+            tgt = vertices[draw(st.integers(0, n - 1))]
+            # row sums of |A| <= 0.3 keep the image half-width below 0.5
+            linear = np.array([vec(-0.3 / k, 0.3 / k) for _ in range(k)])
+            goal = (np.array(tgt["lower"]) + np.array(tgt["upper"])) / 2.0
+            if not inside:
+                goal = goal + vec(-1.0, 1.0)
+            edges.append({
+                "id": f"v{v['index']}e{j}", "source": v["index"],
+                "target": tgt["index"], "linear": linear.ravel().tolist(),
+                "offset": (goal - linear @ centre).tolist(),
+                "prob": {"family": "affine", "alpha": a, "beta": b.tolist()}})
+    return {"dimension": k, "vertices": vertices, "edges": edges}
+
+
+def _flags(violations, kind, edge_id, text=""):
+    return any(isinstance(v, kind) and str(v).startswith(f"edge {edge_id}:")
+               and text in str(v) for v in violations)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(box_configs())
+def test_box_geometry_matches_corner_oracle(cfg):
+    violations = cl.collect_violations(cfg)
+    _, vertices, edges, _ = model_mod._parse_raw(cfg)
+    box = {v.index: (v.lower, v.upper) for v in vertices}
+    tol = model_mod.CONTAINMENT_TOL
+    for e in edges:
+        (lo, hi), (tlo, thi) = box[e.source], box[e.target]
+
+        images = np.array(corner_values(e.map.apply, lo, hi))
+        img_lo, img_hi = e.map.image_box(lo, hi)
+        assert img_lo == pytest.approx(images.min(axis=0), rel=1e-12, abs=1e-12)
+        assert img_hi == pytest.approx(images.max(axis=0), rel=1e-12, abs=1e-12)
+        excess = max(np.max(tlo - images.min(axis=0)),
+                     np.max(images.max(axis=0) - thi))
+        if abs(excess - tol) > 1e-9:
+            assert _flags(violations, cl.RegionEscape, e.id) == (excess > tol)
+
+        vals = corner_values(e.prob.value, lo, hi)
+        p_lo, p_hi = model_mod.box_range(e.prob.alpha, e.prob.beta, lo, hi)
+        assert (p_lo, p_hi) == pytest.approx((min(vals), max(vals)),
+                                             rel=1e-12, abs=1e-12)
+        if abs(min(vals)) > 1e-9:
+            assert (_flags(violations, cl.NonPositiveProbability, e.id, "<= 0")
+                    == (min(vals) <= 0.0))
+
+        assert e.map.lipschitz_constant == pytest.approx(
+            power_iteration_norm(e.map.linear), rel=1e-9, abs=1e-15)
+
+    if violations:
+        return
+    sys_ = cl.validate_system(cfg)
+    mu = cl.estimate_invariant(sys_, 20, burn_in=2, seed=0)
+    cs = cl.derive_constants(sys_, mu)
+    assert cs.a == pytest.approx(
+        max(power_iteration_norm(e.map.linear) for e in edges), rel=1e-9)
+    assert cs.delta == pytest.approx(
+        min(min(corner_values(e.prob.value, *box[e.source])) for e in edges),
+        rel=1e-12, abs=1e-12)
+
+    def expected_displacement(v):
+        out = sys_.out_edges(v.index)
+        return lambda x: sum(sys_.displacement(e) * e.prob.value(x) for e in out)
+
+    b = max(max(corner_values(expected_displacement(v), v.lower, v.upper))
+            for v in sys_.vertices)
+    assert cs.b == pytest.approx(max(b, 0.0), rel=1e-12, abs=1e-12)
+
+
+def test_validate_and_constants_at_k50_in_polynomial_time():
+    k = 50
+    lo = {1: 0.0, 2: 2.0}
+    edges = [{"id": f"e{s}{t}", "source": s, "target": t,
+              "linear": np.diag(np.full(k, 0.5)).ravel().tolist(),
+              "offset": [lo[t] - 0.5 * lo[s]] * k,
+              "prob": {"family": "constant", "alpha": 0.5}}
+             for s in (1, 2) for t in (1, 2)]
+    cfg = {"dimension": k,
+           "vertices": [{"index": i, "lower": [lo[i]] * k,
+                         "upper": [lo[i] + 1.0] * k, "base_point": [lo[i]] * k}
+                        for i in (1, 2)],
+           "edges": edges}
+    start = time.perf_counter()
+    sys_ = cl.validate_system(cfg)
+    validate_s = time.perf_counter() - start
+    mu = cl.estimate_invariant(sys_, 50, burn_in=5, seed=0)
+    start = time.perf_counter()
+    cs = cl.derive_constants(sys_, mu)
+    constants_s = time.perf_counter() - start
+    assert validate_s + constants_s < 1.0
+    assert cs.a == pytest.approx(0.5, rel=1e-12)
+    assert cs.delta == 0.5
+    assert cs.d == 0.0 and cs.b == 0.0
+
+
+def test_normalization_checked_on_large_boxes():
+    # coefficient sums pass the symbolic check (beta sums to 1e-13 <= 1e-12),
+    # but at x = 1e5 the probabilities add up to 1 + 1e-8
+    cfg = {
+        "dimension": 1,
+        "vertices": [{"index": 1, "lower": [0.0], "upper": [1e5],
+                      "base_point": [0.0]}],
+        "edges": [
+            {"id": "e1", "source": 1, "target": 1, "linear": [0.5],
+             "offset": [0.0],
+             "prob": {"family": "affine", "alpha": 0.5, "beta": [1e-13]}},
+            {"id": "e2", "source": 1, "target": 1, "linear": [0.5],
+             "offset": [5e4], "prob": {"family": "constant", "alpha": 0.5}},
+        ],
+    }
+    with pytest.raises(cl.NormalizationError):
+        cl.validate_system(cfg)
 
 
 # --- serialization ----------------------------------------------------------
@@ -240,8 +402,3 @@ def test_config_round_trip_bit_exact(sys_b, mu_b, constants_b):
     assert cs2.delta == constants_b.delta
     assert cl.system_to_config(reparsed) == cl.system_to_config(sys_b)
 
-
-def test_vertex_grid_contains_corners(sys_c):
-    v = sys_c.vertex(2)
-    grid = {float(g[0]) for g in v.grid()}
-    assert {2.0, 3.0} <= grid
