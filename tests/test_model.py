@@ -237,6 +237,15 @@ def test_modulus_sum_truncation_error_below_tolerance(sys_b):
 
 # --- closed-form box geometry -----------------------------------------------
 
+def test_spectral_norm_closed_form_matches_power_iteration():
+    rng = np.random.default_rng(2024)
+    for k in (1, 2):
+        for _ in range(50):
+            a = rng.normal(size=(k, k))
+            closed = cl.AffineMap(linear=a, offset=np.zeros(k)).lipschitz_constant
+            assert closed == pytest.approx(power_iteration_norm(a), abs=1e-10)
+
+
 def test_spectral_norm_against_numpy_svd():
     rng = np.random.default_rng(7)
     for k in (1, 2, 3, 5):
@@ -402,3 +411,10 @@ def test_config_round_trip_bit_exact(sys_b, mu_b, constants_b):
     assert cs2.delta == constants_b.delta
     assert cl.system_to_config(reparsed) == cl.system_to_config(sys_b)
 
+
+def test_vertex_grid_contains_corners(sys_c):
+    v = sys_c.vertex(2)
+    corners = {float(c[0]) for c in corner_values(lambda x: x, v.lower, v.upper)}
+    assert {2.0, 3.0} <= corners
+    assert all(v.contains(np.array([c])) for c in corners)
+    assert model_mod.box_range(0.0, np.ones(1), v.lower, v.upper) == (2.0, 3.0)
