@@ -19,7 +19,6 @@ from .bounds import (
 )
 from .coding import (
     CodingResult,
-    PastWord,
     backward_orbit,
     coding_point,
     f_sum,

@@ -1,12 +1,13 @@
 """Experiment orchestration and command line entry points.
 
 Subcommands: validate, simulate, coding, table, bounds, cover, verify-cert,
-run.  A full run executes validate -> simulate -> constants -> tables ->
-bounds -> covers -> consistency and writes system.json, measure.csv,
-tables/depth_n.csv, bounds.json, covers/query_*.json, report.md, and a
-MANIFEST.json recording the completed stages.  Exit codes: 0 success,
-2 validation failure, 3 enumeration or runtime budget exceeded,
-4 consistency red flag.
+run.  `run` executes STAGES, validate -> simulate -> constants -> tables ->
+bounds -> covers -> consistency, and writes system.json, measure.csv,
+tables/depth_n.csv, bounds.json, covers/query_*.json, report.md and a
+MANIFEST.json recording the stages; `bounds` executes the first five.  Exit
+codes: 0 success, 1 any other cmslab error (an inadmissible word, an invalid
+certificate, ...), 2 invalid config or plan, 3 enumeration or runtime budget
+exceeded, 4 consistency red flag.
 
 The seed may be overridden with the CMSLAB_SEED environment variable.
 """
@@ -29,8 +30,6 @@ from .coding import backward_orbit, coding_point, parse_word
 from .cylinders import (
     DEFAULT_WORD_CAP,
     EXACT,
-    CylinderRows,
-    CylinderSet,
     build_table,
     count_words,
     cylinder_set,
@@ -48,17 +47,37 @@ from .errors import (
 from .model import (
     MarkovSystem,
     derive_constants,
+    json_field,
+    json_int,
+    json_list,
+    json_object,
     system_to_config,
     validate_system,
 )
 from .simulate import EmpiricalMeasure, estimate_invariant
 
 EXIT_OK = 0
+EXIT_ERROR = 1
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_RED_FLAG = 4
 
 SIG_DIGITS = 12
+
+# the smallest value of each integer plan field
+_PLAN_MINIMUMS = {"seed": 0, "mc_samples": 1, "burn_in": 0, "kstar_depth": 1,
+                  "cover_window": 0, "cover_depth": 1, "cover_budget": 1,
+                  "word_cap": 1}
+
+
+def _at_least(minimum: int):
+    return lambda value: json_int(value, minimum)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"expected a string, got {value!r}")
+    return value
 
 
 @dataclass
@@ -78,29 +97,43 @@ class ExperimentPlan:
     cover_budget: int = 1_000_000
     queries: list[dict] = field(default_factory=list)
     output_dir: str = "out"
-    workers: int = 1
-    tail_tol: float = 1e-12
-    word_cap: int = 10_000_000
+    word_cap: int = DEFAULT_WORD_CAP
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentPlan":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown plan fields: {sorted(unknown)}")
-        if "config_path" not in raw:
-            raise ConfigError("plan needs config_path")
+        """A plan from JSON; run reads the two paths before validating."""
+        json_object(raw, set(cls.__dataclass_fields__), "plan")
+        json_field(raw, "config_path", "plan", _string)
+        json_field(raw, "output_dir", "plan", _string, default=None)
         return cls(**raw)
 
     def validate(self, system: MarkovSystem) -> None:
+        """Check each field's type and range, then what the system
+        constrains; every error names its field."""
+        fields = vars(self)
+        for key, minimum in _PLAN_MINIMUMS.items():
+            json_field(fields, key, "plan", _at_least(minimum))
+        depths = json_field(fields, "depths", "plan",
+                            lambda v: json_list(v, _at_least(1)))
+        json_field(fields, "kstar_windows", "plan",
+                   lambda v: json_list(v, _at_least(0)))
+        for i, query in enumerate(json_field(fields, "queries", "plan", json_list)):
+            where = f"plan.queries[{i}]"
+            json_object(query, {"words", "whole_space_depth"}, where)
+            if "words" in query:
+                json_field(query, "words", where, lambda v: json_list(v, _string))
+            elif "whole_space_depth" in query:
+                json_field(query, "whole_space_depth", where, _at_least(1))
+            else:
+                raise ConfigError(f"{where} needs 'words' or 'whole_space_depth'")
         if self.mode not in ("exact", "monte_carlo"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
+            raise ConfigError(f"plan.mode: unknown mode {self.mode!r}")
         if self.mode == "exact" and not system.all_constant_probabilities:
-            raise ConfigError(
-                "exact mode needs constant probability functions everywhere")
-        if not self.depths:
-            raise ConfigError("plan needs at least one table depth")
-        for n in self.depths:
+            raise ConfigError("plan.mode: exact mode needs constant "
+                              "probability functions everywhere")
+        if not depths:
+            raise ConfigError("plan.depths: needs at least one table depth")
+        for n in depths:
             if count_words(system, n) > self.word_cap:
                 raise DepthOverflow(f"depth {n} exceeds the word cap")
 
@@ -116,33 +149,8 @@ def _json_dump(obj, path: Path) -> None:
 def _load_config(path: str) -> dict:
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, TypeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-
-def _resolve_query(system: MarkovSystem, raw: dict, cap: int) -> CylinderSet:
-    if "words" in raw:
-        return cylinder_set(system, [parse_word(w) for w in raw["words"]])
-    if "whole_space_depth" in raw:
-        return full_cylinder_set(system, int(raw["whole_space_depth"]), cap=cap)
-    raise ConfigError(f"query needs 'words' or 'whole_space_depth': {raw}")
-
-
-def _walk_once(system: MarkovSystem, measure, depths: list[int],
-               kstar_depth: int, windows: list[int],
-               cap: int) -> dict[int, CylinderRows]:
-    """One walk of the word tree deep enough for every table depth and
-    every K* window.
-
-    Word lengths past the cap are left out; the kstar_estimate (or
-    build_table) call that needs one walks for itself and raises
-    DepthOverflow in its own stage.
-    """
-    lengths = [n for n in (*depths, *(kstar_depth + w for w in windows))
-               if n >= 1 and count_words(system, n) <= cap]
-    if not lengths:
-        return {}
-    return walk_cylinders(system, max(lengths), measure, cap=cap)
 
 
 def _env_seed(seed: int) -> int:
@@ -150,83 +158,89 @@ def _env_seed(seed: int) -> int:
     return int(override) if override is not None else seed
 
 
-def run(plan: ExperimentPlan) -> int:
-    """Execute the full pipeline; returns the process exit code."""
-    out = Path(plan.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {"stages": {}, "artifacts": []}
-    seed = _env_seed(plan.seed)
+def _exit_code(exc: CMSError) -> int:
+    """The one mapping from a cmslab error to the process exit code."""
+    if isinstance(exc, (ConfigError, ValidationError)):
+        return EXIT_VALIDATION
+    if isinstance(exc, DepthOverflow):
+        return EXIT_BUDGET
+    return EXIT_ERROR
 
-    def fail(stage: str, exc: Exception, code: int) -> int:
-        manifest["stages"][stage] = "failed"
-        manifest["failure"] = {"stage": stage, "error": type(exc).__name__,
-                               "message": str(exc)}
-        _json_dump(manifest, out / "MANIFEST.json")
-        print(f"error at stage {stage}: {exc}", file=_sys.stderr)
-        return code
 
-    def done(stage: str, *artifacts: str) -> None:
-        manifest["stages"][stage] = "ok"
-        manifest["artifacts"].extend(artifacts)
+# ---------------------------------------------------------------------------
+# pipeline stages
 
-    # validate
-    try:
-        system = validate_system(_load_config(plan.config_path))
-        plan.validate(system)
-    except (ConfigError, ValidationError) as exc:
-        return fail("validate", exc, EXIT_VALIDATION)
-    except DepthOverflow as exc:
-        return fail("validate", exc, EXIT_BUDGET)
-    _json_dump(system_to_config(system), out / "system.json")
-    done("validate", "system.json")
+@dataclass
+class _Context:
+    """What the stages share; with no output directory they write nothing."""
 
-    # simulate (the constants need sampled geometry in every mode)
-    mu = estimate_invariant(system, plan.mc_samples, plan.burn_in, seed)
-    mu.to_csv(out / "measure.csv")
-    done("simulate", "measure.csv")
+    plan: ExperimentPlan
+    out: Path | None
+    seed: int
+    manifest: dict = field(default_factory=lambda: {"stages": {}, "artifacts": []})
+    system: MarkovSystem | None = None
+    mu: EmpiricalMeasure | None = None
+    measure: object = None
+    report: bounds_mod.BoundReport | None = None
+    rows: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)
+    cover_rows: list = field(default_factory=list)
 
-    # constants
-    try:
-        constants = derive_constants(system, mu, plan.tail_tol)
-    except CMSError as exc:
-        return fail("constants", exc, 1)
-    report = bounds_mod.evaluate_bounds(system, constants)
-    done("constants")
+    def save(self, name: str, write) -> None:
+        """write(path) the artifact `name` under the output directory."""
+        if self.out is not None:
+            path = self.out / name
+            path.parent.mkdir(exist_ok=True)
+            write(path)
+            self.manifest["artifacts"].append(name)
 
-    measure = EXACT if plan.mode == "exact" else mu
 
-    # tables
-    tables = {}
-    tables_dir = out / "tables"
-    tables_dir.mkdir(exist_ok=True)
-    try:
-        rows = _walk_once(system, measure, plan.depths, plan.kstar_depth,
-                          plan.kstar_windows, plan.word_cap)
-        for n in plan.depths:
-            table = build_table(system, n, measure, cap=plan.word_cap,
-                                rows=rows)
-            table.to_csv(tables_dir / f"depth_{n}.csv")
-            tables[n] = table
-    except DepthOverflow as exc:
-        return fail("tables", exc, EXIT_BUDGET)
-    except CMSError as exc:
-        return fail("tables", exc, 1)
-    done("tables", *(f"tables/depth_{n}.csv" for n in plan.depths))
+def _validate(ctx: _Context) -> None:
+    ctx.system = validate_system(_load_config(ctx.plan.config_path))
+    ctx.plan.validate(ctx.system)
+    ctx.save("system.json",
+             lambda path: _json_dump(system_to_config(ctx.system), path))
 
-    # bounds
-    try:
-        for n in plan.depths:
-            value, stderr = bounds_mod.kl_n(tables[n])
-            report.k_n_series.append((n, value, stderr))
-        for w in plan.kstar_windows:
-            kval, kerr = bounds_mod.kstar_estimate(
-                system, w, plan.kstar_depth, measure, cap=plan.word_cap,
-                rows=rows)
-            report.kstar_estimates.append((w, plan.kstar_depth, kval, kerr))
-    except DepthOverflow as exc:
-        return fail("bounds", exc, EXIT_BUDGET)
-    except CMSError as exc:
-        return fail("bounds", exc, 1)
+
+def _simulate(ctx: _Context) -> None:
+    # the constants need sampled geometry in every mode
+    plan = ctx.plan
+    ctx.mu = estimate_invariant(ctx.system, plan.mc_samples, plan.burn_in,
+                                ctx.seed)
+    ctx.save("measure.csv", ctx.mu.to_csv)
+    ctx.measure = EXACT if plan.mode == "exact" else ctx.mu
+
+
+def _constants(ctx: _Context) -> None:
+    ctx.report = bounds_mod.evaluate_bounds(
+        ctx.system, derive_constants(ctx.system, ctx.mu))
+
+
+def _tables(ctx: _Context) -> None:
+    """Every table depth, and the K* windows' words, from one walk of the
+    word tree.  A K* length past the cap is left to kstar_estimate, which
+    raises DepthOverflow in the bounds stage."""
+    plan, system = ctx.plan, ctx.system
+    lengths = [n for n in (*plan.depths,
+                           *(plan.kstar_depth + w for w in plan.kstar_windows))
+               if count_words(system, n) <= plan.word_cap]
+    ctx.rows = walk_cylinders(system, max(lengths), ctx.measure,
+                              cap=plan.word_cap)
+    for n in plan.depths:
+        ctx.tables[n] = build_table(system, n, ctx.measure,
+                                    cap=plan.word_cap, rows=ctx.rows)
+        ctx.save(f"tables/depth_{n}.csv", ctx.tables[n].to_csv)
+
+
+def _bounds(ctx: _Context) -> None:
+    plan, report, tables = ctx.plan, ctx.report, ctx.tables
+    for n in plan.depths:
+        report.k_n_series.append((n, *bounds_mod.kl_n(tables[n])))
+    for w in plan.kstar_windows:
+        kval, kerr = bounds_mod.kstar_estimate(
+            ctx.system, w, plan.kstar_depth, ctx.measure, cap=plan.word_cap,
+            rows=ctx.rows)
+        report.kstar_estimates.append((w, plan.kstar_depth, kval, kerr))
 
     ks = [row[1] for row in report.k_n_series]
     sigmas = [row[2] for row in report.k_n_series]
@@ -247,96 +261,106 @@ def run(plan: ExperimentPlan) -> int:
     report.pass_flags["kstar_nondecreasing_in_window"] = all(
         kstar_vals[i + 1] >= kstar_vals[i] - 1e-12
         for i in range(len(kstar_vals) - 1))
-    done("bounds")
 
-    # covers and consistency
-    covers_dir = out / "covers"
-    covers_dir.mkdir(exist_ok=True)
-    red_flag = False
-    cover_rows = []
-    try:
-        for qi, raw_query in enumerate(plan.queries):
-            q = _resolve_query(system, raw_query, plan.word_cap)
-            m_q = m_of_cylinder_set(system, q, measure)
-            lower = bounds_mod.corollary_lower_bound(report, q, m_q)
-            cost, candidate = cover_mod.phi_upper(
-                system, q, plan.cover_window, plan.cover_depth,
-                budget=plan.cover_budget)
-            check = cover_mod.consistency_check(lower, cost)
-            cert = cover_mod.certificate_dict(system, q, candidate)
-            _json_dump(cert, covers_dir / f"query_{qi}.json")
-            manifest["artifacts"].append(f"covers/query_{qi}.json")
-            cover_rows.append((qi, q, m_q, lower, cost, candidate, check))
-            report.pass_flags[f"consistency_query_{qi}"] = check.passed
-            red_flag = red_flag or not check.passed
-    except DepthOverflow as exc:
-        return fail("covers", exc, EXIT_BUDGET)
-    except CMSError as exc:
-        return fail("covers", exc, 1)
-    done("covers")
 
-    _json_dump(report.to_dict(), out / "bounds.json")
-    manifest["artifacts"].append("bounds.json")
+def _covers(ctx: _Context) -> None:
+    plan, system, report = ctx.plan, ctx.system, ctx.report
+    for qi, raw in enumerate(plan.queries):
+        q = (cylinder_set(system, [parse_word(w) for w in raw["words"]])
+             if "words" in raw else full_cylinder_set(
+                 system, raw["whole_space_depth"], cap=plan.word_cap))
+        m_q = m_of_cylinder_set(system, q, ctx.measure)
+        lower = bounds_mod.corollary_lower_bound(report, q, m_q)
+        cost, candidate = cover_mod.phi_upper(
+            system, q, plan.cover_window, plan.cover_depth,
+            budget=plan.cover_budget)
+        check = cover_mod.consistency_check(lower, cost)
+        cert = cover_mod.certificate_dict(system, q, candidate)
+        ctx.save(f"covers/query_{qi}.json",
+                 lambda path: _json_dump(cert, path))
+        ctx.cover_rows.append((qi, q, m_q, lower, cost, candidate, check))
+        report.pass_flags[f"consistency_query_{qi}"] = check.passed
 
-    _write_report(out / "report.md", plan, seed, report, cover_rows)
-    manifest["artifacts"].append("report.md")
-    done("consistency")
-    _json_dump(manifest, out / "MANIFEST.json")
 
-    if red_flag:
-        print("consistency red flag: a lower bound exceeded a cover upper "
-              "bound", file=_sys.stderr)
-        return EXIT_RED_FLAG
+def _consistency(ctx: _Context) -> None:
+    ctx.save("bounds.json", lambda path: _json_dump(ctx.report.to_dict(), path))
+    ctx.save("report.md", lambda path: _write_report(path, ctx))
+
+
+# the pipeline; each stage is named after its function, less the underscore
+STAGES = (_validate, _simulate, _constants, _tables, _bounds, _covers,
+          _consistency)
+
+
+def _run_stages(ctx: _Context, stages) -> int:
+    """Run stages in order, recording each in the manifest; stop at the
+    first cmslab error and return its exit code."""
+    for stage in stages:
+        name = stage.__name__[1:]
+        try:
+            stage(ctx)
+        except CMSError as exc:
+            ctx.manifest["stages"][name] = "failed"
+            ctx.manifest["failure"] = {
+                "stage": name, "error": type(exc).__name__, "message": str(exc)}
+            print(f"error at stage {name}: {exc}", file=_sys.stderr)
+            return _exit_code(exc)
+        ctx.manifest["stages"][name] = "ok"
     return EXIT_OK
 
 
-def _write_report(path: Path, plan: ExperimentPlan, seed: int,
-                  report, cover_rows) -> None:
-    lines = ["# Run report", ""]
-    lines.append(f"mode: {plan.mode}; seed: {seed}; "
-                 f"samples: {plan.mc_samples}; burn-in: {plan.burn_in}")
-    lines.append("")
+def run(plan: ExperimentPlan) -> int:
+    """Execute the full pipeline; returns the process exit code."""
+    out = Path(plan.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    ctx = _Context(plan, out, _env_seed(plan.seed))
+    code = _run_stages(ctx, STAGES)
+    _json_dump(ctx.manifest, out / "MANIFEST.json")
+    if code == EXIT_OK and not all(row[-1].passed for row in ctx.cover_rows):
+        print("consistency red flag: a lower bound exceeded a cover upper "
+              "bound", file=_sys.stderr)
+        return EXIT_RED_FLAG
+    return code
+
+
+def _constant_rows(report) -> list[tuple[str, float]]:
     c = report.constants
-    lines.append("## Constants")
+    return [("a", c.a), ("delta", c.delta), ("d", c.d), ("b", c.b),
+            ("c_hat", c.c_hat), ("c_hat_stderr", c.c_hat_stderr),
+            ("dini_sum_half", c.dini_sum_half),
+            ("dini_sum_full", c.dini_sum_full),
+            ("bound_i", report.bound_i_value),
+            ("bound_ii", report.bound_ii_value),
+            ("corollary_factor", report.corollary_factor)]
+
+
+def _write_report(path: Path, ctx: _Context) -> None:
+    plan, report = ctx.plan, ctx.report
+    lines = ["# Run report", "",
+             f"mode: {plan.mode}; seed: {ctx.seed}; "
+             f"samples: {plan.mc_samples}; burn-in: {plan.burn_in}", "",
+             "## Constants", "", "| quantity | value |", "|---|---|"]
+    lines += [f"| {name} | {_fmt(val)} |" for name, val in _constant_rows(report)]
+    lines += ["", "## Divergence series", "", "| depth | K_n | stderr |",
+              "|---|---|---|"]
+    lines += [f"| {n} | {_fmt(v)} | {_fmt(s)} |" for n, v, s in report.k_n_series]
+    lines += ["", "| window | depth | K* | stderr |", "|---|---|---|---|"]
+    lines += [f"| {w} | {n} | {_fmt(v)} | {_fmt(s)} |"
+              for w, n, v, s in report.kstar_estimates]
     lines.append("")
-    lines.append("| quantity | value |")
-    lines.append("|---|---|")
-    for name, val in [("a", c.a), ("delta", c.delta), ("d", c.d), ("b", c.b),
-                      ("c_hat", c.c_hat), ("c_hat_stderr", c.c_hat_stderr),
-                      ("dini_sum_half", c.dini_sum_half),
-                      ("dini_sum_full", c.dini_sum_full),
-                      ("bound_i", report.bound_i_value),
-                      ("bound_ii", report.bound_ii_value),
-                      ("corollary_factor", report.corollary_factor)]:
-        lines.append(f"| {name} | {_fmt(val)} |")
-    lines.append("")
-    lines.append("## Divergence series")
-    lines.append("")
-    lines.append("| depth | K_n | stderr |")
-    lines.append("|---|---|---|")
-    for n, v, s in report.k_n_series:
-        lines.append(f"| {n} | {_fmt(v)} | {_fmt(s)} |")
-    lines.append("")
-    lines.append("| window | depth | K* | stderr |")
-    lines.append("|---|---|---|---|")
-    for w, n, v, s in report.kstar_estimates:
-        lines.append(f"| {w} | {n} | {_fmt(v)} | {_fmt(s)} |")
-    lines.append("")
-    if cover_rows:
-        lines.append("## Covers")
+    if ctx.cover_rows:
+        lines += ["## Covers", "",
+                  "| query | M(Q) | lower bound | cover cost | margin | pass "
+                  "| exhaustive |", "|---|---|---|---|---|---|---|"]
+        lines += [f"| {qi} ({len(q.words)} words, depth {q.depth}) "
+                  f"| {_fmt(m_q[0])} | {_fmt(lower[0])} | {_fmt(cost)} "
+                  f"| {_fmt(check.margin)} | {'yes' if check.passed else 'NO'} "
+                  f"| {'yes' if cand.exhaustive else 'no'} |"
+                  for qi, q, m_q, lower, cost, cand, check in ctx.cover_rows]
         lines.append("")
-        lines.append("| query | M(Q) | lower bound | cover cost | margin | pass |")
-        lines.append("|---|---|---|---|---|---|")
-        for qi, q, m_q, lower, cost, cand, check in cover_rows:
-            lines.append(
-                f"| {qi} ({len(q.words)} words, depth {q.depth}) "
-                f"| {_fmt(m_q[0])} | {_fmt(lower[0])} | {_fmt(cost)} "
-                f"| {_fmt(check.margin)} | {'yes' if check.passed else 'NO'} |")
-        lines.append("")
-    lines.append("## Flags")
-    lines.append("")
-    for name, ok in sorted(report.pass_flags.items()):
-        lines.append(f"- {name}: {'pass' if ok else 'FAIL'}")
+    lines += ["## Flags", ""]
+    lines += [f"- {name}: {'pass' if ok else 'FAIL'}"
+              for name, ok in sorted(report.pass_flags.items())]
     lines.append("")
     path.write_text("\n".join(lines))
 
@@ -358,6 +382,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="system config JSON")
 
 
+def _add_sampling(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--burn-in", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmslab",
@@ -369,9 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="estimate the invariant measure")
     _add_common(p)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_sampling(p)
     p.add_argument("--out", required=True, help="measure CSV path")
 
     p = sub.add_parser("coding", help="evaluate the coding map on a past word")
@@ -380,25 +408,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="build a cylinder table")
     _add_common(p)
+    _add_sampling(p)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--mode", choices=["exact", "monte_carlo"],
                    default="monte_carlo")
     p.add_argument("--measure", help="measure CSV (monte_carlo mode)")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="table CSV path")
 
     p = sub.add_parser("bounds", help="constants, bound values, divergence series")
     _add_common(p)
+    _add_sampling(p)
     p.add_argument("--depths", type=int, nargs="+", default=[1, 2, 3, 4])
     p.add_argument("--windows", type=int, nargs="+", default=[0, 1, 2])
     p.add_argument("--kstar-depth", type=int, default=3)
     p.add_argument("--mode", choices=["exact", "monte_carlo"],
                    default="monte_carlo")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="bounds JSON path")
 
     p = sub.add_parser("cover", help="search a disjoint shifted cover")
@@ -425,18 +449,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, ValidationError) as exc:
-        print(f"validation error: {exc}", file=_sys.stderr)
-        return EXIT_VALIDATION
-    except DepthOverflow as exc:
-        print(f"budget exceeded: {exc}", file=_sys.stderr)
-        return EXIT_BUDGET
-    except CertificateInvalid as exc:
-        print(f"certificate invalid: {exc}", file=_sys.stderr)
-        return 1
     except CMSError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
+        print(f"{type(exc).__name__}: {exc}", file=_sys.stderr)
+        return _exit_code(exc)
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -478,27 +493,17 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "bounds":
-        system = validate_system(_load_config(args.config))
-        measure = _measure_for(system, args)
-        mu = measure if isinstance(measure, EmpiricalMeasure) else \
-            estimate_invariant(system, args.samples, args.burn_in,
-                               _env_seed(args.seed))
-        constants = derive_constants(system, mu)
-        report = bounds_mod.evaluate_bounds(system, constants)
-        rows = _walk_once(system, measure, args.depths, args.kstar_depth,
-                          args.windows, DEFAULT_WORD_CAP)
-        for n in args.depths:
-            table = build_table(system, n, measure, rows=rows)
-            v, s = bounds_mod.kl_n(table)
-            report.k_n_series.append((n, v, s))
-        for w in args.windows:
-            v, s = bounds_mod.kstar_estimate(system, w, args.kstar_depth,
-                                             measure, rows=rows)
-            report.kstar_estimates.append((w, args.kstar_depth, v, s))
-        _print_bounds(report)
-        if args.out:
-            _json_dump(report.to_dict(), Path(args.out))
-        return EXIT_OK
+        plan = ExperimentPlan(
+            config_path=args.config, mode=args.mode, seed=args.seed,
+            mc_samples=args.samples, burn_in=args.burn_in, depths=args.depths,
+            kstar_windows=args.windows, kstar_depth=args.kstar_depth)
+        ctx = _Context(plan, None, _env_seed(args.seed))
+        code = _run_stages(ctx, STAGES[:5])
+        if code == EXIT_OK:
+            _print_bounds(ctx.report)
+            if args.out:
+                _json_dump(ctx.report.to_dict(), Path(args.out))
+        return code
 
     if args.command == "cover":
         system = validate_system(_load_config(args.config))
@@ -534,7 +539,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 def _measure_for(system: MarkovSystem, args: argparse.Namespace):
     if args.mode == "exact":
         return EXACT
-    if getattr(args, "measure", None):
+    if args.measure:
         mu = EmpiricalMeasure.from_csv(args.measure)
         mu.validate_supports(system)
         return mu
@@ -543,15 +548,9 @@ def _measure_for(system: MarkovSystem, args: argparse.Namespace):
 
 
 def _print_bounds(report) -> None:
-    c = report.constants
     print("constants:")
-    for name, val in [("a", c.a), ("delta", c.delta), ("d", c.d), ("b", c.b),
-                      ("c_hat", c.c_hat), ("dini_sum_half", c.dini_sum_half),
-                      ("dini_sum_full", c.dini_sum_full)]:
-        print(f"  {name:>14} = {_fmt(val)}")
-    print(f"  {'bound_i':>14} = {_fmt(report.bound_i_value)}")
-    print(f"  {'bound_ii':>14} = {_fmt(report.bound_ii_value)}")
-    print(f"  {'cor_factor':>14} = {_fmt(report.corollary_factor)}")
+    for name, val in _constant_rows(report):
+        print(f"  {name:>16} = {_fmt(val)}")
     print("K_n series:")
     for n, v, s in report.k_n_series:
         print(f"  n={n}: {_fmt(v)} (stderr {_fmt(s)})")

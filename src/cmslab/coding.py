@@ -36,20 +36,6 @@ def format_word(word: Sequence[str]) -> str:
 
 
 @dataclass(frozen=True)
-class PastWord:
-    """Edges (e_m, ..., e_0), deepest first."""
-
-    edge_ids: tuple[str, ...]
-
-    @classmethod
-    def parse(cls, text: str) -> "PastWord":
-        return cls(edge_ids=parse_word(text))
-
-    def __len__(self) -> int:
-        return len(self.edge_ids)
-
-
-@dataclass(frozen=True)
 class CodingResult:
     """Deepest truncation point with its certified error bound."""
 
@@ -59,8 +45,6 @@ class CodingResult:
 
 
 def _ids(past) -> tuple[str, ...]:
-    if isinstance(past, PastWord):
-        return past.edge_ids
     if isinstance(past, str):
         return parse_word(past)
     return tuple(past)

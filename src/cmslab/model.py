@@ -240,14 +240,6 @@ class MarkovSystem:
     def max_gradient_norm(self) -> float:
         return max(e.prob.gradient_norm for e in self.edges)
 
-    def is_admissible(self, word: Sequence[str]) -> bool:
-        try:
-            edges = [self.edge(i) for i in word]
-        except KeyError:
-            return False
-        return all(edges[j].target == edges[j + 1].source
-                   for j in range(len(edges) - 1))
-
     def require_admissible(self, word: Sequence[str]) -> tuple[DirectedEdge, ...]:
         from .errors import InadmissibleWord
 
@@ -273,7 +265,7 @@ _PROB_FIELDS = {"family", "alpha", "beta"}
 _REQUIRED = object()
 
 
-def _object(value, allowed: set, where: str) -> dict:
+def json_object(value, allowed: set, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be a JSON object, got {value!r}")
     unknown = set(value) - allowed
@@ -282,7 +274,7 @@ def _object(value, allowed: set, where: str) -> dict:
     return value
 
 
-def _field(obj: dict, key: str, where: str, convert=None, default=_REQUIRED):
+def json_field(obj: dict, key: str, where: str, convert=None, default=_REQUIRED):
     """obj[key] passed through convert; every failure names the field path."""
     path = f"{where}.{key}" if where else key
     if key not in obj:
@@ -295,6 +287,23 @@ def _field(obj: dict, key: str, where: str, convert=None, default=_REQUIRED):
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def json_int(value, minimum: int | None = None) -> int:
+    """A JSON integer, at least `minimum`; floats and booleans are refused
+    rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def json_list(value, item=None) -> list:
+    """A JSON array, each element passed through `item`."""
+    if not isinstance(value, list):
+        raise ConfigError(f"expected a list, got {value!r}")
+    return value if item is None else [item(v) for v in value]
+
+
 def _matrix(value, k: int) -> np.ndarray:
     linear = np.asarray(value, dtype=float)
     if linear.ndim == 1:
@@ -305,52 +314,52 @@ def _matrix(value, k: int) -> np.ndarray:
 
 
 def _parse_raw(raw: dict):
-    _object(raw, _TOP_FIELDS, "system config")
-    k = _field(raw, "dimension", "", int)
-    if k < 1:
-        raise ConfigError("dimension must be >= 1")
+    json_object(raw, _TOP_FIELDS, "system config")
+    k = json_field(raw, "dimension", "", lambda v: json_int(v, 1))
 
     def vector(value):
         return _frozen(value, (k,))
 
     vertices = []
-    for i, rv in enumerate(_field(raw, "vertices", "", list)):
+    for i, rv in enumerate(json_field(raw, "vertices", "", json_list)):
         where = f"vertices[{i}]"
-        _object(rv, _VERTEX_FIELDS, where)
+        json_object(rv, _VERTEX_FIELDS, where)
         vertices.append(VertexSpace(
-            index=_field(rv, "index", where, int),
-            lower=_field(rv, "lower", where, vector),
-            upper=_field(rv, "upper", where, vector),
-            base_point=_field(rv, "base_point", where, vector),
+            index=json_field(rv, "index", where, json_int),
+            lower=json_field(rv, "lower", where, vector),
+            upper=json_field(rv, "upper", where, vector),
+            base_point=json_field(rv, "base_point", where, vector),
         ))
 
     edges = []
-    for i, re_ in enumerate(_field(raw, "edges", "", list)):
+    for i, re_ in enumerate(json_field(raw, "edges", "", json_list)):
         where = f"edges[{i}]"
-        _object(re_, _EDGE_FIELDS, where)
+        json_object(re_, _EDGE_FIELDS, where)
         pw = f"{where}.prob"
-        rp = _object(_field(re_, "prob", where), _PROB_FIELDS, pw)
-        family = _field(rp, "family", pw)
-        alpha = _field(rp, "alpha", pw, float)
-        beta = _field(rp, "beta", pw,
-                      lambda v: vector([0.0] * k if v is None else v),
-                      default=np.zeros(k))
+        rp = json_object(json_field(re_, "prob", where), _PROB_FIELDS, pw)
+        family = json_field(rp, "family", pw)
+        alpha = json_field(rp, "alpha", pw, float)
+        beta = json_field(rp, "beta", pw,
+                          lambda v: vector([0.0] * k if v is None else v),
+                          default=np.zeros(k))
         try:
             prob = ProbabilityFunction(family=family, alpha=alpha, beta=beta)
         except ConfigError as exc:
             raise ConfigError(f"{pw}: {exc}") from None
         edges.append(DirectedEdge(
-            id=_field(re_, "id", where, str),
-            source=_field(re_, "source", where, int),
-            target=_field(re_, "target", where, int),
-            map=AffineMap(linear=_field(re_, "linear", where, lambda v: _matrix(v, k)),
-                          offset=_field(re_, "offset", where, vector)),
+            id=json_field(re_, "id", where, str),
+            source=json_field(re_, "source", where, json_int),
+            target=json_field(re_, "target", where, json_int),
+            map=AffineMap(
+                linear=json_field(re_, "linear", where, lambda v: _matrix(v, k)),
+                offset=json_field(re_, "offset", where, vector)),
             prob=prob,
         ))
 
-    support = _field(raw, "support_set", "",
-                     lambda v: v if v is None else frozenset(int(j) for j in v),
-                     default=None)
+    support = json_field(
+        raw, "support_set", "",
+        lambda v: v if v is None else frozenset(json_list(v, json_int)),
+        default=None)
     if support is None:
         support = frozenset(v.index for v in vertices)
     return k, tuple(vertices), tuple(edges), support

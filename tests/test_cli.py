@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +11,7 @@ import cmslab as cl
 from cmslab import cli as cli_mod
 from cmslab.cli import ExperimentPlan, main, run
 
-from conftest import sys_a_config, sys_b_config
+from conftest import sys_a_config, sys_b_config, sys_c_config
 
 
 @pytest.fixture
@@ -292,3 +295,149 @@ def test_report_numbers_trace_to_artifacts(tmp_path, config_a):
     for key, value in blob["constants"].items():
         printed = f"| {key} | {value:.12g} |"
         assert printed in report, printed
+
+
+@pytest.mark.parametrize("name, mode", [("b", "monte_carlo"), ("a", "exact")])
+def test_bounds_out_matches_run_bounds_json(name, mode, config_a, config_b,
+                                            tmp_path):
+    config = str({"a": config_a, "b": config_b}[name])
+    plan = ExperimentPlan(
+        config_path=config, mode=mode, seed=5, mc_samples=800, burn_in=50,
+        depths=[1, 2, 3], kstar_windows=[0, 1], kstar_depth=2, queries=[],
+        output_dir=str(tmp_path / "out"))
+    assert run(plan) == 0
+    out = tmp_path / "bounds.json"
+    assert main(["bounds", "--config", config, "--mode", mode, "--depths",
+                 "1", "2", "3", "--windows", "0", "1", "--kstar-depth", "2",
+                 "--samples", "800", "--burn-in", "50", "--seed", "5",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (tmp_path / "out" / "bounds.json").read_bytes()
+    assert json.loads(out.read_text())["pass_flags"]
+
+
+def test_bounds_subcommand_exact_mode_on_affine_system_exits_2(config_b,
+                                                               capsys):
+    assert main(["bounds", "--config", str(config_b), "--mode", "exact",
+                 "--depths", "1"]) == 2
+    assert "error at stage validate: plan.mode" in capsys.readouterr().err
+
+
+def _sys_c_support_1() -> dict:
+    cfg = sys_c_config()
+    cfg["support_set"] = [1]  # the chain also visits vertex 2
+    return cfg
+
+
+# case: (plan fields, config, failed stage, error, exit code)
+_FAILURES = {
+    "depth_over_cap": ({"word_cap": 2}, sys_a_config, "validate",
+                       "DepthOverflow", 3),
+    "support_too_small": ({"queries": []}, _sys_c_support_1, "tables",
+                          "AbsoluteContinuityViolation", 1),
+    "query_without_words": ({"queries": [{}]}, sys_a_config, "validate",
+                            "ConfigError", 2),
+}
+
+
+@pytest.mark.parametrize("entry", ["run", "main"])
+@pytest.mark.parametrize("case", list(_FAILURES))
+def test_failure_stage_error_and_exit_code(case, entry, tmp_path, capsys):
+    fields, make_config, stage, error, code = _FAILURES[case]
+    config = tmp_path / "sys.json"
+    config.write_text(json.dumps(make_config()))
+    raw = dict(vars(_plan_a(tmp_path, config)), **fields)
+    if entry == "run":
+        assert run(ExperimentPlan(**raw)) == code
+    else:
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(raw))
+        assert main(["run", "--plan", str(plan_path)]) == code
+    manifest = json.loads((tmp_path / "out" / "MANIFEST.json").read_text())
+    assert manifest["failure"]["stage"] == stage
+    assert manifest["failure"]["error"] == error
+    assert manifest["stages"][stage] == "failed"
+    assert f"error at stage {stage}:" in capsys.readouterr().err
+
+
+# plan field changed: (new value, field path the error names)
+_MALFORMED_PLANS = {
+    "depths": ("3", "plan.depths"),
+    "seed": ("x", "plan.seed"),
+    "queries": ([3], "plan.queries[0]"),
+    "mc_samples": (0, "plan.mc_samples"),
+    "kstar_windows": ([-1], "plan.kstar_windows"),
+    "cover_depth": (0, "plan.cover_depth"),
+    "burn_in": (1.5, "plan.burn_in"),
+}
+
+
+@pytest.mark.parametrize("key", list(_MALFORMED_PLANS))
+def test_malformed_plan_exits_2_at_validate_naming_the_field(key, tmp_path,
+                                                             config_a, capsys):
+    value, path = _MALFORMED_PLANS[key]
+    raw = dict(vars(_plan_a(tmp_path, config_a)), **{key: value})
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(raw))
+    assert main(["run", "--plan", str(plan_path)]) == 2
+    assert f"error at stage validate: {path}" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "MANIFEST.json").read_text())
+    assert manifest["failure"]["stage"] == "validate"
+    assert manifest["failure"]["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("plan", [[1], 5, "plan"])
+def test_non_object_plan_exits_2(plan, tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    assert main(["run", "--plan", str(plan_path)]) == 2
+    assert "plan must be a JSON object" in capsys.readouterr().err
+
+
+def test_report_marks_covers_cut_short_by_the_budget(tmp_path, config_a):
+    plan = _plan_a(tmp_path, config_a)
+    plan.cover_budget = 1
+    assert run(plan) == 0  # a non-exhaustive cover is reported, not failed
+    report = (tmp_path / "out" / "report.md").read_text()
+    assert "| margin | pass | exhaustive |" in report
+    rows = [line for line in report.splitlines() if line.startswith("| 0 (")]
+    assert rows and rows[0].endswith("| yes | no |")
+    blob = json.loads((tmp_path / "out" / "bounds.json").read_text())
+    assert not any("exhaustive" in name for name in blob["pass_flags"])
+
+
+def _traced_attributes() -> list[tuple[str, str]]:
+    """(owner, attribute) of every call bench/tracing.py wraps."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return [(owner, attr) for owner, attr, _name, _layer in tracing.TRACED]
+
+
+def test_every_traced_attribute_is_called_by_a_job(tmp_path, config_a,
+                                                   monkeypatch):
+    # A benchmark job is cli.run, verify_certificate on each certificate and
+    # coding_point; if the pipeline stopped calling a library function by the
+    # attribute the tracer wraps, that layer's time would silently read 0.
+    calls = {}
+    for owner_path, attr in _traced_attributes():
+        module, _, cls = owner_path.partition(":")
+        owner = importlib.import_module(module)
+        if cls:
+            owner = getattr(owner, cls)
+        original = owner.__dict__[attr] if cls else getattr(owner, attr)
+        key = f"{owner_path}.{attr}"
+        calls[key] = 0
+
+        def counting(*args, _original=original, _key=key, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+    plan = _plan_a(tmp_path, config_a)
+    assert cli_mod.run(plan) == 0
+    for qi in range(len(plan.queries)):
+        cli_mod.verify_certificate(str(tmp_path / "out" / "covers" /
+                                       f"query_{qi}.json"))
+    cl.coding.coding_point(cl.validate_system(sys_a_config()), ("e1", "e2"))
+    assert calls and all(calls.values()), calls

@@ -122,7 +122,8 @@ def test_constant_family_with_gradient_rejected():
         cl.validate_system(cfg)
 
 
-# each corruption of sys A, keyed by the field path its ConfigError names
+# each corruption of sys A, keyed by the text its ConfigError must contain:
+# the field path, and for a second corruption of one field also the reason
 _MALFORMED = {
     "vertices[0].lower": lambda c: c["vertices"][0].pop("lower"),
     "edges[1].prob": lambda c: c["edges"][1].pop("prob"),
@@ -130,6 +131,9 @@ _MALFORMED = {
     "support_set": lambda c: c.update(support_set=5),
     "edges[0].prob.alpha": lambda c: c["edges"][0]["prob"].update(alpha="x"),
     "vertices[0]": lambda c: c.update(vertices=[1]),
+    "edges[0].target": lambda c: c["edges"][0].update(target=1.7),
+    "dimension": lambda c: c.update(dimension=True),
+    "support_set: expected a list": lambda c: c.update(support_set="1"),
 }
 
 
