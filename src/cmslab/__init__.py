@@ -10,10 +10,8 @@ measure.
 
 from .bounds import (
     BoundReport,
-    GeneralMethodDiagnostic,
     corollary_lower_bound,
     evaluate_bounds,
-    general_method_diagnostic,
     kl_n,
     kstar_estimate,
 )
@@ -84,12 +82,9 @@ from .model import (
 from .simulate import (
     ContractionRow,
     EmpiricalMeasure,
-    TrajectoryRecord,
     check_average_contraction,
     estimate_invariant,
     step,
-    substream,
-    trajectory,
 )
 
 __version__ = "0.1.0"

@@ -142,30 +142,3 @@ def kstar_estimate(sys: MarkovSystem, window: int, depth: int,
             var += ((log_best + 1.0) * se) ** 2
     return math.fsum(terms), math.sqrt(var)
 
-
-@dataclass(frozen=True)
-class GeneralMethodDiagnostic:
-    """One diagnostic row of the norm lower-bound chain.
-
-    exp_gap over-estimates the certified lower bound because the shift window
-    truncates the supremum from below; the row asserts nothing.
-    """
-
-    k_n: float
-    kstar: float
-    exp_gap: float
-    phi_upper_of_sigma: float
-    label: str = "diagnostic"
-
-
-def general_method_diagnostic(report: BoundReport,
-                              phi_upper_of_sigma: float) -> GeneralMethodDiagnostic:
-    """Assemble (K_n, K*, e^(K_n - K*), cover upper bound) from the last
-    entries of the report series."""
-    if not report.k_n_series or not report.kstar_estimates:
-        raise ValueError("report needs at least one k_n and one kstar entry")
-    k_n = report.k_n_series[-1][1]
-    kstar = report.kstar_estimates[-1][2]
-    return GeneralMethodDiagnostic(
-        k_n=k_n, kstar=kstar, exp_gap=math.exp(k_n - kstar),
-        phi_upper_of_sigma=phi_upper_of_sigma)

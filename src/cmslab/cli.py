@@ -154,8 +154,10 @@ def _load_config(path: str) -> dict:
 
 
 def _env_seed(seed: int) -> int:
-    override = os.environ.get("CMSLAB_SEED")
-    return int(override) if override is not None else seed
+    """CMSLAB_SEED if it is set, else `seed`."""
+    return json_field(os.environ, "CMSLAB_SEED", "",
+                      lambda v: json_int(int(v), _PLAN_MINIMUMS["seed"]),
+                      default=seed)
 
 
 def _exit_code(exc: CMSError) -> int:
@@ -196,6 +198,7 @@ class _Context:
 
 
 def _validate(ctx: _Context) -> None:
+    ctx.seed = _env_seed(ctx.seed)
     ctx.system = validate_system(_load_config(ctx.plan.config_path))
     ctx.plan.validate(ctx.system)
     ctx.save("system.json",
@@ -313,7 +316,7 @@ def run(plan: ExperimentPlan) -> int:
     """Execute the full pipeline; returns the process exit code."""
     out = Path(plan.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ctx = _Context(plan, out, _env_seed(plan.seed))
+    ctx = _Context(plan, out, plan.seed)
     code = _run_stages(ctx, STAGES)
     _json_dump(ctx.manifest, out / "MANIFEST.json")
     if code == EXIT_OK and not all(row[-1].passed for row in ctx.cover_rows):
@@ -378,14 +381,27 @@ def verify_certificate(path: str) -> bool:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _flag(minimum: int):
+    """argparse type: an integer at least `minimum`, as the plan checks it,
+    so a bad value exits 2 with argparse's usage message."""
+    def parse(text: str) -> int:
+        try:
+            return json_int(int(text), minimum)
+        except (ValueError, ConfigError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="system config JSON")
 
 
 def _add_sampling(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_flag(_PLAN_MINIMUMS["mc_samples"]),
+                   default=100_000)
+    p.add_argument("--burn-in", type=_flag(_PLAN_MINIMUMS["burn_in"]),
+                   default=1000)
+    p.add_argument("--seed", type=_flag(_PLAN_MINIMUMS["seed"]), default=0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -409,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="build a cylinder table")
     _add_common(p)
     _add_sampling(p)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_flag(1), required=True)
     p.add_argument("--mode", choices=["exact", "monte_carlo"],
                    default="monte_carlo")
     p.add_argument("--measure", help="measure CSV (monte_carlo mode)")
@@ -418,9 +434,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="constants, bound values, divergence series")
     _add_common(p)
     _add_sampling(p)
-    p.add_argument("--depths", type=int, nargs="+", default=[1, 2, 3, 4])
-    p.add_argument("--windows", type=int, nargs="+", default=[0, 1, 2])
-    p.add_argument("--kstar-depth", type=int, default=3)
+    p.add_argument("--depths", type=_flag(1), nargs="+", default=[1, 2, 3, 4])
+    p.add_argument("--windows", type=_flag(0), nargs="+", default=[0, 1, 2])
+    p.add_argument("--kstar-depth", type=_flag(_PLAN_MINIMUMS["kstar_depth"]),
+                   default=3)
     p.add_argument("--mode", choices=["exact", "monte_carlo"],
                    default="monte_carlo")
     p.add_argument("--out", help="bounds JSON path")
@@ -428,11 +445,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cover", help="search a disjoint shifted cover")
     _add_common(p)
     p.add_argument("--query", help="comma-separated dotted words")
-    p.add_argument("--whole-space-depth", type=int,
+    p.add_argument("--whole-space-depth", type=_flag(1),
                    help="cover the full depth-n space instead")
-    p.add_argument("--window", type=int, default=1)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--budget", type=int, default=cover_mod.DEFAULT_BUDGET)
+    p.add_argument("--window", type=_flag(_PLAN_MINIMUMS["cover_window"]),
+                   default=1)
+    p.add_argument("--depth", type=_flag(_PLAN_MINIMUMS["cover_depth"]),
+                   default=3)
+    p.add_argument("--budget", type=_flag(_PLAN_MINIMUMS["cover_budget"]),
+                   default=cover_mod.DEFAULT_BUDGET)
     p.add_argument("--out", required=True, help="certificate JSON path")
 
     p = sub.add_parser("verify-cert", help="re-verify a cover certificate")
@@ -497,7 +517,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             config_path=args.config, mode=args.mode, seed=args.seed,
             mc_samples=args.samples, burn_in=args.burn_in, depths=args.depths,
             kstar_windows=args.windows, kstar_depth=args.kstar_depth)
-        ctx = _Context(plan, None, _env_seed(args.seed))
+        ctx = _Context(plan, None, args.seed)
         code = _run_stages(ctx, STAGES[:5])
         if code == EXIT_OK:
             _print_bounds(ctx.report)

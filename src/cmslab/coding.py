@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InadmissibleWord, NotUniformlyContractive
-from .model import MarkovSystem
+from .model import TAIL_TOL, MarkovSystem, modulus_geometric_sum
 
 WORD_SEPARATOR = "."
 
@@ -44,20 +44,13 @@ class CodingResult:
     depth: int
 
 
-def _ids(past) -> tuple[str, ...]:
-    if isinstance(past, str):
-        return parse_word(past)
-    return tuple(past)
-
-
-def backward_orbit(sys: MarkovSystem, past) -> list[np.ndarray]:
+def backward_orbit(sys: MarkovSystem, past: Sequence[str]) -> list[np.ndarray]:
     """Truncation points [X_m, ..., X_0] of an admissible past word.
 
     X_j applies the maps of edges j..0 to the base point of source(e_j), so
     the first entry uses the whole word and the last entry a single edge.
     """
-    ids = _ids(past)
-    edges = sys.require_admissible(ids)
+    edges = sys.require_admissible(past)
     orbit = []
     for start in range(len(edges)):
         x = sys.base_point(edges[start].source)
@@ -67,7 +60,7 @@ def backward_orbit(sys: MarkovSystem, past) -> list[np.ndarray]:
     return orbit
 
 
-def coding_point(sys: MarkovSystem, past) -> CodingResult:
+def coding_point(sys: MarkovSystem, past: Sequence[str]) -> CodingResult:
     """Deepest truncation with error bound a^depth * d / (1 - a).
 
     Successive truncations are checked en route to satisfy the geometric
@@ -77,11 +70,10 @@ def coding_point(sys: MarkovSystem, past) -> CodingResult:
     if not sys.is_uniformly_contractive:
         raise NotUniformlyContractive(
             "coding points need every edge map contractive")
-    ids = _ids(past)
-    edges = sys.require_admissible(ids)
+    edges = sys.require_admissible(past)
     a = sys.contraction_rate
     d = sys.max_displacement
-    orbit = backward_orbit(sys, ids)
+    orbit = backward_orbit(sys, past)
     depth = len(orbit)
 
     # orbit[idx] is X_j with j = idx - depth + 1; the difference
@@ -100,8 +92,7 @@ def coding_point(sys: MarkovSystem, past) -> CodingResult:
 
 
 def f_sum(sys: MarkovSystem, word: Sequence[str], point: np.ndarray,
-          point_error: float = 0.0,
-          tail_tol: float = 1e-12) -> tuple[float, float]:
+          point_error: float = 0.0) -> tuple[float, float]:
     """Accumulated probability oscillation along a forward word.
 
     Runs the maps of the forward word from `point` and from the base point of
@@ -112,10 +103,7 @@ def f_sum(sys: MarkovSystem, word: Sequence[str], point: np.ndarray,
     `point` must lie in the start vertex's region (inflated by point_error,
     for truncated coding points).
     """
-    from .model import modulus_geometric_sum
-
-    ids = _ids(word)
-    edges = sys.require_admissible(ids)
+    edges = sys.require_admissible(word)
     start = sys.vertex(edges[0].source)
     pt = np.asarray(point, dtype=float)
     if not start.contains(pt, tol=point_error + 1e-9):
@@ -134,5 +122,5 @@ def f_sum(sys: MarkovSystem, word: Sequence[str], point: np.ndarray,
         raise NotUniformlyContractive("tail bound needs uniform contraction")
     a = sys.contraction_rate
     reach = sys.max_displacement / (1.0 - a)
-    tail = modulus_geometric_sum(sys, a, a ** len(edges) * reach, tail_tol)
+    tail = modulus_geometric_sum(sys, a, a ** len(edges) * reach, TAIL_TOL)
     return partial, tail

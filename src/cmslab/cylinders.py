@@ -70,33 +70,28 @@ def full_cylinder_set(sys: MarkovSystem, depth: int,
     return CylinderSet(words=tuple(enumerate_words(sys, depth, cap=cap)))
 
 
-def count_words(sys: MarkovSystem, n: int, start_vertex: int | None = None) -> int:
+def count_words(sys: MarkovSystem, n: int) -> int:
     """Number of admissible length-n words, by dynamic programming."""
     counts = {v.index: 1 for v in sys.vertices}
     for _ in range(n):
         counts = {v.index: sum(counts[e.target] for e in sys.out_edges(v.index))
                   for v in sys.vertices}
-    if start_vertex is not None:
-        return counts[start_vertex]
     return sum(counts.values())
 
 
-def _require_within_cap(sys: MarkovSystem, n: int, cap: int,
-                        start_vertex: int | None = None) -> None:
-    total = count_words(sys, n, start_vertex)
+def _require_within_cap(sys: MarkovSystem, n: int, cap: int) -> None:
+    total = count_words(sys, n)
     if total > cap:
         raise DepthOverflow(
             f"{total} admissible words of depth {n} exceed the cap {cap}")
 
 
-def enumerate_words(sys: MarkovSystem, n: int, start_vertex: int | None = None,
+def enumerate_words(sys: MarkovSystem, n: int,
                     cap: int = DEFAULT_WORD_CAP) -> list[Word]:
     """All admissible length-n words, lexicographic by edge id sequence."""
     if n < 1:
         raise ValueError("depth must be >= 1")
-    _require_within_cap(sys, n, cap, start_vertex)
-    starts = ([start_vertex] if start_vertex is not None
-              else sorted(v.index for v in sys.vertices))
+    _require_within_cap(sys, n, cap)
     out: list[Word] = []
 
     def extend(prefix: list[str], vertex: int) -> None:
@@ -108,7 +103,7 @@ def enumerate_words(sys: MarkovSystem, n: int, start_vertex: int | None = None,
             extend(prefix, e.target)
             prefix.pop()
 
-    for v in starts:
+    for v in sorted(v.index for v in sys.vertices):
         extend([], v)
     return out
 
@@ -145,15 +140,6 @@ def _fold(step, state, edges: Sequence) -> float | np.ndarray:
     return state[0]
 
 
-def _sample_mean(weights: np.ndarray, g: np.ndarray) -> tuple[float, float]:
-    value = float(weights @ g)
-    # (weights * (g - value)) ** 2, bit for bit, with one temporary
-    dev = g - value
-    dev *= weights
-    stderr = float(np.sqrt(np.sum(np.square(dev, out=dev))))
-    return value, stderr
-
-
 def _mass_chain(sys: MarkovSystem, measure: Measure):
     """(step, root state of a start vertex, (M, stderr) of a final
     probability) for the chain mass under `measure`."""
@@ -165,7 +151,7 @@ def _mass_chain(sys: MarkovSystem, measure: Measure):
                 lambda value: (value, 0.0))
     return (_samples_step,
             lambda v: ((measure.vertices == v).astype(float), measure.points),
-            lambda g: _sample_mean(measure.weights, g))
+            measure.average)
 
 
 def phi0_cyl(sys: MarkovSystem, word: Sequence[str]) -> float:
@@ -304,12 +290,6 @@ class CylinderTable:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def row(self, word: Sequence[str]) -> tuple[float, float, float, float, float]:
-        idx = self.words.index(tuple(word))
-        return (float(self.m_values[idx]), float(self.phi0_values[idx]),
-                float(self.z_values[idx]), float(self.logz_values[idx]),
-                float(self.stderrs[idx]))
 
     def z_by_word(self) -> dict[Word, float]:
         return {w: float(z) for w, z in zip(self.words, self.z_values)}

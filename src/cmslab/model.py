@@ -10,7 +10,7 @@ Configs are plain JSON objects; ``validate_system`` parses and checks them
 (the schema is in README.md).  Every check on a box region is a closed form:
 affine functions attain their extremes at corners, so ``box_range`` and
 ``AffineMap.image_box`` are exact without enumerating the 2^k corners.
-Validated systems are immutable and safe to share across workers.
+Validated systems are immutable.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import (
     ConfigError,
     DiniDivergence,
     EmptySupport,
+    InadmissibleWord,
     NoContraction,
     NonPositiveProbability,
     NormalizationError,
@@ -39,6 +40,8 @@ if TYPE_CHECKING:
 CONTAINMENT_TOL = 1e-9
 COEFF_TOL = 1e-12
 DINI_MAX_TERMS = 1_000_000
+# modulus series stop once their geometric tail bound is below this
+TAIL_TOL = 1e-12
 
 
 def _frozen(values, shape=None) -> np.ndarray:
@@ -105,8 +108,7 @@ class ProbabilityFunction:
     """Constant or affine probability over a source region.
 
     value(x) = alpha + beta . x; the oscillation modulus over points at
-    distance <= t is min(|beta| t, 1) for the affine family and 0 for the
-    constant family.
+    distance <= t is min(|beta| t, 1).  The constant family has beta = 0.
     """
 
     family: str
@@ -135,13 +137,11 @@ class ProbabilityFunction:
 
     def modulus(self, t: float) -> float:
         """Largest oscillation over pairs of points at distance <= t."""
-        if self.family == "constant":
-            return 0.0
         return min(self.gradient_norm * t, 1.0)
 
     @property
     def is_constant(self) -> bool:
-        return self.family == "constant" or not np.any(self.beta != 0.0)
+        return not np.any(self.beta != 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,12 +241,12 @@ class MarkovSystem:
         return max(e.prob.gradient_norm for e in self.edges)
 
     def require_admissible(self, word: Sequence[str]) -> tuple[DirectedEdge, ...]:
-        from .errors import InadmissibleWord
-
         try:
             edges = tuple(self.edge(i) for i in word)
         except KeyError as exc:
             raise InadmissibleWord(str(exc)) from None
+        if not edges:
+            raise InadmissibleWord("empty word")
         for j in range(len(edges) - 1):
             if edges[j].target != edges[j + 1].source:
                 raise InadmissibleWord(
@@ -304,6 +304,13 @@ def json_list(value, item=None) -> list:
     return value if item is None else [item(v) for v in value]
 
 
+def _edge_id(value) -> str:
+    """A nonempty string without the word separator '.'."""
+    if not isinstance(value, str) or not value or "." in value:
+        raise ConfigError(f"expected a nonempty string without '.', got {value!r}")
+    return value
+
+
 def _matrix(value, k: int) -> np.ndarray:
     linear = np.asarray(value, dtype=float)
     if linear.ndim == 1:
@@ -347,7 +354,7 @@ def _parse_raw(raw: dict):
         except ConfigError as exc:
             raise ConfigError(f"{pw}: {exc}") from None
         edges.append(DirectedEdge(
-            id=json_field(re_, "id", where, str),
+            id=json_field(re_, "id", where, _edge_id),
             source=json_field(re_, "source", where, json_int),
             target=json_field(re_, "target", where, json_int),
             map=AffineMap(
@@ -559,14 +566,10 @@ def estimate_c_hat(sys: MarkovSystem, mu: "EmpiricalMeasure") -> tuple[float, fl
     by_index = np.zeros((max(v.index for v in sys.vertices) + 1, sys.dimension))
     for v in sys.vertices:
         by_index[v.index] = v.base_point
-    dist = np.linalg.norm(mu.points - by_index[mu.vertices], axis=1)
-    value = float(mu.weights @ dist)
-    stderr = float(np.sqrt(np.sum((mu.weights * (dist - value)) ** 2)))
-    return value, stderr
+    return mu.average(np.linalg.norm(mu.points - by_index[mu.vertices], axis=1))
 
 
-def derive_constants(sys: MarkovSystem, mu: "EmpiricalMeasure",
-                     tail_tol: float = 1e-12) -> ConstantSet:
+def derive_constants(sys: MarkovSystem, mu: "EmpiricalMeasure") -> ConstantSet:
     """Compute the full constant set; requires uniform contraction (a < 1)."""
     if len(mu.weights) == 0:
         raise ValueError("empirical measure is empty")
@@ -592,8 +595,8 @@ def derive_constants(sys: MarkovSystem, mu: "EmpiricalMeasure",
         b = max(b, box_range(alpha, beta, v.lower, v.upper)[1])
 
     c_hat, c_stderr = estimate_c_hat(sys, mu)
-    half = modulus_geometric_sum(sys, math.sqrt(a), c_hat, tail_tol)
-    full = modulus_geometric_sum(sys, a, d / (1.0 - a), tail_tol)
+    half = modulus_geometric_sum(sys, math.sqrt(a), c_hat, TAIL_TOL)
+    full = modulus_geometric_sum(sys, a, d / (1.0 - a), TAIL_TOL)
     return ConstantSet(a=a, delta=delta, d=d, b=b, c_hat=c_hat,
                        c_hat_stderr=c_stderr, dini_sum_half=half,
                        dini_sum_full=full)

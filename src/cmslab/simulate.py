@@ -3,8 +3,7 @@
 The chain lives on pairs (vertex, point): from (v, x) an out-edge e of v is
 drawn with probability p_e(x) and the state moves to (t(e), w_e(x)).  The
 invariant measure is estimated by a single long chain after burn-in; all
-randomness is driven by numpy Generators seeded from 64-bit integers, with
-worker substreams derived from (seed, worker index).
+randomness is driven by numpy Generators seeded from 64-bit integers.
 """
 
 from __future__ import annotations
@@ -63,6 +62,14 @@ class EmpiricalMeasure:
     def mean_point(self) -> np.ndarray:
         return self.weights @ self.points
 
+    def average(self, values: np.ndarray) -> tuple[float, float]:
+        """Weighted mean of one value per sample, with its standard error
+        sqrt(sum_i (w_i (values_i - mean))^2)."""
+        value = float(self.weights @ values)
+        dev = values - value
+        dev *= self.weights
+        return value, float(np.sqrt(np.sum(np.square(dev, out=dev))))
+
     def to_csv(self, path) -> None:
         k = self.points.shape[1]
         with open(path, "w", newline="") as fh:
@@ -98,30 +105,6 @@ class EmpiricalMeasure:
         return cls(vertices=verts, points=pts, weights=wts)
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One realized chain path: seed, start state, and (edge id, point) steps."""
-
-    seed: int
-    start: tuple[int, tuple[float, ...]]
-    steps: tuple[tuple[str, tuple[float, ...]], ...]
-
-    def check_admissible(self, sys: MarkovSystem) -> None:
-        prev = self.start[0]
-        for edge_id, _ in self.steps:
-            e = sys.edge(edge_id)
-            if e.source != prev:
-                raise ValidationError(
-                    f"trajectory step {edge_id} starts at vertex {e.source}, "
-                    f"chain is at vertex {prev}")
-            prev = e.target
-
-
-def substream(seed: int, worker: int) -> np.random.Generator:
-    """Independent deterministic generator for (seed, worker index)."""
-    return np.random.default_rng(np.random.SeedSequence([seed, worker]))
-
-
 def step(sys: MarkovSystem, state: State,
          rng: np.random.Generator) -> tuple[DirectedEdge, State]:
     """One chain transition; edges are scanned in id order."""
@@ -141,18 +124,6 @@ def step(sys: MarkovSystem, state: State,
 def _start_state(sys: MarkovSystem) -> State:
     first = min(sys.support_set)
     return first, sys.base_point(first)
-
-
-def trajectory(sys: MarkovSystem, n_steps: int, seed: int,
-               start: State | None = None) -> TrajectoryRecord:
-    rng = np.random.default_rng(seed)
-    state = start if start is not None else _start_state(sys)
-    origin = (state[0], tuple(float(c) for c in state[1]))
-    steps = []
-    for _ in range(n_steps):
-        edge, state = step(sys, state, rng)
-        steps.append((edge.id, tuple(float(c) for c in state[1])))
-    return TrajectoryRecord(seed=seed, start=origin, steps=tuple(steps))
 
 
 def estimate_invariant(sys: MarkovSystem, n_samples: int,
@@ -185,40 +156,32 @@ class ContractionRow:
 
 
 def check_average_contraction(sys: MarkovSystem, mu: EmpiricalMeasure,
-                              i_max: int, n_mc: int, seed: int = 0,
-                              workers: int = 1) -> list[ContractionRow]:
+                              i_max: int, n_mc: int,
+                              seed: int = 0) -> list[ContractionRow]:
     """Monte Carlo check that the i-step orbit of a mu point and the orbit of
     its base point, driven by the same edges, approach each other like a^i.
 
-    Returns rows (i, estimate, stderr, a^i * c_hat) for i = 1..i_max.  Work is
-    split into `workers` deterministic substreams and merged by weighted
-    averaging.
+    Returns rows (i, estimate, stderr, a^i * c_hat) for i = 1..i_max, from
+    n_mc points drawn from mu by a generator seeded with (seed, 0).
     """
     if len(mu) == 0:
         raise ValueError("empirical measure is empty")
     a = sys.contraction_rate
     c_hat, _ = estimate_c_hat(sys, mu)
 
-    chunk_sizes = [n_mc // workers + (1 if w < n_mc % workers else 0)
-                   for w in range(workers)]
     sums = np.zeros(i_max)
     sqsums = np.zeros(i_max)
-    for w, size in enumerate(chunk_sizes):
-        if size == 0:
-            continue
-        rng = substream(seed, w)
-        draws = rng.choice(len(mu), size=size, p=mu.weights)
-        for s in draws:
-            vertex = int(mu.vertices[s])
-            x = mu.points[s]
-            y = sys.base_point(vertex)
-            state = (vertex, x)
-            for i in range(i_max):
-                edge, state = step(sys, state, rng)
-                y = edge.map.apply(y)
-                dist = float(np.linalg.norm(state[1] - y))
-                sums[i] += dist
-                sqsums[i] += dist * dist
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    for s in rng.choice(len(mu), size=n_mc, p=mu.weights):
+        vertex = int(mu.vertices[s])
+        state = (vertex, mu.points[s])
+        y = sys.base_point(vertex)
+        for i in range(i_max):
+            edge, state = step(sys, state, rng)
+            y = edge.map.apply(y)
+            dist = float(np.linalg.norm(state[1] - y))
+            sums[i] += dist
+            sqsums[i] += dist * dist
     mean = sums / n_mc
     var = np.maximum(sqsums / n_mc - mean ** 2, 0.0)
     stderr = np.sqrt(var / n_mc)

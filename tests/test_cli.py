@@ -3,6 +3,9 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -441,3 +444,39 @@ def test_every_traced_attribute_is_called_by_a_job(tmp_path, config_a,
                                        f"query_{qi}.json"))
     cl.coding.coding_point(cl.validate_system(sys_a_config()), ("e1", "e2"))
     assert calls and all(calls.values()), calls
+
+
+# a command line with a bad integer flag or CMSLAB_SEED: (arguments after
+# --config, environment, what the message names)
+_BAD_FLAGS = {
+    "table_depth_0": (["table", "--depth", "0", "--mode", "exact"], {},
+                      "--depth"),
+    "cover_window_negative": (["cover", "--query", "e1", "--window", "-1"], {},
+                              "--window"),
+    "cover_depth_0": (["cover", "--query", "e1", "--depth", "0"], {},
+                      "--depth"),
+    "simulate_samples_0": (["simulate", "--samples", "0"], {}, "--samples"),
+    "simulate_seed_negative": (["simulate", "--seed", "-1"], {}, "--seed"),
+    "simulate_burn_in_negative": (["simulate", "--burn-in", "-1"], {},
+                                  "--burn-in"),
+    "cmslab_seed_not_an_integer": (["simulate", "--samples", "10"],
+                                   {"CMSLAB_SEED": "abc"}, "CMSLAB_SEED"),
+    "cmslab_seed_negative_at_validate": (
+        ["bounds", "--depths", "1"], {"CMSLAB_SEED": "-1"},
+        "error at stage validate: CMSLAB_SEED"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_FLAGS))
+def test_bad_integer_flag_or_seed_exits_2_naming_it(case, config_a, tmp_path):
+    args, env, name = _BAD_FLAGS[case]
+    command, rest = args[0], args[1:]
+    argv = [command, "--config", str(config_a), *rest,
+            "--out", str(tmp_path / "out.csv")]
+    src = str(Path(cl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, **env)
+    proc = subprocess.run([sys.executable, "-m", "cmslab.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert name in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -135,6 +135,8 @@ def test_inadmissible_word_rejected(sys_c):
         cl.backward_orbit(sys_c, ("c11", "c21"))  # c11 ends at 1, c21 needs 2
     with pytest.raises(cl.InadmissibleWord):
         cl.coding_point(sys_c, ("nope",))
+    with pytest.raises(cl.InadmissibleWord):
+        cl.coding_point(sys_c, ())
 
 
 def test_coding_refused_without_uniform_contraction():

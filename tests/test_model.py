@@ -134,6 +134,12 @@ _MALFORMED = {
     "edges[0].target": lambda c: c["edges"][0].update(target=1.7),
     "dimension": lambda c: c.update(dimension=True),
     "support_set: expected a list": lambda c: c.update(support_set="1"),
+    "edges[0].id: expected a nonempty string without '.', got 3":
+        lambda c: c["edges"][0].update(id=3),
+    "edges[0].id: expected a nonempty string without '.', got ''":
+        lambda c: c["edges"][0].update(id=""),
+    "edges[1].id: expected a nonempty string without '.', got 'e.1'":
+        lambda c: c["edges"][1].update(id="e.1"),
 }
 
 
