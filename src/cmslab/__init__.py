@@ -42,7 +42,6 @@ from .cylinders import (
     cylinder_set,
     enumerate_words,
     full_cylinder_set,
-    m_cyl,
     m_of_cylinder_set,
     phi0_cyl,
     stationary_vertex_distribution,

@@ -133,9 +133,19 @@ class ExperimentPlan:
                               "probability functions everywhere")
         if not depths:
             raise ConfigError("plan.depths: needs at least one table depth")
-        for n in depths:
+        for n in (*depths, *self.query_depths()):
             if count_words(system, n) > self.word_cap:
                 raise DepthOverflow(f"depth {n} exceeds the word cap")
+
+    def query_depths(self) -> list[int]:
+        """The depth of every query word and whole-space query."""
+        depths = []
+        for query in self.queries:
+            if "words" in query:
+                depths += [len(parse_word(w)) for w in query["words"]]
+            else:
+                depths.append(query["whole_space_depth"])
+        return depths
 
 
 def _fmt(x: float) -> str:
@@ -220,11 +230,11 @@ def _constants(ctx: _Context) -> None:
 
 
 def _tables(ctx: _Context) -> None:
-    """Every table depth, and the K* windows' words, from one walk of the
-    word tree.  A K* length past the cap is left to kstar_estimate, which
-    raises DepthOverflow in the bounds stage."""
+    """Every table depth, the K* windows' words and the query words from one
+    walk of the word tree.  A K* length past the cap is left to
+    kstar_estimate, which raises DepthOverflow in the bounds stage."""
     plan, system = ctx.plan, ctx.system
-    lengths = [n for n in (*plan.depths,
+    lengths = [n for n in (*plan.depths, *plan.query_depths(),
                            *(plan.kstar_depth + w for w in plan.kstar_windows))
                if count_words(system, n) <= plan.word_cap]
     ctx.rows = walk_cylinders(system, max(lengths), ctx.measure,
@@ -272,7 +282,7 @@ def _covers(ctx: _Context) -> None:
         q = (cylinder_set(system, [parse_word(w) for w in raw["words"]])
              if "words" in raw else full_cylinder_set(
                  system, raw["whole_space_depth"], cap=plan.word_cap))
-        m_q = m_of_cylinder_set(system, q, ctx.measure)
+        m_q = m_of_cylinder_set(system, q, ctx.measure, rows=ctx.rows)
         lower = bounds_mod.corollary_lower_bound(report, q, m_q)
         cost, candidate = cover_mod.phi_upper(
             system, q, plan.cover_window, plan.cover_depth,

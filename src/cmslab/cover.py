@@ -45,10 +45,6 @@ def _window(q: CylinderSet, max_shift: int, max_depth: int) -> tuple[int, int]:
     return 1 - max_shift, max(q.depth, max_depth)
 
 
-def _expand_universe(sys: MarkovSystem, lo: int, hi: int) -> list[Word]:
-    return enumerate_words(sys, hi - lo + 1)
-
-
 def _piece_mask(universe: Sequence[Word], lo: int, shift: int, word: Word) -> int:
     """Bitmask of universe words that spell `word` at coordinates 1+shift.. ."""
     offset = 1 + shift - lo
@@ -66,12 +62,6 @@ def _query_mask(universe: Sequence[Word], lo: int, q: CylinderSet) -> int:
     return mask
 
 
-def trivial_cover(sys: MarkovSystem, q: CylinderSet) -> tuple[float, tuple]:
-    pieces = tuple((0, w) for w in q.words)
-    cost = math.fsum(phi0_cyl(sys, w) for w in q.words)
-    return cost, pieces
-
-
 def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
               max_depth: int, budget: int = DEFAULT_BUDGET
               ) -> tuple[float, CoverCandidate]:
@@ -86,18 +76,21 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
     if max_shift < 0 or max_depth < 1:
         raise ValueError("max_shift must be >= 0 and max_depth >= 1")
     lo, hi = _window(q, max_shift, max_depth)
-    universe = _expand_universe(sys, lo, hi)
+    universe = enumerate_words(sys, hi - lo + 1)
     target = _query_mask(universe, lo, q)
+    words = [w for length in range(1, max_depth + 1)
+             for w in enumerate_words(sys, length)]
+    # a piece's charge does not depend on its shift: one per word
+    charge = {w: phi0_cyl(sys, w) for w in dict.fromkeys((*words, *q.words))}
 
     # candidate pool: pieces that intersect the query; an optimal cover never
     # needs a piece that misses it
     pool = []
     for shift in range(0, -max_shift - 1, -1):
-        for length in range(1, max_depth + 1):
-            for word in enumerate_words(sys, length):
-                mask = _piece_mask(universe, lo, shift, word)
-                if mask & target:
-                    pool.append((phi0_cyl(sys, word), shift, word, mask))
+        for word in words:
+            mask = _piece_mask(universe, lo, shift, word)
+            if mask & target:
+                pool.append((charge[word], shift, word, mask))
     pool.sort(key=lambda p: (p[0], -p[1], p[2]))
 
     by_bit: dict[int, list[int]] = {}
@@ -108,7 +101,8 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
             by_bit.setdefault(bit, []).append(idx)
             m &= m - 1
 
-    best_cost, best_pieces = trivial_cover(sys, q)
+    best_pieces = tuple((0, w) for w in q.words)  # the trivial cover
+    best_cost = math.fsum(charge[w] for w in q.words)
     nodes = 0
     exhausted = False
 
@@ -139,7 +133,7 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
 
     dfs(0, 0, 0.0, [])
 
-    cost = math.fsum(phi0_cyl(sys, w) for _, w in best_pieces)
+    cost = math.fsum(charge[w] for _, w in best_pieces)
     candidate = CoverCandidate(pieces=best_pieces, cost=cost,
                                exhaustive=not exhausted,
                                window=(lo, hi), nodes_explored=nodes)
@@ -157,7 +151,7 @@ def verify_cover(sys: MarkovSystem, q: CylinderSet,
     max_depth = max(len(w) + shift for shift, w in candidate.pieces)
     lo = 1 - max_shift
     hi = max(q.depth, max_depth, 1)
-    universe = _expand_universe(sys, lo, hi)
+    universe = enumerate_words(sys, hi - lo + 1)
 
     masks = []
     for shift, word in candidate.pieces:

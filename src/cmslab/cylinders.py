@@ -6,8 +6,9 @@ chain mass M (stationary chain in exact mode, weighted average of chain
 probabilities over an empirical measure in Monte Carlo mode), the base
 measure phi0 (average of chain probabilities started at the support base
 points), and their ratio Z with its logarithm.  walk_cylinders computes
-M and phi0 for every word up to a depth in one pass over the word tree;
-build_table checks one depth of its rows.
+M and phi0 for every word up to a depth in one pass over the word tree; it
+is the only place M is computed.  build_table checks one depth of its rows,
+and m_of_cylinder_set sums them over a cylinder union.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ def enumerate_words(sys: MarkovSystem, n: int,
 # chain realizes the word read so far, and where that word leaves it.  Every
 # cylinder quantity is a fold of one one-edge step over a word; the step
 # multiplies by p_e at the current point and then moves the point by w_e,
-# except at a leaf, where nothing reads the point.  Three kinds of state:
+# except at a leaf, where nothing reads the point.  Three kinds of state; the
+# walk steps all three, phi0_cyl only the point state:
 #   samples     (array over the mu samples, (N, k) array)   Monte Carlo M
 #   stationary  (float, None)                                exact M
 #   point       (float, (k,) array)                          phi0, from a base point
@@ -131,13 +133,6 @@ def _stationary_step(state, e, leaf: bool):
 def _point_step(state, e, leaf: bool):
     prob, y = state
     return prob * e.prob.value(y), None if leaf else e.map.apply(y)
-
-
-def _fold(step, state, edges: Sequence) -> float | np.ndarray:
-    last = len(edges) - 1
-    for i, e in enumerate(edges):
-        state = step(state, e, i == last)
-    return state[0]
 
 
 def _mass_chain(sys: MarkovSystem, measure: Measure):
@@ -161,8 +156,10 @@ def phi0_cyl(sys: MarkovSystem, word: Sequence[str]) -> float:
     start = edges[0].source
     if start not in sys.support_set:
         return 0.0
-    prob = _fold(_point_step, (1.0, sys.base_point(start)), edges)
-    return prob / len(sys.support_set)
+    state, last = (1.0, sys.base_point(start)), len(edges) - 1
+    for i, e in enumerate(edges):
+        state = _point_step(state, e, i == last)
+    return state[0] / len(sys.support_set)
 
 
 def stationary_vertex_distribution(sys: MarkovSystem) -> np.ndarray:
@@ -186,19 +183,6 @@ def stationary_vertex_distribution(sys: MarkovSystem) -> np.ndarray:
     if np.any(pi < -1e-12):
         raise ExactModeUnavailable("stationary solve produced negative mass")
     return np.maximum(pi, 0.0)
-
-
-def m_cyl(sys: MarkovSystem, word: Sequence[str],
-          measure: Measure) -> tuple[float, float]:
-    """Chain mass of a cylinder with its standard error.
-
-    Exact mode (measure == EXACT) uses the stationary vertex distribution and
-    is only available for constant probabilities; stderr is 0.  Monte Carlo
-    mode averages chain probabilities over the empirical measure.
-    """
-    edges = sys.require_admissible(word)
-    step, root, reduce = _mass_chain(sys, measure)
-    return reduce(_fold(step, root(edges[0].source), edges))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,7 +209,7 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
     Each child node extends its parent's chain states by one edge, so every
     word costs one step, and exact mode solves the stationary law once.  The
     walk holds one state per level of the current path.  Per word the
-    floating-point operations are those of m_cyl and phi0_cyl.  The rows are
+    floating-point operations of phi0 are those of phi0_cyl.  The rows are
     unchecked; build_table checks them.
     """
     if n_max < 1:
@@ -357,12 +341,17 @@ def build_table(sys: MarkovSystem, n: int, measure: Measure,
                          mode=EXACT if exact else "monte_carlo")
 
 
-def m_of_cylinder_set(sys: MarkovSystem, q: CylinderSet,
-                      measure: Measure) -> tuple[float, float]:
-    """Chain mass of a finite cylinder union (words are disjoint by depth)."""
-    values, variances = [], []
+def m_of_cylinder_set(sys: MarkovSystem, q: CylinderSet, measure: Measure,
+                      rows: dict[int, CylinderRows] | None = None
+                      ) -> tuple[float, float]:
+    """Chain mass of a finite cylinder union (words are disjoint by depth)
+    and its standard error, summed from `rows`, a walk_cylinders result under
+    the same measure, or from a walk of its own when `rows` lacks q.depth."""
+    raw = walked_to(sys, q.depth, measure, DEFAULT_WORD_CAP, rows)[q.depth]
+    index = {w: i for i, w in enumerate(raw.words)}
     for w in q.words:
-        v, s = m_cyl(sys, w, measure)
-        values.append(v)
-        variances.append(s * s)
-    return math.fsum(values), math.sqrt(math.fsum(variances))
+        if w not in index:  # the rows hold every admissible word
+            sys.require_admissible(w)  # raises InadmissibleWord
+    at = [index[w] for w in q.words]
+    return (math.fsum(raw.m_values[at]),
+            math.sqrt(math.fsum(np.square(raw.stderrs[at]))))

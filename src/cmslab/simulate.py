@@ -166,6 +166,10 @@ def check_average_contraction(sys: MarkovSystem, mu: EmpiricalMeasure,
     """
     if len(mu) == 0:
         raise ValueError("empirical measure is empty")
+    if i_max < 1:
+        raise ValueError("i_max must be >= 1")
+    if n_mc < 1:
+        raise ValueError("n_mc must be >= 1")
     a = sys.contraction_rate
     c_hat, _ = estimate_c_hat(sys, mu)
 

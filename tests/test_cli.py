@@ -143,21 +143,35 @@ def test_measure_csv_unknown_vertex_is_a_validation_error(config_a, tmp_path):
                  "--measure", str(path), "--out", str(out)]) == 2
 
 
-def test_bounds_subcommand_walks_once(config_b, tmp_path, monkeypatch):
+@pytest.fixture
+def walks(monkeypatch):
+    """The depth of every walk_cylinders call, through either module."""
     import cmslab.cylinders as cyl_mod
 
-    walks = []
+    depths = []
     original = cyl_mod.walk_cylinders
 
     def counting(*args, **kwargs):
-        walks.append(args[1])
+        depths.append(args[1])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cyl_mod, "walk_cylinders", counting)
     monkeypatch.setattr(cli_mod, "walk_cylinders", counting)
+    return depths
+
+
+def test_bounds_subcommand_walks_once(config_b, walks):
     assert main(["bounds", "--config", str(config_b), "--depths", "1", "2",
                  "3", "--windows", "0", "1", "2", "--kstar-depth", "2",
                  "--samples", "500", "--seed", "5"]) == 0
+    assert walks == [4]
+
+
+def test_run_walks_once(config_a, tmp_path, walks):
+    plan = _plan_a(tmp_path, config_a)
+    # a query deeper than every table and K* length deepens the one walk
+    plan.queries.append({"words": ["e1.e2.e1.e2"]})
+    assert run(plan) == 0
     assert walks == [4]
 
 
@@ -339,6 +353,13 @@ _FAILURES = {
                           "AbsoluteContinuityViolation", 1),
     "query_without_words": ({"queries": [{}]}, sys_a_config, "validate",
                             "ConfigError", 2),
+    "query_depth_over_cap": ({"word_cap": 8,
+                              "queries": [{"words": ["e1.e2.e1.e2"]}]},
+                             sys_a_config, "validate", "DepthOverflow", 3),
+    "whole_space_depth_over_cap": ({"word_cap": 8,
+                                    "queries": [{"whole_space_depth": 4}]},
+                                   sys_a_config, "validate", "DepthOverflow",
+                                   3),
 }
 
 

@@ -77,6 +77,27 @@ def test_result_never_exceeds_trivial_cover(sys_b):
         assert cost <= trivial + 1e-15
 
 
+def test_phi_upper_charges_each_word_once(sys_c, monkeypatch):
+    """Regression guard by counting: the pool, the trivial-cover seed and the
+    final cost share one charge per word, whatever the number of shifts;
+    verify_cover recomputes each piece's charge on its own."""
+    calls = []
+    original = cl.cover.phi0_cyl
+
+    def counting(sys_, word):
+        calls.append(word)
+        return original(sys_, word)
+
+    monkeypatch.setattr(cl.cover, "phi0_cyl", counting)
+    for q, max_shift, max_depth in (
+            (cl.full_cylinder_set(sys_c, 2), 2, 3),
+            (cl.cylinder_set(sys_c, [("c12", "c21", "c11", "c12")]), 1, 2)):
+        calls.clear()
+        _, candidate = cl.phi_upper(sys_c, q, max_shift, max_depth)
+        words = sum(cl.count_words(sys_c, n) for n in range(1, max_depth + 1))
+        assert len(calls) <= words + len(q.words) + len(candidate.pieces)
+
+
 def test_monotone_in_search_space(sys_b):
     q = cl.cylinder_set(sys_b, [("e1", "e2")])
     costs = [cl.phi_upper(sys_b, q, w, n)[0]

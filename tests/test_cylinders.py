@@ -94,10 +94,16 @@ def test_phi0_sums_to_one(sys_b, sys_c):
 
 # --- chain mass -------------------------------------------------------------
 
+def _m_one(sys_, word, measure, rows=None):
+    """M of the cylinder of one word, with its standard error."""
+    return cl.m_of_cylinder_set(sys_, cl.cylinder_set(sys_, [word]), measure,
+                                rows=rows)
+
+
 def test_m_cyl_exact_sys_a(sys_a):
     for n in (1, 2, 4):
         word = ("e2",) * n
-        value, stderr = cl.m_cyl(sys_a, word, cl.EXACT)
+        value, stderr = _m_one(sys_a, word, cl.EXACT)
         assert value == 0.5 ** n
         assert stderr == 0.0
 
@@ -106,7 +112,7 @@ def test_m_cyl_exact_sys_c_matches_eigen_oracle(sys_c):
     p = np.array([[0.5, 0.5], [0.5, 0.5]])
     pi = stationary_via_eig(p)
     word = ("c12", "c21", "c11")
-    value, _ = cl.m_cyl(sys_c, word, cl.EXACT)
+    value, _ = _m_one(sys_c, word, cl.EXACT)
     assert value == pytest.approx(float(pi[0]) * 0.5 ** 3, abs=1e-12)
     assert cl.stationary_vertex_distribution(sys_c) == pytest.approx(
         [0.5, 0.5], abs=1e-12)
@@ -114,11 +120,11 @@ def test_m_cyl_exact_sys_c_matches_eigen_oracle(sys_c):
 
 def test_m_cyl_exact_unavailable_for_place_dependent(sys_b):
     with pytest.raises(cl.ExactModeUnavailable):
-        cl.m_cyl(sys_b, ("e1",), cl.EXACT)
+        _m_one(sys_b, ("e1",), cl.EXACT)
 
 
 def test_m_cyl_mc_self_consistency(sys_b, mu_b):
-    value, stderr = cl.m_cyl(sys_b, ("e1",), mu_b)
+    value, stderr = _m_one(sys_b, ("e1",), mu_b)
     mean = float(mu_b.mean_point()[0])
     assert value == pytest.approx((1.0 + mean) / 3.0, abs=1e-12)
     # and the invariant mean of this system is 1/2, so M(e1) is near 1/2
@@ -127,11 +133,30 @@ def test_m_cyl_mc_self_consistency(sys_b, mu_b):
 
 def test_m_cyl_mc_matches_scalar_path(sys_b, mu_b):
     word = ("e2", "e1")
-    value, _ = cl.m_cyl(sys_b, word, mu_b)
+    value, _ = _m_one(sys_b, word, mu_b)
     direct = math.fsum(
         w * chain_cyl_prob(sys_b, (int(v), x), word)
         for v, x, w in zip(mu_b.vertices, mu_b.points, mu_b.weights))
     assert value == pytest.approx(direct, abs=1e-13)
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_m_of_cylinder_set_from_rows_equals_own_walk(mode, sys_c, mu_c):
+    measure = cl.EXACT if mode == "exact" else mu_c
+    rows = cl.walk_cylinders(sys_c, 4, measure)
+    sets = [cl.cylinder_set(sys_c, [w]) for w in cl.enumerate_words(sys_c, 3)]
+    sets += [cl.full_cylinder_set(sys_c, n) for n in (1, 3)]
+    for q in sets:
+        assert (cl.m_of_cylinder_set(sys_c, q, measure, rows=rows)
+                == cl.m_of_cylinder_set(sys_c, q, measure))
+
+
+def test_m_of_cylinder_set_rejects_inadmissible_word(sys_c):
+    q = cl.CylinderSet(words=(("c11", "c21"),))  # c21 leaves vertex 2, not 1
+    rows = cl.walk_cylinders(sys_c, 2, cl.EXACT)
+    for walked in (rows, None):
+        with pytest.raises(cl.InadmissibleWord):
+            cl.m_of_cylinder_set(sys_c, q, cl.EXACT, rows=walked)
 
 
 # --- the prefix-shared walk -------------------------------------------------
@@ -162,8 +187,8 @@ def test_walk_rows_match_per_word_oracle(name, mode, request, small_measures):
         assert rows[n].m_values.tolist() == [r[0] for r in oracle]
         assert rows[n].stderrs.tolist() == [r[1] for r in oracle]
         assert rows[n].phi0_values.tolist() == [r[2] for r in oracle]
-        # the per-word folds share the walk's one-edge step
-        assert [cl.m_cyl(sys_, w, measure) for w in words] == [
+        # a one-word set reads its row; phi0_cyl shares the walk's step
+        assert [_m_one(sys_, w, measure, rows) for w in words] == [
             r[:2] for r in oracle]
         assert [cl.phi0_cyl(sys_, w) for w in words] == [r[2] for r in oracle]
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,17 @@ def test_average_contraction_exact_zero_at_shared_fixed_point(sys_a):
     mu = cl.EmpiricalMeasure(vertices=[1], points=[[0.0]], weights=[1.0])
     rows = cl.check_average_contraction(sys_, mu, i_max=4, n_mc=100, seed=0)
     assert all(r.estimate == 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("args, name", [
+    (dict(i_max=3, n_mc=0), "n_mc"),
+    (dict(i_max=0, n_mc=10), "i_max"),
+])
+def test_average_contraction_refuses_empty_counts(args, name, sys_a, mu_a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a nan row would warn first
+        with pytest.raises(ValueError, match=name):
+            cl.check_average_contraction(sys_a, mu_a, **args)
 
 
 def test_average_contraction_worker_split_deterministic(sys_b, mu_b):
