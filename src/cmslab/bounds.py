@@ -12,7 +12,7 @@ cover cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .cylinders import (
     DEFAULT_WORD_CAP,
@@ -42,16 +42,7 @@ class BoundReport:
 
     def to_dict(self) -> dict:
         return {
-            "constants": {
-                "a": self.constants.a,
-                "delta": self.constants.delta,
-                "d": self.constants.d,
-                "b": self.constants.b,
-                "c_hat": self.constants.c_hat,
-                "c_hat_stderr": self.constants.c_hat_stderr,
-                "dini_sum_half": self.constants.dini_sum_half,
-                "dini_sum_full": self.constants.dini_sum_full,
-            },
+            "constants": asdict(self.constants),
             "n_support": self.n_support,
             "bound_i_value": self.bound_i_value,
             "bound_ii_value": self.bound_ii_value,

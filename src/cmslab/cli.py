@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys as _sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +121,9 @@ class ExperimentPlan:
             where = f"plan.queries[{i}]"
             json_object(query, {"words", "whole_space_depth"}, where)
             if "words" in query:
-                json_field(query, "words", where, lambda v: json_list(v, _string))
+                for w in json_field(query, "words", where,
+                                    lambda v: json_list(v, _string)):
+                    parse_word(w)  # an empty word raises InadmissibleWord
             elif "whole_space_depth" in query:
                 json_field(query, "whole_space_depth", where, _at_least(1))
             else:
@@ -133,19 +135,14 @@ class ExperimentPlan:
                               "probability functions everywhere")
         if not depths:
             raise ConfigError("plan.depths: needs at least one table depth")
-        for n in (*depths, *self.query_depths()):
+        # every word of these depths is walked; query words are only followed
+        capped = [("plan.depths", n) for n in depths] + [
+            (f"plan.queries[{i}].whole_space_depth", q["whole_space_depth"])
+            for i, q in enumerate(self.queries) if "words" not in q]
+        for where, n in capped:
             if count_words(system, n) > self.word_cap:
-                raise DepthOverflow(f"depth {n} exceeds the word cap")
-
-    def query_depths(self) -> list[int]:
-        """The depth of every query word and whole-space query."""
-        depths = []
-        for query in self.queries:
-            if "words" in query:
-                depths += [len(parse_word(w)) for w in query["words"]]
-            else:
-                depths.append(query["whole_space_depth"])
-        return depths
+                raise DepthOverflow(f"{where}: depth {n} exceeds the word cap "
+                                    f"{self.word_cap}")
 
 
 def _fmt(x: float) -> str:
@@ -231,14 +228,18 @@ def _constants(ctx: _Context) -> None:
 
 def _tables(ctx: _Context) -> None:
     """Every table depth, the K* windows' words and the query words from one
-    walk of the word tree.  A K* length past the cap is left to
-    kstar_estimate, which raises DepthOverflow in the bounds stage."""
+    walk of the word tree.  Past the deepest table, K* length or whole-space
+    query the walk follows only the query words.  A K* length past the cap
+    is left to kstar_estimate, which raises DepthOverflow in the bounds
+    stage."""
     plan, system = ctx.plan, ctx.system
-    lengths = [n for n in (*plan.depths, *plan.query_depths(),
+    whole = [q["whole_space_depth"] for q in plan.queries if "words" not in q]
+    lengths = [n for n in (*plan.depths, *whole,
                            *(plan.kstar_depth + w for w in plan.kstar_windows))
                if count_words(system, n) <= plan.word_cap]
+    words = [parse_word(w) for q in plan.queries for w in q.get("words", ())]
     ctx.rows = walk_cylinders(system, max(lengths), ctx.measure,
-                              cap=plan.word_cap)
+                              cap=plan.word_cap, along=words)
     for n in plan.depths:
         ctx.tables[n] = build_table(system, n, ctx.measure,
                                     cap=plan.word_cap, rows=ctx.rows)
@@ -337,11 +338,7 @@ def run(plan: ExperimentPlan) -> int:
 
 
 def _constant_rows(report) -> list[tuple[str, float]]:
-    c = report.constants
-    return [("a", c.a), ("delta", c.delta), ("d", c.d), ("b", c.b),
-            ("c_hat", c.c_hat), ("c_hat_stderr", c.c_hat_stderr),
-            ("dini_sum_half", c.dini_sum_half),
-            ("dini_sum_full", c.dini_sum_full),
+    return [*asdict(report.constants).items(),
             ("bound_i", report.bound_i_value),
             ("bound_ii", report.bound_ii_value),
             ("corollary_factor", report.corollary_factor)]

@@ -18,6 +18,7 @@ the bookkeeping to admissible window words loses nothing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,10 +40,6 @@ class CoverCandidate:
     exhaustive: bool
     window: tuple[int, int]
     nodes_explored: int
-
-
-def _window(q: CylinderSet, max_shift: int, max_depth: int) -> tuple[int, int]:
-    return 1 - max_shift, max(q.depth, max_depth)
 
 
 def _piece_mask(universe: Sequence[Word], lo: int, shift: int, word: Word) -> int:
@@ -75,13 +72,14 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
     """
     if max_shift < 0 or max_depth < 1:
         raise ValueError("max_shift must be >= 0 and max_depth >= 1")
-    lo, hi = _window(q, max_shift, max_depth)
+    lo, hi = 1 - max_shift, max(q.depth, max_depth)
     universe = enumerate_words(sys, hi - lo + 1)
     target = _query_mask(universe, lo, q)
     words = [w for length in range(1, max_depth + 1)
              for w in enumerate_words(sys, length)]
-    # a piece's charge does not depend on its shift: one per word
-    charge = {w: phi0_cyl(sys, w) for w in dict.fromkeys((*words, *q.words))}
+    # a piece's charge does not depend on its shift: one per word, on first
+    # use, so a word no piece of the pool uses is never charged
+    charge_of = functools.cache(lambda word: phi0_cyl(sys, word))
 
     # candidate pool: pieces that intersect the query; an optimal cover never
     # needs a piece that misses it
@@ -90,7 +88,7 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
         for word in words:
             mask = _piece_mask(universe, lo, shift, word)
             if mask & target:
-                pool.append((charge[word], shift, word, mask))
+                pool.append((charge_of(word), shift, word, mask))
     pool.sort(key=lambda p: (p[0], -p[1], p[2]))
 
     by_bit: dict[int, list[int]] = {}
@@ -102,7 +100,7 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
             m &= m - 1
 
     best_pieces = tuple((0, w) for w in q.words)  # the trivial cover
-    best_cost = math.fsum(charge[w] for w in q.words)
+    best_cost = math.fsum(charge_of(w) for w in q.words)
     nodes = 0
     exhausted = False
 
@@ -133,7 +131,7 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
 
     dfs(0, 0, 0.0, [])
 
-    cost = math.fsum(charge[w] for _, w in best_pieces)
+    cost = math.fsum(charge_of(w) for _, w in best_pieces)
     candidate = CoverCandidate(pieces=best_pieces, cost=cost,
                                exhaustive=not exhausted,
                                window=(lo, hi), nodes_explored=nodes)

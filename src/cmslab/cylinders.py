@@ -188,12 +188,14 @@ def stationary_vertex_distribution(sys: MarkovSystem) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CylinderRows:
     """Unchecked M, M standard error and phi0 of every word at one depth,
-    in enumerate_words order."""
+    in enumerate_words order, or only of the words a walk followed past its
+    full depth (complete is False)."""
 
     words: tuple[Word, ...]
     m_values: np.ndarray
     stderrs: np.ndarray
     phi0_values: np.ndarray
+    complete: bool
 
 
 def _read_only(values: list[float]) -> np.ndarray:
@@ -203,21 +205,30 @@ def _read_only(values: list[float]) -> np.ndarray:
 
 
 def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
-                   cap: int = DEFAULT_WORD_CAP) -> dict[int, CylinderRows]:
+                   cap: int = DEFAULT_WORD_CAP,
+                   along: Iterable[Sequence[str]] = ()) -> dict[int, CylinderRows]:
     """Rows of every depth 1..n_max from one depth-first walk of the word tree.
 
-    Each child node extends its parent's chain states by one edge, so every
-    word costs one step, and exact mode solves the stationary law once.  The
-    walk holds one state per level of the current path.  Per word the
-    floating-point operations of phi0 are those of phi0_cyl.  The rows are
-    unchecked; build_table checks them.
+    Past n_max (which may be 0) the walk follows only the prefixes of the
+    `along` words, so a deep word costs one step per edge; those rows are
+    not complete.  Each child node extends its parent's chain states by one
+    edge, so every word costs one step, and exact mode solves the stationary
+    law once.  The walk holds one state per level of the current path.  Per
+    word the floating-point operations of phi0 are those of phi0_cyl.  The
+    rows are unchecked; build_table checks them.
     """
-    if n_max < 1:
-        raise ValueError("depth must be >= 1")
-    _require_within_cap(sys, n_max, cap)
+    along = [tuple(w) for w in along]
+    if n_max < (0 if along else 1):
+        raise ValueError("depth must be >= 1, or >= 0 with words to follow")
+    if n_max:
+        _require_within_cap(sys, n_max, cap)
+    # prefixes of the followed words past n_max, and those the walk extends
+    follow = {w[:i] for w in along for i in range(n_max + 1, len(w) + 1)}
+    extend = {w[:i] for w in along for i in range(n_max, len(w))}
     step, root, reduce = _mass_chain(sys, measure)
     n_support = len(sys.support_set)
-    found = {n: ([], [], [], []) for n in range(1, n_max + 1)}
+    found = {n: ([], [], [], [])
+             for n in range(1, max([n_max, *map(len, along)]) + 1)}
     # explicit stack of (word, out-edges not yet taken, M state, phi0 state)
     # per level of the current path; a recursive closure would be a
     # reference cycle that keeps the rows alive until the cyclic collector
@@ -232,7 +243,9 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
                 stack.pop()
                 continue
             child = word + (e.id,)
-            leaf = len(child) == n_max
+            if len(child) > n_max and child not in follow:
+                continue
+            leaf = len(child) >= n_max and child not in extend
             child_mass = step(mass, e, leaf)
             child_base = None if base is None else _point_step(base, e, leaf)
             m, err = reduce(child_mass[0])
@@ -247,14 +260,15 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
                               child_mass, child_base))
     return {n: CylinderRows(words=tuple(words), m_values=_read_only(m_vals),
                             stderrs=_read_only(errs),
-                            phi0_values=_read_only(phi_vals))
+                            phi0_values=_read_only(phi_vals),
+                            complete=n <= n_max)
             for n, (words, m_vals, errs, phi_vals) in found.items()}
 
 
 def walked_to(sys: MarkovSystem, n: int, measure: Measure, cap: int,
               rows: dict[int, CylinderRows] | None) -> dict[int, CylinderRows]:
-    """`rows` when it holds depth n, else a fresh walk to depth n."""
-    if rows is not None and n in rows:
+    """`rows` when it holds every word of depth n, else a fresh walk."""
+    if rows is not None and n in rows and rows[n].complete:
         return rows
     return walk_cylinders(sys, n, measure, cap=cap)
 
@@ -346,12 +360,13 @@ def m_of_cylinder_set(sys: MarkovSystem, q: CylinderSet, measure: Measure,
                       ) -> tuple[float, float]:
     """Chain mass of a finite cylinder union (words are disjoint by depth)
     and its standard error, summed from `rows`, a walk_cylinders result under
-    the same measure, or from a walk of its own when `rows` lacks q.depth."""
-    raw = walked_to(sys, q.depth, measure, DEFAULT_WORD_CAP, rows)[q.depth]
-    index = {w: i for i, w in enumerate(raw.words)}
-    for w in q.words:
-        if w not in index:  # the rows hold every admissible word
+    the same measure, or from a walk along q's words when `rows` lacks one."""
+    raw = (rows or {}).get(q.depth)
+    if raw is None or not set(q.words) <= set(raw.words):
+        for w in q.words:
             sys.require_admissible(w)  # raises InadmissibleWord
+        raw = walk_cylinders(sys, 0, measure, along=q.words)[q.depth]
+    index = {w: i for i, w in enumerate(raw.words)}
     at = [index[w] for w in q.words]
     return (math.fsum(raw.m_values[at]),
             math.sqrt(math.fsum(np.square(raw.stderrs[at]))))

@@ -169,10 +169,12 @@ def test_bounds_subcommand_walks_once(config_b, walks):
 
 def test_run_walks_once(config_a, tmp_path, walks):
     plan = _plan_a(tmp_path, config_a)
-    # a query deeper than every table and K* length deepens the one walk
+    # a query deeper than every table and K* length, and past the word cap,
+    # is followed by the one walk past its full depth 3
+    plan.word_cap = 8
     plan.queries.append({"words": ["e1.e2.e1.e2"]})
     assert run(plan) == 0
-    assert walks == [4]
+    assert walks == [3]
 
 
 def test_bounds_subcommand(config_b, tmp_path, capsys):
@@ -348,25 +350,26 @@ def _sys_c_support_1() -> dict:
 # case: (plan fields, config, failed stage, error, exit code)
 _FAILURES = {
     "depth_over_cap": ({"word_cap": 2}, sys_a_config, "validate",
-                       "DepthOverflow", 3),
+                       "DepthOverflow", 3,
+                       "plan.depths: depth 2 exceeds the word cap 2"),
     "support_too_small": ({"queries": []}, _sys_c_support_1, "tables",
-                          "AbsoluteContinuityViolation", 1),
+                          "AbsoluteContinuityViolation", 1,
+                          "the support set is too small"),
     "query_without_words": ({"queries": [{}]}, sys_a_config, "validate",
-                            "ConfigError", 2),
-    "query_depth_over_cap": ({"word_cap": 8,
-                              "queries": [{"words": ["e1.e2.e1.e2"]}]},
-                             sys_a_config, "validate", "DepthOverflow", 3),
+                            "ConfigError", 2,
+                            "plan.queries[0] needs 'words'"),
     "whole_space_depth_over_cap": ({"word_cap": 8,
                                     "queries": [{"whole_space_depth": 4}]},
                                    sys_a_config, "validate", "DepthOverflow",
-                                   3),
+                                   3, "plan.queries[0].whole_space_depth: "
+                                   "depth 4 exceeds the word cap 8"),
 }
 
 
 @pytest.mark.parametrize("entry", ["run", "main"])
 @pytest.mark.parametrize("case", list(_FAILURES))
 def test_failure_stage_error_and_exit_code(case, entry, tmp_path, capsys):
-    fields, make_config, stage, error, code = _FAILURES[case]
+    fields, make_config, stage, error, code, message = _FAILURES[case]
     config = tmp_path / "sys.json"
     config.write_text(json.dumps(make_config()))
     raw = dict(vars(_plan_a(tmp_path, config)), **fields)
@@ -380,7 +383,9 @@ def test_failure_stage_error_and_exit_code(case, entry, tmp_path, capsys):
     assert manifest["failure"]["stage"] == stage
     assert manifest["failure"]["error"] == error
     assert manifest["stages"][stage] == "failed"
-    assert f"error at stage {stage}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error at stage {stage}:" in err
+    assert message in err
 
 
 # plan field changed: (new value, field path the error names)

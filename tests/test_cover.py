@@ -98,6 +98,20 @@ def test_phi_upper_charges_each_word_once(sys_c, monkeypatch):
         assert len(calls) <= words + len(q.words) + len(candidate.pieces)
 
 
+def test_phi_upper_charges_only_words_of_pieces_that_meet_the_query(
+        sys_a, monkeypatch):
+    """With no shift, a one-word query at depth 2 meets only the pieces e1
+    and e1.e2; no other word of depth <= 2 is charged."""
+    calls = []
+    original = cl.cover.phi0_cyl
+    monkeypatch.setattr(cl.cover, "phi0_cyl",
+                        lambda sys_, word: calls.append(word) or original(sys_, word))
+    q = cl.cylinder_set(sys_a, [("e1", "e2")])
+    _, candidate = cl.phi_upper(sys_a, q, 0, 2)
+    assert sorted(set(calls)) == [("e1",), ("e1", "e2")]
+    assert len(calls) == 2 + len(candidate.pieces)  # verify_cover recomputes
+
+
 def test_monotone_in_search_space(sys_b):
     q = cl.cylinder_set(sys_b, [("e1", "e2")])
     costs = [cl.phi_upper(sys_b, q, w, n)[0]

@@ -149,6 +149,16 @@ def test_m_of_cylinder_set_from_rows_equals_own_walk(mode, sys_c, mu_c):
     for q in sets:
         assert (cl.m_of_cylinder_set(sys_c, q, measure, rows=rows)
                 == cl.m_of_cylinder_set(sys_c, q, measure))
+    # past the rows' full depth: read the followed words, or walk along them
+    deep = cl.cylinder_set(sys_c, cl.enumerate_words(sys_c, 6)[::9])
+    followed = cl.walk_cylinders(sys_c, 2, measure, along=deep.words)
+    expected = cl.m_of_cylinder_set(sys_c, deep, measure)
+    assert cl.m_of_cylinder_set(sys_c, deep, measure, rows=followed) == expected
+    assert cl.m_of_cylinder_set(sys_c, deep, measure, rows=rows) == expected
+    full = cl.walk_cylinders(sys_c, 6, measure)[6]
+    at = [full.words.index(w) for w in deep.words]
+    assert expected == (math.fsum(full.m_values[at]),
+                        math.sqrt(math.fsum(np.square(full.stderrs[at]))))
 
 
 def test_m_of_cylinder_set_rejects_inadmissible_word(sys_c):
@@ -222,6 +232,34 @@ def test_walk_takes_one_step_per_tree_node(sys_b, small_measures, monkeypatch):
     for window in (0, 1, 2):
         cl.kstar_estimate(sys_b, window, 4, mu, rows=rows)
     assert calls["value_many"] == nodes
+
+
+def test_walk_follows_words_past_full_depth(sys_b, small_measures,
+                                            monkeypatch):
+    """Past n_max the walk steps only along the prefixes of the followed
+    words, and reads each of them exactly as a full walk does."""
+    mu, deep = small_measures["sys_b"], cl.enumerate_words(sys_b, 6)[::11]
+    full = cl.walk_cylinders(sys_b, 6, mu)
+    steps = []
+    original = cl.ProbabilityFunction.value_many
+    monkeypatch.setattr(cl.ProbabilityFunction, "value_many",
+                        lambda self, pts: steps.append(1) or original(self, pts))
+    rows = cl.walk_cylinders(sys_b, 2, mu, along=deep)
+    prefixes = {n: sorted({w[:n] for w in deep}) for n in range(3, 7)}
+    assert len(steps) == (cl.count_words(sys_b, 1) + cl.count_words(sys_b, 2)
+                          + sum(map(len, prefixes.values())))
+    for n in range(1, 7):
+        assert rows[n].complete == (n <= 2)
+        words = full[n].words if n <= 2 else prefixes[n]
+        assert sorted(rows[n].words) == sorted(words)
+        at = [full[n].words.index(w) for w in rows[n].words]
+        for key in ("m_values", "stderrs", "phi0_values"):
+            assert getattr(rows[n], key).tolist() == getattr(full[n], key)[at].tolist()
+    # a table never reads rows the walk did not complete
+    assert (cl.build_table(sys_b, 4, mu, rows=rows).m_values.tolist()
+            == full[4].m_values.tolist())
+    assert (sorted(cl.walk_cylinders(sys_b, 0, mu, along=deep)[6].words)
+            == sorted(deep))
 
 
 def test_walk_respects_word_cap(sys_a):
