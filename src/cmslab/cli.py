@@ -5,9 +5,9 @@ run.  `run` executes STAGES, validate -> simulate -> constants -> tables ->
 bounds -> covers -> consistency, and writes system.json, measure.csv,
 tables/depth_n.csv, bounds.json, covers/query_*.json, report.md and a
 MANIFEST.json recording the stages; `bounds` executes the first five.  Exit
-codes: 0 success, 1 any other cmslab error (an inadmissible word, an invalid
-certificate, ...), 2 invalid config or plan, 3 enumeration or runtime budget
-exceeded, 4 consistency red flag.
+codes: 0 success, 1 any other cmslab error (an inadmissible flag word, an
+invalid certificate, ...), 2 invalid config or plan, 3 enumeration or runtime
+budget exceeded, 4 consistency red flag.
 
 The seed may be overridden with the CMSLAB_SEED environment variable.
 """
@@ -30,6 +30,7 @@ from .coding import backward_orbit, coding_point, parse_word
 from .cylinders import (
     DEFAULT_WORD_CAP,
     EXACT,
+    CylinderSet,
     build_table,
     count_words,
     cylinder_set,
@@ -42,6 +43,7 @@ from .errors import (
     CMSError,
     ConfigError,
     DepthOverflow,
+    InadmissibleWord,
     ValidationError,
 )
 from .model import (
@@ -107,9 +109,10 @@ class ExperimentPlan:
         json_field(raw, "output_dir", "plan", _string, default=None)
         return cls(**raw)
 
-    def validate(self, system: MarkovSystem) -> None:
+    def validate(self, system: MarkovSystem) -> list[CylinderSet | None]:
         """Check each field's type and range, then what the system
-        constrains; every error names its field."""
+        constrains; every error names its field.  Returns each query's
+        cylinder set, None for a whole-space query."""
         fields = vars(self)
         for key, minimum in _PLAN_MINIMUMS.items():
             json_field(fields, key, "plan", _at_least(minimum))
@@ -117,15 +120,16 @@ class ExperimentPlan:
                             lambda v: json_list(v, _at_least(1)))
         json_field(fields, "kstar_windows", "plan",
                    lambda v: json_list(v, _at_least(0)))
+        queries = []
         for i, query in enumerate(json_field(fields, "queries", "plan", json_list)):
             where = f"plan.queries[{i}]"
             json_object(query, {"words", "whole_space_depth"}, where)
             if "words" in query:
-                for w in json_field(query, "words", where,
-                                    lambda v: json_list(v, _string)):
-                    parse_word(w)  # an empty word raises InadmissibleWord
+                queries.append(json_field(query, "words", where,
+                                          lambda v: _query_set(system, v)))
             elif "whole_space_depth" in query:
                 json_field(query, "whole_space_depth", where, _at_least(1))
+                queries.append(None)
             else:
                 raise ConfigError(f"{where} needs 'words' or 'whole_space_depth'")
         if self.mode not in ("exact", "monte_carlo"):
@@ -143,6 +147,16 @@ class ExperimentPlan:
             if count_words(system, n) > self.word_cap:
                 raise DepthOverflow(f"{where}: depth {n} exceeds the word cap "
                                     f"{self.word_cap}")
+        return queries
+
+
+def _query_set(system: MarkovSystem, value) -> CylinderSet:
+    """The cylinder set of a query's dotted words."""
+    try:
+        return cylinder_set(system, [parse_word(w)
+                                     for w in json_list(value, _string)])
+    except InadmissibleWord as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _fmt(x: float) -> str:
@@ -191,6 +205,7 @@ class _Context:
     mu: EmpiricalMeasure | None = None
     measure: object = None
     report: bounds_mod.BoundReport | None = None
+    queries: list = field(default_factory=list)
     rows: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)
     cover_rows: list = field(default_factory=list)
@@ -207,7 +222,7 @@ class _Context:
 def _validate(ctx: _Context) -> None:
     ctx.seed = _env_seed(ctx.seed)
     ctx.system = validate_system(_load_config(ctx.plan.config_path))
-    ctx.plan.validate(ctx.system)
+    ctx.queries = ctx.plan.validate(ctx.system)
     ctx.save("system.json",
              lambda path: _json_dump(system_to_config(ctx.system), path))
 
@@ -237,7 +252,7 @@ def _tables(ctx: _Context) -> None:
     lengths = [n for n in (*plan.depths, *whole,
                            *(plan.kstar_depth + w for w in plan.kstar_windows))
                if count_words(system, n) <= plan.word_cap]
-    words = [parse_word(w) for q in plan.queries for w in q.get("words", ())]
+    words = [w for q in ctx.queries if q for w in q.words]
     ctx.rows = walk_cylinders(system, max(lengths), ctx.measure,
                               cap=plan.word_cap, along=words)
     for n in plan.depths:
@@ -279,10 +294,9 @@ def _bounds(ctx: _Context) -> None:
 
 def _covers(ctx: _Context) -> None:
     plan, system, report = ctx.plan, ctx.system, ctx.report
-    for qi, raw in enumerate(plan.queries):
-        q = (cylinder_set(system, [parse_word(w) for w in raw["words"]])
-             if "words" in raw else full_cylinder_set(
-                 system, raw["whole_space_depth"], cap=plan.word_cap))
+    for qi, (raw, q) in enumerate(zip(plan.queries, ctx.queries)):
+        q = q or full_cylinder_set(system, raw["whole_space_depth"],
+                                   cap=plan.word_cap)
         m_q = m_of_cylinder_set(system, q, ctx.measure, rows=ctx.rows)
         lower = bounds_mod.corollary_lower_bound(report, q, m_q)
         cost, candidate = cover_mod.phi_upper(

@@ -8,23 +8,24 @@ whose union contains the query; the search minimizes over pieces with shifts
 down to -max_shift and words up to max_depth long, which realizes every
 finite cylinder cover in that range.
 
-Disjointness and coverage are verified symbolically: every piece is expanded
-to its constraint set of admissible words on the common coordinate window
-and the sets are compared exactly.  Sequences that are inadmissible somewhere
-on the window need no paying cover: the leftover is a union of full-window
-cylinders of zero base measure, disjoint from everything else, so restricting
-the bookkeeping to admissible window words loses nothing.
+Disjointness and coverage are verified symbolically on the query's window
+words, the admissible words on the common coordinate window that spell a
+query word: every piece must meet the query, each is expanded to the window
+words that spell it, and the sets are compared exactly.  Inadmissible
+sequences need no paying cover (they lie in zero-measure cylinders), and
+pieces that meet the query overlap only if they overlap on it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from .cylinders import CylinderSet, Word, cylinder_set, enumerate_words, phi0_cyl
-from .errors import CertificateInvalid
+from .cylinders import (DEFAULT_WORD_CAP, CylinderSet, Word, cylinder_set,
+                        enumerate_words, phi0_cyl)
+from .errors import CertificateInvalid, DepthOverflow
 from .model import MarkovSystem, system_to_config, validate_system
 
 DEFAULT_BUDGET = 1_000_000
@@ -42,21 +43,34 @@ class CoverCandidate:
     nodes_explored: int
 
 
-def _piece_mask(universe: Sequence[Word], lo: int, shift: int, word: Word) -> int:
-    """Bitmask of universe words that spell `word` at coordinates 1+shift.. ."""
-    offset = 1 + shift - lo
-    mask = 0
-    for bit, u in enumerate(universe):
-        if u[offset:offset + len(word)] == word:
-            mask |= 1 << bit
-    return mask
+def _window(sys: MarkovSystem, q: CylinderSet, max_shift: int, hi: int,
+            max_len: int) -> tuple[dict[Word, list], dict[tuple[int, Word], int]]:
+    """The admissible words on coordinates 1-max_shift..hi that spell a query
+    word on 1..q.depth, in enumerate_words order, each with the pieces
+    (shift, word) with len(word) <= max_len that it spells; and per piece,
+    the bitmask of the window words that spell it (bit i: the i-th word)."""
+    # Two pieces that meet the query intersect if and only if they intersect
+    # on the query: each starts at or before coordinate 1, so past the end of
+    # the one that ends later, a sequence in both can continue as a query
+    # sequence of that piece.
+    past = enumerate_words(sys, max_shift + 1)  # overlap w by its first edge
+    future = enumerate_words(sys, hi - q.depth + 1)  # and by its last edge
+    joined = (u[:-1] + w + v[1:] for w in q.words
+              for u in past if u[-1] == w[0] for v in future if v[0] == w[-1])
+    words = list(itertools.islice(joined, DEFAULT_WORD_CAP + 1))
+    if len(words) > DEFAULT_WORD_CAP:
+        raise DepthOverflow(f"the cover window exceeds the cap {DEFAULT_WORD_CAP}")
+    words.sort(key=lambda x: (sys.edge(x[0]).source, x))
 
-
-def _query_mask(universe: Sequence[Word], lo: int, q: CylinderSet) -> int:
-    mask = 0
-    for w in q.words:
-        mask |= _piece_mask(universe, lo, 0, w)
-    return mask
+    spelled: dict[Word, list] = {}
+    index: dict[tuple[int, Word], int] = {}
+    for bit, x in enumerate(words):
+        spelled[x] = [(shift, x[shift + max_shift:shift + max_shift + n])
+                      for shift in range(0, -max_shift - 1, -1)
+                      for n in range(1, min(max_len, hi - shift) + 1)]
+        for piece in spelled[x]:
+            index[piece] = index.get(piece, 0) | 1 << bit
+    return spelled, index
 
 
 def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
@@ -73,38 +87,27 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
     if max_shift < 0 or max_depth < 1:
         raise ValueError("max_shift must be >= 0 and max_depth >= 1")
     lo, hi = 1 - max_shift, max(q.depth, max_depth)
-    universe = enumerate_words(sys, hi - lo + 1)
-    target = _query_mask(universe, lo, q)
-    words = [w for length in range(1, max_depth + 1)
-             for w in enumerate_words(sys, length)]
+    spelled, index = _window(sys, q, max_shift, hi, max_depth)
+    target = (1 << len(spelled)) - 1
     # a piece's charge does not depend on its shift: one per word, on first
     # use, so a word no piece of the pool uses is never charged
     charge_of = functools.cache(lambda word: phi0_cyl(sys, word))
 
-    # candidate pool: pieces that intersect the query; an optimal cover never
+    # candidate pool: the pieces that meet the query; an optimal cover never
     # needs a piece that misses it
-    pool = []
-    for shift in range(0, -max_shift - 1, -1):
-        for word in words:
-            mask = _piece_mask(universe, lo, shift, word)
-            if mask & target:
-                pool.append((charge_of(word), shift, word, mask))
-    pool.sort(key=lambda p: (p[0], -p[1], p[2]))
-
-    by_bit: dict[int, list[int]] = {}
-    for idx, (_, _, _, mask) in enumerate(pool):
-        m = mask
-        while m:
-            bit = (m & -m).bit_length() - 1
-            by_bit.setdefault(bit, []).append(idx)
-            m &= m - 1
+    pool = sorted(((charge_of(word), shift, word, mask)
+                   for (shift, word), mask in index.items()),
+                  key=lambda p: (p[0], -p[1], p[2]))
+    rank = {(shift, word): i for i, (_, shift, word, _) in enumerate(pool)}
+    by_bit = [sorted(rank[piece] for piece in pieces)
+              for pieces in spelled.values()]
 
     best_pieces = tuple((0, w) for w in q.words)  # the trivial cover
     best_cost = math.fsum(charge_of(w) for w in q.words)
     nodes = 0
     exhausted = False
 
-    def dfs(covered: int, used: int, cost: float, chosen: list[int]) -> None:
+    def dfs(covered: int, cost: float, chosen: list[int]) -> None:
         nonlocal best_cost, best_pieces, nodes, exhausted
         if exhausted:
             return
@@ -115,7 +118,7 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
                 best_pieces = tuple((pool[i][1], pool[i][2]) for i in chosen)
             return
         bit = (remaining & -remaining).bit_length() - 1
-        for idx in by_bit.get(bit, ()):  # pool order: cheap pieces first
+        for idx in by_bit[bit]:  # pool order: cheap pieces first
             nodes += 1
             if nodes > budget:
                 exhausted = True
@@ -123,13 +126,13 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
             piece_cost, _, _, mask = pool[idx]
             if cost + piece_cost >= best_cost:
                 break  # candidates for this word only get more expensive
-            if mask & used:
+            if mask & covered:
                 continue
             chosen.append(idx)
-            dfs(covered | mask, used | mask, cost + piece_cost, chosen)
+            dfs(covered | mask, cost + piece_cost, chosen)
             chosen.pop()
 
-    dfs(0, 0, 0.0, [])
+    dfs(0, 0.0, [])
 
     cost = math.fsum(charge_of(w) for _, w in best_pieces)
     candidate = CoverCandidate(pieces=best_pieces, cost=cost,
@@ -141,37 +144,35 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
 
 def verify_cover(sys: MarkovSystem, q: CylinderSet,
                  candidate: CoverCandidate) -> None:
-    """Re-check disjointness, coverage, and cost; raises CertificateInvalid
-    naming the first violated condition."""
+    """Re-check that every piece meets the query, disjointness, coverage and
+    cost; raises CertificateInvalid naming the first violated condition."""
     if not candidate.pieces:
         raise CertificateInvalid("cover has no pieces")
-    max_shift = max(0, *(-shift for shift, _ in candidate.pieces))
-    max_depth = max(len(w) + shift for shift, w in candidate.pieces)
-    lo = 1 - max_shift
-    hi = max(q.depth, max_depth, 1)
-    universe = enumerate_words(sys, hi - lo + 1)
-
-    masks = []
     for shift, word in candidate.pieces:
         if shift > 0:
             raise CertificateInvalid(f"piece shift {shift} is positive")
         sys.require_admissible(word)
-        masks.append(_piece_mask(universe, lo, shift, word))
+    spelled, index = _window(
+        sys, q, max(-shift for shift, _ in candidate.pieces),
+        max(q.depth, *(len(w) + shift for shift, w in candidate.pieces)),
+        max(len(w) for _, w in candidate.pieces))
+
     union = 0
-    for i, mask in enumerate(masks):
+    for shift, word in candidate.pieces:
+        mask = index.get((shift, word), 0)
+        name = f"piece ({shift}, {'.'.join(word)})"
+        if not mask:
+            raise CertificateInvalid(f"{name} misses the query")
         if mask & union:
-            shift, word = candidate.pieces[i]
-            raise CertificateInvalid(
-                f"disjointness: piece ({shift}, {'.'.join(word)}) overlaps an "
-                f"earlier piece")
+            raise CertificateInvalid(f"disjointness: {name} overlaps an "
+                                     f"earlier piece")
         union |= mask
 
-    target = _query_mask(universe, lo, q)
-    if target & ~union:
-        missing = (target & ~union).bit_length() - 1
+    missing = ~union & ((1 << len(spelled)) - 1)
+    if missing:
         raise CertificateInvalid(
-            f"coverage: query word window {'.'.join(universe[missing])} "
-            f"is not covered")
+            f"coverage: query word window "
+            f"{'.'.join(list(spelled)[missing.bit_length() - 1])} is not covered")
 
     cost = math.fsum(phi0_cyl(sys, w) for _, w in candidate.pieces)
     if abs(cost - candidate.cost) > COST_TOL:
@@ -224,13 +225,11 @@ def verify_certificate_data(data: dict) -> None:
         q = cylinder_set(sys, [tuple(w.split(".")) for w in data["query"]["words"]])
         pieces = tuple((int(p["shift"]), tuple(p["word"].split(".")))
                        for p in data["pieces"])
-        cost = float(data["cost"])
-    except CertificateInvalid:
-        raise
+        candidate = CoverCandidate(
+            pieces=pieces, cost=float(data["cost"]),
+            exhaustive=bool(data.get("exhaustive", False)),
+            window=tuple(data.get("window", (0, q.depth))),
+            nodes_explored=int(data.get("nodes_explored", 0)))
     except Exception as exc:
         raise CertificateInvalid(f"malformed certificate: {exc}") from exc
-    candidate = CoverCandidate(pieces=pieces, cost=cost,
-                               exhaustive=bool(data.get("exhaustive", False)),
-                               window=tuple(data.get("window", (0, q.depth))),
-                               nodes_explored=int(data.get("nodes_explored", 0)))
     verify_cover(sys, q, candidate)

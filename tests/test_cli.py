@@ -201,6 +201,33 @@ def test_cover_and_verify_cert(config_a, tmp_path):
     assert main(["verify-cert", "--certificate", str(cert)]) == 1
 
 
+def test_cover_deep_query_and_verify_cert(config_a, tmp_path):
+    # the search keeps to the query's window words, so depth 24 is cheap
+    cert = tmp_path / "cert.json"
+    assert main(["cover", "--config", str(config_a), "--query",
+                 ".".join(["e1", "e2"] * 12), "--out", str(cert)]) == 0
+    assert main(["verify-cert", "--certificate", str(cert)]) == 0
+
+
+@pytest.mark.parametrize("key, value", [("window", 5),
+                                        ("nodes_explored", "abc")])
+def test_verify_cert_malformed_field_exits_1_without_traceback(
+        key, value, config_a, tmp_path):
+    cert = tmp_path / "cert.json"
+    assert main(["cover", "--config", str(config_a), "--query", "e1.e2",
+                 "--out", str(cert)]) == 0
+    cert.write_text(json.dumps(dict(json.loads(cert.read_text()),
+                                    **{key: value})))
+    src = str(Path(cl.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmslab.cli", "verify-cert", "--certificate",
+         str(cert)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1, proc.stderr
+    assert "malformed certificate" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cover_whole_space_flag(config_a, tmp_path):
     cert = tmp_path / "cert.json"
     assert main(["cover", "--config", str(config_a), "--whole-space-depth",
@@ -388,22 +415,32 @@ def test_failure_stage_error_and_exit_code(case, entry, tmp_path, capsys):
     assert message in err
 
 
-# plan field changed: (new value, field path the error names)
+# case: (plan field changed, its new value, field path the error names)
 _MALFORMED_PLANS = {
-    "depths": ("3", "plan.depths"),
-    "seed": ("x", "plan.seed"),
-    "queries": ([3], "plan.queries[0]"),
-    "mc_samples": (0, "plan.mc_samples"),
-    "kstar_windows": ([-1], "plan.kstar_windows"),
-    "cover_depth": (0, "plan.cover_depth"),
-    "burn_in": (1.5, "plan.burn_in"),
+    "depths": ("depths", "3", "plan.depths"),
+    "seed": ("seed", "x", "plan.seed"),
+    "queries": ("queries", [3], "plan.queries[0]"),
+    "mc_samples": ("mc_samples", 0, "plan.mc_samples"),
+    "kstar_windows": ("kstar_windows", [-1], "plan.kstar_windows"),
+    "cover_depth": ("cover_depth", 0, "plan.cover_depth"),
+    "burn_in": ("burn_in", 1.5, "plan.burn_in"),
+    "query_words_none": ("queries", [{"words": []}], "plan.queries[0].words"),
+    "query_words_mixed_depths": ("queries", [{"words": ["e1", "e1.e2"]}],
+                                 "plan.queries[0].words"),
+    "query_word_empty": ("queries", [{"words": [""]}],
+                         "plan.queries[0].words"),
+    "query_word_repeated": ("queries", [{"whole_space_depth": 1},
+                                        {"words": ["e1", "e1"]}],
+                            "plan.queries[1].words"),
+    "query_word_unknown_edge": ("queries", [{"words": ["e1.e9"]}],
+                                "plan.queries[0].words"),
 }
 
 
-@pytest.mark.parametrize("key", list(_MALFORMED_PLANS))
-def test_malformed_plan_exits_2_at_validate_naming_the_field(key, tmp_path,
+@pytest.mark.parametrize("case", list(_MALFORMED_PLANS))
+def test_malformed_plan_exits_2_at_validate_naming_the_field(case, tmp_path,
                                                              config_a, capsys):
-    value, path = _MALFORMED_PLANS[key]
+    key, value, path = _MALFORMED_PLANS[case]
     raw = dict(vars(_plan_a(tmp_path, config_a)), **{key: value})
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(raw))

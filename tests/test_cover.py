@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import pytest
 
@@ -75,6 +76,57 @@ def test_result_never_exceeds_trivial_cover(sys_b):
         trivial = math.fsum(cl.phi0_cyl(sys_b, w) for w in words)
         cost, _ = cl.phi_upper(sys_b, q, 1, max(len(w) for w in words))
         assert cost <= trivial + 1e-15
+
+
+@pytest.mark.parametrize("name", ["sys_a", "sys_b", "sys_c"])
+def test_query_window_search_matches_full_window_oracle(name, request):
+    """Seeded random queries: the search on the query's window words finds
+    the brute-force minimum over the full window's pieces, or the trivial
+    cover when that is cheaper."""
+    sys_ = request.getfixturevalue(name)
+    rng = random.Random(name)
+    for max_shift in range(3):
+        for depth in range(1, 4):
+            words = cl.enumerate_words(sys_, depth)
+            for _ in range(2):
+                q = cl.cylinder_set(sys_, rng.sample(words, rng.randint(1, 2)))
+                max_depth = rng.randint(1, 3)
+                cost, candidate = cl.phi_upper(sys_, q, max_shift, max_depth)
+                assert candidate.exhaustive
+                target, pieces = _oracle_pieces(sys_, q, max_shift, max_depth)
+                trivial = math.fsum(cl.phi0_cyl(sys_, w) for w in q.words)
+                oracle = min(brute_min_cover_cost(target, pieces), trivial)
+                assert cost == pytest.approx(oracle, abs=1e-12), (q, max_shift,
+                                                                   max_depth)
+
+
+def test_deep_one_word_query_searches_its_own_window(sys_a):
+    # the full depth-31 window would hold 2^31 words, past the word cap
+    word = ("e1",) * 30
+    q = cl.cylinder_set(sys_a, [word])
+    cost, candidate = cl.phi_upper(sys_a, q, 1, 3)
+    assert cost == cl.phi0_cyl(sys_a, word)
+    assert candidate.exhaustive
+    cl.verify_cover(sys_a, q, candidate)
+
+
+def test_window_past_word_cap_raises_depth_overflow(sys_a, monkeypatch):
+    monkeypatch.setattr(cl.cover, "DEFAULT_WORD_CAP", 4)
+    with pytest.raises(cl.DepthOverflow):
+        cl.phi_upper(sys_a, cl.full_cylinder_set(sys_a, 3), 0, 3)
+    cl.phi_upper(sys_a, cl.cylinder_set(sys_a, [("e1", "e2", "e1")]), 1, 3)
+
+
+def test_search_node_counts_are_pinned(sys_b, sys_c):
+    """Node counts recorded from the search over the whole window's words:
+    the query window keeps their order and the disjointness verdicts, so the
+    branch and bound visits the same nodes."""
+    for sys_, words, nodes in (
+            (sys_b, cl.enumerate_words(sys_b, 3), 2113),
+            (sys_b, [("e1", "e2"), ("e2", "e2")], 338),
+            (sys_c, [("c11", "c12"), ("c12", "c21")], 93)):
+        _, candidate = cl.phi_upper(sys_, cl.cylinder_set(sys_, words), 2, 3)
+        assert (candidate.nodes_explored, candidate.exhaustive) == (nodes, True)
 
 
 def test_phi_upper_charges_each_word_once(sys_c, monkeypatch):
@@ -164,6 +216,16 @@ def test_verify_rejects_gap(sys_a):
         cl.verify_cover(sys_a, q, bad)
 
 
+def test_verify_rejects_piece_that_misses_the_query(sys_a):
+    # e2 on coordinate 1 is disjoint from the query e1 and from the other piece
+    q = cl.cylinder_set(sys_a, [("e1",)])
+    bad = cl.CoverCandidate(pieces=((0, ("e1",)), (0, ("e2",))), cost=1.0,
+                            exhaustive=True, window=(1, 1), nodes_explored=0)
+    with pytest.raises(cl.CertificateInvalid,
+                       match=r"piece \(0, e2\) misses the query"):
+        cl.verify_cover(sys_a, q, bad)
+
+
 def test_verify_rejects_cost_mismatch(sys_a):
     q = cl.cylinder_set(sys_a, [("e1",), ("e2",)])
     bad = cl.CoverCandidate(pieces=((0, ("e1",)), (0, ("e2",))), cost=0.75,
@@ -192,6 +254,11 @@ def test_certificate_round_trip_and_tamper(sys_a, tmp_path):
     del garbled["system"]
     with pytest.raises(cl.CertificateInvalid, match="malformed"):
         cl.verify_certificate_data(garbled)
+
+    for key, value in (("window", 5), ("nodes_explored", "abc")):
+        garbled = dict(json.loads(json.dumps(data)), **{key: value})
+        with pytest.raises(cl.CertificateInvalid, match="malformed"):
+            cl.verify_certificate_data(garbled)
 
 
 # --- consistency ------------------------------------------------------------
