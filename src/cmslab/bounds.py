@@ -15,7 +15,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from .cylinders import (
-    DEFAULT_WORD_CAP,
     CylinderRows,
     CylinderSet,
     CylinderTable,
@@ -101,21 +100,20 @@ def corollary_lower_bound(report: BoundReport, q: CylinderSet,
 
 
 def kstar_estimate(sys: MarkovSystem, window: int, depth: int,
-                   measure: Measure, cap: int = DEFAULT_WORD_CAP,
-                   rows: dict[int, CylinderRows] | None = None
+                   measure: Measure, rows: dict[int, CylinderRows] | None = None
                    ) -> tuple[float, float]:
     """Shift-maximized divergence estimate over a finite window.
 
     Enumerates words of length depth+window; each word is weighted by its
     chain mass and scored by the log of the largest depth-`depth` density
     over the window+1 backward shifts.  window=0 reproduces kl_n exactly.
-    `rows` is a walk_cylinders result under the same measure and cap; without
+    `rows` is a walk_cylinders result under the same measure; without
     one reaching depth+window, the estimate walks for itself.
     """
     if window < 0:
         raise ValueError("window must be >= 0")
-    rows = walked_to(sys, depth + window, measure, cap, rows)
-    z_of = build_table(sys, depth, measure, cap=cap, rows=rows).z_by_word()
+    rows = walked_to(sys, depth + window, measure, rows)
+    z_of = build_table(sys, depth, measure, rows=rows).z_by_word()
 
     long_rows = rows[depth + window]
     terms = []

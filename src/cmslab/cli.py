@@ -26,9 +26,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import cover as cover_mod
-from .coding import backward_orbit, coding_point, parse_word
+from . import cylinders as cylinders_mod
+from .coding import coding_point, parse_word
 from .cylinders import (
-    DEFAULT_WORD_CAP,
     EXACT,
     CylinderSet,
     build_table,
@@ -68,8 +68,7 @@ SIG_DIGITS = 12
 
 # the smallest value of each integer plan field
 _PLAN_MINIMUMS = {"seed": 0, "mc_samples": 1, "burn_in": 0, "kstar_depth": 1,
-                  "cover_window": 0, "cover_depth": 1, "cover_budget": 1,
-                  "word_cap": 1}
+                  "cover_window": 0, "cover_depth": 1, "cover_budget": 1}
 
 
 def _at_least(minimum: int):
@@ -84,7 +83,7 @@ def _string(value) -> str:
 
 @dataclass
 class ExperimentPlan:
-    """Everything a full run needs; mirrors the run subcommand flags."""
+    """Everything a full run needs, as the plan file gives it."""
 
     config_path: str
     mode: str = "monte_carlo"
@@ -99,7 +98,6 @@ class ExperimentPlan:
     cover_budget: int = 1_000_000
     queries: list[dict] = field(default_factory=list)
     output_dir: str = "out"
-    word_cap: int = DEFAULT_WORD_CAP
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentPlan":
@@ -144,9 +142,9 @@ class ExperimentPlan:
             (f"plan.queries[{i}].whole_space_depth", q["whole_space_depth"])
             for i, q in enumerate(self.queries) if "words" not in q]
         for where, n in capped:
-            if count_words(system, n) > self.word_cap:
+            if count_words(system, n) > cylinders_mod.WORD_CAP:
                 raise DepthOverflow(f"{where}: depth {n} exceeds the word cap "
-                                    f"{self.word_cap}")
+                                    f"{cylinders_mod.WORD_CAP}")
         return queries
 
 
@@ -251,13 +249,11 @@ def _tables(ctx: _Context) -> None:
     whole = [q["whole_space_depth"] for q in plan.queries if "words" not in q]
     lengths = [n for n in (*plan.depths, *whole,
                            *(plan.kstar_depth + w for w in plan.kstar_windows))
-               if count_words(system, n) <= plan.word_cap]
+               if count_words(system, n) <= cylinders_mod.WORD_CAP]
     words = [w for q in ctx.queries if q for w in q.words]
-    ctx.rows = walk_cylinders(system, max(lengths), ctx.measure,
-                              cap=plan.word_cap, along=words)
+    ctx.rows = walk_cylinders(system, max(lengths), ctx.measure, along=words)
     for n in plan.depths:
-        ctx.tables[n] = build_table(system, n, ctx.measure,
-                                    cap=plan.word_cap, rows=ctx.rows)
+        ctx.tables[n] = build_table(system, n, ctx.measure, rows=ctx.rows)
         ctx.save(f"tables/depth_{n}.csv", ctx.tables[n].to_csv)
 
 
@@ -267,8 +263,7 @@ def _bounds(ctx: _Context) -> None:
         report.k_n_series.append((n, *bounds_mod.kl_n(tables[n])))
     for w in plan.kstar_windows:
         kval, kerr = bounds_mod.kstar_estimate(
-            ctx.system, w, plan.kstar_depth, ctx.measure, cap=plan.word_cap,
-            rows=ctx.rows)
+            ctx.system, w, plan.kstar_depth, ctx.measure, rows=ctx.rows)
         report.kstar_estimates.append((w, plan.kstar_depth, kval, kerr))
 
     ks = [row[1] for row in report.k_n_series]
@@ -295,8 +290,7 @@ def _bounds(ctx: _Context) -> None:
 def _covers(ctx: _Context) -> None:
     plan, system, report = ctx.plan, ctx.system, ctx.report
     for qi, (raw, q) in enumerate(zip(plan.queries, ctx.queries)):
-        q = q or full_cylinder_set(system, raw["whole_space_depth"],
-                                   cap=plan.word_cap)
+        q = q or full_cylinder_set(system, raw["whole_space_depth"])
         m_q = m_of_cylinder_set(system, q, ctx.measure, rows=ctx.rows)
         lower = bounds_mod.corollary_lower_bound(report, q, m_q)
         cost, candidate = cover_mod.phi_upper(
@@ -481,7 +475,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full pipeline from a plan file")
     p.add_argument("--plan", required=True, help="experiment plan JSON")
-    p.add_argument("--output-dir", help="override the plan output directory")
 
     return parser
 
@@ -514,14 +507,11 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "coding":
         system = validate_system(_load_config(args.config))
-        past = parse_word(args.past)
-        result = coding_point(system, past)
-        orbit = backward_orbit(system, past)
+        result = coding_point(system, parse_word(args.past))
         print(f"point={','.join(_fmt(c) for c in result.point)} "
               f"error_bound={_fmt(result.error_bound)} depth={result.depth}")
         print("j," + ",".join(f"x_{i + 1}" for i in range(system.dimension)))
-        for idx, x in enumerate(orbit):
-            j = idx - len(orbit) + 1
+        for j, x in enumerate(result.orbit, start=1 - result.depth):
             print(f"{j}," + ",".join(repr(float(c)) for c in x))
         return EXIT_OK
 
@@ -569,10 +559,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "run":
-        plan = ExperimentPlan.from_dict(_load_config(args.plan))
-        if args.output_dir:
-            plan.output_dir = args.output_dir
-        return run(plan)
+        return run(ExperimentPlan.from_dict(_load_config(args.plan)))
 
     raise AssertionError(f"unhandled command {args.command}")
 

@@ -12,22 +12,23 @@ depth, which keeps base-point orbits exact in floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InadmissibleWord, NotUniformlyContractive
-from .model import TAIL_TOL, MarkovSystem, modulus_geometric_sum
+from .model import MarkovSystem, modulus_geometric_sum
 
 WORD_SEPARATOR = "."
 
 
 def parse_word(text: str) -> tuple[str, ...]:
-    """Split a dotted edge string like 'e1.e2.e1' into a word."""
-    parts = tuple(p for p in text.split(WORD_SEPARATOR) if p)
-    if not parts:
-        raise InadmissibleWord("empty word")
+    """Split a dotted edge string like 'e1.e2.e1' into a word; an empty edge
+    id (as in '', 'e1..e2' or 'e1.') is refused."""
+    parts = tuple(text.split(WORD_SEPARATOR))
+    if "" in parts:
+        raise InadmissibleWord(f"empty edge id in word {text!r}")
     return parts
 
 
@@ -37,11 +38,13 @@ def format_word(word: Sequence[str]) -> str:
 
 @dataclass(frozen=True)
 class CodingResult:
-    """Deepest truncation point with its certified error bound."""
+    """Deepest truncation point with its certified error bound, and the
+    backward orbit it was read from."""
 
     point: np.ndarray
     error_bound: float
     depth: int
+    orbit: tuple[np.ndarray, ...] = field(repr=False)
 
 
 def backward_orbit(sys: MarkovSystem, past: Sequence[str]) -> list[np.ndarray]:
@@ -77,9 +80,10 @@ def coding_point(sys: MarkovSystem, past: Sequence[str]) -> CodingResult:
     depth = len(orbit)
 
     # orbit[idx] is X_j with j = idx - depth + 1; the difference
-    # X_j -> X_{j+1} must shrink by a per unit depth
-    slack = 1e-12 * max(1.0, d)
+    # X_j -> X_{j+1} must shrink by a per unit depth, up to rounding, which
+    # grows with the magnitude of the points
     tail = [sys.base_point(edges[-1].target)] + orbit[::-1]
+    slack = 1e-12 * max(1.0, d, float(np.max(np.abs(tail))))
     for step_back, (nxt, cur) in enumerate(zip(tail, tail[1:])):
         gap = float(np.linalg.norm(cur - nxt))
         if gap > a ** step_back * d + slack:
@@ -88,7 +92,8 @@ def coding_point(sys: MarkovSystem, past: Sequence[str]) -> CodingResult:
                 f"{gap:.3e} > {a ** step_back * d:.3e}")
 
     error_bound = a ** depth * d / (1.0 - a)
-    return CodingResult(point=orbit[0], error_bound=error_bound, depth=depth)
+    return CodingResult(point=orbit[0], error_bound=error_bound, depth=depth,
+                        orbit=tuple(orbit))
 
 
 def f_sum(sys: MarkovSystem, word: Sequence[str], point: np.ndarray,
@@ -122,5 +127,5 @@ def f_sum(sys: MarkovSystem, word: Sequence[str], point: np.ndarray,
         raise NotUniformlyContractive("tail bound needs uniform contraction")
     a = sys.contraction_rate
     reach = sys.max_displacement / (1.0 - a)
-    tail = modulus_geometric_sum(sys, a, a ** len(edges) * reach, TAIL_TOL)
+    tail = modulus_geometric_sum(sys, a, a ** len(edges) * reach)
     return partial, tail

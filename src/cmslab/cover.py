@@ -23,10 +23,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .cylinders import (DEFAULT_WORD_CAP, CylinderSet, Word, cylinder_set,
-                        enumerate_words, phi0_cyl)
+from . import cylinders
+from .coding import parse_word
+from .cylinders import (CylinderSet, Word, cylinder_set, enumerate_words,
+                        phi0_cyl)
 from .errors import CertificateInvalid, DepthOverflow
-from .model import MarkovSystem, system_to_config, validate_system
+from .model import (MarkovSystem, json_int, json_number, system_to_config,
+                    validate_system)
 
 DEFAULT_BUDGET = 1_000_000
 COST_TOL = 1e-12
@@ -57,9 +60,10 @@ def _window(sys: MarkovSystem, q: CylinderSet, max_shift: int, hi: int,
     future = enumerate_words(sys, hi - q.depth + 1)  # and by its last edge
     joined = (u[:-1] + w + v[1:] for w in q.words
               for u in past if u[-1] == w[0] for v in future if v[0] == w[-1])
-    words = list(itertools.islice(joined, DEFAULT_WORD_CAP + 1))
-    if len(words) > DEFAULT_WORD_CAP:
-        raise DepthOverflow(f"the cover window exceeds the cap {DEFAULT_WORD_CAP}")
+    cap = cylinders.WORD_CAP
+    words = list(itertools.islice(joined, cap + 1))
+    if len(words) > cap:
+        raise DepthOverflow(f"the cover window exceeds the cap {cap}")
     words.sort(key=lambda x: (sys.edge(x[0]).source, x))
 
     spelled: dict[Word, list] = {}
@@ -222,14 +226,14 @@ def verify_certificate_data(data: dict) -> None:
     """Validate a certificate dict end to end; raises CertificateInvalid."""
     try:
         sys = validate_system(data["system"])
-        q = cylinder_set(sys, [tuple(w.split(".")) for w in data["query"]["words"]])
-        pieces = tuple((int(p["shift"]), tuple(p["word"].split(".")))
+        q = cylinder_set(sys, [parse_word(w) for w in data["query"]["words"]])
+        pieces = tuple((json_int(p["shift"]), parse_word(p["word"]))
                        for p in data["pieces"])
         candidate = CoverCandidate(
-            pieces=pieces, cost=float(data["cost"]),
+            pieces=pieces, cost=json_number(data["cost"]),
             exhaustive=bool(data.get("exhaustive", False)),
             window=tuple(data.get("window", (0, q.depth))),
-            nodes_explored=int(data.get("nodes_explored", 0)))
+            nodes_explored=json_int(data.get("nodes_explored", 0), 0))
     except Exception as exc:
         raise CertificateInvalid(f"malformed certificate: {exc}") from exc
     verify_cover(sys, q, candidate)

@@ -33,7 +33,7 @@ EXACT = "exact"
 Measure = Union[EmpiricalMeasure, str]
 Word = tuple[str, ...]
 
-DEFAULT_WORD_CAP = 10_000_000
+WORD_CAP = 10_000_000  # words per depth, read at call time
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,8 @@ def cylinder_set(sys: MarkovSystem, words: Iterable[Sequence[str]]) -> CylinderS
     return CylinderSet(words=normalized)
 
 
-def full_cylinder_set(sys: MarkovSystem, depth: int,
-                      cap: int = DEFAULT_WORD_CAP) -> CylinderSet:
-    return CylinderSet(words=tuple(enumerate_words(sys, depth, cap=cap)))
+def full_cylinder_set(sys: MarkovSystem, depth: int) -> CylinderSet:
+    return CylinderSet(words=tuple(enumerate_words(sys, depth)))
 
 
 def count_words(sys: MarkovSystem, n: int) -> int:
@@ -80,19 +79,18 @@ def count_words(sys: MarkovSystem, n: int) -> int:
     return sum(counts.values())
 
 
-def _require_within_cap(sys: MarkovSystem, n: int, cap: int) -> None:
+def _require_within_cap(sys: MarkovSystem, n: int) -> None:
     total = count_words(sys, n)
-    if total > cap:
+    if total > WORD_CAP:
         raise DepthOverflow(
-            f"{total} admissible words of depth {n} exceed the cap {cap}")
+            f"{total} admissible words of depth {n} exceed the cap {WORD_CAP}")
 
 
-def enumerate_words(sys: MarkovSystem, n: int,
-                    cap: int = DEFAULT_WORD_CAP) -> list[Word]:
+def enumerate_words(sys: MarkovSystem, n: int) -> list[Word]:
     """All admissible length-n words, lexicographic by edge id sequence."""
     if n < 1:
         raise ValueError("depth must be >= 1")
-    _require_within_cap(sys, n, cap)
+    _require_within_cap(sys, n)
     out: list[Word] = []
 
     def extend(prefix: list[str], vertex: int) -> None:
@@ -205,7 +203,6 @@ def _read_only(values: list[float]) -> np.ndarray:
 
 
 def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
-                   cap: int = DEFAULT_WORD_CAP,
                    along: Iterable[Sequence[str]] = ()) -> dict[int, CylinderRows]:
     """Rows of every depth 1..n_max from one depth-first walk of the word tree.
 
@@ -221,7 +218,7 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
     if n_max < (0 if along else 1):
         raise ValueError("depth must be >= 1, or >= 0 with words to follow")
     if n_max:
-        _require_within_cap(sys, n_max, cap)
+        _require_within_cap(sys, n_max)
     # prefixes of the followed words past n_max, and those the walk extends
     follow = {w[:i] for w in along for i in range(n_max + 1, len(w) + 1)}
     extend = {w[:i] for w in along for i in range(n_max, len(w))}
@@ -265,12 +262,12 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
             for n, (words, m_vals, errs, phi_vals) in found.items()}
 
 
-def walked_to(sys: MarkovSystem, n: int, measure: Measure, cap: int,
+def walked_to(sys: MarkovSystem, n: int, measure: Measure,
               rows: dict[int, CylinderRows] | None) -> dict[int, CylinderRows]:
     """`rows` when it holds every word of depth n, else a fresh walk."""
     if rows is not None and n in rows and rows[n].complete:
         return rows
-    return walk_cylinders(sys, n, measure, cap=cap)
+    return walk_cylinders(sys, n, measure)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,17 +305,16 @@ class CylinderTable:
 
 
 def build_table(sys: MarkovSystem, n: int, measure: Measure,
-                cap: int = DEFAULT_WORD_CAP,
                 rows: dict[int, CylinderRows] | None = None) -> CylinderTable:
     """Depth-n cylinder table over every admissible word.
 
-    `rows` is a walk_cylinders result under the same measure and cap; the
+    `rows` is a walk_cylinders result under the same measure; the
     table reads depth n from it, and walks for itself when it has none.
     Raises AbsoluteContinuityViolation when a word carries chain mass beyond
     sampling noise but zero base measure, which signals that the support set
     misses a vertex the chain visits.
     """
-    raw = walked_to(sys, n, measure, cap, rows)[n]
+    raw = walked_to(sys, n, measure, rows)[n]
     exact = isinstance(measure, str)
     m_vals, phi_vals, errs = raw.m_values, raw.phi0_values, raw.stderrs
 

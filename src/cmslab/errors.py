@@ -34,7 +34,7 @@ class NoContraction(CMSError):
 
 
 class DiniDivergence(CMSError):
-    """A modulus-of-continuity series did not meet the tail tolerance."""
+    """A modulus-of-continuity series diverges: its ratio is not in [0, 1)."""
 
 
 class NotUniformlyContractive(CMSError):
@@ -46,7 +46,7 @@ class InadmissibleWord(CMSError):
 
 
 class DepthOverflow(CMSError):
-    """Word enumeration would exceed the configured cap."""
+    """Word enumeration would exceed the word cap."""
 
 
 class ExactModeUnavailable(CMSError):

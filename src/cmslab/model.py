@@ -39,13 +39,15 @@ if TYPE_CHECKING:
 
 CONTAINMENT_TOL = 1e-9
 COEFF_TOL = 1e-12
-DINI_MAX_TERMS = 1_000_000
-# modulus series stop once their geometric tail bound is below this
-TAIL_TOL = 1e-12
 
 
 def _frozen(values, shape=None) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    """A read-only float copy of finite numbers; strings, booleans, NaN and
+    infinities are refused."""
+    arr = np.array(values)
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"expected finite numbers, got {values!r}")
+    arr = arr.astype(float)
     if shape is not None and arr.shape != shape:
         raise ConfigError(f"expected array of shape {shape}, got {arr.shape}")
     arr.setflags(write=False)
@@ -297,6 +299,12 @@ def json_int(value, minimum: int | None = None) -> int:
     return int(value)
 
 
+def json_number(value) -> float:
+    """A finite JSON number; strings, booleans, NaN and infinities are
+    refused."""
+    return float(_frozen(value, ()))
+
+
 def json_list(value, item=None) -> list:
     """A JSON array, each element passed through `item`."""
     if not isinstance(value, list):
@@ -312,7 +320,7 @@ def _edge_id(value) -> str:
 
 
 def _matrix(value, k: int) -> np.ndarray:
-    linear = np.asarray(value, dtype=float)
+    linear = _frozen(value)
     if linear.ndim == 1:
         if linear.size != k * k:
             raise ConfigError(f"linear part needs {k * k} entries (row-major)")
@@ -345,7 +353,7 @@ def _parse_raw(raw: dict):
         pw = f"{where}.prob"
         rp = json_object(json_field(re_, "prob", where), _PROB_FIELDS, pw)
         family = json_field(rp, "family", pw)
-        alpha = json_field(rp, "alpha", pw, float)
+        alpha = json_field(rp, "alpha", pw, json_number)
         beta = json_field(rp, "beta", pw,
                           lambda v: vector([0.0] * k if v is None else v),
                           default=np.zeros(k))
@@ -530,35 +538,26 @@ class ConstantSet:
     dini_sum_full: float
 
 
-def modulus_geometric_sum(sys: MarkovSystem, ratio: float, scale: float,
-                          tail_tol: float) -> float:
-    """Truncated sum of modulus(ratio^i * scale) over i >= 0.
+def modulus_geometric_sum(sys: MarkovSystem, ratio: float,
+                          scale: float) -> float:
+    """Sum of modulus(ratio^i * scale) over i >= 0, in closed form.
 
-    The global modulus is capped linear, so once a term is below the cap the
-    remaining tail is dominated by a geometric series; truncation stops when
-    that tail bound drops below tail_tol.  Raises DiniDivergence if the stop
-    rule is not met within a million terms.
+    The global modulus is min(slope * t, 1), so the series is its terms at
+    the cap, each 1, then the geometric tail x / (1 - ratio) from the first
+    term x below the cap.  Raises DiniDivergence unless 0 <= ratio < 1.
     """
-    if tail_tol <= 0.0:
-        raise ValueError("tail_tol must be positive")
-    if scale < 0.0:
-        raise ValueError("scale must be nonnegative")
+    if not 0.0 <= ratio < 1.0:
+        raise DiniDivergence(f"modulus series diverges at ratio {ratio:g}")
+    if not 0.0 <= scale < math.inf:
+        raise ValueError(f"scale must be finite and nonnegative, got {scale!r}")
     slope = sys.max_gradient_norm
-    if slope == 0.0 or scale == 0.0:
-        return 0.0
-    terms = []
-    t = scale
-    for _ in range(DINI_MAX_TERMS):
-        term = sys.modulus(t)
-        terms.append(term)
-        if 0.0 <= ratio < 1.0 and slope * t <= 1.0:
-            tail_bound = term * ratio / (1.0 - ratio)
-            if tail_bound < tail_tol:
-                return math.fsum(terms)
-        t = ratio * t
-    raise DiniDivergence(
-        f"modulus series did not meet tail tolerance {tail_tol:g} "
-        f"within {DINI_MAX_TERMS} terms (ratio {ratio:g})")
+    # count the capped terms up from just below the logarithms' rounded count
+    capped = 0
+    if slope * scale > 1.0 and ratio > 0.0:
+        capped = int(math.log(slope * scale) / -math.log(ratio)) - 1
+    while slope * ratio ** capped * scale >= 1.0:
+        capped += 1
+    return capped + slope * ratio ** capped * scale / (1.0 - ratio)
 
 
 def estimate_c_hat(sys: MarkovSystem, mu: "EmpiricalMeasure") -> tuple[float, float]:
@@ -595,8 +594,8 @@ def derive_constants(sys: MarkovSystem, mu: "EmpiricalMeasure") -> ConstantSet:
         b = max(b, box_range(alpha, beta, v.lower, v.upper)[1])
 
     c_hat, c_stderr = estimate_c_hat(sys, mu)
-    half = modulus_geometric_sum(sys, math.sqrt(a), c_hat, TAIL_TOL)
-    full = modulus_geometric_sum(sys, a, d / (1.0 - a), TAIL_TOL)
+    half = modulus_geometric_sum(sys, math.sqrt(a), c_hat)
+    full = modulus_geometric_sum(sys, a, d / (1.0 - a))
     return ConstantSet(a=a, delta=delta, d=d, b=b, c_hat=c_hat,
                        c_hat_stderr=c_stderr, dini_sum_half=half,
                        dini_sum_full=full)

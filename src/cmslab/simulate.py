@@ -36,6 +36,8 @@ class EmpiricalMeasure:
         w = np.asarray(self.weights, dtype=float)
         if not (len(v) == len(p) == len(w)):
             raise ValidationError("measure arrays have mismatched lengths")
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(w))):
+            raise ValidationError("measure points and weights must be finite")
         if np.any(w <= 0.0):
             raise ValidationError("measure weights must be positive")
         if abs(math.fsum(w) - 1.0) > 1e-12:
@@ -81,8 +83,8 @@ class EmpiricalMeasure:
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalMeasure":
-        """Read a to_csv file; a missing, empty or malformed file raises
-        ConfigError naming it."""
+        """Read a to_csv file; a missing, empty or malformed file, or one
+        that is not a measure, raises ConfigError naming it."""
         try:
             with open(path, newline="") as fh:
                 rows = list(csv.reader(fh))
@@ -100,9 +102,9 @@ class EmpiricalMeasure:
             verts = np.array([int(r[0]) for r in body])
             pts = np.array([[float(c) for c in r[1:1 + k]] for r in body])
             wts = np.array([float(r[-1]) for r in body])
-        except ValueError as exc:
+            return cls(vertices=verts, points=pts, weights=wts)
+        except (ValueError, ValidationError) as exc:
             raise ConfigError(f"malformed measure CSV {path}: {exc}") from None
-        return cls(vertices=verts, points=pts, weights=wts)
 
 
 def step(sys: MarkovSystem, state: State,

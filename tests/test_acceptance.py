@@ -87,8 +87,7 @@ def test_criterion_3_divergence_below_average_contraction_bound(sys_b, mu_b):
         c_plus = constants.c_hat + 3.0 * constants.c_hat_stderr
         rhs = math.log(1) + (1.0 / constants.delta) * (
             1.0 / (1.0 - math.sqrt(constants.a))
-            + cl.modulus_geometric_sum(sys_b, math.sqrt(constants.a), c_plus,
-                                       1e-12))
+            + cl.modulus_geometric_sum(sys_b, math.sqrt(constants.a), c_plus))
         series = [cl.kl_n(cl.build_table(sys_b, n, mu_b))
                   for n in range(1, 7)]
         for value, stderr in series:

@@ -81,8 +81,19 @@ def test_seed_env_override(config_b, tmp_path, monkeypatch):
     assert out1.read_bytes() != out2.read_bytes()
 
 
-def test_coding_output(config_a, capsys):
+def test_coding_output(config_a, capsys, monkeypatch):
+    # the printed orbit is the one coding_point computed, not a second one
+    orbits = []
+    exact = cl.coding.backward_orbit
+
+    def counting(*args):
+        orbits.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(cl.coding, "backward_orbit", counting)
+    monkeypatch.setattr(cli_mod, "backward_orbit", counting, raising=False)
     assert main(["coding", "--config", str(config_a), "--past", "e2.e2"]) == 0
+    assert len(orbits) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("point=0.75 error_bound=0.25 depth=2")
     assert out[1] == "j,x_1"
@@ -126,7 +137,9 @@ def test_measure_csv_malformed_raises_config_error(tmp_path):
     for name, text in (("empty.csv", ""),
                        ("header.csv", "vertex,x_1,weight\n"),
                        ("ragged.csv", "vertex,x_1,weight\n1,0.5\n"),
-                       ("words.csv", "vertex,x_1,weight\n1,abc,1.0\n")):
+                       ("words.csv", "vertex,x_1,weight\n1,abc,1.0\n"),
+                       ("nan_weight.csv", "vertex,x_1,weight\n1,0.5,nan\n"),
+                       ("inf_point.csv", "vertex,x_1,weight\n1,inf,1.0\n")):
         path = tmp_path / name
         path.write_text(text)
         with pytest.raises(cl.ConfigError, match=name):
@@ -167,11 +180,11 @@ def test_bounds_subcommand_walks_once(config_b, walks):
     assert walks == [4]
 
 
-def test_run_walks_once(config_a, tmp_path, walks):
+def test_run_walks_once(config_a, tmp_path, walks, monkeypatch):
     plan = _plan_a(tmp_path, config_a)
     # a query deeper than every table and K* length, and past the word cap,
     # is followed by the one walk past its full depth 3
-    plan.word_cap = 8
+    monkeypatch.setattr(cl.cylinders, "WORD_CAP", 8)
     plan.queries.append({"words": ["e1.e2.e1.e2"]})
     assert run(plan) == 0
     assert walks == [3]
@@ -307,12 +320,13 @@ def test_run_red_flag_exit_code(tmp_path, config_a, monkeypatch):
     assert run(plan) == 4
 
 
-def test_run_kstar_over_word_cap_fails_at_bounds(tmp_path, config_a):
+def test_run_kstar_over_word_cap_fails_at_bounds(tmp_path, config_a,
+                                                 monkeypatch):
     # tables (depths 1-2, at most 4 words) fit the cap; K* window 2 at
     # depth 2 needs the 16 words of depth 4 and does not
     plan = _plan_a(tmp_path, config_a)
     plan.depths, plan.kstar_depth, plan.kstar_windows = [1, 2], 2, [0, 1, 2]
-    plan.word_cap = 8
+    monkeypatch.setattr(cl.cylinders, "WORD_CAP", 8)
     assert run(plan) == cli_mod.EXIT_BUDGET
     out = tmp_path / "out"
     manifest = json.loads((out / "MANIFEST.json").read_text())
@@ -374,7 +388,8 @@ def _sys_c_support_1() -> dict:
     return cfg
 
 
-# case: (plan fields, config, failed stage, error, exit code)
+# case: (plan fields, with the word cap as "word_cap", config, failed stage,
+# error, exit code)
 _FAILURES = {
     "depth_over_cap": ({"word_cap": 2}, sys_a_config, "validate",
                        "DepthOverflow", 3,
@@ -395,8 +410,12 @@ _FAILURES = {
 
 @pytest.mark.parametrize("entry", ["run", "main"])
 @pytest.mark.parametrize("case", list(_FAILURES))
-def test_failure_stage_error_and_exit_code(case, entry, tmp_path, capsys):
+def test_failure_stage_error_and_exit_code(case, entry, tmp_path, capsys,
+                                           monkeypatch):
     fields, make_config, stage, error, code, message = _FAILURES[case]
+    fields = dict(fields)
+    if "word_cap" in fields:
+        monkeypatch.setattr(cl.cylinders, "WORD_CAP", fields.pop("word_cap"))
     config = tmp_path / "sys.json"
     config.write_text(json.dumps(make_config()))
     raw = dict(vars(_plan_a(tmp_path, config)), **fields)
@@ -434,6 +453,8 @@ _MALFORMED_PLANS = {
                             "plan.queries[1].words"),
     "query_word_unknown_edge": ("queries", [{"words": ["e1.e9"]}],
                                 "plan.queries[0].words"),
+    "query_word_empty_edge_id": ("queries", [{"words": ["e1..e2"]}],
+                                 "plan.queries[0].words: empty edge id"),
 }
 
 
@@ -449,6 +470,21 @@ def test_malformed_plan_exits_2_at_validate_naming_the_field(case, tmp_path,
     manifest = json.loads((tmp_path / "out" / "MANIFEST.json").read_text())
     assert manifest["failure"]["stage"] == "validate"
     assert manifest["failure"]["error"] == "ConfigError"
+
+
+def test_word_cap_field_and_output_dir_flag_exit_2(tmp_path, config_a,
+                                                  capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(dict(vars(_plan_a(tmp_path, config_a)),
+                                         word_cap=8)))
+    assert main(["run", "--plan", str(plan_path)]) == 2
+    assert "unknown fields in plan: ['word_cap']" in capsys.readouterr().err
+    plan_path.write_text(json.dumps(vars(_plan_a(tmp_path, config_a))))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--plan", str(plan_path),
+              "--output-dir", str(tmp_path / "elsewhere")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "elsewhere").exists()
 
 
 @pytest.mark.parametrize("plan", [[1], 5, "plan"])

@@ -5,6 +5,8 @@ import pytest
 
 import cmslab as cl
 
+from conftest import sys_a_config
+
 
 def random_past(sys_, rng, depth):
     """Admissible past word of the given edge count, built backwards."""
@@ -128,6 +130,40 @@ def test_shift_equivariance(sys_a, sys_c):
             residual = float(np.linalg.norm(
                 extended.point - e.map.apply(res.point)))
             assert residual <= a * res.error_bound + extended.error_bound
+
+
+def far_box_config() -> dict:
+    """Sys A's two halving maps on the box [1e5, 1e5 + 1], where one
+    rounding unit of a point (1.46e-11) exceeds 1e-12 * max(1, d)."""
+    cfg = sys_a_config()
+    cfg["vertices"][0].update(lower=[1e5], upper=[1e5 + 1.0], base_point=[1e5])
+    cfg["edges"][0]["offset"] = [50000.000001]
+    cfg["edges"][1]["offset"] = [50000.5]
+    return cfg
+
+
+def test_cauchy_check_allows_rounding_far_from_the_origin():
+    far = cl.validate_system(far_box_config())
+    res = cl.coding_point(far, ("e2",) * 60)
+    assert res.point[0] == pytest.approx(1e5 + 1.0, abs=1e-9)
+    assert len(res.orbit) == res.depth == 60
+
+
+@pytest.mark.parametrize("make_config, shift", [(sys_a_config, 1e-9),
+                                                (far_box_config, 1e-6)])
+def test_cauchy_check_catches_a_perturbed_orbit(make_config, shift,
+                                                monkeypatch):
+    system = cl.validate_system(make_config())
+    exact = cl.coding.backward_orbit
+
+    def perturbed(sys_, past):
+        orbit = exact(sys_, past)
+        orbit[30] = orbit[30] + shift
+        return orbit
+
+    monkeypatch.setattr(cl.coding, "backward_orbit", perturbed)
+    with pytest.raises(AssertionError, match="Cauchy inequality violated"):
+        cl.coding_point(system, ("e2",) * 60)
 
 
 def test_inadmissible_word_rejected(sys_c):

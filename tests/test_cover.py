@@ -111,9 +111,10 @@ def test_deep_one_word_query_searches_its_own_window(sys_a):
 
 
 def test_window_past_word_cap_raises_depth_overflow(sys_a, monkeypatch):
-    monkeypatch.setattr(cl.cover, "DEFAULT_WORD_CAP", 4)
+    q = cl.full_cylinder_set(sys_a, 3)
+    monkeypatch.setattr(cl.cylinders, "WORD_CAP", 4)
     with pytest.raises(cl.DepthOverflow):
-        cl.phi_upper(sys_a, cl.full_cylinder_set(sys_a, 3), 0, 3)
+        cl.phi_upper(sys_a, q, 0, 3)
     cl.phi_upper(sys_a, cl.cylinder_set(sys_a, [("e1", "e2", "e1")]), 1, 3)
 
 
@@ -258,6 +259,24 @@ def test_certificate_round_trip_and_tamper(sys_a, tmp_path):
     for key, value in (("window", 5), ("nodes_explored", "abc")):
         garbled = dict(json.loads(json.dumps(data)), **{key: value})
         with pytest.raises(cl.CertificateInvalid, match="malformed"):
+            cl.verify_certificate_data(garbled)
+
+    # a fractional or quoted shift and a quoted cost are refused, not
+    # truncated or converted; an empty edge id is refused, not dropped
+    piece = data["pieces"][0]
+    for edit, reason in (
+            (lambda d: d["pieces"][0].update(shift=piece["shift"] - 0.5),
+             "expected an integer"),
+            (lambda d: d["pieces"][0].update(shift=str(piece["shift"])),
+             "expected an integer"),
+            (lambda d: d.update(cost=str(data["cost"])),
+             "expected finite numbers"),
+            (lambda d: d["pieces"][0].update(word=piece["word"] + "."),
+             "empty edge id"),
+            (lambda d: d["query"].update(words=["e1..e2"]), "empty edge id")):
+        garbled = json.loads(json.dumps(data))
+        edit(garbled)
+        with pytest.raises(cl.CertificateInvalid, match=f"malformed.*{reason}"):
             cl.verify_certificate_data(garbled)
 
 

@@ -262,9 +262,10 @@ def test_walk_follows_words_past_full_depth(sys_b, small_measures,
             == sorted(deep))
 
 
-def test_walk_respects_word_cap(sys_a):
+def test_walk_respects_word_cap(sys_a, monkeypatch):
+    monkeypatch.setattr(cl.cylinders, "WORD_CAP", 8)
     with pytest.raises(cl.DepthOverflow):
-        cl.walk_cylinders(sys_a, 4, cl.EXACT, cap=8)
+        cl.walk_cylinders(sys_a, 4, cl.EXACT)
     with pytest.raises(ValueError):
         cl.walk_cylinders(sys_a, 0, cl.EXACT)
 

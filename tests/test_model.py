@@ -140,6 +140,17 @@ _MALFORMED = {
         lambda c: c["edges"][0].update(id=""),
     "edges[1].id: expected a nonempty string without '.', got 'e.1'":
         lambda c: c["edges"][1].update(id="e.1"),
+    # JSON readers accept NaN and Infinity; a config refuses them
+    "edges[0].prob.alpha: expected finite numbers, got nan":
+        lambda c: c["edges"][0]["prob"].update(alpha=math.nan),
+    "edges[0].offset: expected finite numbers":
+        lambda c: c["edges"][0].update(offset=[math.nan]),
+    "edges[0].prob.beta: expected finite numbers":
+        lambda c: c["edges"][0]["prob"].update(beta=[math.nan]),
+    "vertices[0].upper: expected finite numbers":
+        lambda c: c["vertices"][0].update(upper=[math.inf]),
+    "edges[1].linear: expected finite numbers":
+        lambda c: c["edges"][1].update(linear=[math.nan]),
 }
 
 
@@ -233,16 +244,25 @@ def test_no_contraction_detected():
         cl.derive_constants(sys_, mu)
 
 
-def test_dini_divergence(sys_b, monkeypatch):
-    monkeypatch.setattr(model_mod, "DINI_MAX_TERMS", 10_000)
+def test_dini_divergence(sys_b):
     with pytest.raises(cl.DiniDivergence):
-        cl.modulus_geometric_sum(sys_b, ratio=1.0, scale=0.1, tail_tol=1e-12)
+        cl.modulus_geometric_sum(sys_b, ratio=1.0, scale=0.1)
 
 
 def test_modulus_sum_truncation_error_below_tolerance(sys_b):
     for tol in (1e-8, 1e-12):
-        got = cl.modulus_geometric_sum(sys_b, ratio=0.5, scale=1.0, tail_tol=tol)
+        got = cl.modulus_geometric_sum(sys_b, ratio=0.5, scale=1.0)
         assert abs(got - 2.0 / 3.0) < tol
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.1, 0.5, math.sqrt(0.5), 0.9])
+def test_modulus_sum_closed_form_matches_direct_series(sys_b, ratio):
+    # slope 1/3: scales from 3 on put leading terms at the cap
+    for scale in (0.0, 1e-3, 0.5, 1.0, 2.9, 3.0, 3.1, 7.0, 100.0, 1e6):
+        oracle = direct_modulus_series(slope=1.0 / 3.0, ratio=ratio,
+                                       scale=scale, n_terms=2000)
+        got = cl.modulus_geometric_sum(sys_b, ratio=ratio, scale=scale)
+        assert got == pytest.approx(oracle, rel=1e-15, abs=0.0), (ratio, scale)
 
 
 # --- closed-form box geometry -----------------------------------------------
