@@ -52,6 +52,7 @@ from .errors import (
     CertificateInvalid,
     CMSError,
     ConfigError,
+    ConsistencyRedFlag,
     DepthOverflow,
     DiniDivergence,
     EmptySupport,

@@ -42,6 +42,7 @@ from .errors import (
     CertificateInvalid,
     CMSError,
     ConfigError,
+    ConsistencyRedFlag,
     DepthOverflow,
     InadmissibleWord,
     ValidationError,
@@ -185,6 +186,8 @@ def _exit_code(exc: CMSError) -> int:
         return EXIT_VALIDATION
     if isinstance(exc, DepthOverflow):
         return EXIT_BUDGET
+    if isinstance(exc, ConsistencyRedFlag):
+        return EXIT_RED_FLAG
     return EXIT_ERROR
 
 
@@ -307,6 +310,9 @@ def _covers(ctx: _Context) -> None:
 def _consistency(ctx: _Context) -> None:
     ctx.save("bounds.json", lambda path: _json_dump(ctx.report.to_dict(), path))
     ctx.save("report.md", lambda path: _write_report(path, ctx))
+    failed = [qi for qi, *_, check in ctx.cover_rows if not check.passed]
+    if failed:
+        raise ConsistencyRedFlag(f"queries {failed}: lower bound above the cover cost")
 
 
 # the pipeline; each stage is named after its function, less the underscore
@@ -338,10 +344,6 @@ def run(plan: ExperimentPlan) -> int:
     ctx = _Context(plan, out, plan.seed)
     code = _run_stages(ctx, STAGES)
     _json_dump(ctx.manifest, out / "MANIFEST.json")
-    if code == EXIT_OK and not all(row[-1].passed for row in ctx.cover_rows):
-        print("consistency red flag: a lower bound exceeded a cover upper "
-              "bound", file=_sys.stderr)
-        return EXIT_RED_FLAG
     return code
 
 
@@ -384,7 +386,7 @@ def _write_report(path: Path, ctx: _Context) -> None:
 
 
 def verify_certificate(path: str) -> bool:
-    """Re-verify a certificate file; prints the verdict, returns pass/fail."""
+    """Re-verify a certificate file; prints nothing, returns True or raises."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:

@@ -27,9 +27,9 @@ from . import cylinders
 from .coding import parse_word
 from .cylinders import (CylinderSet, Word, cylinder_set, enumerate_words,
                         phi0_cyl)
-from .errors import CertificateInvalid, DepthOverflow
-from .model import (MarkovSystem, json_int, json_number, system_to_config,
-                    validate_system)
+from .errors import CertificateInvalid, ConfigError, DepthOverflow
+from .model import (MarkovSystem, json_int, json_list, json_number,
+                    system_to_config, validate_system)
 
 DEFAULT_BUDGET = 1_000_000
 COST_TOL = 1e-12
@@ -148,13 +148,17 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
 
 def verify_cover(sys: MarkovSystem, q: CylinderSet,
                  candidate: CoverCandidate) -> None:
-    """Re-check that every piece meets the query, disjointness, coverage and
-    cost; raises CertificateInvalid naming the first violated condition."""
+    """Re-check that every piece lies in the search window and meets the
+    query, disjointness, coverage and cost; raises CertificateInvalid."""
     if not candidate.pieces:
         raise CertificateInvalid("cover has no pieces")
+    lo, hi = candidate.window
     for shift, word in candidate.pieces:
         if shift > 0:
             raise CertificateInvalid(f"piece shift {shift} is positive")
+        if 1 + shift < lo or len(word) + shift > hi:
+            raise CertificateInvalid(f"piece ({shift}, {'.'.join(word)}) lies "
+                                     f"outside the window [{lo}, {hi}]")
         sys.require_admissible(word)
     spelled, index = _window(
         sys, q, max(-shift for shift, _ in candidate.pieces),
@@ -229,10 +233,13 @@ def verify_certificate_data(data: dict) -> None:
         q = cylinder_set(sys, [parse_word(w) for w in data["query"]["words"]])
         pieces = tuple((json_int(p["shift"]), parse_word(p["word"]))
                        for p in data["pieces"])
+        exhaustive = data.get("exhaustive", False)
+        if not isinstance(exhaustive, bool):
+            raise ConfigError(f"exhaustive: expected a boolean, got {exhaustive!r}")
+        lo, hi = json_list(data["window"], json_int)
         candidate = CoverCandidate(
             pieces=pieces, cost=json_number(data["cost"]),
-            exhaustive=bool(data.get("exhaustive", False)),
-            window=tuple(data.get("window", (0, q.depth))),
+            exhaustive=exhaustive, window=(lo, hi),
             nodes_explored=json_int(data.get("nodes_explored", 0), 0))
     except Exception as exc:
         raise CertificateInvalid(f"malformed certificate: {exc}") from exc

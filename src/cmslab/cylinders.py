@@ -274,20 +274,15 @@ def walked_to(sys: MarkovSystem, n: int, measure: Measure,
 class CylinderTable:
     """Per-word M, phi0, Z = M/phi0, log Z, and M standard errors at one depth."""
 
-    depth: int
     words: tuple[Word, ...]
     m_values: np.ndarray
     phi0_values: np.ndarray
     z_values: np.ndarray
     logz_values: np.ndarray
     stderrs: np.ndarray
-    mode: str
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def z_by_word(self) -> dict[Word, float]:
-        return {w: float(z) for w, z in zip(self.words, self.z_values)}
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -308,11 +303,11 @@ def build_table(sys: MarkovSystem, n: int, measure: Measure,
                 rows: dict[int, CylinderRows] | None = None) -> CylinderTable:
     """Depth-n cylinder table over every admissible word.
 
-    `rows` is a walk_cylinders result under the same measure; the
-    table reads depth n from it, and walks for itself when it has none.
-    Raises AbsoluteContinuityViolation when a word carries chain mass beyond
-    sampling noise but zero base measure, which signals that the support set
-    misses a vertex the chain visits.
+    `rows` is a walk_cylinders result under the same measure; the table
+    reads depth n from it, and walks for itself when it has none.  A word
+    of zero base measure whose chain mass is within sampling noise gets
+    Z = log Z = 0; beyond noise it raises AbsoluteContinuityViolation: the
+    support set misses a vertex the chain visits.
     """
     raw = walked_to(sys, n, measure, rows)[n]
     exact = isinstance(measure, str)
@@ -333,7 +328,6 @@ def build_table(sys: MarkovSystem, n: int, measure: Measure,
                     f"base measure; the support set is too small")
             z_list.append(0.0)
             logz_list.append(0.0)
-    z_vals, logz_vals = _read_only(z_list), _read_only(logz_list)
 
     total_m = math.fsum(m_vals)
     total_phi = math.fsum(phi_vals)
@@ -345,10 +339,9 @@ def build_table(sys: MarkovSystem, n: int, measure: Measure,
         raise AbsoluteContinuityViolation(
             f"depth-{n} base measures sum to {total_phi!r}, not 1")
 
-    return CylinderTable(depth=n, words=raw.words, m_values=m_vals,
-                         phi0_values=phi_vals, z_values=z_vals,
-                         logz_values=logz_vals, stderrs=errs,
-                         mode=EXACT if exact else "monte_carlo")
+    return CylinderTable(words=raw.words, m_values=m_vals, phi0_values=phi_vals,
+                         z_values=_read_only(z_list),
+                         logz_values=_read_only(logz_list), stderrs=errs)
 
 
 def m_of_cylinder_set(sys: MarkovSystem, q: CylinderSet, measure: Measure,

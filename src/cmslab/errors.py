@@ -59,3 +59,7 @@ class AbsoluteContinuityViolation(CMSError):
 
 class CertificateInvalid(CMSError):
     """A cover certificate failed re-verification."""
+
+
+class ConsistencyRedFlag(CMSError):
+    """A corollary lower bound exceeded a cover upper bound."""

@@ -148,6 +148,24 @@ def test_kstar_absolute_continuity_pass_through():
         cl.kstar_estimate(sys_, 1, 2, cl.EXACT)
 
 
+def test_kstar_reads_noise_level_mass_as_kl_does():
+    # one of 1,000 samples sits at vertex 2, outside the support set: its
+    # words carry mass within sampling noise on zero base measure, which
+    # build_table accepts with log Z = 0, so K* adds 0 for them as K_n does
+    cfg = sys_c_config()
+    cfg["support_set"] = [1]
+    sys_ = cl.validate_system(cfg)
+    mu = cl.EmpiricalMeasure(vertices=[1] * 999 + [2],
+                             points=[[0.0]] * 999 + [[2.0]],
+                             weights=[1.0 / 1000] * 1000)
+    for depth in (1, 2):
+        k_n = cl.kl_n(cl.build_table(sys_, depth, mu))
+        assert cl.kstar_estimate(sys_, 0, depth, mu) == k_n  # bitwise
+        k_1 = cl.kstar_estimate(sys_, 1, depth, mu)
+        assert all(map(math.isfinite, k_1))
+        assert k_1[0] >= k_n[0]  # a larger window never lowers K*
+
+
 # --- diagnostics ------------------------------------------------------------
 
 def test_diagnostic_row_sys_a(sys_a, constants_a):

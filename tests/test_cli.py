@@ -308,7 +308,7 @@ def test_run_monte_carlo_sys_b(tmp_path, config_b):
     assert k1[1] >= 0.0
 
 
-def test_run_red_flag_exit_code(tmp_path, config_a, monkeypatch):
+def test_run_red_flag_exit_code(tmp_path, config_a, monkeypatch, capsys):
     # force a failing sandwich to exercise the red-flag exit path
     def always_fail(lower, upper):
         return cl.ConsistencyResult(passed=False, lower=lower[0],
@@ -318,6 +318,15 @@ def test_run_red_flag_exit_code(tmp_path, config_a, monkeypatch):
     monkeypatch.setattr(cli_mod.cover_mod, "consistency_check", always_fail)
     plan = _plan_a(tmp_path, config_a)
     assert run(plan) == 4
+    assert ("error at stage consistency: queries [0, 1]: lower bound above "
+            "the cover cost") in capsys.readouterr().err
+    out = tmp_path / "out"
+    manifest = json.loads((out / "MANIFEST.json").read_text())
+    assert manifest["stages"]["consistency"] == "failed"
+    assert manifest["failure"]["stage"] == "consistency"
+    assert manifest["failure"]["error"] == "ConsistencyRedFlag"
+    assert (out / "bounds.json").exists() and (out / "report.md").exists()
+    assert {"bounds.json", "report.md"} <= set(manifest["artifacts"])
 
 
 def test_run_kstar_over_word_cap_fails_at_bounds(tmp_path, config_a,

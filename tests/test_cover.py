@@ -241,22 +241,31 @@ def test_certificate_round_trip_and_tamper(sys_a, tmp_path):
     data = cl.certificate_dict(sys_a, q, candidate)
     cl.verify_certificate_data(json.loads(json.dumps(data)))
 
-    tampered = json.loads(json.dumps(data))
-    tampered["cost"] = tampered["cost"] * 0.5
-    with pytest.raises(cl.CertificateInvalid, match="cost mismatch"):
-        cl.verify_certificate_data(tampered)
-
-    overlapping = json.loads(json.dumps(data))
-    overlapping["pieces"] = overlapping["pieces"] * 2
-    with pytest.raises(cl.CertificateInvalid, match="disjointness"):
-        cl.verify_certificate_data(overlapping)
+    for edit, reason in (
+            (lambda d: d.update(cost=d["cost"] * 0.5), "cost mismatch"),
+            (lambda d: d.update(pieces=d["pieces"] * 2), "disjointness"),
+            (lambda d: d.update(pieces=[]), "cover has no pieces"),
+            (lambda d: d["pieces"][0].update(shift=1), "piece shift 1 is positive"),
+            # the search window must hold every piece
+            (lambda d: d.update(window=[0, 0]),
+             r"piece \(0, e1.e2\) lies outside the window \[0, 0\]"),
+            (lambda d: d.update(window=[2, 2]), "outside the window"),
+            (lambda d: (d.update(window=[1, 2]), d["pieces"][0].update(shift=-1)),
+             r"piece \(-1, e1.e2\) lies outside the window \[1, 2\]"),
+            (lambda d: d.pop("window"), "malformed certificate: 'window'")):
+        tampered = json.loads(json.dumps(data))
+        edit(tampered)
+        with pytest.raises(cl.CertificateInvalid, match=reason):
+            cl.verify_certificate_data(tampered)
 
     garbled = json.loads(json.dumps(data))
     del garbled["system"]
     with pytest.raises(cl.CertificateInvalid, match="malformed"):
         cl.verify_certificate_data(garbled)
 
-    for key, value in (("window", 5), ("nodes_explored", "abc")):
+    for key, value in (("window", 5), ("window", "zz"), ("window", [1, 2, 3]),
+                       ("window", [0, "1"]), ("exhaustive", "false"),
+                       ("exhaustive", 1), ("nodes_explored", "abc")):
         garbled = dict(json.loads(json.dumps(data)), **{key: value})
         with pytest.raises(cl.CertificateInvalid, match="malformed"):
             cl.verify_certificate_data(garbled)

@@ -122,6 +122,26 @@ def test_constant_family_with_gradient_rejected():
         cl.validate_system(cfg)
 
 
+# each structural violation of a well-formed sys A, keyed by its message
+_VIOLATIONS = {
+    "vertex indices must be 1..1, got [2]":
+        lambda c: c["vertices"][0].update(index=2),
+    "vertex 1: empty region":
+        lambda c: c["vertices"][0].update(lower=[1.0], upper=[0.0]),
+    "support set names unknown vertex 3": lambda c: c.update(support_set=[1, 3]),
+    "edge ids are not unique": lambda c: c["edges"][1].update(id="e1"),
+    "edge e1: unknown endpoint": lambda c: c["edges"][0].update(target=5),
+}
+
+
+@pytest.mark.parametrize("message", list(_VIOLATIONS))
+def test_structural_violation_raises_validation_error(message):
+    cfg = sys_a_config()
+    _VIOLATIONS[message](cfg)
+    with pytest.raises(cl.ValidationError, match=re.escape(message)):
+        cl.validate_system(cfg)
+
+
 # each corruption of sys A, keyed by the text its ConfigError must contain:
 # the field path, and for a second corruption of one field also the reason
 _MALFORMED = {
@@ -151,6 +171,12 @@ _MALFORMED = {
         lambda c: c["vertices"][0].update(upper=[math.inf]),
     "edges[1].linear: expected finite numbers":
         lambda c: c["edges"][1].update(linear=[math.nan]),
+    "vertices[0].lower: expected array of shape (1,), got (2,)":
+        lambda c: c["vertices"][0].update(lower=[0.0, 0.0]),
+    "edges[0].linear: linear part needs 1 entries":
+        lambda c: c["edges"][0].update(linear=[0.5, 0.0]),
+    "edges[0].prob: unknown probability family 'beta'":
+        lambda c: c["edges"][0]["prob"].update(family="beta"),
 }
 
 

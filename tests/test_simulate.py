@@ -73,6 +73,9 @@ def test_estimate_invariant_deterministic(sys_b):
 
 def test_samples_stay_in_regions(sys_c, mu_c):
     mu_c.validate_supports(sys_c)
+    outside = cl.EmpiricalMeasure(vertices=[1], points=[[2.0]], weights=[1.0])
+    with pytest.raises(cl.ValidationError, match="outside region of vertex 1"):
+        outside.validate_supports(sys_c)
 
 
 def _walk(sys_, n_steps: int, seed: int) -> list[str]:
@@ -121,6 +124,8 @@ def test_measure_weight_validation():
                             weights=[0.5, 0.6])
     with pytest.raises(cl.ValidationError):
         cl.EmpiricalMeasure(vertices=[1], points=[[0.0]], weights=[-1.0])
+    with pytest.raises(cl.ValidationError, match="mismatched lengths"):
+        cl.EmpiricalMeasure(vertices=[1, 1], points=[[0.0]], weights=[0.5, 0.5])
 
 
 def test_measure_csv_round_trip(tmp_path, mu_c):
