@@ -39,7 +39,7 @@ print("corollary factor:                ", f"{report.corollary_factor:.6f}",
 # sandwich a single cylinder: corollary lower bound vs cover upper bound
 q = cl.cylinder_set(system, [("e1",)])
 m_q = cl.m_of_cylinder_set(system, q, mu)
-lower = cl.corollary_lower_bound(report, q, m_q)
+lower = cl.corollary_lower_bound(report, m_q)
 cost, candidate = cl.phi_upper(system, q, max_shift=2, max_depth=3)
 check = cl.consistency_check(lower, cost)
 print(f"\nquery: the cylinder of e1, chain mass {m_q[0]:.5f}")

@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, field
 
 from .cylinders import (
     CylinderRows,
-    CylinderSet,
     CylinderTable,
     Measure,
     build_table,
@@ -78,10 +77,10 @@ def evaluate_bounds(sys: MarkovSystem, constants: ConstantSet) -> BoundReport:
         corollary_factor=math.exp(-inv_delta * constants.dini_sum_full) / s)
 
 
-def corollary_lower_bound(report: BoundReport, q: CylinderSet,
+def corollary_lower_bound(report: BoundReport,
                           m_of_q: tuple[float, float]) -> tuple[float, float]:
-    """Lower bound on the shifted-cover outer measure of q: M(q) times the
-    corollary factor, with propagated standard error."""
+    """Lower bound on the shifted-cover outer measure of a query set Q from
+    M(Q): M(Q) times the corollary factor, with propagated standard error."""
     value, stderr = m_of_q
     return value * report.corollary_factor, stderr * report.corollary_factor
 

@@ -293,9 +293,10 @@ def _bounds(ctx: _Context) -> None:
 def _covers(ctx: _Context) -> None:
     plan, system, report = ctx.plan, ctx.system, ctx.report
     for qi, (raw, q) in enumerate(zip(plan.queries, ctx.queries)):
-        q = q or full_cylinder_set(system, raw["whole_space_depth"])
+        # _tables walked every word of a whole-space query's depth
+        q = q or CylinderSet(words=ctx.rows[raw["whole_space_depth"]].words)
         m_q = m_of_cylinder_set(system, q, ctx.measure, rows=ctx.rows)
-        lower = bounds_mod.corollary_lower_bound(report, q, m_q)
+        lower = bounds_mod.corollary_lower_bound(report, m_q)
         cost, candidate = cover_mod.phi_upper(
             system, q, plan.cover_window, plan.cover_depth,
             budget=plan.cover_budget)

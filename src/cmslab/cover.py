@@ -2,7 +2,8 @@
 
 A cover piece is a pair (shift m <= 0, word u); it stands for the set of
 sequences that spell u on coordinates 1+m .. len(u)+m, and it is charged the
-base measure of the unshifted cylinder of u.  The outer measure of a query
+base measure of the unshifted cylinder of u, read from a walk_cylinders walk
+of the base measure along the words charged.  The outer measure of a query
 set is the infimum of total charge over families of pairwise disjoint pieces
 whose union contains the query; the search minimizes over pieces with shifts
 down to -max_shift and words up to max_depth long, which realizes every
@@ -13,20 +14,20 @@ words, the admissible words on the common coordinate window that spell a
 query word: every piece must meet the query, each is expanded to the window
 words that spell it, and the sets are compared exactly.  Inadmissible
 sequences need no paying cover (they lie in zero-measure cylinders), and
-pieces that meet the query overlap only if they overlap on it.
+pieces that meet the query overlap only if they overlap on it.  The window
+words are joined from the words of one base walk; verify_cover builds its
+own window and charges from its own walks, independent of the search.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 from . import cylinders
 from .coding import parse_word
-from .cylinders import (CylinderSet, Word, cylinder_set, enumerate_words,
-                        phi0_cyl)
+from .cylinders import CylinderSet, Word, cylinder_set, walk_cylinders
 from .errors import CertificateInvalid, ConfigError, DepthOverflow
 from .model import (MarkovSystem, json_int, json_list, json_number,
                     system_to_config, validate_system)
@@ -49,15 +50,16 @@ class CoverCandidate:
 def _window(sys: MarkovSystem, q: CylinderSet, max_shift: int, hi: int,
             max_len: int) -> tuple[dict[Word, list], dict[tuple[int, Word], int]]:
     """The admissible words on coordinates 1-max_shift..hi that spell a query
-    word on 1..q.depth, in enumerate_words order, each with the pieces
+    word on 1..q.depth, in the base walk's order, each with the pieces
     (shift, word) with len(word) <= max_len that it spells; and per piece,
     the bitmask of the window words that spell it (bit i: the i-th word)."""
     # Two pieces that meet the query intersect if and only if they intersect
     # on the query: each starts at or before coordinate 1, so past the end of
     # the one that ends later, a sequence in both can continue as a query
     # sequence of that piece.
-    past = enumerate_words(sys, max_shift + 1)  # overlap w by its first edge
-    future = enumerate_words(sys, hi - q.depth + 1)  # and by its last edge
+    base = walk_cylinders(sys, max(max_shift, hi - q.depth) + 1, None)
+    past = base[max_shift + 1].words  # overlap w by its first edge
+    future = base[hi - q.depth + 1].words  # and by its last edge
     joined = (u[:-1] + w + v[1:] for w in q.words
               for u in past if u[-1] == w[0] for v in future if v[0] == w[-1])
     cap = cylinders.WORD_CAP
@@ -77,6 +79,13 @@ def _window(sys: MarkovSystem, q: CylinderSet, max_shift: int, hi: int,
     return spelled, index
 
 
+def _charges(sys: MarkovSystem, words: set[Word]) -> dict[Word, float]:
+    """The base measure phi0 of each word and of its prefixes, from one
+    base walk along the words."""
+    return {w: phi for rows in walk_cylinders(sys, 0, None, along=words).values()
+            for w, phi in zip(rows.words, rows.phi0_values.tolist())}
+
+
 def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
               max_depth: int, budget: int = DEFAULT_BUDGET
               ) -> tuple[float, CoverCandidate]:
@@ -93,13 +102,13 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
     lo, hi = 1 - max_shift, max(q.depth, max_depth)
     spelled, index = _window(sys, q, max_shift, hi, max_depth)
     target = (1 << len(spelled)) - 1
-    # a piece's charge does not depend on its shift: one per word, on first
-    # use, so a word no piece of the pool uses is never charged
-    charge_of = functools.cache(lambda word: phi0_cyl(sys, word))
+    # a piece's charge does not depend on its shift: one per word, so a word
+    # no piece of the pool uses is never charged
+    charge_of = _charges(sys, {*(word for _, word in index), *q.words})
 
     # candidate pool: the pieces that meet the query; an optimal cover never
     # needs a piece that misses it
-    pool = sorted(((charge_of(word), shift, word, mask)
+    pool = sorted(((charge_of[word], shift, word, mask)
                    for (shift, word), mask in index.items()),
                   key=lambda p: (p[0], -p[1], p[2]))
     rank = {(shift, word): i for i, (_, shift, word, _) in enumerate(pool)}
@@ -107,7 +116,7 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
               for pieces in spelled.values()]
 
     best_pieces = tuple((0, w) for w in q.words)  # the trivial cover
-    best_cost = math.fsum(charge_of(w) for w in q.words)
+    best_cost = math.fsum(charge_of[w] for w in q.words)
     nodes = 0
     exhausted = False
 
@@ -138,7 +147,7 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
 
     dfs(0, 0.0, [])
 
-    cost = math.fsum(charge_of(w) for _, w in best_pieces)
+    cost = math.fsum(charge_of[w] for _, w in best_pieces)
     candidate = CoverCandidate(pieces=best_pieces, cost=cost,
                                exhaustive=not exhausted,
                                window=(lo, hi), nodes_explored=nodes)
@@ -182,7 +191,8 @@ def verify_cover(sys: MarkovSystem, q: CylinderSet,
             f"coverage: query word window "
             f"{'.'.join(list(spelled)[missing.bit_length() - 1])} is not covered")
 
-    cost = math.fsum(phi0_cyl(sys, w) for _, w in candidate.pieces)
+    charge_of = _charges(sys, {w for _, w in candidate.pieces})
+    cost = math.fsum(charge_of[w] for _, w in candidate.pieces)
     if abs(cost - candidate.cost) > COST_TOL:
         raise CertificateInvalid(
             f"cost mismatch: recomputed {cost!r}, claimed {candidate.cost!r}")

@@ -6,9 +6,11 @@ chain mass M (stationary chain in exact mode, weighted average of chain
 probabilities over an empirical measure in Monte Carlo mode), the base
 measure phi0 (average of chain probabilities started at the support base
 points), and their ratio Z with its logarithm.  walk_cylinders computes
-M and phi0 for every word up to a depth in one pass over the word tree; it
-is the only place M is computed.  build_table checks one depth of its rows,
-and m_of_cylinder_set sums them over a cylinder union.
+M and phi0 for every word up to a depth in one pass over the word tree, or
+phi0 alone when it is given no chain measure; it is the only code that
+steps through words.  enumerate_words and phi0_cyl are reads of it,
+build_table checks one depth of its rows, and m_of_cylinder_set sums them
+over a cylinder union.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .model import MarkovSystem
 from .simulate import EmpiricalMeasure
 
 EXACT = "exact"
-Measure = Union[EmpiricalMeasure, str]
+Measure = Union[EmpiricalMeasure, str, None]  # None: no chain measure
 Word = tuple[str, ...]
 
 WORD_CAP = 10_000_000  # words per depth, read at call time
@@ -79,42 +81,19 @@ def count_words(sys: MarkovSystem, n: int) -> int:
     return sum(counts.values())
 
 
-def _require_within_cap(sys: MarkovSystem, n: int) -> None:
-    total = count_words(sys, n)
-    if total > WORD_CAP:
-        raise DepthOverflow(
-            f"{total} admissible words of depth {n} exceed the cap {WORD_CAP}")
-
-
 def enumerate_words(sys: MarkovSystem, n: int) -> list[Word]:
-    """All admissible length-n words, lexicographic by edge id sequence."""
-    if n < 1:
-        raise ValueError("depth must be >= 1")
-    _require_within_cap(sys, n)
-    out: list[Word] = []
-
-    def extend(prefix: list[str], vertex: int) -> None:
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for e in sys.out_edges(vertex):
-            prefix.append(e.id)
-            extend(prefix, e.target)
-            prefix.pop()
-
-    for v in sorted(v.index for v in sys.vertices):
-        extend([], v)
-    return out
+    """All admissible length-n words, in the walk's order."""
+    return list(walk_cylinders(sys, n, None)[n].words)
 
 
 # A chain state is a pair (probability, point): the probability that the
 # chain realizes the word read so far, and where that word leaves it.  Every
 # cylinder quantity is a fold of one one-edge step over a word; the step
 # multiplies by p_e at the current point and then moves the point by w_e,
-# except at a leaf, where nothing reads the point.  Three kinds of state; the
-# walk steps all three, phi0_cyl only the point state:
+# except at a leaf, where nothing reads the point.  Three kinds of state:
 #   samples     (array over the mu samples, (N, k) array)   Monte Carlo M
-#   stationary  (float, None)                                exact M
+#   stationary  (float, None)                                exact M, or 0.0
+#                                                            with no measure
 #   point       (float, (k,) array)                          phi0, from a base point
 
 def _samples_step(state, e, leaf: bool):
@@ -135,7 +114,10 @@ def _point_step(state, e, leaf: bool):
 
 def _mass_chain(sys: MarkovSystem, measure: Measure):
     """(step, root state of a start vertex, (M, stderr) of a final
-    probability) for the chain mass under `measure`."""
+    probability) for the chain mass under `measure`; with no measure the
+    mass is 0 on every word."""
+    if measure is None:
+        return _stationary_step, lambda v: (0.0, None), lambda value: (value, 0.0)
     if isinstance(measure, str):
         if measure != EXACT:
             raise ValueError(f"unknown measure mode {measure!r}")
@@ -150,14 +132,9 @@ def _mass_chain(sys: MarkovSystem, measure: Measure):
 def phi0_cyl(sys: MarkovSystem, word: Sequence[str]) -> float:
     """Base measure of a cylinder: the support-averaged chain probability
     from the base point of the word's start vertex."""
-    edges = sys.require_admissible(word)
-    start = edges[0].source
-    if start not in sys.support_set:
-        return 0.0
-    state, last = (1.0, sys.base_point(start)), len(edges) - 1
-    for i, e in enumerate(edges):
-        state = _point_step(state, e, i == last)
-    return state[0] / len(sys.support_set)
+    sys.require_admissible(word)
+    rows = walk_cylinders(sys, 0, None, along=[word])
+    return float(rows[len(word)].phi0_values[0])
 
 
 def stationary_vertex_distribution(sys: MarkovSystem) -> np.ndarray:
@@ -186,8 +163,8 @@ def stationary_vertex_distribution(sys: MarkovSystem) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CylinderRows:
     """Unchecked M, M standard error and phi0 of every word at one depth,
-    in enumerate_words order, or only of the words a walk followed past its
-    full depth (complete is False)."""
+    in the walk's order, or only of the words a walk followed past its full
+    depth (complete is False)."""
 
     words: tuple[Word, ...]
     m_values: np.ndarray
@@ -206,19 +183,21 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
                    along: Iterable[Sequence[str]] = ()) -> dict[int, CylinderRows]:
     """Rows of every depth 1..n_max from one depth-first walk of the word tree.
 
-    Past n_max (which may be 0) the walk follows only the prefixes of the
-    `along` words, so a deep word costs one step per edge; those rows are
-    not complete.  Each child node extends its parent's chain states by one
+    Words come by start vertex, then lexicographic by edge ids.  Past n_max
+    (which may be 0) the walk follows only the prefixes of the `along`
+    words, so a deep word costs one step per edge; those rows are not
+    complete.  Each child node extends its parent's chain states by one
     edge, so every word costs one step, and exact mode solves the stationary
-    law once.  The walk holds one state per level of the current path.  Per
-    word the floating-point operations of phi0 are those of phi0_cyl.  The
-    rows are unchecked; build_table checks them.
+    law once.  The walk holds one state per level of the current path.
+    With measure None it walks phi0 alone and its M and stderr rows are 0.
+    The rows are unchecked; build_table checks them.
     """
     along = [tuple(w) for w in along]
     if n_max < (0 if along else 1):
         raise ValueError("depth must be >= 1, or >= 0 with words to follow")
-    if n_max:
-        _require_within_cap(sys, n_max)
+    if n_max and (total := count_words(sys, n_max)) > WORD_CAP:
+        raise DepthOverflow(
+            f"{total} admissible words of depth {n_max} exceed the cap {WORD_CAP}")
     # prefixes of the followed words past n_max, and those the walk extends
     follow = {w[:i] for w in along for i in range(n_max + 1, len(w) + 1)}
     extend = {w[:i] for w in along for i in range(n_max, len(w))}
@@ -305,12 +284,12 @@ def build_table(sys: MarkovSystem, n: int, measure: Measure,
 
     `rows` is a walk_cylinders result under the same measure; the table
     reads depth n from it, and walks for itself when it has none.  A word
-    of zero base measure whose chain mass is within sampling noise gets
-    Z = log Z = 0; beyond noise it raises AbsoluteContinuityViolation: the
-    support set misses a vertex the chain visits.
+    of zero base measure whose chain mass is within sampling noise (three
+    standard errors; exact rows have none) gets Z = log Z = 0; beyond noise
+    it raises AbsoluteContinuityViolation: the support set misses a vertex
+    the chain visits.
     """
     raw = walked_to(sys, n, measure, rows)[n]
-    exact = isinstance(measure, str)
     m_vals, phi_vals, errs = raw.m_values, raw.phi0_values, raw.stderrs
 
     z_list, logz_list = [], []
@@ -320,18 +299,17 @@ def build_table(sys: MarkovSystem, n: int, measure: Measure,
             z = m / phi
             z_list.append(z)
             logz_list.append(math.log(z) if z > 0.0 else -math.inf)
+        elif m > 3.0 * err:
+            raise AbsoluteContinuityViolation(
+                f"word {'.'.join(w)} has chain mass {m:.3e} but zero "
+                f"base measure; the support set is too small")
         else:
-            tol = 0.0 if exact else 3.0 * err
-            if m > tol:
-                raise AbsoluteContinuityViolation(
-                    f"word {'.'.join(w)} has chain mass {m:.3e} but zero "
-                    f"base measure; the support set is too small")
             z_list.append(0.0)
             logz_list.append(0.0)
 
     total_m = math.fsum(m_vals)
     total_phi = math.fsum(phi_vals)
-    m_tol = 1e-12 if exact else 3.0 * math.sqrt(float(np.sum(errs ** 2))) + 1e-12
+    m_tol = 3.0 * math.sqrt(float(np.sum(errs ** 2))) + 1e-12
     if abs(total_m - 1.0) > m_tol:
         raise AbsoluteContinuityViolation(
             f"depth-{n} chain masses sum to {total_m!r}, not 1")

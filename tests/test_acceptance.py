@@ -122,7 +122,7 @@ def test_criterion_5_corollary_sandwich(sys_a, sys_b, sys_c, mu_b,
                 for word in cl.enumerate_words(sys_, depth):
                     q = cl.CylinderSet(words=(word,))
                     m_q = cl.m_of_cylinder_set(sys_, q, measure)
-                    lower = cl.corollary_lower_bound(report, q, m_q)
+                    lower = cl.corollary_lower_bound(report, m_q)
                     cost, _ = cl.phi_upper(sys_, q, 1, depth)
                     assert cl.consistency_check(lower, cost).passed
 
@@ -130,7 +130,7 @@ def test_criterion_5_corollary_sandwich(sys_a, sys_b, sys_c, mu_b,
         report = cl.evaluate_bounds(sys_a, constants_a)
         q = cl.full_cylinder_set(sys_a, 3)
         m_q = cl.m_of_cylinder_set(sys_a, q, cl.EXACT)
-        lower = cl.corollary_lower_bound(report, q, m_q)
+        lower = cl.corollary_lower_bound(report, m_q)
         cost, _ = cl.phi_upper(sys_a, q, 2, 3)
         assert lower[0] == 1.0
         assert cost == 1.0

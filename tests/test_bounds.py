@@ -73,7 +73,7 @@ def test_corollary_whole_space_sys_a(sys_a, constants_a):
     report = cl.evaluate_bounds(sys_a, constants_a)
     q = cl.full_cylinder_set(sys_a, 2)
     m_q = cl.m_of_cylinder_set(sys_a, q, cl.EXACT)
-    lower, stderr = cl.corollary_lower_bound(report, q, m_q)
+    lower, stderr = cl.corollary_lower_bound(report, m_q)
     assert lower == 1.0
     assert stderr == 0.0
 
@@ -82,15 +82,14 @@ def test_corollary_single_cylinder_sys_b(sys_b, mu_b, constants_b):
     report = cl.evaluate_bounds(sys_b, constants_b)
     q = cl.cylinder_set(sys_b, [("e1",)])
     m_q = cl.m_of_cylinder_set(sys_b, q, mu_b)
-    lower, stderr = cl.corollary_lower_bound(report, q, m_q)
+    lower, stderr = cl.corollary_lower_bound(report, m_q)
     assert lower == pytest.approx(m_q[0] * math.exp(-2.0), rel=1e-9)
     assert stderr == pytest.approx(m_q[1] * math.exp(-2.0), rel=1e-9)
 
 
 def test_corollary_zero_mass(sys_c, constants_c):
     report = cl.evaluate_bounds(sys_c, constants_c)
-    q = cl.cylinder_set(sys_c, [("c11",)])
-    lower, stderr = cl.corollary_lower_bound(report, q, (0.0, 0.0))
+    lower, stderr = cl.corollary_lower_bound(report, (0.0, 0.0))
     assert lower == 0.0 and stderr == 0.0
 
 

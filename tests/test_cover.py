@@ -130,39 +130,50 @@ def test_search_node_counts_are_pinned(sys_b, sys_c):
         assert (candidate.nodes_explored, candidate.exhaustive) == (nodes, True)
 
 
+def _charge_walks(monkeypatch) -> list[list]:
+    """Record the `along` words of every walk along words that cover makes:
+    its charge walks (the window's walks follow no words)."""
+    walks = []
+    original = cl.cover.walk_cylinders
+
+    def recording(sys_, n_max, measure, along=()):
+        along = [tuple(w) for w in along]
+        if along:
+            walks.append(along)
+        return original(sys_, n_max, measure, along=along)
+
+    monkeypatch.setattr(cl.cover, "walk_cylinders", recording)
+    return walks
+
+
 def test_phi_upper_charges_each_word_once(sys_c, monkeypatch):
     """Regression guard by counting: the pool, the trivial-cover seed and the
-    final cost share one charge per word, whatever the number of shifts;
-    verify_cover recomputes each piece's charge on its own."""
-    calls = []
-    original = cl.cover.phi0_cyl
-
-    def counting(sys_, word):
-        calls.append(word)
-        return original(sys_, word)
-
-    monkeypatch.setattr(cl.cover, "phi0_cyl", counting)
+    final cost read one base walk along distinct words, whatever the number
+    of shifts; verify_cover walks along the piece words on its own."""
+    walks = _charge_walks(monkeypatch)
     for q, max_shift, max_depth in (
             (cl.full_cylinder_set(sys_c, 2), 2, 3),
             (cl.cylinder_set(sys_c, [("c12", "c21", "c11", "c12")]), 1, 2)):
-        calls.clear()
+        walks.clear()
         _, candidate = cl.phi_upper(sys_c, q, max_shift, max_depth)
-        words = sum(cl.count_words(sys_c, n) for n in range(1, max_depth + 1))
-        assert len(calls) <= words + len(q.words) + len(candidate.pieces)
+        searched, verified = walks  # one per phi_upper, one per verify_cover
+        shallow = {w for n in range(1, max_depth + 1)
+                   for w in cl.enumerate_words(sys_c, n)}
+        assert len(searched) == len(set(searched))
+        assert set(searched) <= shallow | set(q.words)
+        assert sorted(verified) == sorted({w for _, w in candidate.pieces})
 
 
 def test_phi_upper_charges_only_words_of_pieces_that_meet_the_query(
         sys_a, monkeypatch):
     """With no shift, a one-word query at depth 2 meets only the pieces e1
     and e1.e2; no other word of depth <= 2 is charged."""
-    calls = []
-    original = cl.cover.phi0_cyl
-    monkeypatch.setattr(cl.cover, "phi0_cyl",
-                        lambda sys_, word: calls.append(word) or original(sys_, word))
+    walks = _charge_walks(monkeypatch)
     q = cl.cylinder_set(sys_a, [("e1", "e2")])
     _, candidate = cl.phi_upper(sys_a, q, 0, 2)
-    assert sorted(set(calls)) == [("e1",), ("e1", "e2")]
-    assert len(calls) == 2 + len(candidate.pieces)  # verify_cover recomputes
+    searched, verified = walks  # verify_cover recharges the pieces
+    assert sorted(searched) == [("e1",), ("e1", "e2")]
+    assert sorted(verified) == sorted({w for _, w in candidate.pieces})
 
 
 def test_monotone_in_search_space(sys_b):
@@ -295,7 +306,7 @@ def test_consistency_check_passes(sys_b, mu_b, constants_b):
     report = cl.evaluate_bounds(sys_b, constants_b)
     q = cl.cylinder_set(sys_b, [("e1",)])
     m_q = cl.m_of_cylinder_set(sys_b, q, mu_b)
-    lower = cl.corollary_lower_bound(report, q, m_q)
+    lower = cl.corollary_lower_bound(report, m_q)
     cost, _ = cl.phi_upper(sys_b, q, 1, 2)
     result = cl.consistency_check(lower, cost)
     assert result.passed

@@ -197,7 +197,7 @@ def test_walk_rows_match_per_word_oracle(name, mode, request, small_measures):
         assert rows[n].m_values.tolist() == [r[0] for r in oracle]
         assert rows[n].stderrs.tolist() == [r[1] for r in oracle]
         assert rows[n].phi0_values.tolist() == [r[2] for r in oracle]
-        # a one-word set reads its row; phi0_cyl shares the walk's step
+        # a one-word set reads its row; phi0_cyl reads a walk along the word
         assert [_m_one(sys_, w, measure, rows) for w in words] == [
             r[:2] for r in oracle]
         assert [cl.phi0_cyl(sys_, w) for w in words] == [r[2] for r in oracle]

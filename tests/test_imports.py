@@ -1,8 +1,10 @@
-"""No cmslab module imports a name it never uses (no linter is required)."""
+"""No cmslab module imports a name it never uses, and no module defines a
+private name that no module reads (no linter is required)."""
 
 from __future__ import annotations
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,8 @@ def _imported(tree: ast.Module) -> set[str]:
 
 
 def _used(tree: ast.Module) -> set[str]:
-    """Every name the module reads, names inside string annotations included."""
+    """Every name the module reads, names inside string annotations included;
+    a name only assigned to is not read."""
     annotations = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -32,7 +35,30 @@ def _used(tree: ast.Module) -> set[str]:
                for ann in annotations if ann is not None for n in ast.walk(ann)
                if isinstance(n, ast.Constant) and isinstance(n.value, str)]
     return {n.id for t in (tree, *strings) for n in ast.walk(t)
-            if isinstance(n, ast.Name)}
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _private(tree: ast.Module) -> set[str]:
+    """The module-level names starting with an underscore (dunders aside)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+@functools.cache
+def _read_in_package() -> frozenset[str]:
+    """Every name any cmslab module reads, as a name or as an attribute."""
+    read = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        read |= _used(tree) | {n.attr for n in ast.walk(tree)
+                               if isinstance(n, ast.Attribute)}
+    return frozenset(read)
 
 
 # the package __init__ imports only to re-export
@@ -41,3 +67,9 @@ def _used(tree: ast.Module) -> set[str]:
 def test_module_uses_every_name_it_imports(path):
     tree = ast.parse((SRC / path).read_text())
     assert sorted(_imported(tree) - _used(tree)) == []
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_every_private_name_is_read(path):
+    tree = ast.parse((SRC / path).read_text())
+    assert sorted(_private(tree) - _read_in_package()) == []

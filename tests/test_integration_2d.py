@@ -101,7 +101,7 @@ def test_planar_cover_and_sandwich(planar, planar_mu):
     report = cl.evaluate_bounds(planar, cs)
     q = cl.cylinder_set(planar, [("spin", "flat")])
     m_q = cl.m_of_cylinder_set(planar, q, planar_mu)
-    lower = cl.corollary_lower_bound(report, q, m_q)
+    lower = cl.corollary_lower_bound(report, m_q)
     cost, candidate = cl.phi_upper(planar, q, 1, 2)
     assert candidate.exhaustive
     assert cl.consistency_check(lower, cost).passed

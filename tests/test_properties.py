@@ -1,0 +1,119 @@
+"""Identities of the word-tree walk and the cover search on random systems.
+
+The strategy builds valid systems by construction: 1-3 vertices in R^k,
+k in {1, 2}, square boxes of one side, a cycle through every vertex (so the
+vertex chain is irreducible) plus an optional second out-edge per vertex,
+constant or affine probabilities normalized by construction, and maps whose
+row and column sums of |A| stay below a contraction rate of at most 0.9.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cmslab as cl
+
+DEPTH = 4
+
+
+@st.composite
+def systems(draw):
+    """(config, affine) of a valid system; see the module docstring."""
+    k = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 3))
+    affine = draw(st.booleans())
+    side = draw(st.floats(1.0, 2.0))
+    rate = draw(st.floats(0.1, 0.9))
+
+    def vec(lo, hi):
+        return np.array([draw(st.floats(lo, hi)) for _ in range(k)])
+
+    vertices = []
+    for i in range(n):
+        lower = vec(-1.0, 1.0) + 5.0 * i  # boxes of side <= 2 never meet
+        vertices.append({"index": i + 1, "lower": lower.tolist(),
+                         "upper": (lower + side).tolist(),
+                         "base_point": (lower + side * vec(0.0, 1.0)).tolist()})
+
+    edges = []
+    for i, v in enumerate(vertices):
+        targets = [(i + 1) % n] + ([draw(st.integers(0, n - 1))]
+                                   if draw(st.booleans()) else [])
+        centre = np.array(v["lower"]) + side / 2.0
+        if len(targets) == 1:
+            probs = [(1.0, np.zeros(k))]
+        else:
+            alpha = draw(st.floats(0.2, 0.8))
+            # |beta . (x - centre)| <= 0.1 on the box when affine
+            beta = (0.2 / (k * side)) * vec(-1.0, 1.0) if affine else np.zeros(k)
+            first = alpha - float(beta @ centre)
+            probs = [(first, beta), (1.0 - first, -beta)]
+        for j, (t, (a, b)) in enumerate(zip(targets, probs)):
+            tgt = vertices[t]
+            # row and column sums of |A| <= rate: spectral norm <= rate, and
+            # the image half-width <= rate * side / 2
+            linear = np.array([vec(-rate / k, rate / k) for _ in range(k)])
+            slack = (1.0 - rate) * side / 4.0
+            goal = np.array(tgt["lower"]) + side / 2.0 + vec(-slack, slack)
+            prob = ({"family": "affine", "alpha": a, "beta": b.tolist()}
+                    if affine else {"family": "constant", "alpha": a})
+            edges.append({"id": f"v{i + 1}e{j}", "source": i + 1,
+                          "target": tgt["index"],
+                          "linear": linear.ravel().tolist(),
+                          "offset": (goal - linear @ centre).tolist(),
+                          "prob": prob})
+    support = draw(st.lists(st.integers(1, n), min_size=1, unique=True))
+    return {"dimension": k, "vertices": vertices, "edges": edges,
+            "support_set": support}, affine
+
+
+_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
+                     database=None)
+
+
+@_SETTINGS
+@given(systems())
+def test_walks_agree_on_random_systems(drawn):
+    """The base walk (no chain measure) and the M walk read the same words
+    and the same phi0 bit for bit; enumerate_words is the walk's word list;
+    phi0 sums to 1 at every depth."""
+    cfg, affine = drawn
+    sys_ = cl.validate_system(cfg)
+    assert sys_.contraction_rate <= 0.9
+    measure = (cl.estimate_invariant(sys_, 50, burn_in=5, seed=0) if affine
+               else cl.EXACT)
+    base = cl.walk_cylinders(sys_, DEPTH, None)
+    rows = cl.walk_cylinders(sys_, DEPTH, measure)
+    for n in range(1, DEPTH + 1):
+        assert base[n].words == rows[n].words
+        assert base[n].phi0_values.tolist() == rows[n].phi0_values.tolist()
+        assert not base[n].m_values.any() and not base[n].stderrs.any()
+        words = cl.enumerate_words(sys_, n)
+        assert words == list(rows[n].words)
+        assert len(set(words)) == len(words) == cl.count_words(sys_, n)
+        assert abs(math.fsum(base[n].phi0_values) - 1.0) <= 1e-12
+
+
+@_SETTINGS
+@given(systems(), st.data())
+def test_one_word_cover_on_random_systems(drawn, data):
+    """A one-word query costs at most its own cylinder's charge, phi0_cyl
+    reads the walk's row, and the certificate re-verifies from JSON."""
+    cfg, _ = drawn
+    sys_ = cl.validate_system(cfg)
+    depth = data.draw(st.integers(1, 3))
+    rows = cl.walk_cylinders(sys_, depth, None)[depth]
+    i = data.draw(st.integers(0, len(rows.words) - 1))
+    word = rows.words[i]
+    assert cl.phi0_cyl(sys_, word) == rows.phi0_values[i]
+    q = cl.cylinder_set(sys_, [word])
+    cost, candidate = cl.phi_upper(sys_, q, data.draw(st.integers(0, 2)),
+                                   data.draw(st.integers(1, 3)))
+    assert cost <= cl.phi0_cyl(sys_, word)
+    cert = cl.certificate_dict(sys_, q, candidate)
+    cl.verify_certificate_data(json.loads(json.dumps(cert)))
