@@ -19,8 +19,6 @@ from .coding import (
     CodingResult,
     backward_orbit,
     coding_point,
-    f_sum,
-    format_word,
     parse_word,
 )
 from .cover import (

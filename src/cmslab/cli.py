@@ -57,7 +57,7 @@ from .model import (
     system_to_config,
     validate_system,
 )
-from .simulate import EmpiricalMeasure, estimate_invariant
+from .simulate import DEFAULT_BURN_IN, EmpiricalMeasure, estimate_invariant
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -90,13 +90,13 @@ class ExperimentPlan:
     mode: str = "monte_carlo"
     seed: int = 0
     mc_samples: int = 100_000
-    burn_in: int = 1000
+    burn_in: int = DEFAULT_BURN_IN
     depths: list[int] = field(default_factory=lambda: [1, 2, 3, 4])
     kstar_windows: list[int] = field(default_factory=lambda: [0, 1, 2])
     kstar_depth: int = 3
     cover_window: int = 1
     cover_depth: int = 3
-    cover_budget: int = 1_000_000
+    cover_budget: int = cover_mod.DEFAULT_BUDGET
     queries: list[dict] = field(default_factory=list)
     output_dir: str = "out"
 
@@ -123,14 +123,15 @@ class ExperimentPlan:
         for i, query in enumerate(json_field(fields, "queries", "plan", json_list)):
             where = f"plan.queries[{i}]"
             json_object(query, {"words", "whole_space_depth"}, where)
+            if len(query) != 1:
+                raise ConfigError(f"{where} needs 'words' or "
+                                  f"'whole_space_depth', exactly one")
             if "words" in query:
                 queries.append(json_field(query, "words", where,
                                           lambda v: _query_set(system, v)))
-            elif "whole_space_depth" in query:
+            else:
                 json_field(query, "whole_space_depth", where, _at_least(1))
                 queries.append(None)
-            else:
-                raise ConfigError(f"{where} needs 'words' or 'whole_space_depth'")
         if self.mode not in ("exact", "monte_carlo"):
             raise ConfigError(f"plan.mode: unknown mode {self.mode!r}")
         if self.mode == "exact" and not system.all_constant_probabilities:
@@ -410,16 +411,22 @@ def _flag(minimum: int):
     return parse
 
 
+def _plan_default(name: str):
+    """The plan's default for field `name`, read by the flag that sets it."""
+    return getattr(ExperimentPlan(config_path=""), name)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="system config JSON")
 
 
 def _add_sampling(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=_flag(_PLAN_MINIMUMS["mc_samples"]),
-                   default=100_000)
+                   default=_plan_default("mc_samples"))
     p.add_argument("--burn-in", type=_flag(_PLAN_MINIMUMS["burn_in"]),
-                   default=1000)
-    p.add_argument("--seed", type=_flag(_PLAN_MINIMUMS["seed"]), default=0)
+                   default=_plan_default("burn_in"))
+    p.add_argument("--seed", type=_flag(_PLAN_MINIMUMS["seed"]),
+                   default=_plan_default("seed"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -445,32 +452,35 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sampling(p)
     p.add_argument("--depth", type=_flag(1), required=True)
     p.add_argument("--mode", choices=["exact", "monte_carlo"],
-                   default="monte_carlo")
+                   default=_plan_default("mode"))
     p.add_argument("--measure", help="measure CSV (monte_carlo mode)")
     p.add_argument("--out", required=True, help="table CSV path")
 
     p = sub.add_parser("bounds", help="constants, bound values, divergence series")
     _add_common(p)
     _add_sampling(p)
-    p.add_argument("--depths", type=_flag(1), nargs="+", default=[1, 2, 3, 4])
-    p.add_argument("--windows", type=_flag(0), nargs="+", default=[0, 1, 2])
+    p.add_argument("--depths", type=_flag(1), nargs="+",
+                   default=_plan_default("depths"))
+    p.add_argument("--windows", type=_flag(0), nargs="+",
+                   default=_plan_default("kstar_windows"))
     p.add_argument("--kstar-depth", type=_flag(_PLAN_MINIMUMS["kstar_depth"]),
-                   default=3)
+                   default=_plan_default("kstar_depth"))
     p.add_argument("--mode", choices=["exact", "monte_carlo"],
-                   default="monte_carlo")
+                   default=_plan_default("mode"))
     p.add_argument("--out", help="bounds JSON path")
 
     p = sub.add_parser("cover", help="search a disjoint shifted cover")
     _add_common(p)
-    p.add_argument("--query", help="comma-separated dotted words")
-    p.add_argument("--whole-space-depth", type=_flag(1),
-                   help="cover the full depth-n space instead")
+    kind = p.add_mutually_exclusive_group(required=True)
+    kind.add_argument("--query", help="comma-separated dotted words")
+    kind.add_argument("--whole-space-depth", type=_flag(1),
+                      help="cover the full depth-n space instead")
     p.add_argument("--window", type=_flag(_PLAN_MINIMUMS["cover_window"]),
-                   default=1)
+                   default=_plan_default("cover_window"))
     p.add_argument("--depth", type=_flag(_PLAN_MINIMUMS["cover_depth"]),
-                   default=3)
+                   default=_plan_default("cover_depth"))
     p.add_argument("--budget", type=_flag(_PLAN_MINIMUMS["cover_budget"]),
-                   default=cover_mod.DEFAULT_BUDGET)
+                   default=_plan_default("cover_budget"))
     p.add_argument("--out", required=True, help="certificate JSON path")
 
     p = sub.add_parser("verify-cert", help="re-verify a cover certificate")
@@ -541,13 +551,11 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "cover":
         system = validate_system(_load_config(args.config))
-        if args.query:
+        if args.query is not None:
             q = cylinder_set(system,
                              [parse_word(w) for w in args.query.split(",")])
-        elif args.whole_space_depth:
-            q = full_cylinder_set(system, args.whole_space_depth)
         else:
-            raise ConfigError("cover needs --query or --whole-space-depth")
+            q = full_cylinder_set(system, args.whole_space_depth)
         cost, candidate = cover_mod.phi_upper(system, q, args.window,
                                               args.depth, budget=args.budget)
         _json_dump(cover_mod.certificate_dict(system, q, candidate),

@@ -50,7 +50,12 @@ class EmpiricalMeasure:
         return len(self.weights)
 
     def validate_supports(self, sys: MarkovSystem) -> None:
-        """Check every sample point lies in its vertex region."""
+        """Check every sample point has the system's dimension and lies in
+        its vertex region."""
+        if self.points.shape[1] != sys.dimension:
+            raise ValidationError(
+                f"measure points have {self.points.shape[1]} coordinates but "
+                f"the system has dimension {sys.dimension}")
         known = {v.index for v in sys.vertices}
         for idx in np.unique(self.vertices):
             if int(idx) not in known:

@@ -1,8 +1,8 @@
 """Independent reference computations used to pin expected test values.
 
 Everything here is deliberately written without reusing the library's
-algorithms: direct series summation, eigenvector stationary laws, and a
-memoized exhaustive cover search.
+algorithms: direct series summation, eigenvector stationary laws, a
+memoized exhaustive cover search, and coding-map truncations folded afresh.
 """
 
 from __future__ import annotations
@@ -74,6 +74,20 @@ def brute_min_cover_cost(target: int, pieces: list[tuple[float, int]]) -> float:
         return best
 
     return solve(0, 0)
+
+
+def fold_backward_orbit(sys, past) -> list[np.ndarray]:
+    """Truncation points [X_m, ..., X_0] of a past word, each folded afresh:
+    X_j runs the maps of edges j..0 from the base point of source(e_j), which
+    is m(m+1)/2 map applications in all."""
+    edges = [sys.edge(i) for i in past]
+    orbit = []
+    for start in range(len(edges)):
+        x = sys.base_point(edges[start].source)
+        for e in edges[start:]:
+            x = e.map.apply(x)
+        orbit.append(x)
+    return orbit
 
 
 def chain_cyl_prob(sys, state, word) -> float:

@@ -15,6 +15,7 @@ from cmslab import cli as cli_mod
 from cmslab.cli import ExperimentPlan, main, run
 
 from conftest import sys_a_config, sys_b_config, sys_c_config
+from test_integration_2d import planar_config
 
 
 @pytest.fixture
@@ -156,6 +157,23 @@ def test_measure_csv_unknown_vertex_is_a_validation_error(config_a, tmp_path):
                  "--measure", str(path), "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("make_config, text", [
+    (sys_a_config, "vertex,x_1,x_2,weight\n1,0.5,0.5,1.0\n"),
+    (planar_config, "vertex,x_1,x_2,x_3,weight\n1,0.5,0.5,0.5,1.0\n")])
+def test_measure_csv_wrong_dimension_is_a_validation_error(make_config, text,
+                                                          tmp_path, capsys):
+    config = tmp_path / "sys.json"
+    config.write_text(json.dumps(make_config()))
+    path = tmp_path / "mu.csv"
+    path.write_text(text)
+    out = tmp_path / "t.csv"
+    assert main(["table", "--config", str(config), "--depth", "1",
+                 "--measure", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and "coordinates" in err
+    assert not out.exists()
+
+
 @pytest.fixture
 def walks(monkeypatch):
     """The depth of every walk_cylinders call, through either module."""
@@ -246,6 +264,18 @@ def test_cover_whole_space_flag(config_a, tmp_path):
     assert main(["cover", "--config", str(config_a), "--whole-space-depth",
                  "2", "--window", "1", "--depth", "2", "--out", str(cert)]) == 0
     assert json.loads(cert.read_text())["cost"] == 1.0
+
+
+@pytest.mark.parametrize("kinds", [[], ["--query", "e1.e2",
+                                        "--whole-space-depth", "2"]])
+def test_cover_needs_exactly_one_query_kind(kinds, config_a, tmp_path,
+                                            capsys):
+    cert = tmp_path / "cert.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["cover", "--config", str(config_a), *kinds, "--out", str(cert)])
+    assert exc.value.code == 2
+    assert "--whole-space-depth" in capsys.readouterr().err
+    assert not cert.exists()
 
 
 def test_run_writes_all_artifacts(tmp_path, config_a):
@@ -464,6 +494,10 @@ _MALFORMED_PLANS = {
                                 "plan.queries[0].words"),
     "query_word_empty_edge_id": ("queries", [{"words": ["e1..e2"]}],
                                  "plan.queries[0].words: empty edge id"),
+    "query_both_kinds": ("queries", [{"words": ["e1"],
+                                      "whole_space_depth": "x"}],
+                         "plan.queries[0] needs 'words' or "
+                         "'whole_space_depth', exactly one"),
 }
 
 

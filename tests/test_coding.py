@@ -48,6 +48,36 @@ def test_backward_orbit_sys_c_single_edge(sys_c):
     assert float(orbit[0][0]) == 2.0
 
 
+def test_backward_orbit_applies_each_map_once(sys_a, monkeypatch):
+    # one map application per edge; folding every suffix afresh would make
+    # 256 * 257 / 2 = 32,896
+    calls = []
+    apply = cl.AffineMap.apply
+
+    def counting(self, x):
+        calls.append(1)
+        return apply(self, x)
+
+    past = random_past(sys_a, np.random.default_rng(4), 256)
+    monkeypatch.setattr(cl.AffineMap, "apply", counting)
+    orbit = cl.backward_orbit(sys_a, past)
+    assert len(orbit) == 256
+    assert len(calls) <= 256
+
+
+@pytest.mark.parametrize("fixture", ["sys_a", "sys_b", "sys_c"])
+def test_deep_past_is_finite_and_certified(fixture, request):
+    # at a = 1/2 the product of linear parts goes subnormal near depth 1,022
+    sys_ = request.getfixturevalue(fixture)
+    past = random_past(sys_, np.random.default_rng(2000), 2000)
+    res = cl.coding_point(sys_, past)  # passes its Cauchy check
+    assert res.depth == len(res.orbit) == 2000
+    assert np.all(np.isfinite(res.point))
+    shallow = cl.coding_point(sys_, past[-64:])
+    assert float(np.linalg.norm(res.point - shallow.point)) <= \
+        shallow.error_bound
+
+
 def test_coding_point_converges_to_fixed_point(sys_a):
     result = cl.coding_point(sys_a, ("e2",) * 30)
     assert abs(float(result.point[0]) - 1.0) <= 2.0 ** -30
@@ -194,51 +224,8 @@ def test_coding_refused_without_uniform_contraction():
         cl.coding_point(sys_, ("shrink", "grow"))
 
 
-# --- oscillation sums -------------------------------------------------------
-
-def test_f_sum_zero_for_constant_probabilities(sys_a):
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        past = random_past(sys_a, rng, 10)
-        res = cl.coding_point(sys_a, past)
-        partial, tail = cl.f_sum(sys_a, ("e1", "e2", "e1"), res.point,
-                                 point_error=res.error_bound)
-        assert partial == 0.0
-        assert tail == 0.0
-
-
-def test_f_sum_bounded_by_full_modulus_series(sys_b, constants_b):
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        past = random_past(sys_b, rng, 40)
-        res = cl.coding_point(sys_b, past)
-        length = int(rng.integers(1, 8))
-        word = tuple("e1" if rng.random() < 0.5 else "e2"
-                     for _ in range(length))
-        partial, tail = cl.f_sum(sys_b, word, res.point,
-                                 point_error=res.error_bound)
-        assert partial + tail <= constants_b.dini_sum_full + 1e-9
-
-
-def test_f_sum_single_term(sys_b):
-    past = ("e2",) * 40
-    res = cl.coding_point(sys_b, past)
-    partial, _ = cl.f_sum(sys_b, ("e1",), res.point,
-                          point_error=res.error_bound)
-    e1 = sys_b.edge("e1")
-    x1 = sys_b.base_point(1)
-    expected = abs(e1.prob.value(res.point) - e1.prob.value(x1))
-    assert partial == expected
-
-
-def test_f_sum_rejects_foreign_point(sys_c):
-    res = cl.coding_point(sys_c, ("c12",))  # lands at vertex 2
-    with pytest.raises(cl.InadmissibleWord):
-        cl.f_sum(sys_c, ("c11",), res.point)  # c11 starts at vertex 1
-
-
 def test_word_parsing_round_trip():
     word = ("e1", "e2", "e1")
-    assert cl.parse_word(cl.format_word(word)) == word
+    assert cl.parse_word(".".join(word)) == word
     with pytest.raises(cl.InadmissibleWord):
         cl.parse_word("")

@@ -1,7 +1,9 @@
-"""The documented API: every cl.<name> that README.md and the demos use."""
+"""The documented API: every cl.<name> that README.md and the demos use, and
+every exported name earns its place."""
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -16,3 +18,31 @@ def test_every_documented_name_resolves_on_cmslab():
              for name in re.findall(r"\bcl\.([A-Za-z_]\w*)", path.read_text())}
     assert len(names) > 20
     assert sorted(n for n in names if not hasattr(cl, n)) == []
+
+
+def _exported_names() -> list[str]:
+    """Every name cmslab/__init__.py imports from its modules."""
+    tree = ast.parse((ROOT / "src" / "cmslab" / "__init__.py").read_text())
+    return [alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def _mentions(name: str, paths) -> int:
+    pattern = re.compile(rf"\b{re.escape(name)}\b")
+    return sum(len(pattern.findall(path.read_text())) for path in paths)
+
+
+def test_every_exported_name_earns_its_place():
+    """Each export is read in the package beyond its own definition, named in
+    README.md or a demo, or used by the benchmark."""
+    package = [p for p in (ROOT / "src" / "cmslab").glob("*.py")
+               if p.name != "__init__.py"]
+    documented = [ROOT / "README.md", *(ROOT / "demos").glob("*.py")]
+    bench = list((ROOT / "bench").glob("*.py"))
+    names = _exported_names()
+    assert len(names) > 50
+    idle = [name for name in names
+            if _mentions(name, package) <= 1
+            and not _mentions(name, documented)
+            and not _mentions(name, bench)]
+    assert idle == []

@@ -1,4 +1,5 @@
-"""Identities of the word-tree walk and the cover search on random systems.
+"""Identities of the word-tree walk, the cover search and the coding map on
+random systems.
 
 The strategy builds valid systems by construction: 1-3 vertices in R^k,
 k in {1, 2}, square boxes of one side, a cycle through every vertex (so the
@@ -17,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmslab as cl
+
+from oracles import fold_backward_orbit
 
 DEPTH = 4
 
@@ -117,3 +120,29 @@ def test_one_word_cover_on_random_systems(drawn, data):
     assert cost <= cl.phi0_cyl(sys_, word)
     cert = cl.certificate_dict(sys_, q, candidate)
     cl.verify_certificate_data(json.loads(json.dumps(cert)))
+
+
+@settings(_SETTINGS, max_examples=40)
+@given(systems(), st.data())
+def test_backward_orbit_matches_the_fold_on_random_systems(drawn, data):
+    """The telescoped orbit of a random admissible past of depth 1-64 lies
+    within rounding of every truncation folded afresh, and its coding point
+    passes the Cauchy check."""
+    cfg, _ = drawn
+    sys_ = cl.validate_system(cfg)
+    vertex = data.draw(st.sampled_from([v.index for v in sys_.vertices]))
+    past = []
+    for _ in range(data.draw(st.integers(1, 64))):
+        e = data.draw(st.sampled_from(
+            [e for e in sys_.edges if e.target == vertex]))
+        past.insert(0, e.id)
+        vertex = e.source
+    orbit = cl.backward_orbit(sys_, past)
+    reference = fold_backward_orbit(sys_, past)
+    scale = max(1.0, sys_.max_displacement,
+                float(np.max(np.abs(reference))))
+    assert len(orbit) == len(reference) == len(past)
+    for x, ref in zip(orbit, reference):
+        assert float(np.max(np.abs(x - ref))) <= 1e-12 * scale
+    res = cl.coding_point(sys_, past)  # passes its Cauchy check
+    assert all(np.array_equal(x, y) for x, y in zip(res.orbit, orbit))
