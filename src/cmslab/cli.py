@@ -4,10 +4,11 @@ Subcommands: validate, simulate, coding, table, bounds, cover, verify-cert,
 run.  `run` executes STAGES, validate -> simulate -> constants -> tables ->
 bounds -> covers -> consistency, and writes system.json, measure.csv,
 tables/depth_n.csv, bounds.json, covers/query_*.json, report.md and a
-MANIFEST.json recording the stages; `bounds` executes the first five.  Exit
-codes: 0 success, 1 any other cmslab error (an inadmissible flag word, an
-invalid certificate, ...), 2 invalid config or plan, 3 enumeration or runtime
-budget exceeded, 4 consistency red flag.
+MANIFEST.json recording the stages and each cover search's node count;
+`bounds` executes the first five.  Exit codes: 0 success (a cover search cut
+short by its budget included: its cover is still an upper bound), 1 any
+other cmslab error (an inadmissible flag word, an invalid certificate, ...),
+2 invalid config or plan, 3 word cap exceeded, 4 consistency red flag.
 
 The seed may be overridden with the CMSLAB_SEED environment variable.
 """
@@ -306,6 +307,10 @@ def _covers(ctx: _Context) -> None:
         ctx.save(f"covers/query_{qi}.json",
                  lambda path: _json_dump(cert, path))
         ctx.cover_rows.append((qi, q, m_q, lower, cost, candidate, check))
+        ctx.manifest.setdefault("covers", []).append({
+            "query": qi, "nodes_explored": candidate.nodes_explored,
+            "cover_budget": plan.cover_budget,
+            "exhaustive": candidate.exhaustive})
         report.pass_flags[f"consistency_query_{qi}"] = check.passed
 
 
@@ -562,7 +567,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                    Path(args.out))
         print(f"cost={_fmt(cost)} pieces={len(candidate.pieces)} "
               f"exhaustive={candidate.exhaustive}")
-        return EXIT_OK if candidate.exhaustive else EXIT_BUDGET
+        return EXIT_OK
 
     if args.command == "verify-cert":
         verify_certificate(args.certificate)

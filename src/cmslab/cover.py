@@ -9,6 +9,22 @@ whose union contains the query; the search minimizes over pieces with shifts
 down to -max_shift and words up to max_depth long, which realizes every
 finite cylinder cover in that range.
 
+The search is a depth-first branch and bound over the window words: it
+covers the lowest uncovered word next, trying the pieces that hold it from
+the cheapest up, and keeps the cheapest complete cover as its incumbent.  It
+cuts a node three ways.  (1) Incumbent: the node already costs at least the
+incumbent.  (2) Dominance memo: the subtree below a node depends only on the
+set of words it has covered, so a node that reaches a covered set at no less
+than the cheapest cost seen there cannot lead to a cheaper cover; the
+earlier visit searched that subtree under an incumbent at least as high.
+(3) Per-word bound: each window word b is given r_b, the least charge per
+word, charge / popcount(mask), over the pieces that hold b; a disjoint
+completion pays at least the sum of r_b over the words still uncovered, so a
+node whose cost plus that sum exceeds the incumbent by more than COST_TOL is
+cut.  The search counts each piece it tries as a node and stops at the
+budget, so the memo holds at most as many entries as there are nodes, and
+nodes at most the budget.
+
 Disjointness and coverage are verified symbolically on the query's window
 words, the admissible words on the common coordinate window that spell a
 query word: every piece must meet the query, each is expanded to the window
@@ -93,9 +109,12 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
 
     The trivial cover (the query words themselves, unshifted) seeds the
     incumbent, so the result never exceeds the plain cylinder charge.  The
-    search is exhaustive over the (max_shift, max_depth) piece family unless
-    the budget runs out, in which case the incumbent is returned with
-    exhaustive=False.
+    branch and bound cuts on the incumbent, on a memo of the cheapest cost
+    per covered set and on the per-word lower bound (module docstring).  It
+    is exhaustive over the (max_shift, max_depth) piece family unless it
+    tries `budget` pieces first; then the incumbent, still a verified cover,
+    is returned with exhaustive=False.  The memo holds at most
+    nodes_explored <= budget entries.
     """
     if max_shift < 0 or max_depth < 1:
         raise ValueError("max_shift must be >= 0 and max_depth >= 1")
@@ -115,15 +134,23 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
     by_bit = [sorted(rank[piece] for piece in pieces)
               for pieces in spelled.values()]
 
+    # the per-word bound (module docstring): least[b] is r_b, share[i] the
+    # sum of r_b over the words of pool piece i
+    least = [min(pool[i][0] / pool[i][3].bit_count() for i in pieces)
+             for pieces in by_bit]
+    share = [0.0] * len(pool)
+    for r_b, pieces in zip(least, by_bit):
+        for i in pieces:
+            share[i] += r_b
+
     best_pieces = tuple((0, w) for w in q.words)  # the trivial cover
     best_cost = math.fsum(charge_of[w] for w in q.words)
+    seen: dict[int, float] = {}  # covered -> the cheapest cost it was reached at
     nodes = 0
     exhausted = False
 
-    def dfs(covered: int, cost: float, chosen: list[int]) -> None:
+    def dfs(covered: int, cost: float, rest: float, chosen: list[int]) -> None:
         nonlocal best_cost, best_pieces, nodes, exhausted
-        if exhausted:
-            return
         remaining = target & ~covered
         if not remaining:
             if cost < best_cost:
@@ -132,20 +159,26 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
             return
         bit = (remaining & -remaining).bit_length() - 1
         for idx in by_bit[bit]:  # pool order: cheap pieces first
-            nodes += 1
-            if nodes > budget:
+            if nodes == budget:
                 exhausted = True
                 return
+            nodes += 1
             piece_cost, _, _, mask = pool[idx]
-            if cost + piece_cost >= best_cost:
+            new_cost = cost + piece_cost
+            if new_cost >= best_cost:
                 break  # candidates for this word only get more expensive
             if mask & covered:
                 continue
+            new_covered, new_rest = covered | mask, rest - share[idx]
+            if (seen.get(new_covered, math.inf) <= new_cost
+                    or new_cost + new_rest > best_cost + COST_TOL):
+                continue
+            seen[new_covered] = new_cost
             chosen.append(idx)
-            dfs(covered | mask, cost + piece_cost, chosen)
+            dfs(new_covered, new_cost, new_rest, chosen)
             chosen.pop()
 
-    dfs(0, 0.0, [])
+    dfs(0, 0.0, math.fsum(least), [])
 
     cost = math.fsum(charge_of[w] for _, w in best_pieces)
     candidate = CoverCandidate(pieces=best_pieces, cost=cost,

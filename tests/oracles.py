@@ -3,6 +3,9 @@
 Everything here is deliberately written without reusing the library's
 algorithms: direct series summation, eigenvector stationary laws, a
 memoized exhaustive cover search, and coding-map truncations folded afresh.
+The one exception is plain_cover_search, the cover search as it was before
+its dominance memo and per-word bound: it reads the library's window and
+charges and keeps only the search itself apart.
 """
 
 from __future__ import annotations
@@ -74,6 +77,59 @@ def brute_min_cover_cost(target: int, pieces: list[tuple[float, int]]) -> float:
         return best
 
     return solve(0, 0)
+
+
+def plain_cover_search(sys, q, max_shift: int, max_depth: int,
+                       budget: int) -> tuple[float, tuple, bool, int]:
+    """(cost, pieces, exhaustive, nodes) of the branch and bound that cuts
+    only on the incumbent: pool order, cheapest piece for the lowest
+    uncovered window word first, no memo and no lower bound."""
+    from cmslab.cover import _charges, _window
+
+    spelled, index = _window(sys, q, max_shift, max(q.depth, max_depth),
+                             max_depth)
+    target = (1 << len(spelled)) - 1
+    charge_of = _charges(sys, {*(word for _, word in index), *q.words})
+    pool = sorted(((charge_of[word], shift, word, mask)
+                   for (shift, word), mask in index.items()),
+                  key=lambda p: (p[0], -p[1], p[2]))
+    rank = {(shift, word): i for i, (_, shift, word, _) in enumerate(pool)}
+    by_bit = [sorted(rank[piece] for piece in pieces)
+              for pieces in spelled.values()]
+
+    best_pieces = tuple((0, w) for w in q.words)  # the trivial cover
+    best_cost = math.fsum(charge_of[w] for w in q.words)
+    nodes = 0
+    exhausted = False
+
+    def dfs(covered: int, cost: float, chosen: list[int]) -> None:
+        nonlocal best_cost, best_pieces, nodes, exhausted
+        if exhausted:
+            return
+        remaining = target & ~covered
+        if not remaining:
+            if cost < best_cost:
+                best_cost = cost
+                best_pieces = tuple((pool[i][1], pool[i][2]) for i in chosen)
+            return
+        bit = (remaining & -remaining).bit_length() - 1
+        for idx in by_bit[bit]:  # pool order: cheap pieces first
+            nodes += 1
+            if nodes > budget:
+                exhausted = True
+                return
+            piece_cost, _, _, mask = pool[idx]
+            if cost + piece_cost >= best_cost:
+                break  # candidates for this word only get more expensive
+            if mask & covered:
+                continue
+            chosen.append(idx)
+            dfs(covered | mask, cost + piece_cost, chosen)
+            chosen.pop()
+
+    dfs(0, 0.0, [])
+    cost = math.fsum(charge_of[w] for _, w in best_pieces)
+    return cost, best_pieces, not exhausted, nodes
 
 
 def fold_backward_orbit(sys, past) -> list[np.ndarray]:

@@ -266,6 +266,19 @@ def test_cover_whole_space_flag(config_a, tmp_path):
     assert json.loads(cert.read_text())["cost"] == 1.0
 
 
+def test_cover_cut_short_by_the_budget_exits_0(config_a, tmp_path, capsys):
+    """A search the budget stops still returns a verified cover, an upper
+    bound like any other: exit 0, as `run` reports it."""
+    cert = tmp_path / "cert.json"
+    assert main(["cover", "--config", str(config_a), "--whole-space-depth",
+                 "3", "--window", "2", "--depth", "3", "--budget", "1",
+                 "--out", str(cert)]) == 0
+    assert capsys.readouterr().out.endswith("exhaustive=False\n")
+    blob = json.loads(cert.read_text())
+    assert (blob["exhaustive"], blob["nodes_explored"]) == (False, 1)
+    assert main(["verify-cert", "--certificate", str(cert)]) == 0
+
+
 @pytest.mark.parametrize("kinds", [[], ["--query", "e1.e2",
                                         "--whole-space-depth", "2"]])
 def test_cover_needs_exactly_one_query_kind(kinds, config_a, tmp_path,
@@ -288,6 +301,14 @@ def test_run_writes_all_artifacts(tmp_path, config_a):
         assert (out / name).exists(), name
     manifest = json.loads((out / "MANIFEST.json").read_text())
     assert all(v == "ok" for v in manifest["stages"].values())
+    # each search's counts, as its certificate records them
+    certs = [json.loads((out / f"covers/query_{qi}.json").read_text())
+             for qi in range(2)]
+    assert manifest["covers"] == [
+        {"query": qi, "nodes_explored": cert["nodes_explored"],
+         "cover_budget": plan.cover_budget, "exhaustive": True}
+        for qi, cert in enumerate(certs)]
+    assert all(cert["nodes_explored"] > 0 for cert in certs)
     blob = json.loads((out / "bounds.json").read_text())
     assert all(blob["pass_flags"].values())
 
@@ -546,6 +567,9 @@ def test_report_marks_covers_cut_short_by_the_budget(tmp_path, config_a):
     assert "| margin | pass | exhaustive |" in report
     rows = [line for line in report.splitlines() if line.startswith("| 0 (")]
     assert rows and rows[0].endswith("| yes | no |")
+    manifest = json.loads((tmp_path / "out" / "MANIFEST.json").read_text())
+    assert manifest["covers"][0] == {"query": 0, "nodes_explored": 1,
+                                     "cover_budget": 1, "exhaustive": False}
     blob = json.loads((tmp_path / "out" / "bounds.json").read_text())
     assert not any("exhaustive" in name for name in blob["pass_flags"])
 

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import random
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cmslab as cl
 
-from oracles import brute_min_cover_cost, enumerate_paths
+from oracles import brute_min_cover_cost, enumerate_paths, plain_cover_search
 
 
 def _oracle_pieces(sys_, q, max_shift, max_depth):
@@ -119,15 +123,79 @@ def test_window_past_word_cap_raises_depth_overflow(sys_a, monkeypatch):
 
 
 def test_search_node_counts_are_pinned(sys_b, sys_c):
-    """Node counts recorded from the search over the whole window's words:
-    the query window keeps their order and the disjointness verdicts, so the
-    branch and bound visits the same nodes."""
+    """Node counts of the search with its dominance memo and per-word bound
+    (the plain search took 2113, 338 and 93); the query window keeps the
+    whole window's word order and disjointness verdicts, so the branch and
+    bound visits the same nodes on either."""
     for sys_, words, nodes in (
-            (sys_b, cl.enumerate_words(sys_b, 3), 2113),
-            (sys_b, [("e1", "e2"), ("e2", "e2")], 338),
-            (sys_c, [("c11", "c12"), ("c12", "c21")], 93)):
+            (sys_b, cl.enumerate_words(sys_b, 3), 520),
+            (sys_b, [("e1", "e2"), ("e2", "e2")], 171),
+            (sys_c, [("c11", "c12"), ("c12", "c21")], 36)):
         _, candidate = cl.phi_upper(sys_, cl.cylinder_set(sys_, words), 2, 3)
         assert (candidate.nodes_explored, candidate.exhaustive) == (nodes, True)
+
+
+def _same_as_plain_search(sys_, q, max_shift, max_depth, budget):
+    """The search finishes, and wherever the plain search finishes within
+    `budget` too, both find the same cost and pieces; returns both."""
+    cost, candidate = cl.phi_upper(sys_, q, max_shift, max_depth)
+    plain = plain_cover_search(sys_, q, max_shift, max_depth, budget)
+    assert candidate.exhaustive
+    assert cost <= plain[0]
+    if plain[2]:
+        assert (cost, candidate.pieces) == plain[:2], (q, max_shift, max_depth)
+    return candidate, plain
+
+
+@pytest.mark.parametrize("name", ["sys_a", "sys_b", "sys_c"])
+def test_search_matches_the_plain_search(name, request):
+    """The memo and the bound cut only subtrees that cannot beat the
+    incumbent: on whole-space and seeded random queries the search returns
+    the plain branch and bound's cover wherever that one finishes."""
+    sys_ = request.getfixturevalue(name)
+    rng = random.Random(name)
+    for max_shift in range(3):
+        for depth in range(1, 4):
+            words = cl.enumerate_words(sys_, depth)
+            for q in (cl.full_cylinder_set(sys_, depth),
+                      cl.cylinder_set(sys_, rng.sample(
+                          words, rng.randint(1, min(2, len(words)))))):
+                for max_depth in range(1, 4):
+                    _same_as_plain_search(sys_, q, max_shift, max_depth,
+                                          50_000)
+
+
+def _workload_system(workload: str, seed: int):
+    """The benchmark workload's system on a seed, as bench/workloads.py
+    generates it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    module = sys.modules.get("bench_workloads")
+    if module is None:
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["bench_workloads"] = module
+        spec.loader.exec_module(module)
+    rng = np.random.default_rng([seed, module.WORKLOADS.index(workload)])
+    return cl.validate_system(module.make_system(
+        rng, module.SIZES[workload]["full"]["k"],
+        affine=workload != "exact_cover"))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("workload, depth, max_shift, max_depth",
+                         [("exact_cover", 1, 2, 3), ("mc_affine", 2, 1, 3)])
+def test_workload_whole_space_search_finishes(workload, depth, max_shift,
+                                              max_depth, seed):
+    """The benchmark's whole-space queries: the plain search finishes on
+    mc_affine (in 76k-229k nodes) but not on exact_cover (it is still
+    running at 1M nodes, and here it is stopped at 10k); the search finishes
+    on both, in at most 60k nodes, never above the plain search's cost."""
+    sys_ = _workload_system(workload, seed)
+    candidate, plain = _same_as_plain_search(
+        sys_, cl.full_cylinder_set(sys_, depth), max_shift, max_depth,
+        250_000 if workload == "mc_affine" else 10_000)
+    assert plain[2] == (workload == "mc_affine")
+    assert candidate.nodes_explored <= 60_000
 
 
 def _charge_walks(monkeypatch) -> list[list]:

@@ -1,11 +1,13 @@
-"""Identities of the word-tree walk, the cover search and the coding map on
-random systems.
+"""Identities of the word-tree walk, the cover search, exact-mode K_n and
+the coding map on random systems.
 
 The strategy builds valid systems by construction: 1-3 vertices in R^k,
 k in {1, 2}, square boxes of one side, a cycle through every vertex (so the
 vertex chain is irreducible) plus an optional second out-edge per vertex,
 constant or affine probabilities normalized by construction, and maps whose
 row and column sums of |A| stay below a contraction rate of at most 0.9.
+A draw may fix the probability family and take every vertex as the support
+set.
 """
 
 from __future__ import annotations
@@ -19,17 +21,19 @@ from hypothesis import strategies as st
 
 import cmslab as cl
 
-from oracles import fold_backward_orbit
+from oracles import fold_backward_orbit, plain_cover_search, stationary_via_eig
 
 DEPTH = 4
 
 
 @st.composite
-def systems(draw):
-    """(config, affine) of a valid system; see the module docstring."""
+def systems(draw, affine=None, full_support=False):
+    """(config, affine) of a valid system; see the module docstring.  The
+    family is drawn unless `affine` fixes it."""
     k = draw(st.integers(1, 2))
     n = draw(st.integers(1, 3))
-    affine = draw(st.booleans())
+    if affine is None:
+        affine = draw(st.booleans())
     side = draw(st.floats(1.0, 2.0))
     rate = draw(st.floats(0.1, 0.9))
 
@@ -70,7 +74,8 @@ def systems(draw):
                           "linear": linear.ravel().tolist(),
                           "offset": (goal - linear @ centre).tolist(),
                           "prob": prob})
-    support = draw(st.lists(st.integers(1, n), min_size=1, unique=True))
+    support = (list(range(1, n + 1)) if full_support else
+               draw(st.lists(st.integers(1, n), min_size=1, unique=True)))
     return {"dimension": k, "vertices": vertices, "edges": edges,
             "support_set": support}, affine
 
@@ -120,6 +125,44 @@ def test_one_word_cover_on_random_systems(drawn, data):
     assert cost <= cl.phi0_cyl(sys_, word)
     cert = cl.certificate_dict(sys_, q, candidate)
     cl.verify_certificate_data(json.loads(json.dumps(cert)))
+
+
+@_SETTINGS
+@given(systems(), st.data())
+def test_cover_search_matches_the_plain_search_on_random_systems(drawn, data):
+    """On a whole-space query, the search with its memo and per-word bound
+    costs what the plain branch and bound costs wherever both finish, and
+    never more than the trivial cover."""
+    cfg, _ = drawn
+    sys_ = cl.validate_system(cfg)
+    q = cl.full_cylinder_set(sys_, data.draw(st.integers(1, 2)))
+    max_shift, max_depth = data.draw(st.integers(0, 1)), data.draw(st.integers(1, 2))
+    cost, candidate = cl.phi_upper(sys_, q, max_shift, max_depth)
+    plain_cost, _, plain_exhaustive, _ = plain_cover_search(
+        sys_, q, max_shift, max_depth, cl.cover.DEFAULT_BUDGET)
+    assert cost <= math.fsum(cl.phi0_cyl(sys_, w) for w in q.words)
+    if candidate.exhaustive and plain_exhaustive:
+        assert abs(cost - plain_cost) <= 1e-12
+
+
+@settings(_SETTINGS, max_examples=50)
+@given(systems(affine=False, full_support=True))
+def test_exact_kl_n_is_the_closed_form_on_random_systems(drawn):
+    """With constant probabilities and every vertex in the support set,
+    Z = |S| pi(start), so exact-mode K_n = sum_v pi(v) log(|S| pi(v)) at
+    every depth."""
+    cfg, _ = drawn
+    sys_ = cl.validate_system(cfg)
+    n = len(cfg["vertices"])
+    p = np.zeros((n, n))
+    for e in cfg["edges"]:
+        p[e["source"] - 1, e["target"] - 1] += e["prob"]["alpha"]
+    pi = stationary_via_eig(p)
+    expected = math.fsum(float(v) * math.log(n * float(v)) for v in pi)
+    for depth in range(1, DEPTH + 1):
+        value, stderr = cl.kl_n(cl.build_table(sys_, depth, cl.EXACT))
+        assert abs(value - expected) <= 1e-12
+        assert stderr == 0.0
 
 
 @settings(_SETTINGS, max_examples=40)
