@@ -5,10 +5,12 @@ run.  `run` executes STAGES, validate -> simulate -> constants -> tables ->
 bounds -> covers -> consistency, and writes system.json, measure.csv,
 tables/depth_n.csv, bounds.json, covers/query_*.json, report.md and a
 MANIFEST.json recording the stages and each cover search's node count;
-`bounds` executes the first five.  Exit codes: 0 success (a cover search cut
-short by its budget included: its cover is still an upper bound), 1 any
-other cmslab error (an inadmissible flag word, an invalid certificate, ...),
-2 invalid config or plan, 3 word cap exceeded, 4 consistency red flag.
+`bounds` executes the first five and prints the report `run` writes to
+report.md; it has no queries, so its report has no covers section.  Exit
+codes: 0 success (a cover search cut short by its budget included: its
+cover is still an upper bound), 1 any other cmslab error (an inadmissible
+flag word, an invalid certificate, ...), 2 invalid config or plan, 3 word
+cap exceeded, 4 consistency red flag.
 
 The seed may be overridden with the CMSLAB_SEED environment variable.
 """
@@ -316,7 +318,7 @@ def _covers(ctx: _Context) -> None:
 
 def _consistency(ctx: _Context) -> None:
     ctx.save("bounds.json", lambda path: _json_dump(ctx.report.to_dict(), path))
-    ctx.save("report.md", lambda path: _write_report(path, ctx))
+    ctx.save("report.md", lambda path: path.write_text(_report_text(ctx)))
     failed = [qi for qi, *_, check in ctx.cover_rows if not check.passed]
     if failed:
         raise ConsistencyRedFlag(f"queries {failed}: lower bound above the cover cost")
@@ -354,20 +356,18 @@ def run(plan: ExperimentPlan) -> int:
     return code
 
 
-def _constant_rows(report) -> list[tuple[str, float]]:
-    return [*asdict(report.constants).items(),
-            ("bound_i", report.bound_i_value),
-            ("bound_ii", report.bound_ii_value),
-            ("corollary_factor", report.corollary_factor)]
-
-
-def _write_report(path: Path, ctx: _Context) -> None:
+def _report_text(ctx: _Context) -> str:
+    """The bound report: `run` writes it to report.md, `bounds` prints it."""
     plan, report = ctx.plan, ctx.report
+    constants = [*asdict(report.constants).items(),
+                 ("bound_i", report.bound_i_value),
+                 ("bound_ii", report.bound_ii_value),
+                 ("corollary_factor", report.corollary_factor)]
     lines = ["# Run report", "",
              f"mode: {plan.mode}; seed: {ctx.seed}; "
              f"samples: {plan.mc_samples}; burn-in: {plan.burn_in}", "",
              "## Constants", "", "| quantity | value |", "|---|---|"]
-    lines += [f"| {name} | {_fmt(val)} |" for name, val in _constant_rows(report)]
+    lines += [f"| {name} | {_fmt(val)} |" for name, val in constants]
     lines += ["", "## Divergence series", "", "| depth | K_n | stderr |",
               "|---|---|---|"]
     lines += [f"| {n} | {_fmt(v)} | {_fmt(s)} |" for n, v, s in report.k_n_series]
@@ -389,7 +389,7 @@ def _write_report(path: Path, ctx: _Context) -> None:
     lines += [f"- {name}: {'pass' if ok else 'FAIL'}"
               for name, ok in sorted(report.pass_flags.items())]
     lines.append("")
-    path.write_text("\n".join(lines))
+    return "\n".join(lines)
 
 
 def verify_certificate(path: str) -> bool:
@@ -549,7 +549,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         ctx = _Context(plan, None, args.seed)
         code = _run_stages(ctx, STAGES[:5])
         if code == EXIT_OK:
-            _print_bounds(ctx.report)
+            print(_report_text(ctx), end="")
             if args.out:
                 _json_dump(ctx.report.to_dict(), Path(args.out))
         return code
@@ -589,18 +589,6 @@ def _measure_for(system: MarkovSystem, args: argparse.Namespace):
         return mu
     return estimate_invariant(system, args.samples, args.burn_in,
                               _env_seed(args.seed))
-
-
-def _print_bounds(report) -> None:
-    print("constants:")
-    for name, val in _constant_rows(report):
-        print(f"  {name:>16} = {_fmt(val)}")
-    print("K_n series:")
-    for n, v, s in report.k_n_series:
-        print(f"  n={n}: {_fmt(v)} (stderr {_fmt(s)})")
-    print("K* estimates:")
-    for w, n, v, s in report.kstar_estimates:
-        print(f"  W={w}, n={n}: {_fmt(v)} (stderr {_fmt(s)})")
 
 
 if __name__ == "__main__":

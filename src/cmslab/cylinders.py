@@ -73,11 +73,16 @@ def full_cylinder_set(sys: MarkovSystem, depth: int) -> CylinderSet:
 
 
 def count_words(sys: MarkovSystem, n: int) -> int:
-    """Number of admissible length-n words, by dynamic programming."""
+    """Number of admissible length-n words, by dynamic programming, or the
+    first count past WORD_CAP at a depth up to n.  Every word extends, so
+    the count never falls as the depth grows, and a count past the cap
+    stays past it."""
     counts = {v.index: 1 for v in sys.vertices}
     for _ in range(n):
         counts = {v.index: sum(counts[e.target] for e in sys.out_edges(v.index))
                   for v in sys.vertices}
+        if sum(counts.values()) > WORD_CAP:
+            break
     return sum(counts.values())
 
 
@@ -195,9 +200,9 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
     along = [tuple(w) for w in along]
     if n_max < (0 if along else 1):
         raise ValueError("depth must be >= 1, or >= 0 with words to follow")
-    if n_max and (total := count_words(sys, n_max)) > WORD_CAP:
+    if n_max and count_words(sys, n_max) > WORD_CAP:
         raise DepthOverflow(
-            f"{total} admissible words of depth {n_max} exceed the cap {WORD_CAP}")
+            f"the admissible words of depth {n_max} exceed the cap {WORD_CAP}")
     # prefixes of the followed words past n_max, and those the walk extends
     follow = {w[:i] for w in along for i in range(n_max + 1, len(w) + 1)}
     extend = {w[:i] for w in along for i in range(n_max, len(w))}

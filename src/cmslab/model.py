@@ -137,10 +137,6 @@ class ProbabilityFunction:
     def gradient_norm(self) -> float:
         return float(np.linalg.norm(self.beta))
 
-    def modulus(self, t: float) -> float:
-        """Largest oscillation over pairs of points at distance <= t."""
-        return min(self.gradient_norm * t, 1.0)
-
     @property
     def is_constant(self) -> bool:
         return not np.any(self.beta != 0.0)
@@ -233,10 +229,6 @@ class MarkovSystem:
     @property
     def max_displacement(self) -> float:
         return max(self.displacement(e) for e in self.edges)
-
-    def modulus(self, t: float) -> float:
-        """Global oscillation modulus: max of the per-edge moduli."""
-        return max(e.prob.modulus(t) for e in self.edges)
 
     @property
     def max_gradient_norm(self) -> float:
@@ -350,6 +342,11 @@ def _parse_raw(raw: dict):
     for i, re_ in enumerate(json_field(raw, "edges", "", json_list)):
         where = f"edges[{i}]"
         json_object(re_, _EDGE_FIELDS, where)
+        # the map first: its linear part must hold k*k numbers, which bounds
+        # k before beta's default np.zeros(k) is allocated
+        map_ = AffineMap(
+            linear=json_field(re_, "linear", where, lambda v: _matrix(v, k)),
+            offset=json_field(re_, "offset", where, vector))
         pw = f"{where}.prob"
         rp = json_object(json_field(re_, "prob", where), _PROB_FIELDS, pw)
         family = json_field(rp, "family", pw)
@@ -365,9 +362,7 @@ def _parse_raw(raw: dict):
             id=json_field(re_, "id", where, _edge_id),
             source=json_field(re_, "source", where, json_int),
             target=json_field(re_, "target", where, json_int),
-            map=AffineMap(
-                linear=json_field(re_, "linear", where, lambda v: _matrix(v, k)),
-                offset=json_field(re_, "offset", where, vector)),
+            map=map_,
             prob=prob,
         ))
 
@@ -570,9 +565,6 @@ def estimate_c_hat(sys: MarkovSystem, mu: "EmpiricalMeasure") -> tuple[float, fl
 
 def derive_constants(sys: MarkovSystem, mu: "EmpiricalMeasure") -> ConstantSet:
     """Compute the full constant set; requires uniform contraction (a < 1)."""
-    if len(mu.weights) == 0:
-        raise ValueError("empirical measure is empty")
-
     a = sys.contraction_rate
     if a >= 1.0:
         raise NoContraction(

@@ -60,10 +60,8 @@ class EmpiricalMeasure:
         for idx in np.unique(self.vertices):
             if int(idx) not in known:
                 raise ValidationError(f"sample vertex {idx} is not a system vertex")
-            v = sys.vertex(int(idx))
             pts = self.points[self.vertices == idx]
-            ok = np.all((pts >= v.lower - 1e-9) & (pts <= v.upper + 1e-9))
-            if not ok:
+            if not sys.vertex(int(idx)).contains(pts):
                 raise ValidationError(f"sample point outside region of vertex {idx}")
 
     def mean_point(self) -> np.ndarray:
@@ -171,8 +169,6 @@ def check_average_contraction(sys: MarkovSystem, mu: EmpiricalMeasure,
     Returns rows (i, estimate, stderr, a^i * c_hat) for i = 1..i_max, from
     n_mc points drawn from mu by a generator seeded with (seed, 0).
     """
-    if len(mu) == 0:
-        raise ValueError("empirical measure is empty")
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     if n_mc < 1:

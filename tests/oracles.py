@@ -35,6 +35,22 @@ def stationary_via_eig(p: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
+def expected_running_max(p: np.ndarray, pi: np.ndarray, g: np.ndarray,
+                         steps: int) -> float:
+    """E[max(g(V_0), ..., g(V_steps))] for the vertex chain of transition
+    matrix p started from pi, by a dynamic program over the law of the pair
+    (vertex, running max)."""
+    law = {(v, float(g[v])): float(pi[v]) for v in range(len(pi))}
+    for _ in range(steps):
+        nxt: dict[tuple[int, float], float] = {}
+        for (v, top), mass in law.items():
+            for t in np.flatnonzero(p[v]):
+                key = (int(t), max(top, float(g[t])))
+                nxt[key] = nxt.get(key, 0.0) + mass * float(p[v, t])
+        law = nxt
+    return math.fsum(mass * top for (_, top), mass in law.items())
+
+
 def enumerate_paths(edges: list[tuple[str, int, int]], length: int
                     ) -> list[tuple[str, ...]]:
     """All admissible edge-id words of the given length, by brute filtering.

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -217,7 +218,7 @@ def test_bounds_subcommand(config_b, tmp_path, capsys):
     blob = json.loads(out.read_text())
     assert blob["constants"]["a"] == 0.5
     assert abs(blob["bound_ii_value"] - 2.0) < 1e-9
-    assert "K_n series" in capsys.readouterr().out
+    assert "## Divergence series" in capsys.readouterr().out
 
 
 def test_cover_and_verify_cert(config_a, tmp_path):
@@ -419,7 +420,7 @@ def test_report_numbers_trace_to_artifacts(tmp_path, config_a):
 
 @pytest.mark.parametrize("name, mode", [("b", "monte_carlo"), ("a", "exact")])
 def test_bounds_out_matches_run_bounds_json(name, mode, config_a, config_b,
-                                            tmp_path):
+                                            tmp_path, capsys):
     config = str({"a": config_a, "b": config_b}[name])
     plan = ExperimentPlan(
         config_path=config, mode=mode, seed=5, mc_samples=800, burn_in=50,
@@ -433,6 +434,10 @@ def test_bounds_out_matches_run_bounds_json(name, mode, config_a, config_b,
                  "--out", str(out)]) == 0
     assert out.read_bytes() == (tmp_path / "out" / "bounds.json").read_bytes()
     assert json.loads(out.read_text())["pass_flags"]
+    # bounds prints run's report, pass flags included
+    printed = capsys.readouterr().out
+    assert printed == (tmp_path / "out" / "report.md").read_text()
+    assert "- k_n_nonnegative: pass" in printed
 
 
 def test_bounds_subcommand_exact_mode_on_affine_system_exits_2(config_b,
@@ -492,6 +497,22 @@ def test_failure_stage_error_and_exit_code(case, entry, tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"error at stage {stage}:" in err
     assert message in err
+
+
+def test_a_deep_depth_exits_3_within_a_second(config_a, tmp_path, capsys):
+    """The word count stops once it passes the cap, so a depth of 10^6
+    overflows at once, as a table flag and as a plan depth."""
+    plan = _plan_a(tmp_path, config_a)
+    plan.depths = [10 ** 6]
+    table = ["table", "--config", str(config_a), "--depth", str(10 ** 6),
+             "--mode", "exact", "--out", str(tmp_path / "deep.csv")]
+    for call in (lambda: main(table), lambda: run(plan)):
+        start = time.perf_counter()
+        assert call() == 3
+        assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "words of depth 1000000 exceed the cap 10000000" in err
+    assert "plan.depths: depth 1000000 exceeds the word cap 10000000" in err
 
 
 # case: (plan field changed, its new value, field path the error names)

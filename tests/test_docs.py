@@ -3,11 +3,13 @@ every exported name earns its place."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import cmslab as cl
+from cmslab.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,3 +48,19 @@ def test_every_exported_name_earns_its_place():
             and not _mentions(name, documented)
             and not _mentions(name, bench)]
     assert idle == []
+
+
+def test_every_subcommand_and_flag_is_in_the_readme():
+    """README.md names each `cmslab` subcommand and each of its --flags."""
+    readme = (ROOT / "README.md").read_text()
+    parser = _build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert len(commands) == 8
+    missing = [f"cmslab {name}" for name in commands
+               if f"cmslab {name}" not in readme]
+    missing += [flag for sub in commands.values() for action in sub._actions
+                for flag in action.option_strings
+                if flag.startswith("--") and flag != "--help"
+                and not re.search(rf"{re.escape(flag)}\b(?!-)", readme)]
+    assert missing == []

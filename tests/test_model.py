@@ -177,6 +177,9 @@ _MALFORMED = {
         lambda c: c["edges"][0].update(linear=[0.5, 0.0]),
     "edges[0].prob: unknown probability family 'beta'":
         lambda c: c["edges"][0]["prob"].update(family="beta"),
+    # a dimension no config can fill is refused before a k-vector is built
+    f"edges[0].linear: linear part needs {10 ** 30} entries":
+        lambda c: c.update(dimension=10 ** 15, vertices=[]),
 }
 
 
@@ -239,14 +242,6 @@ def test_delta_times_out_degree(sys_a, sys_b, sys_c, constants_a, constants_b,
                      (sys_c, constants_c)):
         for v in sys_.vertices:
             assert cs.delta * len(sys_.out_edges(v.index)) <= 1.0 + 1e-12
-
-
-def test_modulus_monotone_and_zero_at_zero(sys_b):
-    assert sys_b.modulus(0.0) == 0.0
-    ts = np.linspace(0.0, 5.0, 200)
-    vals = [sys_b.modulus(float(t)) for t in ts]
-    assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
-    assert max(vals) <= 1.0
 
 
 def test_no_contraction_detected():

@@ -14,14 +14,22 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmslab as cl
+from cmslab import cli
 
-from oracles import fold_backward_orbit, plain_cover_search, stationary_via_eig
+from oracles import (
+    expected_running_max,
+    fold_backward_orbit,
+    plain_cover_search,
+    stationary_via_eig,
+)
 
 DEPTH = 4
 
@@ -149,20 +157,77 @@ def test_cover_search_matches_the_plain_search_on_random_systems(drawn, data):
 @given(systems(affine=False, full_support=True))
 def test_exact_kl_n_is_the_closed_form_on_random_systems(drawn):
     """With constant probabilities and every vertex in the support set,
-    Z = |S| pi(start), so exact-mode K_n = sum_v pi(v) log(|S| pi(v)) at
-    every depth."""
+    Z = |S| pi(start), so exact-mode K_n = E[g(V_0)] at every depth, with
+    g(v) = log(|S| pi(v)) and V_j the stationary vertex chain; a K* word
+    of window w scores its shifts' start vertices V_0..V_w, so K*(w) =
+    E[max(g(V_0), ..., g(V_w))] at every depth."""
     cfg, _ = drawn
     sys_ = cl.validate_system(cfg)
     n = len(cfg["vertices"])
     p = np.zeros((n, n))
-    for e in cfg["edges"]:
+    for e in cfg["edges"]:  # parallel edges add up
         p[e["source"] - 1, e["target"] - 1] += e["prob"]["alpha"]
     pi = stationary_via_eig(p)
+    g = np.log(n * pi)
     expected = math.fsum(float(v) * math.log(n * float(v)) for v in pi)
     for depth in range(1, DEPTH + 1):
         value, stderr = cl.kl_n(cl.build_table(sys_, depth, cl.EXACT))
         assert abs(value - expected) <= 1e-12
         assert stderr == 0.0
+    for window in range(3):
+        expected = expected_running_max(p, pi, g, window)
+        for depth in range(1, 4):
+            value, stderr = cl.kstar_estimate(sys_, window, depth, cl.EXACT)
+            assert abs(value - expected) <= 1e-12
+            assert stderr == 0.0
+
+
+@settings(_SETTINGS, max_examples=80)
+@given(systems(full_support=True), st.data())
+def test_north_star_identities_on_random_systems(drawn, data):
+    """M and phi0 are Kolmogorov consistent at depths 1-3, K* at window 0
+    is K_n bit for bit and never falls as the window grows, every pass flag
+    of a run holds, and the corollary lower bound of a drawn word stays at
+    or below its cover cost; exact mode for constant probabilities, 200
+    samples for affine ones."""
+    cfg, affine = drawn
+    sys_ = cl.validate_system(cfg)
+    plan = dict(mode="monte_carlo" if affine else "exact", seed=0,
+                mc_samples=200, burn_in=100, depths=[1, 2, 3],
+                kstar_windows=[0, 1, 2], kstar_depth=2, cover_window=1,
+                cover_depth=2)
+    # the chain measure the run's tables use
+    mu = cl.estimate_invariant(sys_, 200, burn_in=100, seed=0)
+    measure = mu if affine else cl.EXACT
+    rows = cl.walk_cylinders(sys_, DEPTH, measure)
+    for key in ("m_values", "phi0_values"):
+        assert abs(math.fsum(getattr(rows[1], key)) - 1.0) <= 1e-12
+        for n in range(1, DEPTH):
+            children: dict[tuple, list[float]] = {}
+            for w, value in zip(rows[n + 1].words, getattr(rows[n + 1], key)):
+                children.setdefault(w[:-1], []).append(float(value))
+            for w, value in zip(rows[n].words, getattr(rows[n], key)):
+                assert abs(math.fsum(children[w]) - value) <= 1e-12 * value
+
+    depth = data.draw(st.integers(1, 3))
+    word = data.draw(st.sampled_from(rows[depth].words))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "sys.json"
+        config.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        assert cli.run(cli.ExperimentPlan(
+            config_path=str(config), output_dir=str(out),
+            queries=[{"words": [".".join(word)]}], **plan)) == 0
+        report = json.loads((out / "bounds.json").read_text())
+        cost = json.loads((out / "covers" / "query_0.json").read_text())["cost"]
+    assert report["pass_flags"] and all(report["pass_flags"].values())
+    k_n = {n: value for n, value, _ in report["k_n_series"]}
+    kstar = [value for _, _, value, _ in sorted(report["kstar_estimates"])]
+    assert kstar[0] == k_n[2]
+    assert all(b >= a - 1e-12 for a, b in zip(kstar, kstar[1:]))
+    q = cl.cylinder_set(sys_, [word])
+    m_q = cl.m_of_cylinder_set(sys_, q, measure)
+    assert m_q[0] * report["corollary_factor"] <= cost
 
 
 @settings(_SETTINGS, max_examples=40)
