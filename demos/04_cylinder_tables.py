@@ -5,7 +5,9 @@ chain mass M against the base measure phi0 built from point masses at the
 support base points; the ratio Z = M/phi0 is the object every divergence
 estimate integrates.  For a constant fair coin on one vertex the two
 measures coincide and Z is identically 1; a place-dependent coin tilts Z
-away from 1, and the depth-n divergence K_n grows monotonically.
+away from 1, and the depth-n divergence K_n grows monotonically.  The chain
+mass comes from mu_N, the base points pushed forward N levels: weighted
+atoms, not samples, so every standard error is 0.
 """
 
 import cmslab as cl
@@ -35,10 +37,11 @@ tilted = {**flat, "edges": [
      "prob": {"family": "affine", "alpha": 2 / 3, "beta": [-1 / 3]}},
 ]}
 system = cl.validate_system(tilted)
-mu = cl.estimate_invariant(system, 100_000, burn_in=1000, seed=42)
+mu = cl.pushforward_measure(system)
 
 table = cl.build_table(system, 2, mu)
-print("\nplace-dependent coin, Monte Carlo mode, depth 2")
+print(f"\nplace-dependent coin, pushforward measure ({mu.levels} levels, "
+      f"{len(mu)} atoms), depth 2")
 print(f"  {'word':>8} {'M':>10} {'phi0':>10} {'Z':>8} {'logZ':>9}")
 for word, m, p, z, lz in zip(table.words, table.m_values, table.phi0_values,
                              table.z_values, table.logz_values):

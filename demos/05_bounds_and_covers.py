@@ -27,7 +27,7 @@ config = {
     ],
 }
 system = cl.validate_system(config)
-mu = cl.estimate_invariant(system, 100_000, burn_in=1000, seed=42)
+mu = cl.pushforward_measure(system)  # deterministic: no seed, stderr 0
 constants = cl.derive_constants(system, mu)
 report = cl.evaluate_bounds(system, constants)
 

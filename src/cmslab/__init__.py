@@ -1,11 +1,11 @@
 """cmslab: a desk-scale laboratory for contractive Markov systems.
 
-Builds validated systems from JSON configs, simulates the place-dependent
-chain, evaluates the coding map with certified truncation errors, tabulates
-cylinder masses and their densities, computes divergence series with explicit
-upper bounds and a multiplicative lower-bound factor, and cross-checks the
-lower bound against branch-and-bound upper bounds on the shifted-cover outer
-measure.
+Builds validated systems from JSON configs, pushes the base points forward
+to the invariant measure (or samples the place-dependent chain), evaluates
+the coding map with certified truncation errors, tabulates cylinder masses
+and their densities, computes divergence series with explicit upper bounds
+and a multiplicative lower-bound factor, and cross-checks the lower bound
+against branch-and-bound upper bounds on the shifted-cover outer measure.
 """
 
 from .bounds import (
@@ -80,8 +80,10 @@ from .model import (
 from .simulate import (
     ContractionRow,
     EmpiricalMeasure,
+    PushforwardMeasure,
     check_average_contraction,
     estimate_invariant,
+    pushforward_measure,
     step,
 )
 

@@ -37,6 +37,8 @@ class BoundReport:
     k_n_series: list[tuple[int, float, float]] = field(default_factory=list)
     kstar_estimates: list[tuple[int, int, float, float]] = field(default_factory=list)
     pass_flags: dict[str, bool] = field(default_factory=dict)
+    # levels, atoms and c_hat truncation gap of the pushforward measure
+    measure: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -12,7 +12,12 @@ cover is still an upper bound), 1 any other cmslab error (an inadmissible
 flag word, an invalid certificate, ...), 2 invalid config or plan, 3 word
 cap exceeded, 4 consistency red flag.
 
-The seed may be overridden with the CMSLAB_SEED environment variable.
+The simulate stage builds mu_N, the base points pushed forward to the
+deepest level within simulate.ATOM_CAP, in both modes: it gives c_hat, and
+in monte_carlo mode also the chain mass M.  It is deterministic, so `run`,
+`bounds` and `table` (without --measure) need no seed, and their rows carry
+standard error 0.  Only the simulate subcommand samples the chain; its seed
+may be overridden with the CMSLAB_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -60,7 +65,14 @@ from .model import (
     system_to_config,
     validate_system,
 )
-from .simulate import DEFAULT_BURN_IN, EmpiricalMeasure, estimate_invariant
+from .simulate import (
+    DEFAULT_BURN_IN,
+    EmpiricalMeasure,
+    PushforwardMeasure,
+    c_hat_gap,
+    estimate_invariant,
+    pushforward_measure,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -87,7 +99,9 @@ def _string(value) -> str:
 
 @dataclass
 class ExperimentPlan:
-    """Everything a full run needs, as the plan file gives it."""
+    """Everything a full run needs, as the plan file gives it.  `seed`,
+    `mc_samples` and `burn_in` are range-checked but no longer read: the
+    run's measure is the deterministic pushforward."""
 
     config_path: str
     mode: str = "monte_carlo"
@@ -204,10 +218,9 @@ class _Context:
 
     plan: ExperimentPlan
     out: Path | None
-    seed: int
     manifest: dict = field(default_factory=lambda: {"stages": {}, "artifacts": []})
     system: MarkovSystem | None = None
-    mu: EmpiricalMeasure | None = None
+    mu: PushforwardMeasure | None = None
     measure: object = None
     report: bounds_mod.BoundReport | None = None
     queries: list = field(default_factory=list)
@@ -225,7 +238,6 @@ class _Context:
 
 
 def _validate(ctx: _Context) -> None:
-    ctx.seed = _env_seed(ctx.seed)
     ctx.system = validate_system(_load_config(ctx.plan.config_path))
     ctx.queries = ctx.plan.validate(ctx.system)
     ctx.save("system.json",
@@ -233,17 +245,17 @@ def _validate(ctx: _Context) -> None:
 
 
 def _simulate(ctx: _Context) -> None:
-    # the constants need sampled geometry in every mode
-    plan = ctx.plan
-    ctx.mu = estimate_invariant(ctx.system, plan.mc_samples, plan.burn_in,
-                                ctx.seed)
+    # c_hat integrates over the invariant measure in every mode
+    ctx.mu = pushforward_measure(ctx.system)
     ctx.save("measure.csv", ctx.mu.to_csv)
-    ctx.measure = EXACT if plan.mode == "exact" else ctx.mu
+    ctx.measure = EXACT if ctx.plan.mode == "exact" else ctx.mu
 
 
 def _constants(ctx: _Context) -> None:
-    ctx.report = bounds_mod.evaluate_bounds(
-        ctx.system, derive_constants(ctx.system, ctx.mu))
+    system, mu = ctx.system, ctx.mu
+    ctx.report = bounds_mod.evaluate_bounds(system, derive_constants(system, mu))
+    ctx.report.measure = {"levels": mu.levels, "atoms": len(mu),
+                          "c_hat_gap": c_hat_gap(system, mu)}
 
 
 def _tables(ctx: _Context) -> None:
@@ -350,7 +362,7 @@ def run(plan: ExperimentPlan) -> int:
     """Execute the full pipeline; returns the process exit code."""
     out = Path(plan.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ctx = _Context(plan, out, plan.seed)
+    ctx = _Context(plan, out)
     code = _run_stages(ctx, STAGES)
     _json_dump(ctx.manifest, out / "MANIFEST.json")
     return code
@@ -359,13 +371,16 @@ def run(plan: ExperimentPlan) -> int:
 def _report_text(ctx: _Context) -> str:
     """The bound report: `run` writes it to report.md, `bounds` prints it."""
     plan, report = ctx.plan, ctx.report
+    levels, atoms, gap = (report.measure[key]
+                          for key in ("levels", "atoms", "c_hat_gap"))
     constants = [*asdict(report.constants).items(),
                  ("bound_i", report.bound_i_value),
                  ("bound_ii", report.bound_ii_value),
                  ("corollary_factor", report.corollary_factor)]
     lines = ["# Run report", "",
-             f"mode: {plan.mode}; seed: {ctx.seed}; "
-             f"samples: {plan.mc_samples}; burn-in: {plan.burn_in}", "",
+             f"mode: {plan.mode}; measure: mu_{levels}, the base points pushed "
+             f"forward {levels} levels ({atoms} atoms); c_hat gap from "
+             f"mu_{levels - 2}: {'n/a' if gap is None else _fmt(gap)}", "",
              "## Constants", "", "| quantity | value |", "|---|---|"]
     lines += [f"| {name} | {_fmt(val)} |" for name, val in constants]
     lines += ["", "## Divergence series", "", "| depth | K_n | stderr |",
@@ -425,15 +440,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="system config JSON")
 
 
-def _add_sampling(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--samples", type=_flag(_PLAN_MINIMUMS["mc_samples"]),
-                   default=_plan_default("mc_samples"))
-    p.add_argument("--burn-in", type=_flag(_PLAN_MINIMUMS["burn_in"]),
-                   default=_plan_default("burn_in"))
-    p.add_argument("--seed", type=_flag(_PLAN_MINIMUMS["seed"]),
-                   default=_plan_default("seed"))
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmslab",
@@ -443,9 +449,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="validate a system config")
     _add_common(p)
 
-    p = sub.add_parser("simulate", help="estimate the invariant measure")
+    p = sub.add_parser("simulate", help="sample the invariant measure")
     _add_common(p)
-    _add_sampling(p)
+    p.add_argument("--samples", type=_flag(_PLAN_MINIMUMS["mc_samples"]),
+                   default=_plan_default("mc_samples"))
+    p.add_argument("--burn-in", type=_flag(_PLAN_MINIMUMS["burn_in"]),
+                   default=_plan_default("burn_in"))
+    p.add_argument("--seed", type=_flag(_PLAN_MINIMUMS["seed"]),
+                   default=_plan_default("seed"))
     p.add_argument("--out", required=True, help="measure CSV path")
 
     p = sub.add_parser("coding", help="evaluate the coding map on a past word")
@@ -454,7 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="build a cylinder table")
     _add_common(p)
-    _add_sampling(p)
     p.add_argument("--depth", type=_flag(1), required=True)
     p.add_argument("--mode", choices=["exact", "monte_carlo"],
                    default=_plan_default("mode"))
@@ -463,7 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="constants, bound values, divergence series")
     _add_common(p)
-    _add_sampling(p)
     p.add_argument("--depths", type=_flag(1), nargs="+",
                    default=_plan_default("depths"))
     p.add_argument("--windows", type=_flag(0), nargs="+",
@@ -543,10 +552,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "bounds":
         plan = ExperimentPlan(
-            config_path=args.config, mode=args.mode, seed=args.seed,
-            mc_samples=args.samples, burn_in=args.burn_in, depths=args.depths,
+            config_path=args.config, mode=args.mode, depths=args.depths,
             kstar_windows=args.windows, kstar_depth=args.kstar_depth)
-        ctx = _Context(plan, None, args.seed)
+        ctx = _Context(plan, None)
         code = _run_stages(ctx, STAGES[:5])
         if code == EXIT_OK:
             print(_report_text(ctx), end="")
@@ -587,8 +595,7 @@ def _measure_for(system: MarkovSystem, args: argparse.Namespace):
         mu = EmpiricalMeasure.from_csv(args.measure)
         mu.validate_supports(system)
         return mu
-    return estimate_invariant(system, args.samples, args.burn_in,
-                              _env_seed(args.seed))
+    return pushforward_measure(system)
 
 
 if __name__ == "__main__":

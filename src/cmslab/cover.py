@@ -242,10 +242,13 @@ class ConsistencyResult:
 
 def consistency_check(lower: tuple[float, float], upper: float) -> ConsistencyResult:
     """Sandwich check: the corollary lower bound must not exceed the cover
-    upper bound beyond three standard errors.  A failure is a red flag."""
+    upper bound beyond three standard errors and COST_TOL.  The two sides
+    can be equal (a corollary factor of 1 and M(Q) = phi0(Q)), and rows
+    without standard error then differ by rounding alone.  A failure is a
+    red flag."""
     value, stderr = lower
     return ConsistencyResult(
-        passed=value <= upper + 3.0 * stderr,
+        passed=value <= upper + 3.0 * stderr + COST_TOL,
         lower=value, lower_stderr=stderr, upper=upper,
         margin=upper - value)
 

@@ -15,7 +15,6 @@ over a cylinder union.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -29,7 +28,7 @@ from .errors import (
     InadmissibleWord,
 )
 from .model import MarkovSystem
-from .simulate import EmpiricalMeasure
+from .simulate import EmpiricalMeasure, write_csv
 
 EXACT = "exact"
 Measure = Union[EmpiricalMeasure, str, None]  # None: no chain measure
@@ -96,7 +95,7 @@ def enumerate_words(sys: MarkovSystem, n: int) -> list[Word]:
 # cylinder quantity is a fold of one one-edge step over a word; the step
 # multiplies by p_e at the current point and then moves the point by w_e,
 # except at a leaf, where nothing reads the point.  Three kinds of state:
-#   samples     (array over the mu samples, (N, k) array)   Monte Carlo M
+#   samples     (array over the mu atoms, (N, k) array)     M under mu
 #   stationary  (float, None)                                exact M, or 0.0
 #                                                            with no measure
 #   point       (float, (k,) array)                          phi0, from a base point
@@ -269,18 +268,21 @@ class CylinderTable:
         return len(self.words)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["word", "M", "phi0", "Z", "logZ", "stderr"])
-            for i, w in enumerate(self.words):
-                writer.writerow([
-                    ".".join(w),
-                    repr(float(self.m_values[i])),
-                    repr(float(self.phi0_values[i])),
-                    repr(float(self.z_values[i])),
-                    repr(float(self.logz_values[i])),
-                    repr(float(self.stderrs[i])),
-                ])
+        """One row per word; a word is quoted as csv.writer quotes it."""
+        columns = (self.m_values, self.phi0_values, self.z_values,
+                   self.logz_values, self.stderrs)
+        write_csv(path, ["word", "M", "phi0", "Z", "logZ", "stderr"],
+                  len(self), lambda rows: (
+                      ",".join((_csv_field(".".join(w)), *map(repr, values)))
+                      for w, *values in zip(self.words[rows],
+                                            *(c[rows].tolist() for c in columns))))
+
+
+def _csv_field(text: str) -> str:
+    """text quoted when it holds a delimiter, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def build_table(sys: MarkovSystem, n: int, measure: Measure,

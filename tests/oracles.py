@@ -2,7 +2,8 @@
 
 Everything here is deliberately written without reusing the library's
 algorithms: direct series summation, eigenvector stationary laws, a
-memoized exhaustive cover search, and coding-map truncations folded afresh.
+memoized exhaustive cover search, coding-map truncations folded afresh,
+pushforward atoms folded one path at a time, and csv.writer's output.
 The one exception is plain_cover_search, the cover search as it was before
 its dominance memo and per-word bound: it reads the library's window and
 charges and keeps only the search itself apart.
@@ -10,6 +11,8 @@ charges and keeps only the search itself apart.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 
@@ -240,3 +243,34 @@ def corner_values(f, lower, upper) -> list:
     """f evaluated at each of the 2^k corners of the box [lower, upper]."""
     return [f(np.array(corner))
             for corner in itertools.product(*zip(lower, upper))]
+
+
+def pushforward_atoms(sys, levels: int) -> list[tuple[int, tuple, float]]:
+    """(vertex, point, weight) of every length-`levels` path from a support
+    base point, sorted, folding one path at a time: the atoms of mu_N
+    before zero weights are dropped and the weights renormalized."""
+    atoms = []
+
+    def extend(vertex, x, weight, left):
+        if left == 0:
+            atoms.append((vertex, tuple(float(c) for c in x), weight))
+            return
+        for e in sys.out_edges(vertex):
+            extend(e.target, e.map.apply(x), weight * e.prob.value(x), left - 1)
+
+    support = sorted(sys.support_set)
+    for v in support:
+        extend(v, sys.base_point(v), 1.0 / len(support), levels)
+    return sorted(atoms)
+
+
+def csv_writer_text(header: list[str], rows) -> str:
+    """What csv.writer writes for the header and the rows, every numpy or
+    Python float cell as repr(float(cell)) and an int as itself."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([c if isinstance(c, (str, int)) else repr(float(c))
+                         for c in row])
+    return out.getvalue()

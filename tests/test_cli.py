@@ -194,8 +194,7 @@ def walks(monkeypatch):
 
 def test_bounds_subcommand_walks_once(config_b, walks):
     assert main(["bounds", "--config", str(config_b), "--depths", "1", "2",
-                 "3", "--windows", "0", "1", "2", "--kstar-depth", "2",
-                 "--samples", "500", "--seed", "5"]) == 0
+                 "3", "--windows", "0", "1", "2", "--kstar-depth", "2"]) == 0
     assert walks == [4]
 
 
@@ -213,7 +212,7 @@ def test_bounds_subcommand(config_b, tmp_path, capsys):
     out = tmp_path / "bounds.json"
     code = main(["bounds", "--config", str(config_b), "--depths", "1", "2",
                  "--windows", "0", "1", "--kstar-depth", "2",
-                 "--samples", "2000", "--seed", "5", "--out", str(out)])
+                 "--out", str(out)])
     assert code == 0
     blob = json.loads(out.read_text())
     assert blob["constants"]["a"] == 0.5
@@ -311,6 +310,37 @@ def test_run_writes_all_artifacts(tmp_path, config_a):
         for qi, cert in enumerate(certs)]
     assert all(cert["nodes_explored"] > 0 for cert in certs)
     blob = json.loads((out / "bounds.json").read_text())
+    assert all(blob["pass_flags"].values())
+
+
+def test_run_never_samples_the_chain(tmp_path, config_b, monkeypatch):
+    """A monte_carlo run uses the pushforward measure: it exits 0 with the
+    chain sampler broken, and its bounds.json is the same bytes under any
+    plan seed, sample count or CMSLAB_SEED."""
+    def broken(*args, **kwargs):
+        raise AssertionError("run sampled the chain")
+
+    monkeypatch.setattr(cli_mod, "estimate_invariant", broken)
+    outputs = []
+    for seed, samples, env_seed in ((3, 500, "7"), (4, 9000, "123456")):
+        monkeypatch.setenv("CMSLAB_SEED", env_seed)
+        out = tmp_path / f"out{seed}"
+        plan = ExperimentPlan(
+            config_path=str(config_b), mode="monte_carlo", seed=seed,
+            mc_samples=samples, burn_in=seed, depths=[1, 2, 3],
+            kstar_windows=[0, 1], kstar_depth=2,
+            queries=[{"words": ["e1.e2"]}], output_dir=str(out))
+        assert run(plan) == 0
+        outputs.append((out / "bounds.json").read_bytes())
+    assert outputs[0] == outputs[1]
+    blob = json.loads(outputs[0])
+    system = cl.validate_system(sys_b_config())
+    mu = cl.pushforward_measure(system)
+    # k = 1 and two out-edges: 2^14 atoms fill ATOM_CAP at level 14
+    assert blob["measure"] == {"levels": 14, "atoms": 2 ** 14,
+                               "c_hat_gap": cl.simulate.c_hat_gap(system, mu)}
+    assert blob["constants"]["c_hat_stderr"] == 0.0
+    assert all(row[2] == 0.0 for row in blob["k_n_series"])
     assert all(blob["pass_flags"].values())
 
 
@@ -430,7 +460,6 @@ def test_bounds_out_matches_run_bounds_json(name, mode, config_a, config_b,
     out = tmp_path / "bounds.json"
     assert main(["bounds", "--config", config, "--mode", mode, "--depths",
                  "1", "2", "3", "--windows", "0", "1", "--kstar-depth", "2",
-                 "--samples", "800", "--burn-in", "50", "--seed", "5",
                  "--out", str(out)]) == 0
     assert out.read_bytes() == (tmp_path / "out" / "bounds.json").read_bytes()
     assert json.loads(out.read_text())["pass_flags"]
@@ -609,6 +638,9 @@ def test_every_traced_attribute_is_called_by_a_job(tmp_path, config_a,
     # A benchmark job is cli.run, verify_certificate on each certificate and
     # coding_point; if the pipeline stopped calling a library function by the
     # attribute the tracer wraps, that layer's time would silently read 0.
+    # The one exception is the chain sampler: `run` pushes the base points
+    # forward instead, so the tracer's estimate span reads 0 by design; the
+    # sampler stays resolvable as cli.estimate_invariant for `simulate`.
     calls = {}
     for owner_path, attr in _traced_attributes():
         module, _, cls = owner_path.partition(":")
@@ -630,6 +662,7 @@ def test_every_traced_attribute_is_called_by_a_job(tmp_path, config_a,
         cli_mod.verify_certificate(str(tmp_path / "out" / "covers" /
                                        f"query_{qi}.json"))
     cl.coding.coding_point(cl.validate_system(sys_a_config()), ("e1", "e2"))
+    assert calls.pop("cmslab.cli.estimate_invariant") == 0
     assert calls and all(calls.values()), calls
 
 
@@ -648,9 +681,13 @@ _BAD_FLAGS = {
                                   "--burn-in"),
     "cmslab_seed_not_an_integer": (["simulate", "--samples", "10"],
                                    {"CMSLAB_SEED": "abc"}, "CMSLAB_SEED"),
-    "cmslab_seed_negative_at_validate": (
-        ["bounds", "--depths", "1"], {"CMSLAB_SEED": "-1"},
-        "error at stage validate: CMSLAB_SEED"),
+    "cmslab_seed_negative": (["simulate", "--samples", "10"],
+                             {"CMSLAB_SEED": "-1"}, "CMSLAB_SEED"),
+    # bounds and table no longer sample, so they take no sampling flags
+    "bounds_samples_gone": (["bounds", "--depths", "1", "--samples", "10"],
+                            {}, "--samples"),
+    "table_seed_gone": (["table", "--depth", "1", "--seed", "3"], {},
+                        "--seed"),
 }
 
 

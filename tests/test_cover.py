@@ -385,6 +385,29 @@ def test_consistency_check_red_flag():
     result = cl.consistency_check((0.9, 0.0), 0.5)
     assert not result.passed
     assert result.margin == pytest.approx(-0.4)
+    assert not cl.consistency_check((0.5 + 1e-11, 0.0), 0.5).passed
+
+
+def test_consistency_check_allows_rounding_when_both_sides_are_equal():
+    """Both maps send every point to 1/2 and the probabilities are constant,
+    so the corollary factor is 1 and M(Q) = phi0(Q) = cover cost for a word
+    from the base point; under mu_N, whose rows have no standard error,
+    the two sides differ only by rounding, which is no red flag."""
+    edges = [{"id": eid, "source": 1, "target": 1, "linear": [0.0],
+              "offset": [0.5], "prob": {"family": "affine", "alpha": alpha,
+                                        "beta": [0.0]}}
+             for eid, alpha in (("a", 0.37968780389532797),
+                                ("b", 0.620312196104672))]
+    sys_ = cl.validate_system({"dimension": 1, "edges": edges, "vertices": [
+        {"index": 1, "lower": [0.0], "upper": [1.0], "base_point": [0.0]}]})
+    mu = cl.pushforward_measure(sys_)
+    report = cl.evaluate_bounds(sys_, cl.derive_constants(sys_, mu))
+    q = cl.cylinder_set(sys_, [("a", "a")])
+    lower = cl.corollary_lower_bound(report, cl.m_of_cylinder_set(sys_, q, mu))
+    cost, _ = cl.phi_upper(sys_, q, 1, 2)
+    assert report.corollary_factor == 1.0 and lower[1] == 0.0
+    assert abs(lower[0] - cost) <= 1e-15  # equal up to rounding
+    assert cl.consistency_check(lower, cost).passed
 
 
 def test_shifted_partition_matches_unshifted_charge(sys_a):

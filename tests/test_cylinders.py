@@ -8,9 +8,9 @@ import pytest
 
 import cmslab as cl
 
-from conftest import sys_c_config
-from oracles import (chain_cyl_prob, enumerate_paths, stationary_via_eig,
-                     word_row)
+from conftest import sys_b_config, sys_c_config
+from oracles import (chain_cyl_prob, csv_writer_text, enumerate_paths,
+                     stationary_via_eig, word_row)
 
 
 # --- enumeration ------------------------------------------------------------
@@ -347,6 +347,26 @@ def test_table_csv_round_trip(tmp_path, sys_b, mu_b):
     for row, word, m in zip(rows[1:], table.words, table.m_values):
         assert row[0] == ".".join(word)
         assert float(row[1]) == float(m)
+
+
+def test_table_csv_is_what_csv_writer_wrote(tmp_path, sys_b, monkeypatch):
+    """The same bytes as csv.writer with repr(float(x)) per number, across
+    the blocks the rows are written in; a word whose edge ids hold a comma
+    or a quote is quoted as csv.writer quotes it."""
+    monkeypatch.setattr(cl.simulate, "CSV_BLOCK", 3)
+    cfg = sys_b_config()
+    cfg["edges"][0]["id"], cfg["edges"][1]["id"] = 'e,1', 'e"2'
+    for sys_ in (sys_b, cl.validate_system(cfg)):
+        table = cl.build_table(sys_, 3, cl.pushforward_measure(sys_, 5))
+        path = tmp_path / "table.csv"
+        table.to_csv(path)
+        expected = csv_writer_text(
+            ["word", "M", "phi0", "Z", "logZ", "stderr"],
+            ([".".join(w), *values] for w, *values in zip(
+                table.words, table.m_values, table.phi0_values,
+                table.z_values, table.logz_values, table.stderrs)))
+        with open(path, newline="") as fh:
+            assert fh.read() == expected
 
 
 def test_cylinder_set_validation(sys_a):

@@ -9,7 +9,9 @@ from scipy import stats
 
 import cmslab as cl
 
-from oracles import binomial_sigma
+from conftest import sys_a_config, sys_c_config
+from oracles import binomial_sigma, csv_writer_text, pushforward_atoms
+from test_integration_2d import planar_config
 
 
 class ForcedRng:
@@ -135,6 +137,176 @@ def test_measure_csv_round_trip(tmp_path, mu_c):
     assert np.array_equal(back.vertices, mu_c.vertices)
     assert np.array_equal(back.points, mu_c.points)
     assert np.array_equal(back.weights, mu_c.weights)
+
+
+@pytest.mark.parametrize("make_config", [sys_c_config, planar_config])
+def test_measure_csv_is_what_csv_writer_wrote(make_config, tmp_path,
+                                             monkeypatch):
+    """The same bytes as csv.writer with repr(float(x)) per cell: header,
+    CRLF line ends, negative zero and unequal weights included, and across
+    the blocks the rows are written in."""
+    monkeypatch.setattr(cl.simulate, "CSV_BLOCK", 5)
+    sys_ = cl.validate_system(make_config())
+    mu = cl.pushforward_measure(sys_, 6)
+    points = mu.points.copy()
+    points[0] = -0.0
+    mu = cl.EmpiricalMeasure(vertices=mu.vertices, points=points,
+                             weights=mu.weights)
+    path = tmp_path / "mu.csv"
+    mu.to_csv(path)
+    k = sys_.dimension
+    expected = csv_writer_text(
+        ["vertex", *(f"x_{i + 1}" for i in range(k)), "weight"],
+        ([int(v), *p, w] for v, p, w in zip(mu.vertices, mu.points,
+                                            mu.weights)))
+    with open(path, newline="") as fh:
+        assert fh.read() == expected
+
+
+# --- the pushforward measure mu_N -------------------------------------------
+
+def _two_class_config() -> dict:
+    """Vertex 1 leaks into two closed classes, {2} and {3}; S = {1, 2}."""
+    def halving(eid, v, offset, alpha):
+        return {"id": eid, "source": v, "target": v, "linear": [0.5],
+                "offset": [offset], "prob": {"family": "constant",
+                                             "alpha": alpha}}
+
+    def into(eid, target, alpha):
+        return {"id": eid, "source": 1, "target": target, "linear": [0.5],
+                "offset": [2.0 * (target - 1)],
+                "prob": {"family": "constant", "alpha": alpha}}
+
+    return {
+        "dimension": 1,
+        "vertices": [{"index": v, "lower": [2.0 * (v - 1)],
+                      "upper": [2.0 * v - 1.0], "base_point": [2.0 * (v - 1)]}
+                     for v in (1, 2, 3)],
+        "edges": [halving("s1", 1, 0.0, 0.5), into("d2", 2, 0.3),
+                  into("d3", 3, 0.2),
+                  halving("a2", 2, 1.0, 0.5), halving("b2", 2, 1.5, 0.5),
+                  halving("a3", 3, 2.0, 0.5), halving("b3", 3, 2.5, 0.5)],
+        "support_set": [1, 2],
+    }
+
+
+@pytest.mark.parametrize("make_config", [sys_c_config, planar_config,
+                                         _two_class_config])
+def test_pushforward_is_the_path_fold(make_config):
+    """mu_N's atoms are the length-N paths from the support base points,
+    each weighted by its path probability, as folding every path alone
+    gives them."""
+    sys_ = cl.validate_system(make_config())
+    for levels in range(5):
+        mu = cl.pushforward_measure(sys_, levels)
+        atoms = sorted(zip(mu.vertices.tolist(), map(tuple, mu.points.tolist()),
+                           mu.weights.tolist()))
+        reference = pushforward_atoms(sys_, levels)
+        assert mu.levels == levels and len(atoms) == len(reference)
+        for (v, x, w), (rv, rx, rw) in zip(atoms, reference):
+            assert v == rv
+            assert np.allclose(x, rx, rtol=0.0, atol=1e-15)
+            assert abs(w - rw) <= 1e-15 * rw
+        assert abs(math.fsum(mu.weights) - 1.0) <= 1e-15
+        mu.validate_supports(sys_)
+
+
+@pytest.mark.parametrize("make_config", [sys_c_config, planar_config,
+                                         _two_class_config])
+def test_pushforward_depth_fills_the_atom_cap(make_config):
+    """By default N is the deepest level whose atoms times the dimension
+    stay within ATOM_CAP; the build is deterministic."""
+    sys_ = cl.validate_system(make_config())
+    mu = cl.pushforward_measure(sys_)
+    k = sys_.dimension
+    assert len(mu) * k <= cl.simulate.ATOM_CAP
+    assert len(cl.pushforward_measure(sys_, mu.levels + 1)) * k > cl.simulate.ATOM_CAP
+    again = cl.pushforward_measure(sys_)
+    for name in ("vertices", "points", "weights"):
+        assert np.array_equal(getattr(mu, name), getattr(again, name))
+
+
+def test_pushforward_of_a_system_that_never_branches_stops():
+    cfg = {"dimension": 1,
+           "vertices": [{"index": 1, "lower": [0.0], "upper": [1.0],
+                         "base_point": [0.0]}],
+           "edges": [{"id": "e", "source": 1, "target": 1, "linear": [0.5],
+                      "offset": [0.5],
+                      "prob": {"family": "constant", "alpha": 1.0}}]}
+    mu = cl.pushforward_measure(cl.validate_system(cfg))
+    assert (mu.levels, len(mu)) == (cl.simulate.LEVEL_CAP, 1)
+    assert float(mu.points[0, 0]) == 1.0  # the fixed point of x/2 + 1/2
+
+
+def test_pushforward_drops_atoms_of_zero_weight():
+    """A path whose probability underflows to 0 leaves no atom."""
+    cfg = sys_a_config()
+    cfg["edges"][0]["prob"]["alpha"] = 1e-200
+    cfg["edges"][1]["prob"]["alpha"] = 1.0 - 1e-200
+    sys_ = cl.validate_system(cfg)
+    mu = cl.pushforward_measure(sys_, 2)
+    weights = [w for _, _, w in pushforward_atoms(sys_, 2)]
+    assert weights.count(0.0) == 1 and len(mu) == 3
+    assert np.all(mu.weights > 0.0) and np.all(mu.points[:, 0] > 0.0)
+
+
+def test_pushforward_averages_carry_no_stderr(sys_b):
+    mu = cl.pushforward_measure(sys_b, 4)
+    values = mu.points[:, 0]
+    assert mu.average(values) == (float(mu.weights @ values), 0.0)
+    assert cl.estimate_c_hat(sys_b, mu)[1] == 0.0
+    rows = cl.walk_cylinders(sys_b, 3, mu)
+    assert all(not rows[n].stderrs.any() for n in (1, 2, 3))
+    with pytest.raises(ValueError, match="levels"):
+        cl.pushforward_measure(sys_b, -1)
+
+
+def test_pushforward_vertex_law_on_a_reducible_chain():
+    """Two closed classes: mu_N starts uniform on S, so its vertex law is
+    uniform_S P^N, which splits its mass between both classes; a chain
+    started at min(S) settles in one of them."""
+    sys_ = cl.validate_system(_two_class_config())
+    p = np.zeros((3, 3))
+    for e in sys_.edges:
+        p[e.source - 1, e.target - 1] += e.prob.alpha
+    mu = cl.pushforward_measure(sys_)
+    law = np.array([0.5, 0.5, 0.0]) @ np.linalg.matrix_power(p, mu.levels)
+    got = np.bincount(mu.vertices, weights=mu.weights, minlength=4)[1:]
+    assert np.allclose(got, law, rtol=0.0, atol=1e-12)
+    assert got[1] > 0.5 and got[2] > 0.05
+
+
+def _kl_kstar_c_hat(sys_, measure) -> tuple[float, float, float]:
+    rows = cl.walk_cylinders(sys_, 3, measure)
+    return (cl.kl_n(cl.build_table(sys_, 2, measure, rows=rows))[0],
+            cl.kstar_estimate(sys_, 1, 2, measure, rows=rows)[0],
+            cl.estimate_c_hat(sys_, measure)[0])
+
+
+def test_pushforward_agrees_with_the_chain(sys_b):
+    """K_2, K*(window 1) at depth 2 and c_hat under mu_N lie within three
+    standard errors of the mean of eight 20k-sample chains; the standard
+    error is the chains' own spread, not their reported one."""
+    chains = np.array([_kl_kstar_c_hat(
+        sys_b, cl.estimate_invariant(sys_b, 20_000, burn_in=1000, seed=seed))
+        for seed in range(8)])
+    mean = chains.mean(axis=0)
+    stderr = chains.std(axis=0, ddof=1) / math.sqrt(len(chains))
+    pushed = np.array(_kl_kstar_c_hat(sys_b, cl.pushforward_measure(sys_b)))
+    assert np.all(np.abs(pushed - mean) <= 3.0 * stderr), (pushed, mean, stderr)
+
+
+def test_pushforward_truncation_gap_on_sys_b(sys_b):
+    """c_hat and K_4 move by less than 1e-6 from mu_{N-2} to mu_N."""
+    mu = cl.pushforward_measure(sys_b)
+    coarse = cl.pushforward_measure(sys_b, mu.levels - 2)
+    gap = cl.simulate.c_hat_gap(sys_b, mu)
+    assert gap == abs(cl.estimate_c_hat(sys_b, mu)[0]
+                      - cl.estimate_c_hat(sys_b, coarse)[0])
+    assert gap < 1e-6
+    k_4 = [cl.kl_n(cl.build_table(sys_b, 4, m))[0] for m in (mu, coarse)]
+    assert abs(k_4[0] - k_4[1]) < 1e-6
+    assert cl.simulate.c_hat_gap(sys_b, cl.pushforward_measure(sys_b, 1)) is None
 
 
 # --- average contraction ----------------------------------------------------
