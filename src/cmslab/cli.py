@@ -4,7 +4,8 @@ Subcommands: validate, simulate, coding, table, bounds, cover, verify-cert,
 run.  `run` executes STAGES, validate -> simulate -> constants -> tables ->
 bounds -> covers -> consistency, and writes system.json, measure.csv,
 tables/depth_n.csv, bounds.json, covers/query_*.json, report.md and a
-MANIFEST.json recording the stages and each cover search's node count;
+MANIFEST.json recording the stages, their wall and CPU seconds and each
+cover search's node count;
 `bounds` executes the first five and prints the report `run` writes to
 report.md; it has no queries, so its report has no covers section.  Exit
 codes: 0 success (a cover search cut short by its budget included: its
@@ -27,6 +28,7 @@ import json
 import math
 import os
 import sys as _sys
+import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -218,7 +220,8 @@ class _Context:
 
     plan: ExperimentPlan
     out: Path | None
-    manifest: dict = field(default_factory=lambda: {"stages": {}, "artifacts": []})
+    manifest: dict = field(default_factory=lambda: {
+        "stages": {}, "seconds": {}, "artifacts": []})
     system: MarkovSystem | None = None
     mu: PushforwardMeasure | None = None
     measure: object = None
@@ -342,10 +345,12 @@ STAGES = (_validate, _simulate, _constants, _tables, _bounds, _covers,
 
 
 def _run_stages(ctx: _Context, stages) -> int:
-    """Run stages in order, recording each in the manifest; stop at the
-    first cmslab error and return its exit code."""
+    """Run stages in order, recording each in the manifest with its wall
+    and CPU seconds; stop at the first cmslab error and return its exit
+    code."""
     for stage in stages:
         name = stage.__name__[1:]
+        wall, cpu = time.perf_counter(), time.process_time()
         try:
             stage(ctx)
         except CMSError as exc:
@@ -354,6 +359,10 @@ def _run_stages(ctx: _Context, stages) -> int:
                 "stage": name, "error": type(exc).__name__, "message": str(exc)}
             print(f"error at stage {name}: {exc}", file=_sys.stderr)
             return _exit_code(exc)
+        finally:
+            ctx.manifest["seconds"][name] = {
+                "wall": time.perf_counter() - wall,
+                "cpu": time.process_time() - cpu}
         ctx.manifest["stages"][name] = "ok"
     return EXIT_OK
 

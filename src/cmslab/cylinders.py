@@ -268,14 +268,15 @@ class CylinderTable:
         return len(self.words)
 
     def to_csv(self, path) -> None:
-        """One row per word; a word is quoted as csv.writer quotes it."""
-        columns = (self.m_values, self.phi0_values, self.z_values,
-                   self.logz_values, self.stderrs)
-        write_csv(path, ["word", "M", "phi0", "Z", "logZ", "stderr"],
-                  len(self), lambda rows: (
-                      ",".join((_csv_field(".".join(w)), *map(repr, values)))
-                      for w, *values in zip(self.words[rows],
-                                            *(c[rows].tolist() for c in columns))))
+        """One row per word, led by the dotted word; write_csv formats each
+        distinct number of a block once.  Words are quoted as csv.writer
+        quotes them, which the table checks once, on its edge ids."""
+        words = map(".".join, self.words)
+        if any(c in e for e in set().union(*self.words) for c in ',"\r\n'):
+            words = map(_csv_field, words)
+        write_csv(path, ["word", "M", "phi0", "Z", "logZ", "stderr"], words,
+                  [self.m_values, self.phi0_values, self.z_values,
+                   self.logz_values, self.stderrs])
 
 
 def _csv_field(text: str) -> str:
@@ -294,7 +295,8 @@ def build_table(sys: MarkovSystem, n: int, measure: Measure,
     of zero base measure whose chain mass is within sampling noise (three
     standard errors; exact rows have none) gets Z = log Z = 0; beyond noise
     it raises AbsoluteContinuityViolation: the support set misses a vertex
-    the chain visits.
+    the chain visits.  So do chain masses or base measures that do not sum
+    to 1 within noise, 1e-12 and n times sys.normalization_gap.
     """
     raw = walked_to(sys, n, measure, rows)[n]
     m_vals, phi_vals, errs = raw.m_values, raw.phi0_values, raw.stderrs
@@ -314,13 +316,16 @@ def build_table(sys: MarkovSystem, n: int, measure: Measure,
             z_list.append(0.0)
             logz_list.append(0.0)
 
+    # out-edge probabilities may sum to 1 only within the system's
+    # normalization gap g, so n levels may move either sum by n g
     total_m = math.fsum(m_vals)
     total_phi = math.fsum(phi_vals)
-    m_tol = 3.0 * math.sqrt(float(np.sum(errs ** 2))) + 1e-12
+    slack = 1e-12 + n * sys.normalization_gap
+    m_tol = 3.0 * math.sqrt(float(np.sum(errs ** 2))) + slack
     if abs(total_m - 1.0) > m_tol:
         raise AbsoluteContinuityViolation(
             f"depth-{n} chain masses sum to {total_m!r}, not 1")
-    if abs(total_phi - 1.0) > 1e-12:
+    if abs(total_phi - 1.0) > slack:
         raise AbsoluteContinuityViolation(
             f"depth-{n} base measures sum to {total_phi!r}, not 1")
 

@@ -234,6 +234,13 @@ class MarkovSystem:
     def max_gradient_norm(self) -> float:
         return max(e.prob.gradient_norm for e in self.edges)
 
+    @property
+    def normalization_gap(self) -> float:
+        """The largest |sum_e p_e(x) - 1| over a vertex's out-edges e and
+        the points x of its region: the slack validation admitted."""
+        return max(_normalization(v, self.out_edges(v.index))[2]
+                   for v in self.vertices)
+
     def require_admissible(self, word: Sequence[str]) -> tuple[DirectedEdge, ...]:
         try:
             edges = tuple(self.edge(i) for i in word)
@@ -440,21 +447,28 @@ def _violations(vertices, edges, support) -> list[ValidationError]:
     for v in vertices:
         if not out[v.index]:
             continue
-        alpha_sum = math.fsum(e.prob.alpha for e in out[v.index])
-        beta_sum = np.sum([e.prob.beta for e in out[v.index]], axis=0)
+        alpha_sum, beta_sum, gap = _normalization(v, out[v.index])
         if abs(alpha_sum - 1.0) > COEFF_TOL or np.any(np.abs(beta_sum) > COEFF_TOL):
             violations.append(NormalizationError(
                 f"vertex {v.index}: out-edge probabilities sum to "
                 f"{alpha_sum:.12g} + {beta_sum.tolist()} . x, not identically 1"))
             continue
-        lo, hi = box_range(alpha_sum - 1.0, beta_sum, v.lower, v.upper)
-        gap = max(-lo, hi)
         if gap > CONTAINMENT_TOL:
             violations.append(NormalizationError(
                 f"vertex {v.index}: out-edge probabilities sum to 1 only within "
                 f"{gap:.3g} on the region"))
 
     return violations
+
+
+def _normalization(vertex: VertexSpace, out) -> tuple[float, np.ndarray, float]:
+    """The coefficient sums alpha and beta of the out-edge probabilities
+    `out` of `vertex`, and the largest |sum_e p_e(x) - 1| on its region,
+    exact by box_range."""
+    alpha_sum = math.fsum(e.prob.alpha for e in out)
+    beta_sum = np.sum([e.prob.beta for e in out], axis=0)
+    lo, hi = box_range(alpha_sum - 1.0, beta_sum, vertex.lower, vertex.upper)
+    return alpha_sum, beta_sum, max(-lo, hi)
 
 
 def collect_violations(raw: dict) -> list[ValidationError]:

@@ -13,8 +13,10 @@ randomness is driven by numpy Generators seeded from 64-bit integers.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -29,17 +31,38 @@ CSV_BLOCK = 256     # rows a CSV write formats at a time
 State = tuple[int, np.ndarray]
 
 
-def write_csv(path, header: list[str], n_rows: int, lines) -> None:
-    """Write the header, then the lines that lines(rows) gives for each
-    slice `rows` of up to CSV_BLOCK rows, each line ending in CRLF as
-    csv.writer ends it.  A block formatted at once, numbers as the repr of
-    .tolist() floats, costs a fraction of a writer call per row and holds
-    one block in memory, not the file."""
+def _float_texts(block: np.ndarray) -> list[list[str]]:
+    """repr of every float of a C-contiguous (columns, rows) block, as one
+    list of strings per column.  Only the block's distinct bit patterns are
+    formatted, by one repr of their list; the bits, not the values, tell
+    them apart, so 0.0 and -0.0 keep their own text."""
+    n_cols, n_rows = block.shape
+    flat = block.ravel()
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    if len(bits) == len(flat):  # nothing repeats: format the block as it is
+        texts = repr(flat.tolist())[1:-1].split(", ")
+        return [texts[i * n_rows:(i + 1) * n_rows] for i in range(n_cols)]
+    texts = np.array(repr(bits.view(np.float64).tolist())[1:-1].split(", "),
+                     dtype=object)
+    return texts[inverse.reshape(n_cols, n_rows)].tolist()
+
+
+def write_csv(path, header: list[str], lead: Iterable[str],
+              columns: list[np.ndarray]) -> None:
+    """Write the header, then one row per entry of the float `columns`,
+    led by the next string of `lead`, each line ending in CRLF as
+    csv.writer ends it; every number is its repr, as csv.writer writes a
+    float.  Rows go out in blocks of CSV_BLOCK: a block's numbers are
+    stacked and formatted at once by _float_texts, which formats each
+    distinct number once, so memory holds one block, not the file."""
+    lead = iter(lead)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, n_rows, CSV_BLOCK):
-            block = lines(slice(start, start + CSV_BLOCK))
-            fh.write("\r\n".join(block) + "\r\n")
+        for start in range(0, len(columns[0]), CSV_BLOCK):
+            block = np.stack([c[start:start + CSV_BLOCK] for c in columns])
+            texts = _float_texts(block)
+            rows = zip(itertools.islice(lead, block.shape[1]), *texts)
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,13 +119,13 @@ class EmpiricalMeasure:
         return value, float(np.sqrt(np.sum(np.square(dev, out=dev))))
 
     def to_csv(self, path) -> None:
-        """One row per sample: vertex, coordinates, weight."""
+        """One row per sample: vertex, coordinates, weight.  The vertex
+        column leads each row; write_csv formats each distinct coordinate
+        and weight of a block once."""
         k = self.points.shape[1]
         write_csv(path, ["vertex", *(f"x_{i + 1}" for i in range(k)), "weight"],
-                  len(self), lambda rows: (
-                      ",".join(map(repr, (v, *p, w))) for v, p, w in zip(
-                          self.vertices[rows].tolist(), self.points[rows].tolist(),
-                          self.weights[rows].tolist())))
+                  map(repr, self.vertices.tolist()),
+                  [*self.points.T, self.weights])
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalMeasure":

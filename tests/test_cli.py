@@ -311,6 +311,15 @@ def test_run_writes_all_artifacts(tmp_path, config_a):
     assert all(cert["nodes_explored"] > 0 for cert in certs)
     blob = json.loads((out / "bounds.json").read_text())
     assert all(blob["pass_flags"].values())
+    _assert_stage_seconds(manifest)
+
+
+def _assert_stage_seconds(manifest: dict) -> None:
+    """Every stage that ran, failed or not, has its wall and CPU seconds."""
+    assert set(manifest["seconds"]) == set(manifest["stages"])
+    for times in manifest["seconds"].values():
+        assert set(times) == {"wall", "cpu"}
+        assert all(isinstance(t, float) and t >= 0.0 for t in times.values())
 
 
 def test_run_never_samples_the_chain(tmp_path, config_b, monkeypatch):
@@ -388,6 +397,53 @@ def test_run_monte_carlo_sys_b(tmp_path, config_b):
     assert blob["pass_flags"]["consistency_query_0"]
     k1 = blob["k_n_series"][0]
     assert k1[1] >= 0.0
+
+
+def test_run_passes_when_the_lower_bound_equals_the_cover_cost(tmp_path):
+    """Constant maps and affine probabilities with beta = 0: the corollary
+    factor is 1 and M(Q) = phi0(Q) = the cover cost of a one-word query, so
+    the two sides of the consistency check are equal and differ by rounding
+    alone (the lower bound of e2 reads 3.3e-16 above its cost).  `run`
+    exits 0 with every pass flag true."""
+    def edge(eid, offset, alpha):
+        return {"id": eid, "source": 1, "target": 1, "linear": [0.0],
+                "offset": [offset],
+                "prob": {"family": "affine", "alpha": alpha, "beta": [0.0]}}
+
+    config = tmp_path / "sys.json"
+    config.write_text(json.dumps({
+        "dimension": 1,
+        "vertices": [{"index": 1, "lower": [0.0], "upper": [1.0],
+                      "base_point": [0.5]}],
+        "edges": [edge("e1", 0.25, 0.3), edge("e2", 0.75, 0.7)],
+        "support_set": [1]}))
+    plan = ExperimentPlan(
+        config_path=str(config), mode="monte_carlo", depths=[1, 2],
+        kstar_windows=[0, 1], kstar_depth=2, cover_window=1, cover_depth=2,
+        queries=[{"words": ["e2"]}, {"words": ["e2.e2"]}],
+        output_dir=str(tmp_path / "out"))
+    assert run(plan) == 0
+    blob = json.loads((tmp_path / "out" / "bounds.json").read_text())
+    assert blob["corollary_factor"] == 1.0
+    assert blob["pass_flags"]["consistency_query_1"]
+    assert all(blob["pass_flags"].values())
+
+
+@pytest.mark.parametrize("name, mode", [("a", "exact"), ("a", "monte_carlo"),
+                                        ("b", "monte_carlo")])
+def test_run_accepts_the_normalization_gap_validation_admits(name, mode,
+                                                             tmp_path):
+    """alpha(e1) raised by 9e-13, which validation admits: every table of
+    depths 1-4 sums to 1 only within about n * 9e-13, and `run` exits 0."""
+    cfg = {"a": sys_a_config, "b": sys_b_config}[name]()
+    cfg["edges"][0]["prob"]["alpha"] += 9e-13
+    config = tmp_path / "sys.json"
+    config.write_text(json.dumps(cfg))
+    plan = _plan_a(tmp_path, config)
+    plan.mode, plan.depths = mode, [1, 2, 3, 4]
+    assert run(plan) == 0
+    blob = json.loads((tmp_path / "out" / "bounds.json").read_text())
+    assert all(blob["pass_flags"].values())
 
 
 def test_run_red_flag_exit_code(tmp_path, config_a, monkeypatch, capsys):
@@ -523,6 +579,7 @@ def test_failure_stage_error_and_exit_code(case, entry, tmp_path, capsys,
     assert manifest["failure"]["stage"] == stage
     assert manifest["failure"]["error"] == error
     assert manifest["stages"][stage] == "failed"
+    _assert_stage_seconds(manifest)
     err = capsys.readouterr().err
     assert f"error at stage {stage}:" in err
     assert message in err

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import cmslab as cl
 
-from conftest import sys_b_config, sys_c_config
+from conftest import sys_a_config, sys_b_config, sys_c_config
 from oracles import (chain_cyl_prob, csv_writer_text, enumerate_paths,
                      stationary_via_eig, word_row)
 
@@ -349,15 +350,27 @@ def test_table_csv_round_trip(tmp_path, sys_b, mu_b):
         assert float(row[1]) == float(m)
 
 
-def test_table_csv_is_what_csv_writer_wrote(tmp_path, sys_b, monkeypatch):
+@pytest.mark.parametrize("block", [3, 4])
+def test_table_csv_is_what_csv_writer_wrote(block, tmp_path, sys_a, sys_b,
+                                            monkeypatch):
     """The same bytes as csv.writer with repr(float(x)) per number, across
-    the blocks the rows are written in; a word whose edge ids hold a comma
-    or a quote is quoted as csv.writer quotes it."""
-    monkeypatch.setattr(cl.simulate, "CSV_BLOCK", 3)
+    the blocks the rows are written in: exact sys A tables, whose numbers
+    repeat within and across blocks, of 2 rows (fewer than a block), 4 and
+    8 (a multiple of 4 and not of 3); one of them with 0.0 and -0.0 in one
+    block and a -inf logZ; and Monte Carlo tables, one of whose words hold
+    a comma or a quote and are quoted as csv.writer quotes them."""
+    monkeypatch.setattr(cl.simulate, "CSV_BLOCK", block)
     cfg = sys_b_config()
     cfg["edges"][0]["id"], cfg["edges"][1]["id"] = 'e,1', 'e"2'
-    for sys_ in (sys_b, cl.validate_system(cfg)):
-        table = cl.build_table(sys_, 3, cl.pushforward_measure(sys_, 5))
+    tables = [cl.build_table(sys_a, n, cl.EXACT) for n in (1, 2, 3)]
+    tables += [cl.build_table(sys_, 3, cl.pushforward_measure(sys_, 5))
+               for sys_ in (sys_b, cl.validate_system(cfg))]
+    stderrs, logz = tables[2].stderrs.copy(), tables[2].logz_values.copy()
+    stderrs[1], logz[2] = -0.0, -math.inf
+    tables.append(dataclasses.replace(tables[2], stderrs=stderrs,
+                                      logz_values=logz))
+    assert len(set(tables[2].m_values.tolist())) == 1
+    for table in tables:
         path = tmp_path / "table.csv"
         table.to_csv(path)
         expected = csv_writer_text(
@@ -367,6 +380,39 @@ def test_table_csv_is_what_csv_writer_wrote(tmp_path, sys_b, monkeypatch):
                 table.z_values, table.logz_values, table.stderrs)))
         with open(path, newline="") as fh:
             assert fh.read() == expected
+
+
+def _alpha_raised(make_config) -> dict:
+    """The config with alpha(e1) raised by 9e-13: validation admits
+    out-edge probabilities that sum to 1 + 9e-13."""
+    cfg = make_config()
+    cfg["edges"][0]["prob"]["alpha"] += 9e-13
+    return cfg
+
+
+@pytest.mark.parametrize("make_config, mode", [
+    (sys_a_config, "exact"), (sys_a_config, "mu_N"), (sys_b_config, "mu_N")])
+def test_tables_accept_the_normalization_gap_validation_admits(make_config,
+                                                                mode):
+    """n levels compound the gap g = 9e-13 to a mass sum near 1 + n g,
+    past 1e-12 from depth 2 on; build_table allows n g."""
+    sys_ = cl.validate_system(_alpha_raised(make_config))
+    assert abs(sys_.normalization_gap - 9e-13) < 1e-15
+    measure = cl.EXACT if mode == "exact" else cl.pushforward_measure(sys_)
+    for n in range(1, 5):
+        table = cl.build_table(sys_, n, measure)
+        assert abs(math.fsum(table.m_values) - 1.0) <= 1e-12 + n * 9.1e-13
+    assert math.fsum(table.phi0_values) - 1.0 > 3e-12
+
+
+def test_tables_refuse_sums_past_the_normalization_gap():
+    """Rows whose masses or base measures sum to 1.01 still raise."""
+    sys_ = cl.validate_system(_alpha_raised(sys_a_config))
+    raw = cl.walk_cylinders(sys_, 2, cl.EXACT)[2]
+    for key in ("m_values", "phi0_values"):
+        rows = {2: dataclasses.replace(raw, **{key: getattr(raw, key) * 1.01})}
+        with pytest.raises(cl.AbsoluteContinuityViolation, match="sum to"):
+            cl.build_table(sys_, 2, cl.EXACT, rows=rows)
 
 
 def test_cylinder_set_validation(sys_a):
