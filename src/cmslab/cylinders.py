@@ -271,16 +271,19 @@ class CylinderTable:
         """One row per word, led by the dotted word; write_csv formats each
         distinct number of a block once.  Words are quoted as csv.writer
         quotes them, which the table checks once, on its edge ids."""
-        words = map(".".join, self.words)
+        text = ".".join
         if any(c in e for e in set().union(*self.words) for c in ',"\r\n'):
-            words = map(_csv_field, words)
-        write_csv(path, ["word", "M", "phi0", "Z", "logZ", "stderr"], words,
+            text = _quoted_word
+        write_csv(path, ["word", "M", "phi0", "Z", "logZ", "stderr"],
+                  lambda rows: map(text, self.words[rows]),
                   [self.m_values, self.phi0_values, self.z_values,
                    self.logz_values, self.stderrs])
 
 
-def _csv_field(text: str) -> str:
-    """text quoted when it holds a delimiter, a quote or a line break."""
+def _quoted_word(word: Word) -> str:
+    """The dotted word, quoted when it holds a delimiter, a quote or a line
+    break."""
+    text = ".".join(word)
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text

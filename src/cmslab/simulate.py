@@ -13,10 +13,9 @@ randomness is driven by numpy Generators seeded from 64-bit integers.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -47,22 +46,21 @@ def _float_texts(block: np.ndarray) -> list[list[str]]:
     return texts[inverse.reshape(n_cols, n_rows)].tolist()
 
 
-def write_csv(path, header: list[str], lead: Iterable[str],
+def write_csv(path, header: list[str], lead: Callable[[slice], Iterable[str]],
               columns: list[np.ndarray]) -> None:
     """Write the header, then one row per entry of the float `columns`,
-    led by the next string of `lead`, each line ending in CRLF as
-    csv.writer ends it; every number is its repr, as csv.writer writes a
-    float.  Rows go out in blocks of CSV_BLOCK: a block's numbers are
-    stacked and formatted at once by _float_texts, which formats each
-    distinct number once, so memory holds one block, not the file."""
-    lead = iter(lead)
+    each led by its string from lead(rows) and ending in CRLF as csv.writer
+    ends it; every number is its repr, as csv.writer writes a float.  Rows
+    go out in slices `rows` of CSV_BLOCK: a block's numbers are stacked and
+    formatted at once by _float_texts, which formats each distinct number
+    once, so memory holds one block, not the file."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(columns[0]), CSV_BLOCK):
-            block = np.stack([c[start:start + CSV_BLOCK] for c in columns])
-            texts = _float_texts(block)
-            rows = zip(itertools.islice(lead, block.shape[1]), *texts)
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+            rows = slice(start, start + CSV_BLOCK)
+            texts = _float_texts(np.stack([c[rows] for c in columns]))
+            fh.write("\r\n".join(map(",".join, zip(lead(rows), *texts)))
+                     + "\r\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +122,7 @@ class EmpiricalMeasure:
         and weight of a block once."""
         k = self.points.shape[1]
         write_csv(path, ["vertex", *(f"x_{i + 1}" for i in range(k)), "weight"],
-                  map(repr, self.vertices.tolist()),
+                  lambda rows: map(repr, self.vertices[rows].tolist()),
                   [*self.points.T, self.weights])
 
     @classmethod
