@@ -425,7 +425,6 @@ def test_run_passes_when_the_lower_bound_equals_the_cover_cost(tmp_path):
     assert run(plan) == 0
     blob = json.loads((tmp_path / "out" / "bounds.json").read_text())
     assert blob["corollary_factor"] == 1.0
-    assert blob["pass_flags"]["consistency_query_1"]
     assert all(blob["pass_flags"].values())
 
 

@@ -350,16 +350,14 @@ def test_table_csv_round_trip(tmp_path, sys_b, mu_b):
         assert float(row[1]) == float(m)
 
 
-@pytest.mark.parametrize("block", [3, 4])
-def test_table_csv_is_what_csv_writer_wrote(block, tmp_path, sys_a, sys_b,
+def test_table_csv_is_what_csv_writer_wrote(tmp_path, sys_a, sys_b,
                                             monkeypatch):
     """The same bytes as csv.writer with repr(float(x)) per number, across
-    the blocks the rows are written in: exact sys A tables, whose numbers
-    repeat within and across blocks, of 2 rows (fewer than a block), 4 and
-    8 (a multiple of 4 and not of 3); one of them with 0.0 and -0.0 in one
-    block and a -inf logZ; and Monte Carlo tables, one of whose words hold
-    a comma or a quote and are quoted as csv.writer quotes them."""
-    monkeypatch.setattr(cl.simulate, "CSV_BLOCK", block)
+    blocks of 3 and of 4 rows: exact sys A tables, whose numbers repeat
+    within and across blocks, of 2 rows (fewer than a block), 4 and 8 (a
+    multiple of 4 and not of 3); one of them with 0.0 and -0.0 in one block
+    and a -inf logZ; and Monte Carlo tables, one of whose words hold a
+    comma or a quote and are quoted as csv.writer quotes them."""
     cfg = sys_b_config()
     cfg["edges"][0]["id"], cfg["edges"][1]["id"] = 'e,1', 'e"2'
     tables = [cl.build_table(sys_a, n, cl.EXACT) for n in (1, 2, 3)]
@@ -370,16 +368,18 @@ def test_table_csv_is_what_csv_writer_wrote(block, tmp_path, sys_a, sys_b,
     tables.append(dataclasses.replace(tables[2], stderrs=stderrs,
                                       logz_values=logz))
     assert len(set(tables[2].m_values.tolist())) == 1
-    for table in tables:
-        path = tmp_path / "table.csv"
-        table.to_csv(path)
-        expected = csv_writer_text(
-            ["word", "M", "phi0", "Z", "logZ", "stderr"],
-            ([".".join(w), *values] for w, *values in zip(
-                table.words, table.m_values, table.phi0_values,
-                table.z_values, table.logz_values, table.stderrs)))
-        with open(path, newline="") as fh:
-            assert fh.read() == expected
+    path = tmp_path / "table.csv"
+    for block in (3, 4):
+        monkeypatch.setattr(cl.simulate, "CSV_BLOCK", block)
+        for table in tables:
+            table.to_csv(path)
+            expected = csv_writer_text(
+                ["word", "M", "phi0", "Z", "logZ", "stderr"],
+                ([".".join(w), *values] for w, *values in zip(
+                    table.words, table.m_values, table.phi0_values,
+                    table.z_values, table.logz_values, table.stderrs)))
+            with open(path, newline="") as fh:
+                assert fh.read() == expected
 
 
 def _alpha_raised(make_config) -> dict:

@@ -139,33 +139,34 @@ def test_measure_csv_round_trip(tmp_path, mu_c):
     assert np.array_equal(back.weights, mu_c.weights)
 
 
-@pytest.mark.parametrize("block", [3, 4, 5])
-@pytest.mark.parametrize("make_config, levels", [
-    (sys_a_config, 1), (sys_a_config, 3), (sys_c_config, 6),
-    (planar_config, 6)])
-def test_measure_csv_is_what_csv_writer_wrote(make_config, levels, block,
-                                             tmp_path, monkeypatch):
+@pytest.mark.parametrize("make_config", [sys_a_config, sys_c_config,
+                                         planar_config])
+def test_measure_csv_is_what_csv_writer_wrote(make_config, tmp_path,
+                                             monkeypatch):
     """The same bytes as csv.writer with repr(float(x)) per cell: header,
     CRLF line ends, unequal weights, and 0.0 and -0.0 in one block, across
-    the blocks the rows are written in.  Sys A's atoms weigh the same, so
-    its weights repeat within and across blocks; its 2 atoms are fewer than
-    a block, and its 8 a multiple of 4 and not of 3 or 5."""
-    monkeypatch.setattr(cl.simulate, "CSV_BLOCK", block)
+    blocks of 3, 4 and 5 rows.  Sys A's atoms weigh the same, so its
+    weights repeat within and across blocks; its 2 atoms at one level are
+    fewer than a block, and its 8 and 64 at three and six a multiple of 4
+    and not of 3 or 5."""
     sys_ = cl.validate_system(make_config())
-    mu = cl.pushforward_measure(sys_, levels)
-    points = mu.points.copy()
-    points[0], points[1] = -0.0, 0.0
-    mu = cl.EmpiricalMeasure(vertices=mu.vertices, points=points,
-                             weights=mu.weights)
-    path = tmp_path / "mu.csv"
-    mu.to_csv(path)
     k = sys_.dimension
-    expected = csv_writer_text(
-        ["vertex", *(f"x_{i + 1}" for i in range(k)), "weight"],
-        ([int(v), *p, w] for v, p, w in zip(mu.vertices, mu.points,
-                                            mu.weights)))
-    with open(path, newline="") as fh:
-        assert fh.read() == expected
+    path = tmp_path / "mu.csv"
+    for levels in (1, 3, 6):
+        mu = cl.pushforward_measure(sys_, levels)
+        points = mu.points.copy()
+        points[0], points[1] = -0.0, 0.0
+        mu = cl.EmpiricalMeasure(vertices=mu.vertices, points=points,
+                                 weights=mu.weights)
+        expected = csv_writer_text(
+            ["vertex", *(f"x_{i + 1}" for i in range(k)), "weight"],
+            ([int(v), *p, w] for v, p, w in zip(mu.vertices, mu.points,
+                                                mu.weights)))
+        for block in (3, 4, 5):
+            monkeypatch.setattr(cl.simulate, "CSV_BLOCK", block)
+            mu.to_csv(path)
+            with open(path, newline="") as fh:
+                assert fh.read() == expected
 
 
 # --- the pushforward measure mu_N -------------------------------------------
