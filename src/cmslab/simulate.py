@@ -38,9 +38,6 @@ def _float_texts(block: np.ndarray) -> list[list[str]]:
     n_cols, n_rows = block.shape
     flat = block.ravel()
     bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-    if len(bits) == len(flat):  # nothing repeats: format the block as it is
-        texts = repr(flat.tolist())[1:-1].split(", ")
-        return [texts[i * n_rows:(i + 1) * n_rows] for i in range(n_cols)]
     texts = np.array(repr(bits.view(np.float64).tolist())[1:-1].split(", "),
                      dtype=object)
     return texts[inverse.reshape(n_cols, n_rows)].tolist()
