@@ -2,10 +2,10 @@
 
 Subcommands: validate, simulate, coding, table, bounds, cover, verify-cert,
 run.  `run` executes STAGES, validate -> simulate -> constants -> tables ->
-bounds -> covers -> consistency, and writes system.json, measure.csv,
-tables/depth_n.csv, bounds.json, covers/query_*.json, report.md and a
-MANIFEST.json recording the stages, their wall and CPU seconds and each
-cover search's node count;
+bounds -> covers -> consistency, and writes system.json, tables/depth_n.csv,
+bounds.json, covers/query_*.json, report.md and a MANIFEST.json recording
+the stages, their wall and CPU seconds, mu_N's levels and atoms, the words
+walked per depth and each cover search's node count;
 `bounds` executes the first five and prints the report `run` writes to
 report.md; it has no queries, so its report has no covers section.  Exit
 codes: 0 success (a cover search cut short by its budget included: its
@@ -17,8 +17,10 @@ The simulate stage builds mu_N, the base points pushed forward to the
 deepest level within simulate.ATOM_CAP, in both modes: it gives c_hat, and
 in monte_carlo mode also the chain mass M.  It is deterministic, so `run`,
 `bounds` and `table` (without --measure) need no seed, and their rows carry
-standard error 0.  Only the simulate subcommand samples the chain; its seed
-may be overridden with the CMSLAB_SEED environment variable.
+standard error 0.  mu_N is a function of system.json, so `run` does not
+write its atoms; pushforward_measure(system).to_csv(path) does.  Only the
+simulate subcommand samples the chain; its seed may be overridden with the
+CMSLAB_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -221,7 +223,7 @@ class _Context:
     plan: ExperimentPlan
     out: Path | None
     manifest: dict = field(default_factory=lambda: {
-        "stages": {}, "seconds": {}, "artifacts": []})
+        "stages": {}, "seconds": {}, "counts": {}, "artifacts": []})
     system: MarkovSystem | None = None
     mu: PushforwardMeasure | None = None
     measure: object = None
@@ -250,7 +252,8 @@ def _validate(ctx: _Context) -> None:
 def _simulate(ctx: _Context) -> None:
     # c_hat integrates over the invariant measure in every mode
     ctx.mu = pushforward_measure(ctx.system)
-    ctx.save("measure.csv", ctx.mu.to_csv)
+    ctx.manifest["counts"]["simulate"] = {"levels": ctx.mu.levels,
+                                          "atoms": len(ctx.mu)}
     ctx.measure = EXACT if ctx.plan.mode == "exact" else ctx.mu
 
 
@@ -274,6 +277,9 @@ def _tables(ctx: _Context) -> None:
                if count_words(system, n) <= cylinders_mod.WORD_CAP]
     words = [w for q in ctx.queries if q for w in q.words]
     ctx.rows = walk_cylinders(system, max(lengths), ctx.measure, along=words)
+    ctx.manifest["counts"]["tables"] = {
+        "words_per_depth": [[n, len(rows.words)]
+                            for n, rows in ctx.rows.items()]}
     for n in plan.depths:
         ctx.tables[n] = build_table(system, n, ctx.measure, rows=ctx.rows)
         ctx.save(f"tables/depth_{n}.csv", ctx.tables[n].to_csv)

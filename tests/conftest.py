@@ -1,10 +1,47 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 import cmslab as cl
+import cmslab.cli  # noqa: F401  (in LOCAL_MODULES, as the tests use it)
 
 THIRD = 1.0 / 3.0
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def bench_module(name: str):
+    """bench/<name>.py, loaded once and kept in sys.modules as
+    bench_<name>."""
+    module = sys.modules.get(f"bench_{name}")
+    if module is None:
+        spec = importlib.util.spec_from_file_location(
+            f"bench_{name}", ROOT / "bench" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+def local_modules() -> set[str]:
+    """Names of the loaded modules whose source is in src/ or bench/."""
+    return {name for name, module in list(sys.modules.items())
+            if any(ROOT / part in Path(getattr(module, "__file__", None)
+                                       or "/").parents
+                   for part in ("src", "bench"))}
+
+
+# Hypothesis draws about 5 % of its numbers from the constants of the local
+# modules in sys.modules, so a derandomized property draws different
+# examples after a test loads another one.  Every module the tests load is
+# loaded here, before any test, so the draws do not depend on which tests
+# ran first.
+bench_module("workloads")
+bench_module("tracing")
+LOCAL_MODULES = local_modules()
 
 _ACCEPTANCE_LINES: list[str] = []
 

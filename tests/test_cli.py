@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import importlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -15,7 +14,7 @@ import cmslab as cl
 from cmslab import cli as cli_mod
 from cmslab.cli import ExperimentPlan, main, run
 
-from conftest import sys_a_config, sys_b_config, sys_c_config
+from conftest import bench_module, sys_a_config, sys_b_config, sys_c_config
 from test_integration_2d import planar_config
 
 
@@ -295,12 +294,18 @@ def test_run_writes_all_artifacts(tmp_path, config_a):
     plan = _plan_a(tmp_path, config_a)
     assert run(plan) == 0
     out = tmp_path / "out"
-    for name in ("system.json", "measure.csv", "bounds.json", "report.md",
+    for name in ("system.json", "bounds.json", "report.md",
                  "MANIFEST.json", "tables/depth_1.csv", "tables/depth_3.csv",
                  "covers/query_0.json", "covers/query_1.json"):
         assert (out / name).exists(), name
+    # mu_N is a function of system.json: run does not write its atoms
+    assert not (out / "measure.csv").exists()
     manifest = json.loads((out / "MANIFEST.json").read_text())
     assert all(v == "ok" for v in manifest["stages"].values())
+    # the manifest lists every file run wrote, and only those
+    assert sorted(manifest["artifacts"]) == sorted(
+        path.relative_to(out).as_posix() for path in out.rglob("*")
+        if path.is_file() and path.name != "MANIFEST.json")
     # each search's counts, as its certificate records them
     certs = [json.loads((out / f"covers/query_{qi}.json").read_text())
              for qi in range(2)]
@@ -312,6 +317,29 @@ def test_run_writes_all_artifacts(tmp_path, config_a):
     blob = json.loads((out / "bounds.json").read_text())
     assert all(blob["pass_flags"].values())
     _assert_stage_seconds(manifest)
+
+
+@pytest.mark.parametrize("mode, config", [("exact", "config_a"),
+                                          ("monte_carlo", "config_b")])
+def test_manifest_counts_match_bounds_json(mode, config, tmp_path, request):
+    """MANIFEST.json counts mu_N's levels and atoms as bounds.json records
+    them, and the words walked per depth: every admissible word up to the
+    deepest table or K* length, then only the prefixes of the query word."""
+    config = request.getfixturevalue(config)
+    out = tmp_path / "out"
+    plan = ExperimentPlan(
+        config_path=str(config), mode=mode, depths=[1, 2],
+        kstar_windows=[0, 1], kstar_depth=2, cover_window=1, cover_depth=2,
+        queries=[{"words": ["e1.e2.e1.e2.e1"]}], output_dir=str(out))
+    assert run(plan) == 0
+    manifest = json.loads((out / "MANIFEST.json").read_text())
+    blob = json.loads((out / "bounds.json").read_text())
+    assert manifest["counts"]["simulate"] == {
+        key: blob["measure"][key] for key in ("levels", "atoms")}
+    system = cl.validate_system(json.loads(config.read_text()))
+    assert manifest["counts"]["tables"] == {"words_per_depth": [
+        [1, cl.count_words(system, 1)], [2, cl.count_words(system, 2)],
+        [3, cl.count_words(system, 3)], [4, 1], [5, 1]]}
 
 
 def _assert_stage_seconds(manifest: dict) -> None:
@@ -682,11 +710,8 @@ def test_report_marks_covers_cut_short_by_the_budget(tmp_path, config_a):
 
 def _traced_attributes() -> list[tuple[str, str]]:
     """(owner, attribute) of every call bench/tracing.py wraps."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return [(owner, attr) for owner, attr, _name, _layer in tracing.TRACED]
+    return [(owner, attr) for owner, attr, _name, _layer
+            in bench_module("tracing").TRACED]
 
 
 def test_every_traced_attribute_is_called_by_a_job(tmp_path, config_a,
@@ -694,9 +719,11 @@ def test_every_traced_attribute_is_called_by_a_job(tmp_path, config_a,
     # A benchmark job is cli.run, verify_certificate on each certificate and
     # coding_point; if the pipeline stopped calling a library function by the
     # attribute the tracer wraps, that layer's time would silently read 0.
-    # The one exception is the chain sampler: `run` pushes the base points
-    # forward instead, so the tracer's estimate span reads 0 by design; the
-    # sampler stays resolvable as cli.estimate_invariant for `simulate`.
+    # Two exceptions read 0 by design.  The chain sampler: `run` pushes the
+    # base points forward instead; it stays resolvable as
+    # cli.estimate_invariant for `simulate`.  The measure CSV write: mu_N is
+    # a function of system.json, so `run` does not write it; to_csv stays for
+    # `simulate --out` and the library.
     calls = {}
     for owner_path, attr in _traced_attributes():
         module, _, cls = owner_path.partition(":")
@@ -719,6 +746,7 @@ def test_every_traced_attribute_is_called_by_a_job(tmp_path, config_a,
                                        f"query_{qi}.json"))
     cl.coding.coding_point(cl.validate_system(sys_a_config()), ("e1", "e2"))
     assert calls.pop("cmslab.cli.estimate_invariant") == 0
+    assert calls.pop("cmslab.simulate:EmpiricalMeasure.to_csv") == 0
     assert calls and all(calls.values()), calls
 
 

@@ -1,17 +1,15 @@
 from __future__ import annotations
 
-import importlib.util
 import json
 import math
 import random
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cmslab as cl
 
+from conftest import bench_module
 from oracles import brute_min_cover_cost, enumerate_paths, plain_cover_search
 
 
@@ -168,13 +166,7 @@ def test_search_matches_the_plain_search(name, request):
 def _workload_system(workload: str, seed: int):
     """The benchmark workload's system on a seed, as bench/workloads.py
     generates it."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    module = sys.modules.get("bench_workloads")
-    if module is None:
-        spec = importlib.util.spec_from_file_location("bench_workloads", path)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules["bench_workloads"] = module
-        spec.loader.exec_module(module)
+    module = bench_module("workloads")
     rng = np.random.default_rng([seed, module.WORKLOADS.index(workload)])
     return cl.validate_system(module.make_system(
         rng, module.SIZES[workload]["full"]["k"],

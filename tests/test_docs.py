@@ -5,11 +5,15 @@ from __future__ import annotations
 
 import argparse
 import ast
+import fnmatch
+import json
 import re
 from pathlib import Path
 
 import cmslab as cl
-from cmslab.cli import _build_parser
+from cmslab.cli import ExperimentPlan, _build_parser, run
+
+from conftest import sys_a_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -64,3 +68,26 @@ def test_every_subcommand_and_flag_is_in_the_readme():
                 if flag.startswith("--") and flag != "--help"
                 and not re.search(rf"{re.escape(flag)}\b(?!-)", readme)]
     assert missing == []
+
+
+def test_readme_lists_the_artifacts_run_writes(tmp_path):
+    """The files README.md's `run` paragraph names ("It writes ..., and a
+    `MANIFEST.json`") are the ones a run records under `artifacts`: each
+    name, a glob, matches a recorded file, and each file matches a name."""
+    readme = (ROOT / "README.md").read_text()
+    listed = re.search(r"It writes (.*?), and a `MANIFEST.json`", readme,
+                       re.S).group(1)
+    names = re.findall(r"`([^`]+)`", listed)
+    config = tmp_path / "sys.json"
+    config.write_text(json.dumps(sys_a_config()))
+    out = tmp_path / "out"
+    assert run(ExperimentPlan(
+        config_path=str(config), mode="exact", depths=[1, 2],
+        kstar_windows=[0], kstar_depth=1, cover_depth=1,
+        queries=[{"words": ["e1"]}, {"whole_space_depth": 1}],
+        output_dir=str(out))) == 0
+    artifacts = json.loads((out / "MANIFEST.json").read_text())["artifacts"]
+    assert len(names) == 5
+    assert [n for n in names if not fnmatch.filter(artifacts, n)] == []
+    assert [a for a in artifacts
+            if not any(fnmatch.fnmatch(a, n) for n in names)] == []

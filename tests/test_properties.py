@@ -16,7 +16,6 @@ import json
 import math
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -25,6 +24,7 @@ from hypothesis import strategies as st
 import cmslab as cl
 from cmslab import cli
 
+from conftest import LOCAL_MODULES, local_modules
 from oracles import (
     expected_running_max,
     fold_backward_orbit,
@@ -91,6 +91,14 @@ def systems(draw, affine=None, full_support=False):
 
 _SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
                      database=None)
+
+
+def test_draws_do_not_depend_on_the_tests_run_before():
+    """Hypothesis draws some numbers from the constants of the local modules
+    in sys.modules, so a derandomized property here would draw other
+    examples after a test that loaded a new one.  conftest loads every
+    module the tests use before any test runs, and none loads another."""
+    assert local_modules() == LOCAL_MODULES
 
 
 @_SETTINGS
@@ -208,7 +216,6 @@ def test_pushforward_mass_is_the_vertex_law_on_random_systems(drawn):
         assert not rows[depth].stderrs.any()
 
 
-@mock.patch.object(cl.simulate, "ATOM_CAP", 2 ** 10)
 @settings(_SETTINGS, max_examples=80)
 @given(systems(full_support=True), st.data())
 def test_north_star_identities_on_random_systems(drawn, data):
@@ -216,10 +223,8 @@ def test_north_star_identities_on_random_systems(drawn, data):
     is K_n bit for bit and never falls as the window grows, every pass flag
     of a run holds, and the corollary lower bound of a drawn word stays at
     or below its cover cost; exact mode for constant probabilities, the
-    pushforward measure mu_N for affine ones, as `run` uses them.  The
-    identities hold at every level, so the atom cap is lowered to 2^10
-    coordinates to keep 80 runs, each writing measure.csv, to a few
-    seconds."""
+    pushforward measure mu_N for affine ones, as `run` uses them, at the
+    default atom cap."""
     cfg, affine = drawn
     sys_ = cl.validate_system(cfg)
     plan = dict(mode="monte_carlo" if affine else "exact", depths=[1, 2, 3],
