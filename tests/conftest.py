@@ -29,9 +29,8 @@ def bench_module(name: str):
 def local_modules() -> set[str]:
     """Names of the loaded modules whose source is in src/ or bench/."""
     return {name for name, module in list(sys.modules.items())
-            if any(ROOT / part in Path(getattr(module, "__file__", None)
-                                       or "/").parents
-                   for part in ("src", "bench"))}
+            if any(Path(getattr(module, "__file__", None) or "/")
+                   .is_relative_to(ROOT / part) for part in ("src", "bench"))}
 
 
 # Hypothesis draws about 5 % of its numbers from the constants of the local
