@@ -37,8 +37,9 @@ broken["edges"][1]["prob"] = {"family": "constant", "alpha": 0.6}
 for violation in cl.collect_violations(broken):
     print("rejected:", violation)
 
-# constants need a sampled invariant measure for the average distance c_hat
-mu = cl.estimate_invariant(system, 50_000, burn_in=1000, seed=1)
+# constants need the invariant measure for the average distance c_hat:
+# mu_N, the base point pushed forward N levels, approximates it
+mu = cl.pushforward_measure(system)
 constants = cl.derive_constants(system, mu)
 print("\nderived constants")
 for name in ("a", "delta", "d", "b", "c_hat", "dini_sum_half", "dini_sum_full"):

@@ -27,7 +27,7 @@ config = {
     ],
 }
 system = cl.validate_system(config)
-mu = cl.pushforward_measure(system)  # deterministic: no seed, stderr 0
+mu = cl.pushforward_measure(system)  # deterministic: no seed
 constants = cl.derive_constants(system, mu)
 report = cl.evaluate_bounds(system, constants)
 
@@ -42,8 +42,8 @@ m_q = cl.m_of_cylinder_set(system, q, mu)
 lower = cl.corollary_lower_bound(report, m_q)
 cost, candidate = cl.phi_upper(system, q, max_shift=2, max_depth=3)
 check = cl.consistency_check(lower, cost)
-print(f"\nquery: the cylinder of e1, chain mass {m_q[0]:.5f}")
-print(f"  lower bound {lower[0]:.6f}  <=  cover cost {cost:.6f}"
+print(f"\nquery: the cylinder of e1, chain mass {m_q:.5f}")
+print(f"  lower bound {lower:.6f}  <=  cover cost {cost:.6f}"
       f"  (margin {check.margin:.6f}, pass={check.passed})")
 print(f"  cover: {len(candidate.pieces)} piece(s), "
       f"exhaustive={candidate.exhaustive}")

@@ -1,7 +1,7 @@
 """cmslab: a desk-scale laboratory for contractive Markov systems.
 
 Builds validated systems from JSON configs, pushes the base points forward
-to the invariant measure (or samples the place-dependent chain), evaluates
+to the invariant measure (Barnsley's deterministic algorithm), evaluates
 the coding map with certified truncation errors, tabulates cylinder masses
 and their densities, computes divergence series with explicit upper bounds
 and a multiplicative lower-bound factor, and cross-checks the lower bound
@@ -80,11 +80,8 @@ from .model import (
 from .simulate import (
     ContractionRow,
     EmpiricalMeasure,
-    PushforwardMeasure,
     check_average_contraction,
-    estimate_invariant,
     pushforward_measure,
-    step,
 )
 
 __version__ = "0.1.0"

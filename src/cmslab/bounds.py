@@ -34,6 +34,8 @@ class BoundReport:
     bound_i_value: float
     bound_ii_value: float
     corollary_factor: float
+    # rows (n, K_n, 0.0) and (window, depth, K*, 0.0): the last slot held a
+    # standard error and is kept for readers of bounds.json
     k_n_series: list[tuple[int, float, float]] = field(default_factory=list)
     kstar_estimates: list[tuple[int, int, float, float]] = field(default_factory=list)
     pass_flags: dict[str, bool] = field(default_factory=dict)
@@ -44,23 +46,15 @@ class BoundReport:
         return asdict(self)
 
 
-def _divergence(masses, stderrs, log_densities) -> tuple[float, float]:
-    """Sum of M log d over the rows with M > 0 (0 log 0 = 0), and its
-    standard error: per-row M noise propagated through d(M log M/phi)/dM
-    = log d + 1, treating rows as independent."""
-    terms = []
-    var = 0.0
-    for m, se, log_d in zip(masses, stderrs, log_densities):
-        if m > 0.0:
-            terms.append(m * log_d)
-            var += ((log_d + 1.0) * se) ** 2
-    return math.fsum(terms), math.sqrt(var)
+def _divergence(masses, log_densities) -> float:
+    """Sum of M log d over the rows with M > 0 (0 log 0 = 0)."""
+    return math.fsum(m * log_d for m, log_d in zip(masses, log_densities)
+                     if m > 0.0)
 
 
-def kl_n(table: CylinderTable) -> tuple[float, float]:
-    """Depth-n divergence: sum of M log Z over rows, with standard error."""
-    return _divergence(table.m_values.tolist(), table.stderrs.tolist(),
-                       table.logz_values.tolist())
+def kl_n(table: CylinderTable) -> float:
+    """Depth-n divergence: sum of M log Z over rows."""
+    return _divergence(table.m_values.tolist(), table.logz_values.tolist())
 
 
 def evaluate_bounds(sys: MarkovSystem, constants: ConstantSet) -> BoundReport:
@@ -79,17 +73,15 @@ def evaluate_bounds(sys: MarkovSystem, constants: ConstantSet) -> BoundReport:
         corollary_factor=math.exp(-inv_delta * constants.dini_sum_full) / s)
 
 
-def corollary_lower_bound(report: BoundReport,
-                          m_of_q: tuple[float, float]) -> tuple[float, float]:
+def corollary_lower_bound(report: BoundReport, m_of_q: float) -> float:
     """Lower bound on the shifted-cover outer measure of a query set Q from
-    M(Q): M(Q) times the corollary factor, with propagated standard error."""
-    value, stderr = m_of_q
-    return value * report.corollary_factor, stderr * report.corollary_factor
+    M(Q): M(Q) times the corollary factor."""
+    return m_of_q * report.corollary_factor
 
 
 def kstar_estimate(sys: MarkovSystem, window: int, depth: int,
                    measure: Measure, rows: dict[int, CylinderRows] | None = None
-                   ) -> tuple[float, float]:
+                   ) -> float:
     """Shift-maximized divergence estimate over a finite window.
 
     Words of length depth+window are weighted by their chain mass and scored
@@ -107,5 +99,4 @@ def kstar_estimate(sys: MarkovSystem, window: int, depth: int,
     long_rows = rows[depth + window]
     log_best = [max(logz_of[w[m_off:m_off + depth]] for m_off in range(window + 1))
                 for w in long_rows.words]
-    return _divergence(long_rows.m_values.tolist(), long_rows.stderrs.tolist(),
-                       log_best)
+    return _divergence(long_rows.m_values.tolist(), log_best)

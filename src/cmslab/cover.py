@@ -235,22 +235,17 @@ def verify_cover(sys: MarkovSystem, q: CylinderSet,
 class ConsistencyResult:
     passed: bool
     lower: float
-    lower_stderr: float
     upper: float
     margin: float
 
 
-def consistency_check(lower: tuple[float, float], upper: float) -> ConsistencyResult:
+def consistency_check(lower: float, upper: float) -> ConsistencyResult:
     """Sandwich check: the corollary lower bound must not exceed the cover
-    upper bound beyond three standard errors and COST_TOL.  The two sides
-    can be equal (a corollary factor of 1 and M(Q) = phi0(Q)), and rows
-    without standard error then differ by rounding alone.  A failure is a
-    red flag."""
-    value, stderr = lower
-    return ConsistencyResult(
-        passed=value <= upper + 3.0 * stderr + COST_TOL,
-        lower=value, lower_stderr=stderr, upper=upper,
-        margin=upper - value)
+    upper bound beyond COST_TOL.  The two sides can be equal (a corollary
+    factor of 1 and M(Q) = phi0(Q)), and then differ by rounding alone.  A
+    failure is a red flag."""
+    return ConsistencyResult(passed=lower <= upper + COST_TOL, lower=lower,
+                             upper=upper, margin=upper - lower)
 
 
 # ---------------------------------------------------------------------------

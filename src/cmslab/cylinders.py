@@ -3,7 +3,7 @@
 A depth-n cylinder is the set of sequences agreeing with an admissible edge
 word on coordinates 1..n.  Three set functions are computed per word: the
 chain mass M (stationary chain in exact mode, weighted average of chain
-probabilities over an empirical measure in Monte Carlo mode), the base
+probabilities over the atoms of a measure in Monte Carlo mode), the base
 measure phi0 (average of chain probabilities started at the support base
 points), and their ratio Z with its logarithm.  walk_cylinders computes
 M and phi0 for every word up to a depth in one pass over the word tree, or
@@ -95,12 +95,12 @@ def enumerate_words(sys: MarkovSystem, n: int) -> list[Word]:
 # cylinder quantity is a fold of one one-edge step over a word; the step
 # multiplies by p_e at the current point and then moves the point by w_e,
 # except at a leaf, where nothing reads the point.  Three kinds of state:
-#   samples     (array over the mu atoms, (N, k) array)     M under mu
+#   atoms       (array over the mu atoms, (N, k) array)     M under mu
 #   stationary  (float, None)                                exact M, or 0.0
 #                                                            with no measure
 #   point       (float, (k,) array)                          phi0, from a base point
 
-def _samples_step(state, e, leaf: bool):
+def _atoms_step(state, e, leaf: bool):
     probs, pts = state
     p_e = e.prob.value_many(pts)
     p_e *= probs  # in place saves a temporary; the product commutes exactly
@@ -117,18 +117,17 @@ def _point_step(state, e, leaf: bool):
 
 
 def _mass_chain(sys: MarkovSystem, measure: Measure):
-    """(step, root state of a start vertex, (M, stderr) of a final
-    probability) for the chain mass under `measure`; with no measure the
-    mass is 0 on every word."""
+    """(step, root state of a start vertex, M of a final probability) for
+    the chain mass under `measure`; with no measure the mass is 0 on every
+    word."""
     if measure is None:
-        return _stationary_step, lambda v: (0.0, None), lambda value: (value, 0.0)
+        return _stationary_step, lambda v: (0.0, None), float
     if isinstance(measure, str):
         if measure != EXACT:
             raise ValueError(f"unknown measure mode {measure!r}")
         pi = stationary_vertex_distribution(sys)
-        return (_stationary_step, lambda v: (float(pi[v - 1]), None),
-                lambda value: (value, 0.0))
-    return (_samples_step,
+        return _stationary_step, lambda v: (float(pi[v - 1]), None), float
+    return (_atoms_step,
             lambda v: ((measure.vertices == v).astype(float), measure.points),
             measure.average)
 
@@ -166,13 +165,12 @@ def stationary_vertex_distribution(sys: MarkovSystem) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CylinderRows:
-    """Unchecked M, M standard error and phi0 of every word at one depth,
-    in the walk's order, or only of the words a walk followed past its full
-    depth (complete is False)."""
+    """Unchecked M and phi0 of every word at one depth, in the walk's order,
+    or only of the words a walk followed past its full depth (complete is
+    False)."""
 
     words: tuple[Word, ...]
     m_values: np.ndarray
-    stderrs: np.ndarray
     phi0_values: np.ndarray
     complete: bool
 
@@ -193,7 +191,7 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
     complete.  Each child node extends its parent's chain states by one
     edge, so every word costs one step, and exact mode solves the stationary
     law once.  The walk holds one state per level of the current path.
-    With measure None it walks phi0 alone and its M and stderr rows are 0.
+    With measure None it walks phi0 alone and its M rows are 0.
     The rows are unchecked; build_table checks them.
     """
     along = [tuple(w) for w in along]
@@ -207,7 +205,7 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
     extend = {w[:i] for w in along for i in range(n_max, len(w))}
     step, root, reduce = _mass_chain(sys, measure)
     n_support = len(sys.support_set)
-    found = {n: ([], [], [], [])
+    found = {n: ([], [], [])
              for n in range(1, max([n_max, *map(len, along)]) + 1)}
     # explicit stack of (word, out-edges not yet taken, M state, phi0 state)
     # per level of the current path; a recursive closure would be a
@@ -228,21 +226,18 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
             leaf = len(child) >= n_max and child not in extend
             child_mass = step(mass, e, leaf)
             child_base = None if base is None else _point_step(base, e, leaf)
-            m, err = reduce(child_mass[0])
-            words, m_vals, errs, phi_vals = found[len(child)]
+            words, m_vals, phi_vals = found[len(child)]
             words.append(child)
-            m_vals.append(m)
-            errs.append(err)
+            m_vals.append(reduce(child_mass[0]))
             phi_vals.append(0.0 if child_base is None
                             else child_base[0] / n_support)
             if not leaf:
                 stack.append((child, iter(sys.out_edges(e.target)),
                               child_mass, child_base))
     return {n: CylinderRows(words=tuple(words), m_values=_read_only(m_vals),
-                            stderrs=_read_only(errs),
                             phi0_values=_read_only(phi_vals),
                             complete=n <= n_max)
-            for n, (words, m_vals, errs, phi_vals) in found.items()}
+            for n, (words, m_vals, phi_vals) in found.items()}
 
 
 def walked_to(sys: MarkovSystem, n: int, measure: Measure,
@@ -255,14 +250,13 @@ def walked_to(sys: MarkovSystem, n: int, measure: Measure,
 
 @dataclass(frozen=True, eq=False)
 class CylinderTable:
-    """Per-word M, phi0, Z = M/phi0, log Z, and M standard errors at one depth."""
+    """Per-word M, phi0, Z = M/phi0 and log Z at one depth."""
 
     words: tuple[Word, ...]
     m_values: np.ndarray
     phi0_values: np.ndarray
     z_values: np.ndarray
     logz_values: np.ndarray
-    stderrs: np.ndarray
 
     def __len__(self) -> int:
         return len(self.words)
@@ -270,14 +264,16 @@ class CylinderTable:
     def to_csv(self, path) -> None:
         """One row per word, led by the dotted word; write_csv formats each
         distinct number of a block once.  Words are quoted as csv.writer
-        quotes them, which the table checks once, on its edge ids."""
+        quotes them, which the table checks once, on its edge ids.  The
+        last column, stderr, is always 0.0: M carries no standard error,
+        and the column is kept for readers of the six-column format."""
         text = ".".join
         if any(c in e for e in set().union(*self.words) for c in ',"\r\n'):
             text = _quoted_word
         write_csv(path, ["word", "M", "phi0", "Z", "logZ", "stderr"],
                   lambda rows: map(text, self.words[rows]),
                   [self.m_values, self.phi0_values, self.z_values,
-                   self.logz_values, self.stderrs])
+                   self.logz_values, np.zeros(len(self.words))])
 
 
 def _quoted_word(word: Word) -> str:
@@ -295,23 +291,21 @@ def build_table(sys: MarkovSystem, n: int, measure: Measure,
 
     `rows` is a walk_cylinders result under the same measure; the table
     reads depth n from it, and walks for itself when it has none.  A word
-    of zero base measure whose chain mass is within sampling noise (three
-    standard errors; exact rows have none) gets Z = log Z = 0; beyond noise
-    it raises AbsoluteContinuityViolation: the support set misses a vertex
-    the chain visits.  So do chain masses or base measures that do not sum
-    to 1 within noise, 1e-12 and n times sys.normalization_gap.
+    of zero base measure and zero chain mass gets Z = log Z = 0; with chain
+    mass it raises AbsoluteContinuityViolation: the support set misses a
+    vertex the chain visits.  So do chain masses or base measures that do
+    not sum to 1 within 1e-12 and n times sys.normalization_gap.
     """
     raw = walked_to(sys, n, measure, rows)[n]
-    m_vals, phi_vals, errs = raw.m_values, raw.phi0_values, raw.stderrs
+    m_vals, phi_vals = raw.m_values, raw.phi0_values
 
     z_list, logz_list = [], []
-    for w, m, phi, err in zip(raw.words, m_vals.tolist(), phi_vals.tolist(),
-                              errs.tolist()):
+    for w, m, phi in zip(raw.words, m_vals.tolist(), phi_vals.tolist()):
         if phi > 0.0:
             z = m / phi
             z_list.append(z)
             logz_list.append(math.log(z) if z > 0.0 else -math.inf)
-        elif m > 3.0 * err:
+        elif m > 0.0:
             raise AbsoluteContinuityViolation(
                 f"word {'.'.join(w)} has chain mass {m:.3e} but zero "
                 f"base measure; the support set is too small")
@@ -324,8 +318,7 @@ def build_table(sys: MarkovSystem, n: int, measure: Measure,
     total_m = math.fsum(m_vals)
     total_phi = math.fsum(phi_vals)
     slack = 1e-12 + n * sys.normalization_gap
-    m_tol = 3.0 * math.sqrt(float(np.sum(errs ** 2))) + slack
-    if abs(total_m - 1.0) > m_tol:
+    if abs(total_m - 1.0) > slack:
         raise AbsoluteContinuityViolation(
             f"depth-{n} chain masses sum to {total_m!r}, not 1")
     if abs(total_phi - 1.0) > slack:
@@ -334,15 +327,15 @@ def build_table(sys: MarkovSystem, n: int, measure: Measure,
 
     return CylinderTable(words=raw.words, m_values=m_vals, phi0_values=phi_vals,
                          z_values=_read_only(z_list),
-                         logz_values=_read_only(logz_list), stderrs=errs)
+                         logz_values=_read_only(logz_list))
 
 
 def m_of_cylinder_set(sys: MarkovSystem, q: CylinderSet, measure: Measure,
                       rows: dict[int, CylinderRows] | None = None
-                      ) -> tuple[float, float]:
-    """Chain mass of a finite cylinder union (words are disjoint by depth)
-    and its standard error, summed from `rows`, a walk_cylinders result under
-    the same measure, or from a walk along q's words when `rows` lacks one."""
+                      ) -> float:
+    """Chain mass of a finite cylinder union (words are disjoint by depth),
+    summed from `rows`, a walk_cylinders result under the same measure, or
+    from a walk along q's words when `rows` lacks one."""
     raw = (rows or {}).get(q.depth)
     if raw is None or not set(q.words) <= set(raw.words):
         for w in q.words:
@@ -350,5 +343,4 @@ def m_of_cylinder_set(sys: MarkovSystem, q: CylinderSet, measure: Measure,
         raw = walk_cylinders(sys, 0, measure, along=q.words)[q.depth]
     index = {w: i for i, w in enumerate(raw.words)}
     at = [index[w] for w in q.words]
-    return (math.fsum(raw.m_values[at]),
-            math.sqrt(math.fsum(np.square(raw.stderrs[at]))))
+    return math.fsum(raw.m_values[at])

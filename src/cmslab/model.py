@@ -202,7 +202,7 @@ class MarkovSystem:
             raise KeyError(f"unknown edge id {edge_id!r}") from None
 
     def out_edges(self, vertex_index: int) -> tuple[DirectedEdge, ...]:
-        """Out-edges sorted by edge id; the canonical sampling order."""
+        """Out-edges sorted by edge id; the canonical order."""
         return self._out_edges[vertex_index]
 
     def base_point(self, vertex_index: int) -> np.ndarray:
@@ -531,8 +531,7 @@ class ConstantSet:
     delta           lower bound of all probability functions on their regions
     d               max displacement of a base point under one edge map
     b               max over regions of expected one-step base displacement
-    c_hat           sampled average distance to the local base point
-    c_hat_stderr    Monte Carlo standard error of c_hat
+    c_hat           mean distance to the local base point under the measure
     dini_sum_half   sum of modulus(a^(i/2) c_hat) over i >= 0
     dini_sum_full   sum of modulus(a^i d/(1-a)) over i >= 0
     """
@@ -542,7 +541,6 @@ class ConstantSet:
     d: float
     b: float
     c_hat: float
-    c_hat_stderr: float
     dini_sum_half: float
     dini_sum_full: float
 
@@ -569,8 +567,8 @@ def modulus_geometric_sum(sys: MarkovSystem, ratio: float,
     return capped + slope * ratio ** capped * scale / (1.0 - ratio)
 
 
-def estimate_c_hat(sys: MarkovSystem, mu: "EmpiricalMeasure") -> tuple[float, float]:
-    """Weighted average distance of mu samples to their vertex base points."""
+def estimate_c_hat(sys: MarkovSystem, mu: "EmpiricalMeasure") -> float:
+    """Weighted average distance of mu atoms to their vertex base points."""
     by_index = np.zeros((max(v.index for v in sys.vertices) + 1, sys.dimension))
     for v in sys.vertices:
         by_index[v.index] = v.base_point
@@ -599,9 +597,8 @@ def derive_constants(sys: MarkovSystem, mu: "EmpiricalMeasure") -> ConstantSet:
         beta = np.sum([c * e.prob.beta for e, c in zip(edges, disp)], axis=0)
         b = max(b, box_range(alpha, beta, v.lower, v.upper)[1])
 
-    c_hat, c_stderr = estimate_c_hat(sys, mu)
+    c_hat = estimate_c_hat(sys, mu)
     half = modulus_geometric_sum(sys, math.sqrt(a), c_hat)
     full = modulus_geometric_sum(sys, a, d / (1.0 - a))
     return ConstantSet(a=a, delta=delta, d=d, b=b, c_hat=c_hat,
-                       c_hat_stderr=c_stderr, dini_sum_half=half,
-                       dini_sum_full=full)
+                       dini_sum_half=half, dini_sum_full=full)

@@ -1,13 +1,11 @@
-"""The invariant measure: pushed forward deterministically, or sampled.
+"""The invariant measure, pushed forward deterministically.
 
 The chain lives on pairs (vertex, point): from (v, x) an out-edge e of v is
 taken with probability p_e(x) and the state moves to (t(e), w_e(x)).
 pushforward_measure builds mu_N, the law of the chain after N steps from the
 support base points, atom by atom (Barnsley's deterministic algorithm); it
-tends to the invariant measure as N grows, needs no seed, and is the
-measure `run`, `bounds` and `table` use.  estimate_invariant samples the
-invariant measure instead, from a single long chain after burn-in; all its
-randomness is driven by numpy Generators seeded from 64-bit integers.
+tends to the invariant measure as N grows and needs no seed.  Its averages
+are exact sums over weighted atoms, so they carry no standard error.
 """
 
 from __future__ import annotations
@@ -20,14 +18,11 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .model import DirectedEdge, MarkovSystem, estimate_c_hat
+from .model import MarkovSystem, estimate_c_hat
 
-DEFAULT_BURN_IN = 1000
 ATOM_CAP = 2 ** 14  # atoms x dimension of a default pushforward measure
 LEVEL_CAP = 256     # its levels when the atom count stops growing
 CSV_BLOCK = 256     # rows a CSV write formats at a time
-
-State = tuple[int, np.ndarray]
 
 
 def _float_texts(block: np.ndarray) -> list[list[str]]:
@@ -62,11 +57,13 @@ def write_csv(path, header: list[str], lead: Callable[[slice], Iterable[str]],
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
-    """Weighted samples (vertex, point, weight) with total weight 1."""
+    """Weighted atoms (vertex, point, weight) with total weight 1.  mu_N
+    records its N as `levels`; a measure read from a CSV has levels 0."""
 
     vertices: np.ndarray
     points: np.ndarray
     weights: np.ndarray
+    levels: int = 0
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=int)
@@ -88,8 +85,8 @@ class EmpiricalMeasure:
         return len(self.weights)
 
     def validate_supports(self, sys: MarkovSystem) -> None:
-        """Check every sample point has the system's dimension and lies in
-        its vertex region."""
+        """Check every atom has the system's dimension and lies in its
+        vertex region."""
         if self.points.shape[1] != sys.dimension:
             raise ValidationError(
                 f"measure points have {self.points.shape[1]} coordinates but "
@@ -97,24 +94,20 @@ class EmpiricalMeasure:
         known = {v.index for v in sys.vertices}
         for idx in np.unique(self.vertices):
             if int(idx) not in known:
-                raise ValidationError(f"sample vertex {idx} is not a system vertex")
+                raise ValidationError(f"atom vertex {idx} is not a system vertex")
             pts = self.points[self.vertices == idx]
             if not sys.vertex(int(idx)).contains(pts):
-                raise ValidationError(f"sample point outside region of vertex {idx}")
+                raise ValidationError(f"atom point outside region of vertex {idx}")
 
     def mean_point(self) -> np.ndarray:
         return self.weights @ self.points
 
-    def average(self, values: np.ndarray) -> tuple[float, float]:
-        """Weighted mean of one value per sample, with its standard error
-        sqrt(sum_i (w_i (values_i - mean))^2)."""
-        value = float(self.weights @ values)
-        dev = values - value
-        dev *= self.weights
-        return value, float(np.sqrt(np.sum(np.square(dev, out=dev))))
+    def average(self, values: np.ndarray) -> float:
+        """Weighted mean of one value per atom."""
+        return float(self.weights @ values)
 
     def to_csv(self, path) -> None:
-        """One row per sample: vertex, coordinates, weight.  The vertex
+        """One row per atom: vertex, coordinates, weight.  The vertex
         column leads each row; write_csv formats each distinct coordinate
         and weight of a block once."""
         k = self.points.shape[1]
@@ -134,7 +127,7 @@ class EmpiricalMeasure:
         if len(rows) < 2 or len(rows[0]) < 3:
             raise ConfigError(
                 f"measure CSV {path} needs a vertex,x_1..x_k,weight header "
-                f"and at least one sample row")
+                f"and at least one atom row")
         header, body = rows[0], rows[1:]
         k = len(header) - 2
         try:
@@ -148,40 +141,31 @@ class EmpiricalMeasure:
             raise ConfigError(f"malformed measure CSV {path}: {exc}") from None
 
 
-@dataclass(frozen=True, eq=False)
-class PushforwardMeasure(EmpiricalMeasure):
-    """mu_N, the support base points pushed forward `levels` chain steps.
-    Its atoms are computed, not sampled, so its averages carry no standard
-    error."""
-
-    levels: int = 0
-
-    def average(self, values: np.ndarray) -> tuple[float, float]:
-        return float(self.weights @ values), 0.0
-
-
-def _push(sys: MarkovSystem, verts: np.ndarray, pts: np.ndarray,
-          wts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One level: every atom (v, x, w) splits into (t(e), w_e(x), w p_e(x))
+def _push(sys: MarkovSystem, verts: np.ndarray, wts: np.ndarray,
+          pts: np.ndarray, *carried: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One level: every atom (v, x, w) splits into (t(e), w p_e(x), w_e(x))
     over the out-edges e of v, one map and one probability call per edge;
-    atoms of zero weight are dropped."""
+    each `carried` point array moves under the same maps as pts.  Atoms of
+    zero weight are dropped."""
     children = []
     for v in sys.vertices:
         at = verts == v.index
-        x, w = pts[at], wts[at]
+        w = wts[at]
+        points = [arr[at] for arr in (pts, *carried)]
         for e in sys.out_edges(v.index):
-            p_e = e.prob.value_many(x)
+            p_e = e.prob.value_many(points[0])
             p_e *= w
-            children.append((np.full(len(w), e.target), e.map.apply_many(x), p_e))
-    verts, pts, wts = (np.concatenate(parts) for parts in zip(*children))
-    if wts.all():  # nothing to drop: spare the copies
-        return verts, pts, wts
-    keep = wts > 0.0
-    return verts[keep], pts[keep], wts[keep]
+            children.append((np.full(len(w), e.target), p_e,
+                             *map(e.map.apply_many, points)))
+    arrays = [np.concatenate(parts) for parts in zip(*children)]
+    if arrays[1].all():  # nothing to drop: spare the copies
+        return tuple(arrays)
+    keep = arrays[1] > 0.0
+    return tuple(arr[keep] for arr in arrays)
 
 
 def pushforward_measure(sys: MarkovSystem,
-                        levels: int | None = None) -> PushforwardMeasure:
+                        levels: int | None = None) -> EmpiricalMeasure:
     """mu_N: one atom (v, base(v), 1/|S|) per support vertex v, pushed
     forward N levels by _push.  The weights are renormalized to sum to 1:
     validation lets out-edge probabilities sum to 1 within 1e-9 on a
@@ -208,105 +192,56 @@ def pushforward_measure(sys: MarkovSystem,
     while depth < (LEVEL_CAP if levels is None else levels):
         if levels is None and int(fanout[verts].sum()) * sys.dimension > ATOM_CAP:
             break
-        verts, pts, wts = _push(sys, verts, pts, wts)
+        verts, wts, pts = _push(sys, verts, wts, pts)
         depth += 1
     wts /= math.fsum(wts)
-    return PushforwardMeasure(vertices=verts, points=pts, weights=wts,
-                              levels=depth)
+    return EmpiricalMeasure(vertices=verts, points=pts, weights=wts,
+                            levels=depth)
 
 
-def c_hat_gap(sys: MarkovSystem, mu: PushforwardMeasure) -> float | None:
+def c_hat_gap(sys: MarkovSystem, mu: EmpiricalMeasure) -> float | None:
     """|c_hat(mu_N) - c_hat(mu_{N-2})|: how far the last two levels still
     move c_hat, or None when mu has fewer than two levels."""
     if mu.levels < 2:
         return None
     coarse = pushforward_measure(sys, mu.levels - 2)
-    return abs(estimate_c_hat(sys, mu)[0] - estimate_c_hat(sys, coarse)[0])
-
-
-def step(sys: MarkovSystem, state: State,
-         rng: np.random.Generator) -> tuple[DirectedEdge, State]:
-    """One chain transition; edges are scanned in id order."""
-    vertex, x = state
-    edges = sys.out_edges(vertex)
-    r = rng.random()
-    acc = 0.0
-    chosen = edges[-1]
-    for e in edges:
-        acc += e.prob.value(x)
-        if r < acc:
-            chosen = e
-            break
-    return chosen, (chosen.target, chosen.map.apply(x))
-
-
-def _start_state(sys: MarkovSystem) -> State:
-    first = min(sys.support_set)
-    return first, sys.base_point(first)
-
-
-def estimate_invariant(sys: MarkovSystem, n_samples: int,
-                       burn_in: int = DEFAULT_BURN_IN,
-                       seed: int = 0) -> EmpiricalMeasure:
-    """Ergodic-average estimate from one chain started at the first support
-    vertex's base point; deterministic given the seed."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    state = _start_state(sys)
-    for _ in range(burn_in):
-        _, state = step(sys, state, rng)
-    verts = np.empty(n_samples, dtype=int)
-    pts = np.empty((n_samples, sys.dimension))
-    for i in range(n_samples):
-        _, state = step(sys, state, rng)
-        verts[i] = state[0]
-        pts[i] = state[1]
-    weights = np.full(n_samples, 1.0 / n_samples)
-    return EmpiricalMeasure(vertices=verts, points=pts, weights=weights)
+    return abs(estimate_c_hat(sys, mu) - estimate_c_hat(sys, coarse))
 
 
 @dataclass(frozen=True)
 class ContractionRow:
     i: int
     estimate: float
-    stderr: float
     bound: float
 
 
 def check_average_contraction(sys: MarkovSystem, mu: EmpiricalMeasure,
-                              i_max: int, n_mc: int,
-                              seed: int = 0) -> list[ContractionRow]:
-    """Monte Carlo check that the i-step orbit of a mu point and the orbit of
-    its base point, driven by the same edges, approach each other like a^i.
+                              i_max: int) -> list[ContractionRow]:
+    """How fast the i-step orbit of a mu atom and the orbit of its vertex's
+    base point, driven by the same edges, approach each other, against a^i.
 
-    Returns rows (i, estimate, stderr, a^i * c_hat) for i = 1..i_max, from
-    n_mc points drawn from mu by a generator seeded with (seed, 0).
+    Each pair (atom, base point) is pushed forward by _push, weighted by p_e
+    at the atom, so the estimate at step i is the exact mean distance over
+    every edge path of length i.  The atoms go in chunks whose pairs after
+    i_max steps, times the dimension, stay within ATOM_CAP where the fan-out
+    allows it.  Returns rows (i, estimate, a^i * c_hat) for
+    i = 1..i_max.
     """
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
-    if n_mc < 1:
-        raise ValueError("n_mc must be >= 1")
     a = sys.contraction_rate
-    c_hat, _ = estimate_c_hat(sys, mu)
-
-    sums = np.zeros(i_max)
-    sqsums = np.zeros(i_max)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    for s in rng.choice(len(mu), size=n_mc, p=mu.weights):
-        vertex = int(mu.vertices[s])
-        state = (vertex, mu.points[s])
-        y = sys.base_point(vertex)
-        for i in range(i_max):
-            edge, state = step(sys, state, rng)
-            y = edge.map.apply(y)
-            dist = float(np.linalg.norm(state[1] - y))
-            sums[i] += dist
-            sqsums[i] += dist * dist
-    mean = sums / n_mc
-    var = np.maximum(sqsums / n_mc - mean ** 2, 0.0)
-    stderr = np.sqrt(var / n_mc)
-    return [ContractionRow(i=i + 1, estimate=float(mean[i]),
-                           stderr=float(stderr[i]),
-                           bound=a ** (i + 1) * c_hat)
-            for i in range(i_max)]
+    c_hat = estimate_c_hat(sys, mu)
+    base = np.array([sys.base_point(int(v)) for v in mu.vertices])
+    fanout = max(len(sys.out_edges(v.index)) for v in sys.vertices)
+    chunk = max(1, ATOM_CAP // (sys.dimension * fanout ** i_max))
+    sums = [[] for _ in range(i_max)]
+    for start in range(0, len(mu), chunk):
+        part = slice(start, start + chunk)
+        pairs = (mu.vertices[part], mu.weights[part], mu.points[part],
+                 base[part])
+        for level in sums:
+            pairs = _push(sys, *pairs)
+            _, wts, pts, ys = pairs
+            level.append(float(wts @ np.linalg.norm(pts - ys, axis=1)))
+    return [ContractionRow(i=i, estimate=math.fsum(level), bound=a ** i * c_hat)
+            for i, level in enumerate(sums, start=1)]

@@ -126,17 +126,17 @@ def sys_c() -> cl.MarkovSystem:
 
 @pytest.fixture(scope="session")
 def mu_a(sys_a) -> cl.EmpiricalMeasure:
-    return cl.estimate_invariant(sys_a, 100_000, burn_in=1000, seed=101)
+    return cl.pushforward_measure(sys_a)
 
 
 @pytest.fixture(scope="session")
 def mu_b(sys_b) -> cl.EmpiricalMeasure:
-    return cl.estimate_invariant(sys_b, 100_000, burn_in=1000, seed=42)
+    return cl.pushforward_measure(sys_b)
 
 
 @pytest.fixture(scope="session")
 def mu_c(sys_c) -> cl.EmpiricalMeasure:
-    return cl.estimate_invariant(sys_c, 20_000, burn_in=1000, seed=7)
+    return cl.pushforward_measure(sys_c)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,8 @@
 Everything here is deliberately written without reusing the library's
 algorithms: direct series summation, eigenvector stationary laws, a
 memoized exhaustive cover search, coding-map truncations folded afresh,
-pushforward atoms folded one path at a time, and csv.writer's output.
+pushforward atoms folded one path at a time, the sampled chain, and
+csv.writer's output.
 The one exception is plain_cover_search, the cover search as it was before
 its dominance memo and per-word bound: it reads the library's window and
 charges and keeps only the search itself apart.
@@ -180,12 +181,12 @@ def chain_cyl_prob(sys, state, word) -> float:
     return prob
 
 
-def word_row(sys, word, measure, pi=None) -> tuple[float, float, float]:
-    """(M, stderr, phi0) of one word, each computed from scratch for it.
+def word_row(sys, word, measure, pi=None) -> tuple[float, float]:
+    """(M, phi0) of one word, each computed from scratch for it.
 
     Exact mode (pi given, measure ignored) multiplies the stationary mass of
     the start vertex by the edge constants.  Monte Carlo mode takes the
-    product of p_e over all measure samples, edge by edge, and its weighted
+    product of p_e over all measure atoms, edge by edge, and its weighted
     mean.  phi0 is chain_cyl_prob from the start vertex's base point.  Per
     word the operations match the library's, so rows compare bit for bit.
     """
@@ -195,7 +196,6 @@ def word_row(sys, word, measure, pi=None) -> tuple[float, float, float]:
         m = float(pi[start - 1])
         for e in edges:
             m *= e.prob.alpha
-        stderr = 0.0
     else:
         probs = (measure.vertices == start).astype(float)
         pts = measure.points
@@ -203,12 +203,11 @@ def word_row(sys, word, measure, pi=None) -> tuple[float, float, float]:
             probs = probs * e.prob.value_many(pts)
             pts = e.map.apply_many(pts)
         m = float(measure.weights @ probs)
-        stderr = float(np.sqrt(np.sum((measure.weights * (probs - m)) ** 2)))
     phi0 = 0.0
     if start in sys.support_set:
         phi0 = (chain_cyl_prob(sys, (start, sys.base_point(start)), word)
                 / len(sys.support_set))
-    return m, stderr, phi0
+    return m, phi0
 
 
 def power_iteration_norm(a: np.ndarray, rel_tol: float = 1e-12,
@@ -262,6 +261,59 @@ def pushforward_atoms(sys, levels: int) -> list[tuple[int, tuple, float]]:
     for v in support:
         extend(v, sys.base_point(v), 1.0 / len(support), levels)
     return sorted(atoms)
+
+
+def chain_step(sys, state, rng):
+    """One transition of the chain on pairs (vertex, point): a uniform draw
+    picks the out-edge, scanning the edges in id order and accumulating
+    p_e at the point.  Returns (edge, next state)."""
+    vertex, x = state
+    edges = sys.out_edges(vertex)
+    r = rng.random()
+    acc = 0.0
+    chosen = edges[-1]
+    for e in edges:
+        acc += e.prob.value(x)
+        if r < acc:
+            chosen = e
+            break
+    return chosen, (chosen.target, chosen.map.apply(x))
+
+
+def chain_samples(sys, n_samples: int, burn_in: int, seed: int):
+    """(vertices, points) of one chain run from the first support vertex's
+    base point, after burn_in steps: an ergodic sample of the invariant
+    measure, each point of weight 1/n_samples."""
+    rng = np.random.default_rng(seed)
+    first = min(sys.support_set)
+    state = (first, sys.base_point(first))
+    for _ in range(burn_in):
+        state = chain_step(sys, state, rng)[1]
+    verts = np.empty(n_samples, dtype=int)
+    pts = np.empty((n_samples, sys.dimension))
+    for i in range(n_samples):
+        state = chain_step(sys, state, rng)[1]
+        verts[i], pts[i] = state
+    return verts, pts
+
+
+def chain_contraction(sys, measure, i_max: int, n_mc: int, seed: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo mean and standard error, for i = 1..i_max, of the
+    distance after i chain steps between a point drawn from `measure` and
+    its vertex's base point, both moved by the edges the chain takes from
+    the drawn point."""
+    rng = np.random.default_rng(seed)
+    dists = np.zeros((n_mc, i_max))
+    for s, atom in enumerate(rng.choice(len(measure), size=n_mc,
+                                        p=measure.weights)):
+        state = (int(measure.vertices[atom]), measure.points[atom])
+        y = sys.base_point(state[0])
+        for i in range(i_max):
+            edge, state = chain_step(sys, state, rng)
+            y = edge.map.apply(y)
+            dists[s, i] = np.linalg.norm(state[1] - y)
+    return dists.mean(axis=0), dists.std(axis=0, ddof=1) / math.sqrt(n_mc)
 
 
 def csv_writer_text(header: list[str], rows) -> str:

@@ -63,23 +63,14 @@ def test_validate_malformed_config_exit_code(tmp_path, capsys):
     assert "edges" in capsys.readouterr().err
 
 
-def test_simulate_deterministic(config_b, tmp_path):
-    out1, out2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
-    assert main(["simulate", "--config", str(config_b), "--samples", "500",
-                 "--burn-in", "50", "--seed", "4", "--out", str(out1)]) == 0
-    assert main(["simulate", "--config", str(config_b), "--samples", "500",
-                 "--burn-in", "50", "--seed", "4", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_seed_env_override(config_b, tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
-    main(["simulate", "--config", str(config_b), "--samples", "200",
-          "--seed", "4", "--out", str(out1)])
-    monkeypatch.setenv("CMSLAB_SEED", "999")
-    main(["simulate", "--config", str(config_b), "--samples", "200",
-          "--seed", "4", "--out", str(out2)])
-    assert out1.read_bytes() != out2.read_bytes()
+def test_simulate_deterministic(config_b, tmp_path, capsys):
+    """simulate writes the atoms of mu_N, the library's pushforward measure."""
+    out1, out2, lib = (tmp_path / f"{name}.csv" for name in ("m1", "m2", "lib"))
+    assert main(["simulate", "--config", str(config_b), "--out", str(out1)]) == 0
+    assert main(["simulate", "--config", str(config_b), "--out", str(out2)]) == 0
+    assert "mu_14, 16384 atoms" in capsys.readouterr().out
+    cl.pushforward_measure(cl.validate_system(sys_b_config())).to_csv(lib)
+    assert out1.read_bytes() == out2.read_bytes() == lib.read_bytes()
 
 
 def test_coding_output(config_a, capsys, monkeypatch):
@@ -115,12 +106,15 @@ def test_table_exact(config_a, tmp_path):
 
 
 def test_table_from_measure_csv(config_b, tmp_path):
+    """A table on simulate's atoms is the table on mu_N, byte for byte."""
     mu_path = tmp_path / "mu.csv"
-    main(["simulate", "--config", str(config_b), "--samples", "400",
-          "--seed", "2", "--out", str(mu_path)])
-    out = tmp_path / "t.csv"
+    main(["simulate", "--config", str(config_b), "--out", str(mu_path)])
+    out, own = tmp_path / "t.csv", tmp_path / "own.csv"
     assert main(["table", "--config", str(config_b), "--depth", "2",
                  "--measure", str(mu_path), "--out", str(out)]) == 0
+    assert main(["table", "--config", str(config_b), "--depth", "2",
+                 "--out", str(own)]) == 0
+    assert out.read_bytes() == own.read_bytes()
 
 
 def test_table_empty_measure_csv_is_a_validation_error(config_b, tmp_path,
@@ -352,15 +346,14 @@ def _assert_stage_seconds(manifest: dict) -> None:
 
 def test_run_never_samples_the_chain(tmp_path, config_b, monkeypatch):
     """A monte_carlo run uses the pushforward measure: it exits 0 with the
-    chain sampler broken, and its bounds.json is the same bytes under any
-    plan seed, sample count or CMSLAB_SEED."""
+    estimate_invariant name broken, and its bounds.json is the same bytes
+    under any plan seed or sample count."""
     def broken(*args, **kwargs):
         raise AssertionError("run sampled the chain")
 
     monkeypatch.setattr(cli_mod, "estimate_invariant", broken)
     outputs = []
-    for seed, samples, env_seed in ((3, 500, "7"), (4, 9000, "123456")):
-        monkeypatch.setenv("CMSLAB_SEED", env_seed)
+    for seed, samples in ((3, 500), (4, 9000)):
         out = tmp_path / f"out{seed}"
         plan = ExperimentPlan(
             config_path=str(config_b), mode="monte_carlo", seed=seed,
@@ -376,8 +369,9 @@ def test_run_never_samples_the_chain(tmp_path, config_b, monkeypatch):
     # k = 1 and two out-edges: 2^14 atoms fill ATOM_CAP at level 14
     assert blob["measure"] == {"levels": 14, "atoms": 2 ** 14,
                                "c_hat_gap": cl.simulate.c_hat_gap(system, mu)}
-    assert blob["constants"]["c_hat_stderr"] == 0.0
+    assert "c_hat_stderr" not in blob["constants"]
     assert all(row[2] == 0.0 for row in blob["k_n_series"])
+    assert all(row[3] == 0.0 for row in blob["kstar_estimates"])
     assert all(blob["pass_flags"].values())
 
 
@@ -476,9 +470,8 @@ def test_run_accepts_the_normalization_gap_validation_admits(name, mode,
 def test_run_red_flag_exit_code(tmp_path, config_a, monkeypatch, capsys):
     # force a failing sandwich to exercise the red-flag exit path
     def always_fail(lower, upper):
-        return cl.ConsistencyResult(passed=False, lower=lower[0],
-                                    lower_stderr=lower[1], upper=upper,
-                                    margin=upper - lower[0])
+        return cl.ConsistencyResult(passed=False, lower=lower, upper=upper,
+                                    margin=upper - lower)
 
     monkeypatch.setattr(cli_mod.cover_mod, "consistency_check", always_fail)
     plan = _plan_a(tmp_path, config_a)
@@ -719,9 +712,9 @@ def test_every_traced_attribute_is_called_by_a_job(tmp_path, config_a,
     # A benchmark job is cli.run, verify_certificate on each certificate and
     # coding_point; if the pipeline stopped calling a library function by the
     # attribute the tracer wraps, that layer's time would silently read 0.
-    # Two exceptions read 0 by design.  The chain sampler: `run` pushes the
-    # base points forward instead; it stays resolvable as
-    # cli.estimate_invariant for `simulate`.  The measure CSV write: mu_N is
+    # Two exceptions read 0 by design.  cli.estimate_invariant: the chain
+    # sampler is gone, and the name stays, uncalled, only so that the tracer
+    # can resolve it.  The measure CSV write: mu_N is
     # a function of system.json, so `run` does not write it; to_csv stays for
     # `simulate --out` and the library.
     calls = {}
@@ -750,8 +743,8 @@ def test_every_traced_attribute_is_called_by_a_job(tmp_path, config_a,
     assert calls and all(calls.values()), calls
 
 
-# a command line with a bad integer flag or CMSLAB_SEED: (arguments after
-# --config, environment, what the message names)
+# a command line with a bad integer flag or one that is gone: (arguments
+# after --config, environment, what the message names)
 _BAD_FLAGS = {
     "table_depth_0": (["table", "--depth", "0", "--mode", "exact"], {},
                       "--depth"),
@@ -759,15 +752,17 @@ _BAD_FLAGS = {
                               "--window"),
     "cover_depth_0": (["cover", "--query", "e1", "--depth", "0"], {},
                       "--depth"),
+    # nothing samples the chain, so no subcommand takes a sampling flag,
+    # whatever its value; CMSLAB_SEED is no longer read, so with a bad value
+    # set it is the gone flag that exits 2
     "simulate_samples_0": (["simulate", "--samples", "0"], {}, "--samples"),
     "simulate_seed_negative": (["simulate", "--seed", "-1"], {}, "--seed"),
     "simulate_burn_in_negative": (["simulate", "--burn-in", "-1"], {},
                                   "--burn-in"),
     "cmslab_seed_not_an_integer": (["simulate", "--samples", "10"],
-                                   {"CMSLAB_SEED": "abc"}, "CMSLAB_SEED"),
-    "cmslab_seed_negative": (["simulate", "--samples", "10"],
-                             {"CMSLAB_SEED": "-1"}, "CMSLAB_SEED"),
-    # bounds and table no longer sample, so they take no sampling flags
+                                   {"CMSLAB_SEED": "abc"}, "--samples"),
+    "cmslab_seed_negative": (["simulate", "--seed", "3"],
+                             {"CMSLAB_SEED": "-1"}, "--seed"),
     "bounds_samples_gone": (["bounds", "--depths", "1", "--samples", "10"],
                             {}, "--samples"),
     "table_seed_gone": (["table", "--depth", "1", "--seed", "3"], {},

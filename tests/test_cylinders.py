@@ -96,7 +96,7 @@ def test_phi0_sums_to_one(sys_b, sys_c):
 # --- chain mass -------------------------------------------------------------
 
 def _m_one(sys_, word, measure, rows=None):
-    """M of the cylinder of one word, with its standard error."""
+    """M of the cylinder of one word."""
     return cl.m_of_cylinder_set(sys_, cl.cylinder_set(sys_, [word]), measure,
                                 rows=rows)
 
@@ -104,16 +104,14 @@ def _m_one(sys_, word, measure, rows=None):
 def test_m_cyl_exact_sys_a(sys_a):
     for n in (1, 2, 4):
         word = ("e2",) * n
-        value, stderr = _m_one(sys_a, word, cl.EXACT)
-        assert value == 0.5 ** n
-        assert stderr == 0.0
+        assert _m_one(sys_a, word, cl.EXACT) == 0.5 ** n
 
 
 def test_m_cyl_exact_sys_c_matches_eigen_oracle(sys_c):
     p = np.array([[0.5, 0.5], [0.5, 0.5]])
     pi = stationary_via_eig(p)
     word = ("c12", "c21", "c11")
-    value, _ = _m_one(sys_c, word, cl.EXACT)
+    value = _m_one(sys_c, word, cl.EXACT)
     assert value == pytest.approx(float(pi[0]) * 0.5 ** 3, abs=1e-12)
     assert cl.stationary_vertex_distribution(sys_c) == pytest.approx(
         [0.5, 0.5], abs=1e-12)
@@ -125,16 +123,16 @@ def test_m_cyl_exact_unavailable_for_place_dependent(sys_b):
 
 
 def test_m_cyl_mc_self_consistency(sys_b, mu_b):
-    value, stderr = _m_one(sys_b, ("e1",), mu_b)
+    value = _m_one(sys_b, ("e1",), mu_b)
     mean = float(mu_b.mean_point()[0])
     assert value == pytest.approx((1.0 + mean) / 3.0, abs=1e-12)
     # and the invariant mean of this system is 1/2, so M(e1) is near 1/2
-    assert abs(value - 0.5) <= 3.0 * stderr + 0.01
+    assert abs(value - 0.5) <= 0.01
 
 
 def test_m_cyl_mc_matches_scalar_path(sys_b, mu_b):
     word = ("e2", "e1")
-    value, _ = _m_one(sys_b, word, mu_b)
+    value = _m_one(sys_b, word, mu_b)
     direct = math.fsum(
         w * chain_cyl_prob(sys_b, (int(v), x), word)
         for v, x, w in zip(mu_b.vertices, mu_b.points, mu_b.weights))
@@ -158,8 +156,7 @@ def test_m_of_cylinder_set_from_rows_equals_own_walk(mode, sys_c, mu_c):
     assert cl.m_of_cylinder_set(sys_c, deep, measure, rows=rows) == expected
     full = cl.walk_cylinders(sys_c, 6, measure)[6]
     at = [full.words.index(w) for w in deep.words]
-    assert expected == (math.fsum(full.m_values[at]),
-                        math.sqrt(math.fsum(np.square(full.stderrs[at]))))
+    assert expected == math.fsum(full.m_values[at])
 
 
 def test_m_of_cylinder_set_rejects_inadmissible_word(sys_c):
@@ -174,7 +171,7 @@ def test_m_of_cylinder_set_rejects_inadmissible_word(sys_c):
 
 @pytest.fixture(scope="module")
 def small_measures(sys_a, sys_b, sys_c):
-    return {name: cl.estimate_invariant(s, 5000, burn_in=200, seed=3)
+    return {name: cl.pushforward_measure(s, 8)
             for name, s in (("sys_a", sys_a), ("sys_b", sys_b),
                             ("sys_c", sys_c))}
 
@@ -196,12 +193,11 @@ def test_walk_rows_match_per_word_oracle(name, mode, request, small_measures):
         assert rows[n].words == tuple(words)
         oracle = [word_row(sys_, w, measure, pi) for w in words]
         assert rows[n].m_values.tolist() == [r[0] for r in oracle]
-        assert rows[n].stderrs.tolist() == [r[1] for r in oracle]
-        assert rows[n].phi0_values.tolist() == [r[2] for r in oracle]
+        assert rows[n].phi0_values.tolist() == [r[1] for r in oracle]
         # a one-word set reads its row; phi0_cyl reads a walk along the word
         assert [_m_one(sys_, w, measure, rows) for w in words] == [
-            r[:2] for r in oracle]
-        assert [cl.phi0_cyl(sys_, w) for w in words] == [r[2] for r in oracle]
+            r[0] for r in oracle]
+        assert [cl.phi0_cyl(sys_, w) for w in words] == [r[1] for r in oracle]
 
 
 def test_walk_takes_one_step_per_tree_node(sys_b, small_measures, monkeypatch):
@@ -254,7 +250,7 @@ def test_walk_follows_words_past_full_depth(sys_b, small_measures,
         words = full[n].words if n <= 2 else prefixes[n]
         assert sorted(rows[n].words) == sorted(words)
         at = [full[n].words.index(w) for w in rows[n].words]
-        for key in ("m_values", "stderrs", "phi0_values"):
+        for key in ("m_values", "phi0_values"):
             assert getattr(rows[n], key).tolist() == getattr(full[n], key)[at].tolist()
     # a table never reads rows the walk did not complete
     assert (cl.build_table(sys_b, 4, mu, rows=rows).m_values.tolist()
@@ -288,11 +284,8 @@ def test_table_sys_c_all_unit_density(sys_c):
 def test_table_sys_b_depth_2(sys_b, mu_b):
     table = cl.build_table(sys_b, 2, mu_b)
     assert len(table) == 4
-    total = math.fsum(table.m_values)
-    sigma = math.sqrt(float(np.sum(table.stderrs ** 2)))
-    assert abs(total - 1.0) <= 3.0 * sigma + 1e-12
-    sig_logz = table.stderrs / np.maximum(table.m_values, 1e-300)
-    assert np.max(np.abs(table.logz_values)) <= 2.0 + 3.0 * float(np.max(sig_logz))
+    assert abs(math.fsum(table.m_values) - 1.0) <= 1e-12
+    assert np.max(np.abs(table.logz_values)) <= 2.0
 
 
 @pytest.mark.parametrize("mode_fixture,depths", [
@@ -309,8 +302,7 @@ def test_kolmogorov_consistency_exact(mode_fixture, depths, request):
 def test_kolmogorov_consistency_mc(sys_b, mu_b):
     shallow = cl.build_table(sys_b, 2, mu_b)
     deep = cl.build_table(sys_b, 3, mu_b)
-    sigma = 3.0 * math.sqrt(float(np.sum(deep.stderrs ** 2)))
-    _check_consistency(sys_b, shallow, deep, tol=sigma + 1e-12)
+    _check_consistency(sys_b, shallow, deep, tol=1e-12)
 
 
 def _check_consistency(sys_, shallow, deep, tol):
@@ -363,10 +355,9 @@ def test_table_csv_is_what_csv_writer_wrote(tmp_path, sys_a, sys_b,
     tables = [cl.build_table(sys_a, n, cl.EXACT) for n in (1, 2, 3)]
     tables += [cl.build_table(sys_, 3, cl.pushforward_measure(sys_, 5))
                for sys_ in (sys_b, cl.validate_system(cfg))]
-    stderrs, logz = tables[2].stderrs.copy(), tables[2].logz_values.copy()
-    stderrs[1], logz[2] = -0.0, -math.inf
-    tables.append(dataclasses.replace(tables[2], stderrs=stderrs,
-                                      logz_values=logz))
+    logz = tables[2].logz_values.copy()
+    logz[1], logz[2] = -0.0, -math.inf
+    tables.append(dataclasses.replace(tables[2], logz_values=logz))
     assert len(set(tables[2].m_values.tolist())) == 1
     path = tmp_path / "table.csv"
     for block in (3, 4):
@@ -375,9 +366,9 @@ def test_table_csv_is_what_csv_writer_wrote(tmp_path, sys_a, sys_b,
             table.to_csv(path)
             expected = csv_writer_text(
                 ["word", "M", "phi0", "Z", "logZ", "stderr"],
-                ([".".join(w), *values] for w, *values in zip(
+                ([".".join(w), *values, 0.0] for w, *values in zip(
                     table.words, table.m_values, table.phi0_values,
-                    table.z_values, table.logz_values, table.stderrs)))
+                    table.z_values, table.logz_values)))
             with open(path, newline="") as fh:
                 assert fh.read() == expected
 
@@ -426,6 +417,4 @@ def test_cylinder_set_validation(sys_a):
 
 def test_m_of_cylinder_set(sys_a):
     q = cl.full_cylinder_set(sys_a, 3)
-    value, stderr = cl.m_of_cylinder_set(sys_a, q, cl.EXACT)
-    assert value == 1.0
-    assert stderr == 0.0
+    assert cl.m_of_cylinder_set(sys_a, q, cl.EXACT) == 1.0

@@ -44,7 +44,7 @@ def planar():
 
 @pytest.fixture(scope="module")
 def planar_mu(planar):
-    return cl.estimate_invariant(planar, 20_000, burn_in=500, seed=13)
+    return cl.pushforward_measure(planar)
 
 
 def test_planar_validates_and_contracts(planar):
@@ -62,7 +62,7 @@ def test_planar_constants(planar, planar_mu):
     # p_spin is smallest at the origin corner: 0.4; p_flat bottoms at 0.45
     assert cs.delta == 0.4
     assert cs.b <= cs.d + 1e-15
-    assert cs.c_hat < cs.b / (1.0 - cs.a) + 3.0 * cs.c_hat_stderr
+    assert cs.c_hat < cs.b / (1.0 - cs.a)
     assert cs.dini_sum_full > 0.0
 
 
@@ -86,14 +86,12 @@ def test_planar_coding_geometry(planar):
 def test_planar_table_and_divergence(planar, planar_mu):
     table = cl.build_table(planar, 3, planar_mu)
     assert abs(math.fsum(table.phi0_values) - 1.0) <= 1e-12
-    value, stderr = cl.kl_n(table)
-    assert value >= -3.0 * stderr
+    value = cl.kl_n(table)
+    assert value >= 0.0
     cs = cl.derive_constants(planar, planar_mu)
     report = cl.evaluate_bounds(planar, cs)
-    assert value <= report.bound_i_value + 3.0 * stderr
-    sig = table.stderrs / np.maximum(table.m_values, 1e-300)
-    assert np.max(table.logz_values) <= report.bound_ii_value \
-        + 3.0 * float(np.max(sig))
+    assert value <= report.bound_i_value
+    assert np.max(table.logz_values) <= report.bound_ii_value
 
 
 def test_planar_cover_and_sandwich(planar, planar_mu):

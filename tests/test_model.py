@@ -233,7 +233,7 @@ def test_b_le_d_everywhere(constants_a, constants_b, constants_c):
 
 def test_c_hat_below_b_over_one_minus_a(constants_a, constants_b):
     for cs in (constants_a, constants_b):
-        assert cs.c_hat < cs.b / (1.0 - cs.a) + 3.0 * cs.c_hat_stderr
+        assert cs.c_hat < cs.b / (1.0 - cs.a)
 
 
 def test_delta_times_out_degree(sys_a, sys_b, sys_c, constants_a, constants_b,
@@ -260,7 +260,7 @@ def test_no_contraction_detected():
     }
     sys_ = cl.validate_system(cfg)
     assert not sys_.is_uniformly_contractive
-    mu = cl.estimate_invariant(sys_, 100, burn_in=10, seed=0)
+    mu = cl.pushforward_measure(sys_, 4)
     with pytest.raises(cl.NoContraction):
         cl.derive_constants(sys_, mu)
 
@@ -389,7 +389,7 @@ def test_box_geometry_matches_corner_oracle(cfg):
     if violations:
         return
     sys_ = cl.validate_system(cfg)
-    mu = cl.estimate_invariant(sys_, 20, burn_in=2, seed=0)
+    mu = cl.pushforward_measure(sys_, 2)
     cs = cl.derive_constants(sys_, mu)
     assert cs.a == pytest.approx(
         max(power_iteration_norm(e.map.linear) for e in edges), rel=1e-9)
@@ -422,7 +422,7 @@ def test_validate_and_constants_at_k50_in_polynomial_time():
     start = time.perf_counter()
     sys_ = cl.validate_system(cfg)
     validate_s = time.perf_counter() - start
-    mu = cl.estimate_invariant(sys_, 50, burn_in=5, seed=0)
+    mu = cl.pushforward_measure(sys_, 2)
     start = time.perf_counter()
     cs = cl.derive_constants(sys_, mu)
     constants_s = time.perf_counter() - start

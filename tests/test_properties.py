@@ -110,14 +110,13 @@ def test_walks_agree_on_random_systems(drawn):
     cfg, affine = drawn
     sys_ = cl.validate_system(cfg)
     assert sys_.contraction_rate <= 0.9
-    measure = (cl.estimate_invariant(sys_, 50, burn_in=5, seed=0) if affine
-               else cl.EXACT)
+    measure = cl.pushforward_measure(sys_, 3) if affine else cl.EXACT
     base = cl.walk_cylinders(sys_, DEPTH, None)
     rows = cl.walk_cylinders(sys_, DEPTH, measure)
     for n in range(1, DEPTH + 1):
         assert base[n].words == rows[n].words
         assert base[n].phi0_values.tolist() == rows[n].phi0_values.tolist()
-        assert not base[n].m_values.any() and not base[n].stderrs.any()
+        assert not base[n].m_values.any()
         words = cl.enumerate_words(sys_, n)
         assert words == list(rows[n].words)
         assert len(set(words)) == len(words) == cl.count_words(sys_, n)
@@ -180,15 +179,13 @@ def test_exact_kl_n_is_the_closed_form_on_random_systems(drawn):
     g = np.log(n * pi)
     expected = math.fsum(float(v) * math.log(n * float(v)) for v in pi)
     for depth in range(1, DEPTH + 1):
-        value, stderr = cl.kl_n(cl.build_table(sys_, depth, cl.EXACT))
+        value = cl.kl_n(cl.build_table(sys_, depth, cl.EXACT))
         assert abs(value - expected) <= 1e-12
-        assert stderr == 0.0
     for window in range(3):
         expected = expected_running_max(p, pi, g, window)
         for depth in range(1, 4):
-            value, stderr = cl.kstar_estimate(sys_, window, depth, cl.EXACT)
+            value = cl.kstar_estimate(sys_, window, depth, cl.EXACT)
             assert abs(value - expected) <= 1e-12
-            assert stderr == 0.0
 
 
 @settings(_SETTINGS, max_examples=50)
@@ -213,7 +210,6 @@ def test_pushforward_mass_is_the_vertex_law_on_random_systems(drawn):
             expected = law[edges[0].source - 1] * math.prod(
                 e.prob.alpha for e in edges)
             assert abs(m - expected) <= 1e-12
-        assert not rows[depth].stderrs.any()
 
 
 @settings(_SETTINGS, max_examples=80)
@@ -260,9 +256,9 @@ def test_north_star_identities_on_random_systems(drawn, data):
     assert all(b >= a - 1e-12 for a, b in zip(kstar, kstar[1:]))
     q = cl.cylinder_set(sys_, [word])
     m_q = cl.m_of_cylinder_set(sys_, q, measure)
-    # both sides can be equal (factor 1, M = phi0) and rows without stderr
-    # then differ by rounding: the run's consistency check allows COST_TOL
-    assert m_q[0] * report["corollary_factor"] <= cost + cl.cover.COST_TOL
+    # both sides can be equal (factor 1, M = phi0) and then differ by
+    # rounding: the run's consistency check allows COST_TOL
+    assert m_q * report["corollary_factor"] <= cost + cl.cover.COST_TOL
 
 
 @settings(_SETTINGS, max_examples=40)

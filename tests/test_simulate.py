@@ -10,9 +10,12 @@ from scipy import stats
 import cmslab as cl
 
 from conftest import sys_a_config, sys_c_config
-from oracles import binomial_sigma, csv_writer_text, pushforward_atoms
+from oracles import (binomial_sigma, chain_contraction, chain_samples,
+                     chain_step, csv_writer_text, pushforward_atoms)
 from test_integration_2d import planar_config
 
+
+# --- the chain oracle: the sampled chain the pushforward is checked against --
 
 class ForcedRng:
     """Duck-typed generator returning a fixed uniform draw."""
@@ -25,14 +28,14 @@ class ForcedRng:
 
 
 def test_step_forces_second_edge(sys_a):
-    edge, (vertex, x) = cl.step(sys_a, (1, np.array([0.0])), ForcedRng(0.75))
+    edge, (vertex, x) = chain_step(sys_a, (1, np.array([0.0])), ForcedRng(0.75))
     assert edge.id == "e2"
     assert vertex == 1
     assert float(x[0]) == 0.5
 
 
 def test_step_sys_c_cross_edge(sys_c):
-    edge, (vertex, x) = cl.step(sys_c, (1, np.array([0.0])), ForcedRng(0.75))
+    edge, (vertex, x) = chain_step(sys_c, (1, np.array([0.0])), ForcedRng(0.75))
     assert edge.id == "c12"
     assert vertex == 2
     assert float(x[0]) == 2.0
@@ -43,34 +46,19 @@ def test_step_frequencies_match_place_dependent_probabilities(sys_b):
     rng = np.random.default_rng(314)
     n = 100_000
     state = (1, np.array([1.0]))
-    hits = sum(cl.step(sys_b, state, rng)[0].id == "e1" for _ in range(n))
+    hits = sum(chain_step(sys_b, state, rng)[0].id == "e1" for _ in range(n))
     p = 2.0 / 3.0
     assert abs(hits / n - p) <= 3.0 * binomial_sigma(p, n)
 
 
 def test_invariant_mean_and_uniformity(mu_a):
-    # the halving system with a fair coin leaves Lebesgue measure invariant
+    # the halving system with a fair coin leaves Lebesgue measure invariant;
+    # mu_N's atoms are the dyadic points of level N, of equal weight
     mean = float(mu_a.mean_point()[0])
     assert abs(mean - 0.5) <= 0.02
     counts, _ = np.histogram(mu_a.points[:, 0], bins=20, range=(0.0, 1.0))
     chi2 = stats.chisquare(counts)
     assert chi2.pvalue > 1e-4
-
-
-def test_single_sample_is_image_of_base_point(sys_a):
-    mu = cl.estimate_invariant(sys_a, 1, burn_in=0, seed=5)
-    assert len(mu) == 1
-    assert int(mu.vertices[0]) == 1
-    assert float(mu.points[0, 0]) in (0.0, 0.5)
-
-
-def test_estimate_invariant_deterministic(sys_b):
-    m1 = cl.estimate_invariant(sys_b, 500, burn_in=50, seed=99)
-    m2 = cl.estimate_invariant(sys_b, 500, burn_in=50, seed=99)
-    assert np.array_equal(m1.points, m2.points)
-    assert np.array_equal(m1.vertices, m2.vertices)
-    m3 = cl.estimate_invariant(sys_b, 500, burn_in=50, seed=100)
-    assert not np.array_equal(m1.points, m3.points)
 
 
 def test_samples_stay_in_regions(sys_c, mu_c):
@@ -88,7 +76,7 @@ def _walk(sys_, n_steps: int, seed: int) -> list[str]:
     state = (1, sys_.base_point(1))
     word = []
     for _ in range(n_steps):
-        edge, next_state = cl.step(sys_, state, rng)
+        edge, next_state = chain_step(sys_, state, rng)
         assert edge.source == state[0]
         assert sys_.vertex(next_state[0]).contains(next_state[1])
         word.append(edge.id)
@@ -103,21 +91,12 @@ def test_trajectory_is_admissible(sys_c):
 
 
 def test_trajectory_rejects_broken_path(sys_c):
-    word = _walk(sys_c, 5, seed=11)
+    word = list(cl.enumerate_words(sys_c, 5)[11])
     # splice in an edge that leaves the wrong vertex after word[0]
     wrong = next(e.id for e in sys_c.edges
                  if e.source != sys_c.edge(word[0]).target)
     with pytest.raises(cl.InadmissibleWord):
         sys_c.require_admissible([word[0], wrong] + word[1:])
-
-
-def test_substreams_differ_and_reproduce(sys_b, mu_b):
-    def rows(seed):
-        return cl.check_average_contraction(sys_b, mu_b, i_max=3, n_mc=200,
-                                            seed=seed)
-
-    assert rows(5) == rows(5)
-    assert rows(5) != rows(6)
 
 
 def test_measure_weight_validation():
@@ -257,12 +236,13 @@ def test_pushforward_drops_atoms_of_zero_weight():
 
 
 def test_pushforward_averages_carry_no_stderr(sys_b):
+    """An average over mu_N is the plain weighted sum of its atoms: one
+    float, no error attached."""
     mu = cl.pushforward_measure(sys_b, 4)
     values = mu.points[:, 0]
-    assert mu.average(values) == (float(mu.weights @ values), 0.0)
-    assert cl.estimate_c_hat(sys_b, mu)[1] == 0.0
-    rows = cl.walk_cylinders(sys_b, 3, mu)
-    assert all(not rows[n].stderrs.any() for n in (1, 2, 3))
+    assert mu.average(values) == float(mu.weights @ values)
+    assert type(mu.average(values)) is float
+    assert type(cl.estimate_c_hat(sys_b, mu)) is float
     with pytest.raises(ValueError, match="levels"):
         cl.pushforward_measure(sys_b, -1)
 
@@ -284,18 +264,23 @@ def test_pushforward_vertex_law_on_a_reducible_chain():
 
 def _kl_kstar_c_hat(sys_, measure) -> tuple[float, float, float]:
     rows = cl.walk_cylinders(sys_, 3, measure)
-    return (cl.kl_n(cl.build_table(sys_, 2, measure, rows=rows))[0],
-            cl.kstar_estimate(sys_, 1, 2, measure, rows=rows)[0],
-            cl.estimate_c_hat(sys_, measure)[0])
+    return (cl.kl_n(cl.build_table(sys_, 2, measure, rows=rows)),
+            cl.kstar_estimate(sys_, 1, 2, measure, rows=rows),
+            cl.estimate_c_hat(sys_, measure))
+
+
+def _chain_measure(sys_, seed: int) -> cl.EmpiricalMeasure:
+    verts, pts = chain_samples(sys_, 20_000, burn_in=1000, seed=seed)
+    return cl.EmpiricalMeasure(vertices=verts, points=pts,
+                               weights=np.full(len(verts), 1.0 / len(verts)))
 
 
 def test_pushforward_agrees_with_the_chain(sys_b):
     """K_2, K*(window 1) at depth 2 and c_hat under mu_N lie within three
     standard errors of the mean of eight 20k-sample chains; the standard
-    error is the chains' own spread, not their reported one."""
-    chains = np.array([_kl_kstar_c_hat(
-        sys_b, cl.estimate_invariant(sys_b, 20_000, burn_in=1000, seed=seed))
-        for seed in range(8)])
+    error is the chains' own spread."""
+    chains = np.array([_kl_kstar_c_hat(sys_b, _chain_measure(sys_b, seed))
+                       for seed in range(8)])
     mean = chains.mean(axis=0)
     stderr = chains.std(axis=0, ddof=1) / math.sqrt(len(chains))
     pushed = np.array(_kl_kstar_c_hat(sys_b, cl.pushforward_measure(sys_b)))
@@ -307,10 +292,10 @@ def test_pushforward_truncation_gap_on_sys_b(sys_b):
     mu = cl.pushforward_measure(sys_b)
     coarse = cl.pushforward_measure(sys_b, mu.levels - 2)
     gap = cl.simulate.c_hat_gap(sys_b, mu)
-    assert gap == abs(cl.estimate_c_hat(sys_b, mu)[0]
-                      - cl.estimate_c_hat(sys_b, coarse)[0])
+    assert gap == abs(cl.estimate_c_hat(sys_b, mu)
+                      - cl.estimate_c_hat(sys_b, coarse))
     assert gap < 1e-6
-    k_4 = [cl.kl_n(cl.build_table(sys_b, 4, m))[0] for m in (mu, coarse)]
+    k_4 = [cl.kl_n(cl.build_table(sys_b, 4, m)) for m in (mu, coarse)]
     assert abs(k_4[0] - k_4[1]) < 1e-6
     assert cl.simulate.c_hat_gap(sys_b, cl.pushforward_measure(sys_b, 1)) is None
 
@@ -318,20 +303,42 @@ def test_pushforward_truncation_gap_on_sys_b(sys_b):
 # --- average contraction ----------------------------------------------------
 
 def test_average_contraction_first_step_sys_a(sys_a, mu_a):
-    rows = cl.check_average_contraction(sys_a, mu_a, i_max=3, n_mc=3000, seed=1)
-    assert rows[0].estimate <= 0.5 * rows[0].bound / 0.5 + 3.0 * rows[0].stderr
+    rows = cl.check_average_contraction(sys_a, mu_a, i_max=3)
+    assert [r.i for r in rows] == [1, 2, 3]
     for row in rows:
-        assert row.estimate <= row.bound + 3.0 * row.stderr
+        assert row.estimate <= row.bound * (1.0 + 1e-12)
 
 
 def test_average_contraction_decay_sys_b(sys_b, mu_b):
-    rows = cl.check_average_contraction(sys_b, mu_b, i_max=8, n_mc=4000, seed=3)
+    rows = cl.check_average_contraction(sys_b, mu_b, i_max=8)
     a = sys_b.contraction_rate
     for row in rows:
-        assert row.estimate <= row.bound + 3.0 * row.stderr
+        assert row.estimate <= row.bound * (1.0 + 1e-12)
     for r1, r2 in zip(rows, rows[1:]):
-        combined = math.hypot(r1.stderr, r2.stderr)
-        assert r2.estimate <= a * r1.estimate + 3.0 * combined + 1e-12
+        assert r2.estimate <= a * r1.estimate * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("name", ["sys_a", "sys_b"])
+def test_average_contraction_is_a_to_the_i_on_halving_maps(name, request):
+    """Both maps of sys A and sys B halve every distance, so each pair
+    (atom, base point) closes by exactly 1/2 per step, whatever edges the
+    probabilities pick: the estimate is a^i c_hat."""
+    sys_ = request.getfixturevalue(name)
+    mu = request.getfixturevalue(name.replace("sys", "mu"))
+    rows = cl.check_average_contraction(sys_, mu, i_max=8)
+    c_hat = cl.estimate_c_hat(sys_, mu)
+    for row in rows:
+        assert row.bound == 0.5 ** row.i * c_hat
+        assert abs(row.estimate - row.bound) <= 1e-12 * row.bound
+
+
+def test_average_contraction_agrees_with_the_chain(sys_b, mu_b):
+    """On sys B the exact average over every edge path equals the mean of
+    4,000 chain-driven pairs drawn from mu_N within three standard errors."""
+    rows = cl.check_average_contraction(sys_b, mu_b, i_max=8)
+    mean, stderr = chain_contraction(sys_b, mu_b, i_max=8, n_mc=4000, seed=3)
+    exact = np.array([r.estimate for r in rows])
+    assert np.all(np.abs(exact - mean) <= 3.0 * stderr), (exact, mean, stderr)
 
 
 def test_average_contraction_exact_zero_at_shared_fixed_point(sys_a):
@@ -350,13 +357,13 @@ def test_average_contraction_exact_zero_at_shared_fixed_point(sys_a):
     }
     sys_ = cl.validate_system(cfg)
     mu = cl.EmpiricalMeasure(vertices=[1], points=[[0.0]], weights=[1.0])
-    rows = cl.check_average_contraction(sys_, mu, i_max=4, n_mc=100, seed=0)
+    rows = cl.check_average_contraction(sys_, mu, i_max=4)
     assert all(r.estimate == 0.0 for r in rows)
 
 
 @pytest.mark.parametrize("args, name", [
-    (dict(i_max=3, n_mc=0), "n_mc"),
-    (dict(i_max=0, n_mc=10), "i_max"),
+    (dict(i_max=-1), "i_max"),
+    (dict(i_max=0), "i_max"),
 ])
 def test_average_contraction_refuses_empty_counts(args, name, sys_a, mu_a):
     with warnings.catch_warnings():
@@ -364,12 +371,3 @@ def test_average_contraction_refuses_empty_counts(args, name, sys_a, mu_a):
         with pytest.raises(ValueError, match=name):
             cl.check_average_contraction(sys_a, mu_a, **args)
 
-
-def test_average_contraction_worker_split_deterministic(sys_b, mu_b):
-    # the stream of the (seed, 0) generator, pinned to its recorded values
-    rows = cl.check_average_contraction(sys_b, mu_b, i_max=3, n_mc=600, seed=8)
-    assert [(r.estimate, r.stderr) for r in rows] == [
-        (0.25756439407768217, 0.00524069466000462),
-        (0.1287821970388411, 0.002620347330002308),
-        (0.06439109851942056, 0.0013101736650011546),
-    ]
