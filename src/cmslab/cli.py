@@ -51,6 +51,7 @@ from .errors import (
     ConfigError,
     ConsistencyRedFlag,
     DepthOverflow,
+    ExactModeUnavailable,
     InadmissibleWord,
     ValidationError,
 )
@@ -190,7 +191,7 @@ def _load_config(path: str) -> dict:
 
 def _exit_code(exc: CMSError) -> int:
     """The one mapping from a cmslab error to the process exit code."""
-    if isinstance(exc, (ConfigError, ValidationError)):
+    if isinstance(exc, (ConfigError, ValidationError, ExactModeUnavailable)):
         return EXIT_VALIDATION
     if isinstance(exc, DepthOverflow):
         return EXIT_BUDGET

@@ -5,12 +5,13 @@ word on coordinates 1..n.  Three set functions are computed per word: the
 chain mass M (stationary chain in exact mode, weighted average of chain
 probabilities over the atoms of a measure in Monte Carlo mode), the base
 measure phi0 (average of chain probabilities started at the support base
-points), and their ratio Z with its logarithm.  walk_cylinders computes
-M and phi0 for every word up to a depth in one pass over the word tree, or
+points), and their ratio Z with its logarithm.  walk_cylinders computes M
+and phi0 for every word up to a depth in one pass over the word tree, or
 phi0 alone when it is given no chain measure; it is the only code that
-steps through words.  enumerate_words and phi0_cyl are reads of it,
-build_table checks one depth of its rows, and m_of_cylinder_set sums them
-over a cylinder union.
+steps through words, with two kinds of chain state: atoms for M under a
+measure, scalar for the rest.  enumerate_words and phi0_cyl are reads of
+it, build_table checks one depth of its rows, and m_of_cylinder_set sums
+them over a cylinder union.
 """
 
 from __future__ import annotations
@@ -94,11 +95,11 @@ def enumerate_words(sys: MarkovSystem, n: int) -> list[Word]:
 # chain realizes the word read so far, and where that word leaves it.  Every
 # cylinder quantity is a fold of one one-edge step over a word; the step
 # multiplies by p_e at the current point and then moves the point by w_e,
-# except at a leaf, where nothing reads the point.  Three kinds of state:
-#   atoms       (array over the mu atoms, (N, k) array)     M under mu
-#   stationary  (float, None)                                exact M, or 0.0
-#                                                            with no measure
-#   point       (float, (k,) array)                          phi0, from a base point
+# except at a leaf, where nothing reads the point.  Two kinds of state:
+#   atoms   ((N,) array over the mu atoms, (N, k) array)  M under mu
+#   scalar  (float, (k,) array or None)  phi0, exact M, or 0.0 with no measure
+# The point is None when every probability is constant: p_e is alpha, which
+# value(y) = alpha + 0 . y equals bit for bit, and no point moves.
 
 def _atoms_step(state, e, leaf: bool):
     probs, pts = state
@@ -107,12 +108,10 @@ def _atoms_step(state, e, leaf: bool):
     return p_e, None if leaf else e.map.apply_many(pts)
 
 
-def _stationary_step(state, e, leaf: bool):
-    return state[0] * e.prob.alpha, None
-
-
-def _point_step(state, e, leaf: bool):
+def _scalar_step(state, e, leaf: bool):
     prob, y = state
+    if y is None:
+        return prob * e.prob.alpha, None
     return prob * e.prob.value(y), None if leaf else e.map.apply(y)
 
 
@@ -121,12 +120,12 @@ def _mass_chain(sys: MarkovSystem, measure: Measure):
     the chain mass under `measure`; with no measure the mass is 0 on every
     word."""
     if measure is None:
-        return _stationary_step, lambda v: (0.0, None), float
+        return _scalar_step, lambda v: (0.0, None), float
     if isinstance(measure, str):
         if measure != EXACT:
             raise ValueError(f"unknown measure mode {measure!r}")
         pi = stationary_vertex_distribution(sys)
-        return _stationary_step, lambda v: (float(pi[v - 1]), None), float
+        return _scalar_step, lambda v: (float(pi[v - 1]), None), float
     return (_atoms_step,
             lambda v: ((measure.vertices == v).astype(float), measure.points),
             measure.average)
@@ -212,7 +211,8 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
     # reference cycle that keeps the rows alive until the cyclic collector
     stack = []
     for v in sorted(v.index for v in sys.vertices):
-        base = (1.0, sys.base_point(v)) if v in sys.support_set else None
+        point = None if sys.all_constant_probabilities else sys.base_point(v)
+        base = (1.0, point) if v in sys.support_set else None
         stack.append(((), iter(sys.out_edges(v)), root(v), base))
         while stack:
             word, edges, mass, base = stack[-1]
@@ -225,7 +225,7 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
                 continue
             leaf = len(child) >= n_max and child not in extend
             child_mass = step(mass, e, leaf)
-            child_base = None if base is None else _point_step(base, e, leaf)
+            child_base = None if base is None else _scalar_step(base, e, leaf)
             words, m_vals, phi_vals = found[len(child)]
             words.append(child)
             m_vals.append(reduce(child_mass[0]))

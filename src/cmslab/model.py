@@ -137,10 +137,6 @@ class ProbabilityFunction:
     def gradient_norm(self) -> float:
         return float(np.linalg.norm(self.beta))
 
-    @property
-    def is_constant(self) -> bool:
-        return not np.any(self.beta != 0.0)
-
 
 @dataclass(frozen=True, eq=False)
 class VertexSpace:
@@ -156,7 +152,8 @@ class VertexSpace:
         object.__setattr__(self, "upper", _frozen(self.upper))
         object.__setattr__(self, "base_point", _frozen(self.base_point))
 
-    def contains(self, x: np.ndarray, tol: float = CONTAINMENT_TOL) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
+        tol = CONTAINMENT_TOL
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
 
@@ -219,7 +216,7 @@ class MarkovSystem:
 
     @property
     def all_constant_probabilities(self) -> bool:
-        return all(e.prob.is_constant for e in self.edges)
+        return not any(np.any(e.prob.beta) for e in self.edges)
 
     def displacement(self, edge: DirectedEdge) -> float:
         """Distance from the image of the source base point to the target base point."""

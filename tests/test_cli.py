@@ -552,6 +552,17 @@ def test_bounds_subcommand_exact_mode_on_affine_system_exits_2(config_b,
     assert "error at stage validate: plan.mode" in capsys.readouterr().err
 
 
+def test_table_exact_mode_on_affine_system_exits_2(config_b, tmp_path, capsys):
+    """The table subcommand refuses exact mode on a place-dependent system
+    with the exit code bounds and run give it."""
+    assert main(["table", "--config", str(config_b), "--mode", "exact",
+                 "--depth", "2", "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "ExactModeUnavailable" in err
+    assert "constant probability functions" in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def _sys_c_support_1() -> dict:
     cfg = sys_c_config()
     cfg["support_set"] = [1]  # the chain also visits vertex 2

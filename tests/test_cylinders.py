@@ -200,23 +200,27 @@ def test_walk_rows_match_per_word_oracle(name, mode, request, small_measures):
         assert [cl.phi0_cyl(sys_, w) for w in words] == [r[1] for r in oracle]
 
 
+def _count_calls(monkeypatch, *attrs: tuple[type, str]) -> dict[str, int]:
+    """Wrap each (class, method) so that calling it counts under its name."""
+    calls = {}
+    for cls, attr in attrs:
+        original = getattr(cls, attr)
+
+        def wrapper(self, x, _attr=attr, _original=original):
+            calls[_attr] += 1
+            return _original(self, x)
+
+        calls[attr] = 0
+        monkeypatch.setattr(cls, attr, wrapper)
+    return calls
+
+
 def test_walk_takes_one_step_per_tree_node(sys_b, small_measures, monkeypatch):
     """Regression guard on the walk's cost, by counting instead of timing:
     p_e is evaluated once per node of the word tree, not once per edge of
     every word, and the points are moved only below internal nodes."""
-    calls = {"value_many": 0, "apply_many": 0}
-
-    def counting(cls, attr):
-        original = getattr(cls, attr)
-
-        def wrapper(self, pts):
-            calls[attr] += 1
-            return original(self, pts)
-
-        monkeypatch.setattr(cls, attr, wrapper)
-
-    counting(cl.ProbabilityFunction, "value_many")
-    counting(cl.AffineMap, "apply_many")
+    calls = _count_calls(monkeypatch, (cl.ProbabilityFunction, "value_many"),
+                         (cl.AffineMap, "apply_many"))
     mu, n_max = small_measures["sys_b"], 6
     rows = cl.walk_cylinders(sys_b, n_max, mu)
     nodes = sum(cl.count_words(sys_b, n) for n in range(1, n_max + 1))
@@ -229,6 +233,25 @@ def test_walk_takes_one_step_per_tree_node(sys_b, small_measures, monkeypatch):
     for window in (0, 1, 2):
         cl.kstar_estimate(sys_b, window, 4, mu, rows=rows)
     assert calls["value_many"] == nodes
+
+
+def test_scalar_chain_moves_no_point_when_probabilities_are_constant(
+        sys_a, sys_b, small_measures, monkeypatch):
+    """phi0 and exact M read the edge constants alone when every probability
+    is constant: on sys A no walk evaluates p_e at a point or moves one,
+    whatever its chain measure.  On sys B phi0 evaluates p_e once per node
+    of the word tree and moves its point below internal nodes only."""
+    calls = _count_calls(monkeypatch, (cl.ProbabilityFunction, "value"),
+                         (cl.AffineMap, "apply"))
+    n_max = 6
+    for measure in (cl.EXACT, None, small_measures["sys_a"]):
+        cl.walk_cylinders(sys_a, n_max, measure)
+        assert calls == {"value": 0, "apply": 0}
+
+    cl.walk_cylinders(sys_b, n_max, small_measures["sys_b"])
+    nodes = sum(cl.count_words(sys_b, n) for n in range(1, n_max + 1))
+    assert calls == {"value": nodes,
+                     "apply": nodes - cl.count_words(sys_b, n_max)}
 
 
 def test_walk_follows_words_past_full_depth(sys_b, small_measures,

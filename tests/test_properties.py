@@ -7,11 +7,12 @@ vertex chain is irreducible) plus an optional second out-edge per vertex,
 constant or affine probabilities normalized by construction, and maps whose
 row and column sums of |A| stay below a contraction rate of at most 0.9.
 A draw may fix the probability family and take every vertex as the support
-set.
+set.  A second strategy mutates such a config and a plan for it.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import tempfile
@@ -285,3 +286,90 @@ def test_backward_orbit_matches_the_fold_on_random_systems(drawn, data):
         assert float(np.max(np.abs(x - ref))) <= 1e-12 * scale
     res = cl.coding_point(sys_, past)  # passes its Cauchy check
     assert all(np.array_equal(x, y) for x, y in zip(res.orbit, orbit))
+
+
+# what a mutation writes: numbers outside every field's range (negative,
+# zero, fractional, huge or not finite) and values of another JSON type
+_OUT_OF_RANGE = [-1, 0, -0.5, 0.5, 1.5, -1e308, 1e308,
+                 math.nan, math.inf, -math.inf]
+_OTHER_TYPES = [None, True, "x", "", [], {}, [1.0], {"x": 1}]
+
+
+def _paths(tree, path=()):
+    """The path of every value in a JSON tree, each after the paths inside
+    it, so the root's () comes last and is seldom drawn."""
+    items = (tree.items() if isinstance(tree, dict)
+             else enumerate(tree) if isinstance(tree, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+    yield path
+
+
+@st.composite
+def mutated(draw, tree):
+    """A copy of a JSON tree after 1-3 mutations, each at a drawn value: drop
+    it from its object or array, retype it, nest it in a list, or, when it
+    is a number, push it out of range."""
+    tree = copy.deepcopy(tree)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(tree))))
+        kind = draw(st.sampled_from(["drop", "retype", "nest", "range"]))
+        value = tree
+        for key in path:
+            value = value[key]
+        if kind == "nest":
+            new = [value]
+        elif (kind == "range" and isinstance(value, (int, float))
+              and not isinstance(value, bool)):
+            new = draw(st.sampled_from(_OUT_OF_RANGE))
+        else:
+            new = copy.deepcopy(draw(st.sampled_from(_OTHER_TYPES)))
+        if not path:
+            tree = new
+            continue
+        parent = tree
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = new
+    return tree
+
+
+@st.composite
+def configs_and_plans(draw):
+    """(valid config, config, plan): a drawn system's config and a plan for
+    it, one or both of them mutated."""
+    cfg, affine = draw(systems())
+    word = draw(st.sampled_from(cfg["edges"]))["id"]
+    plan = {"config_path": "system.json",
+            "mode": "monte_carlo" if affine else "exact",
+            "seed": 0, "mc_samples": 1, "burn_in": 0,
+            "depths": [1, 2], "kstar_windows": [0, 1], "kstar_depth": 2,
+            "cover_window": 1, "cover_depth": 2, "cover_budget": 100,
+            "queries": [{"words": [word]}, {"whole_space_depth": 2}],
+            "output_dir": "out"}
+    which = draw(st.sampled_from(["config", "plan", "both"]))
+    return (cfg,
+            draw(mutated(cfg)) if which != "plan" else cfg,
+            draw(mutated(plan)) if which != "config" else plan)
+
+
+@settings(_SETTINGS, max_examples=300)
+@given(configs_and_plans())
+def test_mutated_configs_and_plans_end_in_a_cms_error(drawn):
+    """validate_system and plan validation either accept a mutated config or
+    plan or raise a CMSError, never another exception.  The plan is checked
+    against the unmutated system, so that a broken config does not hide
+    it."""
+    valid, config, plan = drawn
+    try:
+        cl.validate_system(config)
+    except cl.CMSError:
+        pass
+    system = cl.validate_system(valid)
+    try:
+        cli.ExperimentPlan.from_dict(plan).validate(system)
+    except cl.CMSError:
+        pass
