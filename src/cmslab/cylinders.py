@@ -210,8 +210,9 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
     # per level of the current path; a recursive closure would be a
     # reference cycle that keeps the rows alive until the cyclic collector
     stack = []
+    constant = sys.all_constant_probabilities  # then phi0 needs no point
     for v in sorted(v.index for v in sys.vertices):
-        point = None if sys.all_constant_probabilities else sys.base_point(v)
+        point = None if constant else sys.base_point(v)
         base = (1.0, point) if v in sys.support_set else None
         stack.append(((), iter(sys.out_edges(v)), root(v), base))
         while stack:

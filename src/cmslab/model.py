@@ -153,8 +153,8 @@ class VertexSpace:
         object.__setattr__(self, "base_point", _frozen(self.base_point))
 
     def contains(self, x: np.ndarray) -> bool:
-        tol = CONTAINMENT_TOL
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+        return bool(np.all(x >= self.lower - CONTAINMENT_TOL)
+                    and np.all(x <= self.upper + CONTAINMENT_TOL))
 
 
 @dataclass(frozen=True, eq=False)
