@@ -10,8 +10,9 @@ walked per depth and each cover search's node count;
 report.md; it has no queries, so its report has no covers section.  Exit
 codes: 0 success (a cover search cut short by its budget included: its
 cover is still an upper bound), 1 any other cmslab error (an inadmissible
-flag word, an invalid certificate, ...), 2 invalid config or plan, 3 word
-cap exceeded, 4 consistency red flag.
+flag word, an invalid certificate, an output path that cannot be written,
+...), 2 invalid config or plan, 3 word cap exceeded, 4 consistency red
+flag.
 
 The simulate stage builds mu_N, the base points pushed forward to the
 deepest level within simulate.ATOM_CAP, in both modes: it gives c_hat, and
@@ -189,8 +190,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def _exit_code(exc: CMSError) -> int:
-    """The one mapping from a cmslab error to the process exit code."""
+def _exit_code(exc: CMSError | OSError) -> int:
+    """The one mapping from a cmslab or OS error to the process exit code."""
     if isinstance(exc, (ConfigError, ValidationError, ExactModeUnavailable)):
         return EXIT_VALIDATION
     if isinstance(exc, DepthOverflow):
@@ -334,14 +335,14 @@ STAGES = (_validate, _simulate, _constants, _tables, _bounds, _covers,
 
 def _run_stages(ctx: _Context, stages) -> int:
     """Run stages in order, recording each in the manifest with its wall
-    and CPU seconds; stop at the first cmslab error and return its exit
-    code."""
+    and CPU seconds; stop at the first cmslab error, or OS error writing
+    an artifact, and return its exit code."""
     for stage in stages:
         name = stage.__name__[1:]
         wall, cpu = time.perf_counter(), time.process_time()
         try:
             stage(ctx)
-        except CMSError as exc:
+        except (CMSError, OSError) as exc:
             ctx.manifest["stages"][name] = "failed"
             ctx.manifest["failure"] = {
                 "stage": name, "error": type(exc).__name__, "message": str(exc)}
@@ -459,7 +460,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_flag(1), required=True)
     p.add_argument("--mode", choices=["exact", "monte_carlo"],
                    default=_plan_default("mode"))
-    p.add_argument("--measure", help="measure CSV (monte_carlo mode)")
     p.add_argument("--out", required=True, help="table CSV path")
 
     p = sub.add_parser("bounds", help="constants, bound values, divergence series")
@@ -501,7 +501,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except CMSError as exc:
+    except (CMSError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=_sys.stderr)
         return _exit_code(exc)
 
@@ -534,7 +534,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "table":
         system = validate_system(_load_config(args.config))
-        measure = _measure_for(system, args)
+        measure = EXACT if args.mode == "exact" else pushforward_measure(system)
         table = build_table(system, args.depth, measure)
         table.to_csv(args.out)
         print(f"wrote {args.out}: {len(table)} rows at depth {args.depth}")
@@ -576,16 +576,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return run(ExperimentPlan.from_dict(_load_config(args.plan)))
 
     raise AssertionError(f"unhandled command {args.command}")
-
-
-def _measure_for(system: MarkovSystem, args: argparse.Namespace):
-    if args.mode == "exact":
-        return EXACT
-    if args.measure:
-        mu = EmpiricalMeasure.from_csv(args.measure)
-        mu.validate_supports(system)
-        return mu
-    return pushforward_measure(system)
 
 
 if __name__ == "__main__":

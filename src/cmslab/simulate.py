@@ -10,14 +10,13 @@ are exact sums over weighted atoms, so they carry no standard error.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 from .model import MarkovSystem, estimate_c_hat
 
 ATOM_CAP = 2 ** 14  # atoms x dimension of a default pushforward measure
@@ -58,7 +57,7 @@ def write_csv(path, header: list[str], lead: Callable[[slice], Iterable[str]],
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
     """Weighted atoms (vertex, point, weight) with total weight 1.  mu_N
-    records its N as `levels`; a measure read from a CSV has levels 0."""
+    records its N as `levels`."""
 
     vertices: np.ndarray
     points: np.ndarray
@@ -84,21 +83,6 @@ class EmpiricalMeasure:
     def __len__(self) -> int:
         return len(self.weights)
 
-    def validate_supports(self, sys: MarkovSystem) -> None:
-        """Check every atom has the system's dimension and lies in its
-        vertex region."""
-        if self.points.shape[1] != sys.dimension:
-            raise ValidationError(
-                f"measure points have {self.points.shape[1]} coordinates but "
-                f"the system has dimension {sys.dimension}")
-        known = {v.index for v in sys.vertices}
-        for idx in np.unique(self.vertices):
-            if int(idx) not in known:
-                raise ValidationError(f"atom vertex {idx} is not a system vertex")
-            pts = self.points[self.vertices == idx]
-            if not sys.vertex(int(idx)).contains(pts):
-                raise ValidationError(f"atom point outside region of vertex {idx}")
-
     def mean_point(self) -> np.ndarray:
         return self.weights @ self.points
 
@@ -114,31 +98,6 @@ class EmpiricalMeasure:
         write_csv(path, ["vertex", *(f"x_{i + 1}" for i in range(k)), "weight"],
                   lambda rows: map(repr, self.vertices[rows].tolist()),
                   [*self.points.T, self.weights])
-
-    @classmethod
-    def from_csv(cls, path) -> "EmpiricalMeasure":
-        """Read a to_csv file; a missing, empty or malformed file, or one
-        that is not a measure, raises ConfigError naming it."""
-        try:
-            with open(path, newline="") as fh:
-                rows = list(csv.reader(fh))
-        except OSError as exc:
-            raise ConfigError(f"cannot read measure CSV {path}: {exc}") from None
-        if len(rows) < 2 or len(rows[0]) < 3:
-            raise ConfigError(
-                f"measure CSV {path} needs a vertex,x_1..x_k,weight header "
-                f"and at least one atom row")
-        header, body = rows[0], rows[1:]
-        k = len(header) - 2
-        try:
-            if any(len(r) != k + 2 for r in body):
-                raise ValueError(f"every row needs {k + 2} fields")
-            verts = np.array([int(r[0]) for r in body])
-            pts = np.array([[float(c) for c in r[1:1 + k]] for r in body])
-            wts = np.array([float(r[-1]) for r in body])
-            return cls(vertices=verts, points=pts, weights=wts)
-        except (ValueError, ValidationError) as exc:
-            raise ConfigError(f"malformed measure CSV {path}: {exc}") from None
 
 
 def _push(sys: MarkovSystem, verts: np.ndarray, wts: np.ndarray,

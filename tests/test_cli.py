@@ -15,7 +15,6 @@ from cmslab import cli as cli_mod
 from cmslab.cli import ExperimentPlan, main, run
 
 from conftest import bench_module, sys_a_config, sys_b_config, sys_c_config
-from test_integration_2d import planar_config
 
 
 @pytest.fixture
@@ -105,67 +104,49 @@ def test_table_exact(config_a, tmp_path):
     assert len(lines) == 9
 
 
-def test_table_from_measure_csv(config_b, tmp_path):
-    """A table on simulate's atoms is the table on mu_N, byte for byte."""
-    mu_path = tmp_path / "mu.csv"
-    main(["simulate", "--config", str(config_b), "--out", str(mu_path)])
-    out, own = tmp_path / "t.csv", tmp_path / "own.csv"
-    assert main(["table", "--config", str(config_b), "--depth", "2",
-                 "--measure", str(mu_path), "--out", str(out)]) == 0
-    assert main(["table", "--config", str(config_b), "--depth", "2",
-                 "--out", str(own)]) == 0
-    assert out.read_bytes() == own.read_bytes()
-
-
-def test_table_empty_measure_csv_is_a_validation_error(config_b, tmp_path,
-                                                      capsys):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
+def test_table_measure_flag_is_refused(config_b, tmp_path, capsys):
+    """table builds mu_N itself; it reads no measure file."""
     out = tmp_path / "t.csv"
-    assert main(["table", "--config", str(config_b), "--depth", "2",
-                 "--measure", str(empty), "--out", str(out)]) == 2
-    assert "empty.csv" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--config", str(config_b), "--depth", "2",
+              "--measure", "x", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--measure" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_measure_csv_malformed_raises_config_error(tmp_path):
-    for name, text in (("empty.csv", ""),
-                       ("header.csv", "vertex,x_1,weight\n"),
-                       ("ragged.csv", "vertex,x_1,weight\n1,0.5\n"),
-                       ("words.csv", "vertex,x_1,weight\n1,abc,1.0\n"),
-                       ("nan_weight.csv", "vertex,x_1,weight\n1,0.5,nan\n"),
-                       ("inf_point.csv", "vertex,x_1,weight\n1,inf,1.0\n")):
-        path = tmp_path / name
-        path.write_text(text)
-        with pytest.raises(cl.ConfigError, match=name):
-            cl.EmpiricalMeasure.from_csv(path)
-    with pytest.raises(cl.ConfigError, match="missing.csv"):
-        cl.EmpiricalMeasure.from_csv(tmp_path / "missing.csv")
+def _cmslab(*argv: str, **env: str) -> subprocess.CompletedProcess:
+    """`python -m cmslab.cli argv` in a child process, run on this package."""
+    src = str(Path(cl.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "cmslab.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src, **env))
 
 
-def test_measure_csv_unknown_vertex_is_a_validation_error(config_a, tmp_path):
-    path = tmp_path / "mu.csv"
-    path.write_text("vertex,x_1,weight\n0,0.5,1.0\n")
-    out = tmp_path / "t.csv"
-    assert main(["table", "--config", str(config_a), "--depth", "1",
-                 "--measure", str(path), "--out", str(out)]) == 2
+def test_table_out_in_missing_directory_exits_1(config_b, tmp_path):
+    out = tmp_path / "missing" / "t.csv"
+    proc = _cmslab("table", "--config", str(config_b), "--depth", "2",
+                   "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert str(out) in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("make_config, text", [
-    (sys_a_config, "vertex,x_1,x_2,weight\n1,0.5,0.5,1.0\n"),
-    (planar_config, "vertex,x_1,x_2,x_3,weight\n1,0.5,0.5,0.5,1.0\n")])
-def test_measure_csv_wrong_dimension_is_a_validation_error(make_config, text,
-                                                          tmp_path, capsys):
-    config = tmp_path / "sys.json"
-    config.write_text(json.dumps(make_config()))
-    path = tmp_path / "mu.csv"
-    path.write_text(text)
-    out = tmp_path / "t.csv"
-    assert main(["table", "--config", str(config), "--depth", "1",
-                 "--measure", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "ValidationError" in err and "coordinates" in err
-    assert not out.exists()
+def test_run_with_a_tables_file_records_the_failure(tmp_path, config_a):
+    plan = _plan_a(tmp_path, config_a)
+    out = Path(plan.output_dir)
+    out.mkdir()
+    (out / "tables").write_text("")
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(vars(plan)))
+    proc = _cmslab("run", "--plan", str(plan_path))
+    assert proc.returncode == 1, proc.stderr
+    assert str(out / "tables") in proc.stderr
+    assert "Traceback" not in proc.stderr
+    manifest = json.loads((out / "MANIFEST.json").read_text())
+    assert manifest["stages"]["tables"] == "failed"
+    assert manifest["failure"]["stage"] == "tables"
+    assert manifest["failure"]["error"] == "FileExistsError"
 
 
 @pytest.fixture
@@ -242,11 +223,7 @@ def test_verify_cert_malformed_field_exits_1_without_traceback(
                  "--out", str(cert)]) == 0
     cert.write_text(json.dumps(dict(json.loads(cert.read_text()),
                                     **{key: value})))
-    src = str(Path(cl.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "cmslab.cli", "verify-cert", "--certificate",
-         str(cert)], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src))
+    proc = _cmslab("verify-cert", "--certificate", str(cert))
     assert proc.returncode == 1, proc.stderr
     assert "malformed certificate" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -787,10 +764,7 @@ def test_bad_integer_flag_or_seed_exits_2_naming_it(case, config_a, tmp_path):
     command, rest = args[0], args[1:]
     argv = [command, "--config", str(config_a), *rest,
             "--out", str(tmp_path / "out.csv")]
-    src = str(Path(cl.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, **env)
-    proc = subprocess.run([sys.executable, "-m", "cmslab.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    proc = _cmslab(*argv, **env)
     assert proc.returncode == 2, proc.stderr
     assert name in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -54,12 +54,15 @@ def test_every_exported_name_earns_its_place():
     assert idle == []
 
 
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_every_subcommand_and_flag_is_in_the_readme():
     """README.md names each `cmslab` subcommand and each of its --flags."""
     readme = (ROOT / "README.md").read_text()
-    parser = _build_parser()
-    commands = next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
+    commands = _subcommands()
     assert len(commands) == 8
     missing = [f"cmslab {name}" for name in commands
                if f"cmslab {name}" not in readme]
@@ -68,6 +71,22 @@ def test_every_subcommand_and_flag_is_in_the_readme():
                 if flag.startswith("--") and flag != "--help"
                 and not re.search(rf"{re.escape(flag)}\b(?!-)", readme)]
     assert missing == []
+
+
+def test_every_flag_of_the_readme_cli_block_exists():
+    """Each --flag on a `cmslab <sub>` line of README.md's CLI code block
+    is an option of that subcommand.  The prose names refused flags on
+    purpose, so only the block is read."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    commands = _subcommands()
+    lines = [line.split("#")[0].split() for line in block.splitlines()
+             if line.startswith("cmslab ")]
+    assert len(lines) >= len(commands)
+    unknown = [(sub, word) for _, sub, *words in lines for word in words
+               if word.startswith("--")
+               and word not in commands[sub]._option_string_actions]
+    assert unknown == []
 
 
 def test_readme_lists_the_artifacts_run_writes(tmp_path):
