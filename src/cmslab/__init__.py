@@ -56,7 +56,6 @@ from .errors import (
     EmptySupport,
     ExactModeUnavailable,
     InadmissibleWord,
-    NoContraction,
     NonPositiveProbability,
     NormalizationError,
     NotUniformlyContractive,

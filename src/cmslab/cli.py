@@ -12,7 +12,8 @@ codes: 0 success (a cover search cut short by its budget included: its
 cover is still an upper bound), 1 any other cmslab error (an inadmissible
 flag word, an invalid certificate, an output path that cannot be written,
 ...), 2 invalid config or plan, 3 word cap exceeded, 4 consistency red
-flag.
+flag.  The validate stage decides exact mode and the word cap of every
+depth a run walks; the subcommands check --out before any work.
 
 The simulate stage builds mu_N, the base points pushed forward to the
 deepest level within simulate.ATOM_CAP, in both modes: it gives c_hat, and
@@ -26,7 +27,9 @@ kept for their readers.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys as _sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -34,16 +37,16 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import cover as cover_mod
-from . import cylinders as cylinders_mod
 from .coding import coding_point, parse_word
 from .cylinders import (
     EXACT,
     CylinderSet,
     build_table,
-    count_words,
+    check_word_cap,
     cylinder_set,
     full_cylinder_set,
     m_of_cylinder_set,
+    stationary_vertex_distribution,
     walk_cylinders,
 )
 from .errors import (
@@ -124,17 +127,17 @@ class ExperimentPlan:
         json_field(raw, "output_dir", "plan", _string, default=None)
         return cls(**raw)
 
-    def validate(self, system: MarkovSystem) -> list[CylinderSet | None]:
-        """Check each field's type and range, then what the system
-        constrains; every error names its field.  Returns each query's
-        cylinder set, None for a whole-space query."""
+    def validate(self, system: MarkovSystem) -> list[CylinderSet | int]:
+        """Check each field, then every walked depth's word cap and exact
+        mode, so no later stage does; every error names its field.  Returns
+        each query's cylinder set, or a whole-space query's depth."""
         fields = vars(self)
         for key, minimum in _PLAN_MINIMUMS.items():
             json_field(fields, key, "plan", _at_least(minimum))
         depths = json_field(fields, "depths", "plan",
                             lambda v: json_list(v, _at_least(1)))
-        json_field(fields, "kstar_windows", "plan",
-                   lambda v: json_list(v, _at_least(0)))
+        windows = json_field(fields, "kstar_windows", "plan",
+                             lambda v: json_list(v, _at_least(0)))
         queries = []
         for i, query in enumerate(json_field(fields, "queries", "plan", json_list)):
             where = f"plan.queries[{i}]"
@@ -146,23 +149,21 @@ class ExperimentPlan:
                 queries.append(json_field(query, "words", where,
                                           lambda v: _query_set(system, v)))
             else:
-                json_field(query, "whole_space_depth", where, _at_least(1))
-                queries.append(None)
+                queries.append(json_field(query, "whole_space_depth", where,
+                                          _at_least(1)))
         if self.mode not in ("exact", "monte_carlo"):
             raise ConfigError(f"plan.mode: unknown mode {self.mode!r}")
-        if self.mode == "exact" and not system.all_constant_probabilities:
-            raise ConfigError("plan.mode: exact mode needs constant "
-                              "probability functions everywhere")
+        if self.mode == "exact":
+            stationary_vertex_distribution(system, "plan.mode: ")
         if not depths:
             raise ConfigError("plan.depths: needs at least one table depth")
         # every word of these depths is walked; query words are only followed
-        capped = [("plan.depths", n) for n in depths] + [
-            (f"plan.queries[{i}].whole_space_depth", q["whole_space_depth"])
-            for i, q in enumerate(self.queries) if "words" not in q]
-        for where, n in capped:
-            if count_words(system, n) > cylinders_mod.WORD_CAP:
-                raise DepthOverflow(f"{where}: depth {n} exceeds the word cap "
-                                    f"{cylinders_mod.WORD_CAP}")
+        for where, n in [("plan.depths", n) for n in depths] + [
+                (f"plan.queries[{i}].whole_space_depth", q)
+                for i, q in enumerate(queries) if isinstance(q, int)] + [
+                (f"plan.kstar_depth + plan.kstar_windows[{i}]",
+                 self.kstar_depth + w) for i, w in enumerate(windows)]:
+            check_word_cap(system, n, f"{where}: ")
         return queries
 
 
@@ -255,16 +256,13 @@ def _constants(ctx: _Context) -> None:
 def _tables(ctx: _Context) -> None:
     """Every table depth, the K* windows' words and the query words from one
     walk of the word tree.  Past the deepest table, K* length or whole-space
-    query the walk follows only the query words.  A K* length past the cap
-    is left to kstar_estimate, which raises DepthOverflow in the bounds
-    stage."""
+    query the walk follows only the query words."""
     plan, system = ctx.plan, ctx.system
-    whole = [q["whole_space_depth"] for q in plan.queries if "words" not in q]
-    lengths = [n for n in (*plan.depths, *whole,
-                           *(plan.kstar_depth + w for w in plan.kstar_windows))
-               if count_words(system, n) <= cylinders_mod.WORD_CAP]
-    words = [w for q in ctx.queries if q for w in q.words]
-    ctx.rows = walk_cylinders(system, max(lengths), ctx.measure, along=words)
+    whole = [q for q in ctx.queries if isinstance(q, int)]
+    words = [w for q in ctx.queries if not isinstance(q, int) for w in q.words]
+    deepest = max([*plan.depths, *whole,
+                   *(plan.kstar_depth + w for w in plan.kstar_windows)])
+    ctx.rows = walk_cylinders(system, deepest, ctx.measure, along=words)
     ctx.manifest["counts"]["tables"] = {
         "words_per_depth": [[n, len(rows.words)]
                             for n, rows in ctx.rows.items()]}
@@ -300,9 +298,9 @@ def _bounds(ctx: _Context) -> None:
 
 def _covers(ctx: _Context) -> None:
     plan, system, report = ctx.plan, ctx.system, ctx.report
-    for qi, (raw, q) in enumerate(zip(plan.queries, ctx.queries)):
-        # _tables walked every word of a whole-space query's depth
-        q = q or CylinderSet(words=ctx.rows[raw["whole_space_depth"]].words)
+    for qi, q in enumerate(ctx.queries):
+        if isinstance(q, int):  # _tables walked every word of its depth
+            q = CylinderSet(words=ctx.rows[q].words)
         m_q = m_of_cylinder_set(system, q, ctx.measure, rows=ctx.rows)
         lower = bounds_mod.corollary_lower_bound(report, m_q)
         cost, candidate = cover_mod.phi_upper(
@@ -506,7 +504,25 @@ def main(argv: list[str] | None = None) -> int:
         return _exit_code(exc)
 
 
+def _check_out(path: str | None) -> None:
+    """Raise, before any work, the OSError that writing `path` would: its
+    parent must be an existing directory and it must not be a directory.
+    Creates nothing."""
+    if path is None:
+        return
+    out = Path(path)
+    if not out.parent.is_dir():
+        code = (errno.ENOTDIR if any(p.exists() and not p.is_dir()
+                                     for p in out.parents) else errno.ENOENT)
+    elif out.is_dir():
+        code = errno.EISDIR
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _dispatch(args: argparse.Namespace) -> int:
+    _check_out(getattr(args, "out", None))
     if args.command == "validate":
         system = validate_system(_load_config(args.config))
         print(f"ok: {len(system.vertices)} vertices, {len(system.edges)} edges, "

@@ -86,6 +86,12 @@ def count_words(sys: MarkovSystem, n: int) -> int:
     return sum(counts.values())
 
 
+def check_word_cap(sys: MarkovSystem, n: int, where: str = "") -> None:
+    """DepthOverflow, led by `where`, when the words of depth n pass WORD_CAP."""
+    if count_words(sys, n) > WORD_CAP:
+        raise DepthOverflow(f"{where}depth {n} exceeds the word cap {WORD_CAP}")
+
+
 def enumerate_words(sys: MarkovSystem, n: int) -> list[Word]:
     """All admissible length-n words, in the walk's order."""
     return list(walk_cylinders(sys, n, None)[n].words)
@@ -139,11 +145,12 @@ def phi0_cyl(sys: MarkovSystem, word: Sequence[str]) -> float:
     return float(rows[len(word)].phi0_values[0])
 
 
-def stationary_vertex_distribution(sys: MarkovSystem) -> np.ndarray:
-    """Stationary law of the vertex chain for constant probabilities."""
+def stationary_vertex_distribution(sys: MarkovSystem,
+                                   where: str = "") -> np.ndarray:
+    """Stationary law of the vertex chain; each error is led by `where`."""
     if not sys.all_constant_probabilities:
-        raise ExactModeUnavailable(
-            "stationary vertex chain needs constant probability functions")
+        raise ExactModeUnavailable(f"{where}stationary vertex chain needs "
+                                   "constant probability functions")
     n = len(sys.vertices)
     p = np.zeros((n, n))
     for e in sys.edges:
@@ -155,10 +162,11 @@ def stationary_vertex_distribution(sys: MarkovSystem) -> np.ndarray:
     try:
         pi = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
-        raise ExactModeUnavailable(
-            "vertex chain has no unique stationary distribution") from None
+        raise ExactModeUnavailable(f"{where}vertex chain has no unique "
+                                   "stationary distribution") from None
     if np.any(pi < -1e-12):
-        raise ExactModeUnavailable("stationary solve produced negative mass")
+        raise ExactModeUnavailable(f"{where}stationary solve produced "
+                                   "negative mass")
     return np.maximum(pi, 0.0)
 
 
@@ -196,9 +204,7 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
     along = [tuple(w) for w in along]
     if n_max < (0 if along else 1):
         raise ValueError("depth must be >= 1, or >= 0 with words to follow")
-    if n_max and count_words(sys, n_max) > WORD_CAP:
-        raise DepthOverflow(
-            f"the admissible words of depth {n_max} exceed the cap {WORD_CAP}")
+    check_word_cap(sys, n_max)
     # prefixes of the followed words past n_max, and those the walk extends
     follow = {w[:i] for w in along for i in range(n_max + 1, len(w) + 1)}
     extend = {w[:i] for w in along for i in range(n_max, len(w))}

@@ -29,16 +29,13 @@ class NonPositiveProbability(ValidationError):
     """A probability function leaves (0, 1] somewhere on its source region."""
 
 
-class NoContraction(CMSError):
-    """Constant derivation requires max edge Lipschitz constant below 1."""
-
-
 class DiniDivergence(CMSError):
     """A modulus-of-continuity series diverges: its ratio is not in [0, 1)."""
 
 
 class NotUniformlyContractive(CMSError):
-    """Operation is only defined when every edge map is a contraction."""
+    """Operation is only defined when every edge map is a contraction: the
+    largest edge Lipschitz constant must be below 1."""
 
 
 class InadmissibleWord(CMSError):

@@ -27,9 +27,9 @@ from .errors import (
     DiniDivergence,
     EmptySupport,
     InadmissibleWord,
-    NoContraction,
     NonPositiveProbability,
     NormalizationError,
+    NotUniformlyContractive,
     RegionEscape,
     ValidationError,
 )
@@ -576,7 +576,7 @@ def derive_constants(sys: MarkovSystem, mu: "EmpiricalMeasure") -> ConstantSet:
     """Compute the full constant set; requires uniform contraction (a < 1)."""
     a = sys.contraction_rate
     if a >= 1.0:
-        raise NoContraction(
+        raise NotUniformlyContractive(
             f"max edge Lipschitz constant is {a:.6g}; constants are only "
             f"defined for uniformly contractive systems")
 

@@ -132,6 +132,45 @@ def test_table_out_in_missing_directory_exits_1(config_b, tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+# the arguments of each subcommand that writes --out, less --config and --out
+_OUT_COMMANDS = {
+    "table": ["table", "--depth", "2"],
+    "simulate": ["simulate"],
+    "bounds": ["bounds"],
+    "cover": ["cover", "--query", "e1"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing_parent", "under_a_file",
+                                   "directory"])
+@pytest.mark.parametrize("command", list(_OUT_COMMANDS))
+def test_unwritable_out_exits_1_before_any_work(command, where, config_b,
+                                                tmp_path, capsys,
+                                                monkeypatch):
+    """An --out that cannot be written fails before the config is read, with
+    the OSError that writing it would raise, and prints one line."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work began before --out was checked")
+
+    monkeypatch.setattr(cli_mod, "_load_config", no_work)
+    monkeypatch.setattr(cli_mod.cover_mod, "phi_upper", no_work)
+    (tmp_path / "file").write_text("")
+    out = {"missing_parent": tmp_path / "nodir" / "x",
+           "under_a_file": tmp_path / "file" / "x",
+           "directory": tmp_path}[where]
+    with pytest.raises(OSError) as expected:
+        open(out, "w")
+    argv = [*_OUT_COMMANDS[command], "--config", str(config_b),
+            "--out", str(out)]
+    assert main(argv) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == (f"{type(expected.value).__name__}: "
+                           f"{expected.value}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file",
+                                                          "sys_b.json"]
+
+
 def test_run_with_a_tables_file_records_the_failure(tmp_path, config_a):
     plan = _plan_a(tmp_path, config_a)
     out = Path(plan.output_dir)
@@ -464,22 +503,28 @@ def test_run_red_flag_exit_code(tmp_path, config_a, monkeypatch, capsys):
     assert {"bounds.json", "report.md"} <= set(manifest["artifacts"])
 
 
-def test_run_kstar_over_word_cap_fails_at_bounds(tmp_path, config_a,
-                                                 monkeypatch):
+def test_run_kstar_over_word_cap_fails_at_validate(tmp_path, config_a,
+                                                   monkeypatch, capsys):
     # tables (depths 1-2, at most 4 words) fit the cap; K* window 2 at
-    # depth 2 needs the 16 words of depth 4 and does not
+    # depth 2 walks the 16 words of depth 4, which do not
     plan = _plan_a(tmp_path, config_a)
     plan.depths, plan.kstar_depth, plan.kstar_windows = [1, 2], 2, [0, 1, 2]
     monkeypatch.setattr(cl.cylinders, "WORD_CAP", 8)
+    message = ("plan.kstar_depth + plan.kstar_windows[2]: depth 4 exceeds "
+               "the word cap 8")
     assert run(plan) == cli_mod.EXIT_BUDGET
+    assert f"error at stage validate: {message}" in capsys.readouterr().err
     out = tmp_path / "out"
     manifest = json.loads((out / "MANIFEST.json").read_text())
-    assert manifest["failure"]["stage"] == "bounds"
-    assert manifest["failure"]["error"] == "DepthOverflow"
-    assert manifest["stages"]["tables"] == "ok"
-    assert (out / "tables" / "depth_1.csv").exists()
-    assert (out / "tables" / "depth_2.csv").exists()
-    assert not (out / "bounds.json").exists()
+    assert manifest["failure"] == {"stage": "validate",
+                                   "error": "DepthOverflow",
+                                   "message": message}
+    assert not (out / "tables").exists()
+    assert main(["bounds", "--config", str(config_a), "--depths", "1", "2",
+                 "--windows", "0", "1", "2", "--kstar-depth", "2"]) == 3
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert f"error at stage validate: {message}" in printed.err
 
 
 def test_plan_from_dict_rejects_unknown_fields():
@@ -546,6 +591,16 @@ def _sys_c_support_1() -> dict:
     return cfg
 
 
+def _two_self_loops() -> dict:
+    """Constant probabilities, but each vertex only loops to itself, so the
+    vertex chain has no unique stationary law."""
+    cfg = sys_c_config()
+    cfg["edges"] = [e for e in cfg["edges"] if e["id"] in ("c11", "c22")]
+    for e in cfg["edges"]:
+        e["prob"]["alpha"] = 1.0
+    return cfg
+
+
 # case: (plan fields, with the word cap as "word_cap", config, failed stage,
 # error, exit code)
 _FAILURES = {
@@ -563,6 +618,11 @@ _FAILURES = {
                                    sys_a_config, "validate", "DepthOverflow",
                                    3, "plan.queries[0].whole_space_depth: "
                                    "depth 4 exceeds the word cap 8"),
+    "exact_without_stationary_law": ({"queries": []}, _two_self_loops,
+                                     "validate", "ExactModeUnavailable", 2,
+                                     "error at stage validate: plan.mode: "
+                                     "vertex chain has no unique stationary "
+                                     "distribution"),
 }
 
 
@@ -605,7 +665,7 @@ def test_a_deep_depth_exits_3_within_a_second(config_a, tmp_path, capsys):
         assert call() == 3
         assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert "words of depth 1000000 exceed the cap 10000000" in err
+    assert "DepthOverflow: depth 1000000 exceeds the word cap 10000000" in err
     assert "plan.depths: depth 1000000 exceeds the word cap 10000000" in err
 
 

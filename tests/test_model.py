@@ -261,7 +261,7 @@ def test_no_contraction_detected():
     sys_ = cl.validate_system(cfg)
     assert not sys_.is_uniformly_contractive
     mu = cl.pushforward_measure(sys_, 4)
-    with pytest.raises(cl.NoContraction):
+    with pytest.raises(cl.NotUniformlyContractive):
         cl.derive_constants(sys_, mu)
 
 

@@ -17,6 +17,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -286,6 +287,48 @@ def test_backward_orbit_matches_the_fold_on_random_systems(drawn, data):
         assert float(np.max(np.abs(x - ref))) <= 1e-12 * scale
     res = cl.coding_point(sys_, past)  # passes its Cauchy check
     assert all(np.array_equal(x, y) for x, y in zip(res.orbit, orbit))
+
+
+@settings(_SETTINGS, max_examples=100)
+@given(systems(full_support=True), st.data())
+def test_validate_decides_every_walked_length_on_random_systems(drawn, data):
+    """With the word cap at the words of a drawn length L, a run whose table
+    depths, whole-space depths and K* lengths reach L + 1, in either mode,
+    gets past validate only when every one of them fits the cap, and no
+    later stage fails with DepthOverflow or ExactModeUnavailable."""
+    cfg, affine = drawn
+    sys_ = cl.validate_system(cfg)
+    length = data.draw(st.integers(1, 4))
+    near = st.integers(1, length + 1)
+    kstar_depth = data.draw(near)
+    plan = dict(
+        mode=data.draw(st.sampled_from(["monte_carlo"] * 3 + ["exact"]
+                                       if affine else ["exact", "monte_carlo"])),
+        depths=data.draw(st.lists(near, min_size=1, max_size=2)),
+        kstar_depth=kstar_depth,
+        kstar_windows=data.draw(st.lists(
+            st.integers(0, length + 1 - kstar_depth), max_size=3)),
+        queries=[{"whole_space_depth": n}
+                 for n in data.draw(st.lists(near, max_size=1))],
+        # a cover window of the query's own words: cover._window's separate
+        # cap on window words never binds
+        cover_window=0, cover_depth=1, cover_budget=50)
+    walked = [*plan["depths"], *(q["whole_space_depth"] for q in plan["queries"]),
+              *(kstar_depth + w for w in plan["kstar_windows"])]
+    cap = cl.count_words(sys_, length)
+    over = any(cl.count_words(sys_, n) > cap for n in walked)
+    with (mock.patch.object(cl.cylinders, "WORD_CAP", cap),
+          tempfile.TemporaryDirectory() as tmp):
+        config = Path(tmp) / "sys.json"
+        config.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        cli.run(cli.ExperimentPlan(config_path=str(config),
+                                   output_dir=str(out), **plan))
+        failure = json.loads((out / "MANIFEST.json").read_text()).get(
+            "failure", {"stage": None, "error": None})
+    if failure["stage"] != "validate":
+        assert not over
+        assert failure["error"] not in ("DepthOverflow", "ExactModeUnavailable")
 
 
 # what a mutation writes: numbers outside every field's range (negative,
