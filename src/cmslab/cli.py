@@ -157,12 +157,18 @@ class ExperimentPlan:
             stationary_vertex_distribution(system, "plan.mode: ")
         if not depths:
             raise ConfigError("plan.depths: needs at least one table depth")
-        # every word of these depths is walked; query words are only followed
+        # every word of these depths is walked; query words are only
+        # followed, and cover._window walks the base measure past a query
+        # of depth n to max(cover_window, cover_depth - n) + 1
+        query_depths = [q if isinstance(q, int) else q.depth for q in queries]
         for where, n in [("plan.depths", n) for n in depths] + [
                 (f"plan.queries[{i}].whole_space_depth", q)
                 for i, q in enumerate(queries) if isinstance(q, int)] + [
                 (f"plan.kstar_depth + plan.kstar_windows[{i}]",
-                 self.kstar_depth + w) for i, w in enumerate(windows)]:
+                 self.kstar_depth + w) for i, w in enumerate(windows)] + [
+                ("plan.cover_window",
+                 max(self.cover_window, self.cover_depth - n) + 1)
+                for n in query_depths]:
             check_word_cap(system, n, f"{where}: ")
         return queries
 

@@ -72,24 +72,57 @@ def full_cylinder_set(sys: MarkovSystem, depth: int) -> CylinderSet:
     return CylinderSet(words=tuple(enumerate_words(sys, depth)))
 
 
+def _walk_cap() -> int:
+    """The cap on depth times the nodes of a walk's word tree, which bounds
+    the walk's steps and the edge ids its rows and stack hold: 2 WORD_CAP
+    times WORD_CAP's bit length.  A tree that branches at every vertex
+    stays below it up to the word cap: it has fewer than twice as many
+    nodes as leaves, and fewer levels than that bit length."""
+    return 2 * WORD_CAP * WORD_CAP.bit_length()
+
+
+def _tree_counts(sys: MarkovSystem, n: int) -> tuple[int, int]:
+    """(words of depth n, nodes of the word tree to depth n, its roots
+    included): 1^T A^n 1 and the sum over m <= n of 1^T A^m 1, for the
+    integer adjacency matrix A.  Both are read off B^n, B = [[A, I], [0, I]],
+    whose top blocks are A^n and the sum over m < n of A^m.  B^n comes by
+    squaring, in O(V^3 log n), with every entry held at the walk cap + 1: a
+    product of nonnegative integer matrices so held is the true product
+    held, so each count is exact up to the walk cap and past it otherwise."""
+    v = len(sys.vertices)
+    top = _walk_cap() + 1
+    b = np.zeros((2 * v, 2 * v), dtype=object)
+    b[:v, v:] = b[v:, v:] = np.identity(v, dtype=object)
+    for e in sys.edges:
+        b[e.source - 1, e.target - 1] += 1
+    power = np.identity(2 * v, dtype=object)
+    while n:
+        if n & 1:
+            power = np.minimum(power @ b, top)
+        n >>= 1
+        if n:
+            b = np.minimum(b @ b, top)
+    words = int(power[:v, :v].sum())
+    return words, words + int(power[:v, v:].sum())
+
+
 def count_words(sys: MarkovSystem, n: int) -> int:
-    """Number of admissible length-n words, by dynamic programming, or the
-    first count past WORD_CAP at a depth up to n.  Every word extends, so
-    the count never falls as the depth grows, and a count past the cap
-    stays past it."""
-    counts = {v.index: 1 for v in sys.vertices}
-    for _ in range(n):
-        counts = {v.index: sum(counts[e.target] for e in sys.out_edges(v.index))
-                  for v in sys.vertices}
-        if sum(counts.values()) > WORD_CAP:
-            break
-    return sum(counts.values())
+    """Number of admissible length-n words in O(V^3 log n) whatever n;
+    exact up to _walk_cap(), and past it otherwise."""
+    return _tree_counts(sys, n)[0]
 
 
 def check_word_cap(sys: MarkovSystem, n: int, where: str = "") -> None:
-    """DepthOverflow, led by `where`, when the words of depth n pass WORD_CAP."""
-    if count_words(sys, n) > WORD_CAP:
+    """DepthOverflow, led by `where`, when the words of depth n pass
+    WORD_CAP, or n times the nodes of the walk to depth n pass the walk
+    cap; the second binds only on a graph with a single-edge vertex, such
+    as a loop, whose walk would hold a word of every length up to n."""
+    words, nodes = _tree_counts(sys, n)
+    if words > WORD_CAP:
         raise DepthOverflow(f"{where}depth {n} exceeds the word cap {WORD_CAP}")
+    if n * nodes > _walk_cap():
+        raise DepthOverflow(f"{where}depth {n} exceeds the walk cap "
+                            f"{_walk_cap()} on depth times tree nodes")
 
 
 def enumerate_words(sys: MarkovSystem, n: int) -> list[Word]:
@@ -102,7 +135,8 @@ def enumerate_words(sys: MarkovSystem, n: int) -> list[Word]:
 # cylinder quantity is a fold of one one-edge step over a word; the step
 # multiplies by p_e at the current point and then moves the point by w_e,
 # except at a leaf, where nothing reads the point.  Two kinds of state:
-#   atoms   ((N,) array over the mu atoms, (N, k) array)  M under mu
+#   atoms   ((N,) array over the start vertex's N mu atoms, (N, k) array)
+#           M under mu; the atoms of other vertices carry no mass of the word
 #   scalar  (float, (k,) array or None)  phi0, exact M, or 0.0 with no measure
 # The point is None when every probability is constant: p_e is alpha, which
 # value(y) = alpha + 0 . y equals bit for bit, and no point moves.
@@ -124,7 +158,8 @@ def _scalar_step(state, e, leaf: bool):
 def _mass_chain(sys: MarkovSystem, measure: Measure):
     """(step, root state of a start vertex, M of a final probability) for
     the chain mass under `measure`; with no measure the mass is 0 on every
-    word."""
+    word.  Under mu a word is rooted at its start vertex's atoms alone, each
+    carrying its weight, so M is the plain sum of the final probabilities."""
     if measure is None:
         return _scalar_step, lambda v: (0.0, None), float
     if isinstance(measure, str):
@@ -132,9 +167,12 @@ def _mass_chain(sys: MarkovSystem, measure: Measure):
             raise ValueError(f"unknown measure mode {measure!r}")
         pi = stationary_vertex_distribution(sys)
         return _scalar_step, lambda v: (float(pi[v - 1]), None), float
-    return (_atoms_step,
-            lambda v: ((measure.vertices == v).astype(float), measure.points),
-            measure.average)
+
+    def root(v):
+        at = np.flatnonzero(measure.vertices == v)
+        return measure.weights[at], measure.points[at]
+
+    return _atoms_step, root, lambda probs: float(probs.sum())
 
 
 def phi0_cyl(sys: MarkovSystem, word: Sequence[str]) -> float:

@@ -109,6 +109,25 @@ def sys_c_config() -> dict:
     }
 
 
+def one_loop_config() -> dict:
+    """Sys A's first halving map alone: one vertex, one edge, so one word
+    per depth."""
+    cfg = sys_a_config()
+    cfg["edges"] = cfg["edges"][:1]
+    cfg["edges"][0]["prob"]["alpha"] = 1.0
+    return cfg
+
+
+def loop_into_loop_config() -> dict:
+    """Sys C without the edge back to vertex 1: a loop feeding a second
+    loop, so depth n has n + 2 words, and the vertex chain's one stationary
+    law sits on vertex 2."""
+    cfg = sys_c_config()
+    cfg["edges"] = [e for e in cfg["edges"] if e["id"] != "c21"]
+    cfg["edges"][-1]["prob"]["alpha"] = 1.0
+    return cfg
+
+
 @pytest.fixture(scope="session")
 def sys_a() -> cl.MarkovSystem:
     return cl.validate_system(sys_a_config())

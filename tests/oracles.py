@@ -2,7 +2,8 @@
 
 Everything here is deliberately written without reusing the library's
 algorithms: direct series summation, eigenvector stationary laws, a
-memoized exhaustive cover search, coding-map truncations folded afresh,
+memoized exhaustive cover search, coding-map truncations folded afresh
+and checked one at a time, masses over every atom of a measure,
 pushforward atoms folded one path at a time, the sampled chain, and
 csv.writer's output.
 The one exception is plain_cover_search, the cover search as it was before
@@ -185,10 +186,11 @@ def word_row(sys, word, measure, pi=None) -> tuple[float, float]:
     """(M, phi0) of one word, each computed from scratch for it.
 
     Exact mode (pi given, measure ignored) multiplies the stationary mass of
-    the start vertex by the edge constants.  Monte Carlo mode takes the
-    product of p_e over all measure atoms, edge by edge, and its weighted
-    mean.  phi0 is chain_cyl_prob from the start vertex's base point.  Per
-    word the operations match the library's, so rows compare bit for bit.
+    the start vertex by the edge constants.  Monte Carlo mode starts from
+    the weights of the start vertex's atoms, multiplies in p_e at those
+    atoms edge by edge, and sums.  phi0 is chain_cyl_prob from the start
+    vertex's base point.  Per word the operations match the library's, so
+    rows compare bit for bit.
     """
     edges = [sys.edge(i) for i in word]
     start = edges[0].source
@@ -197,17 +199,45 @@ def word_row(sys, word, measure, pi=None) -> tuple[float, float]:
         for e in edges:
             m *= e.prob.alpha
     else:
-        probs = (measure.vertices == start).astype(float)
-        pts = measure.points
+        at = measure.vertices == start
+        probs, pts = measure.weights[at], measure.points[at]
         for e in edges:
             probs = probs * e.prob.value_many(pts)
             pts = e.map.apply_many(pts)
-        m = float(measure.weights @ probs)
+        m = float(probs.sum())
     phi0 = 0.0
     if start in sys.support_set:
         phi0 = (chain_cyl_prob(sys, (start, sys.base_point(start)), word)
                 / len(sys.support_set))
     return m, phi0
+
+
+def masked_word_mass(sys, word, measure) -> float:
+    """M of one word over every atom of `measure`: those of other start
+    vertices enter with probability 0, p_e multiplies in edge by edge at
+    every atom, and the weights average the products."""
+    probs = (measure.vertices == sys.edge(word[0]).source).astype(float)
+    pts = measure.points
+    for e in (sys.edge(i) for i in word):
+        probs = probs * e.prob.value_many(pts)
+        pts = e.map.apply_many(pts)
+    return float(measure.weights @ probs)
+
+
+def cauchy_violation(sys, past, orbit) -> str | None:
+    """The message of the first truncation of `orbit`, the backward orbit
+    of `past`, whose step from the next shallower one passes a^j d plus
+    the rounding slack, checked one truncation at a time; None when every
+    step passes."""
+    a, d = sys.contraction_rate, sys.max_displacement
+    chain = [sys.base_point(sys.edge(past[-1]).target), *orbit[::-1]]
+    slack = 1e-12 * max(1.0, d, max(float(np.max(np.abs(x))) for x in chain))
+    for j in range(len(orbit)):
+        gap = float(np.linalg.norm(chain[j + 1] - chain[j]))
+        if gap > a ** j * d + slack:
+            return (f"Cauchy inequality violated at depth {j}: "
+                    f"{gap:.3e} > {a ** j * d:.3e}")
+    return None
 
 
 def power_iteration_norm(a: np.ndarray, rel_tol: float = 1e-12,

@@ -14,7 +14,8 @@ import cmslab as cl
 from cmslab import cli as cli_mod
 from cmslab.cli import ExperimentPlan, main, run
 
-from conftest import bench_module, sys_a_config, sys_b_config, sys_c_config
+from conftest import (bench_module, loop_into_loop_config, one_loop_config,
+                      sys_a_config, sys_b_config, sys_c_config)
 
 
 @pytest.fixture
@@ -654,19 +655,91 @@ def test_failure_stage_error_and_exit_code(case, entry, tmp_path, capsys,
 
 
 def test_a_deep_depth_exits_3_within_a_second(config_a, tmp_path, capsys):
-    """The word count stops once it passes the cap, so a depth of 10^6
-    overflows at once, as a table flag and as a plan depth."""
+    """The word and node counts are closed forms, so a deep depth overflows
+    at once, as a table flag and as a plan depth: on sys A, whose words
+    double per depth; on one loop, which has one word per depth but whose
+    walk would hold a word of every length; and on a loop feeding a loop,
+    whose n + 2 words pass the word cap at 10^8 and whose walk passes the
+    walk cap at 10^6."""
+    configs = {"loop": one_loop_config(), "two": loop_into_loop_config()}
+    for name, cfg in configs.items():
+        configs[name] = tmp_path / f"{name}.json"
+        configs[name].write_text(json.dumps(cfg))
+    walk_cap = "walk cap 480000000 on depth times tree nodes"
+    cases = [(config_a, 10 ** 6, "word cap 10000000"),
+             (configs["loop"], 10 ** 6, walk_cap),
+             (configs["loop"], 10 ** 8, walk_cap),
+             (configs["two"], 10 ** 8, "word cap 10000000"),
+             (configs["two"], 10 ** 6, walk_cap)]
+    for config, depth, cap in cases:
+        plan = _plan_a(tmp_path, config)
+        plan.depths, plan.queries = [depth], []
+        table = ["table", "--config", str(config), "--depth", str(depth),
+                 "--mode", "exact", "--out", str(tmp_path / "deep.csv")]
+        for call in (lambda: main(table), lambda: run(plan)):
+            start = time.perf_counter()
+            assert call() == 3
+            assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"DepthOverflow: depth {depth} exceeds the {cap}" in err
+        assert f"plan.depths: depth {depth} exceeds the {cap}" in err
+
+
+@pytest.mark.parametrize("window, depth, query", [
+    (23, 2, ["e1"]), (0, 24, ["e1"]), (23, 2, ["e1.e2"]), (0, 25, ["e1.e2"])])
+def test_cover_window_over_word_cap_fails_at_validate(window, depth, query,
+                                                      tmp_path, config_a,
+                                                      capsys):
+    """The base walk of a cover window, to max(cover_window, cover_depth - n)
+    + 1 past a query of depth n, is decided at validate: exit 3 before any
+    table is written, the message naming plan.cover_window."""
     plan = _plan_a(tmp_path, config_a)
-    plan.depths = [10 ** 6]
-    table = ["table", "--config", str(config_a), "--depth", str(10 ** 6),
-             "--mode", "exact", "--out", str(tmp_path / "deep.csv")]
-    for call in (lambda: main(table), lambda: run(plan)):
-        start = time.perf_counter()
-        assert call() == 3
-        assert time.perf_counter() - start < 1.0
-    err = capsys.readouterr().err
-    assert "DepthOverflow: depth 1000000 exceeds the word cap 10000000" in err
-    assert "plan.depths: depth 1000000 exceeds the word cap 10000000" in err
+    plan.depths, plan.cover_window, plan.cover_depth = [1, 2], window, depth
+    plan.queries = [{"words": query}]
+    message = "plan.cover_window: depth 24 exceeds the word cap 10000000"
+    assert run(plan) == cli_mod.EXIT_BUDGET
+    assert f"error at stage validate: {message}" in capsys.readouterr().err
+    out = tmp_path / "out"
+    manifest = json.loads((out / "MANIFEST.json").read_text())
+    assert manifest["failure"] == {"stage": "validate",
+                                   "error": "DepthOverflow",
+                                   "message": message}
+    assert not (out / "tables").exists()
+
+
+def test_validate_checks_the_depth_a_cover_window_walks(tmp_path, config_a,
+                                                        monkeypatch):
+    """Validate checks, for each query, the depth its cover window's base
+    walk reaches, and the cover search walks to no other depth."""
+    checked, walked = [], []
+    check, walk = cli_mod.check_word_cap, cl.cover.walk_cylinders
+
+    def checking(system, n, where=""):
+        if where == "plan.cover_window: ":
+            checked.append(n)
+        return check(system, n, where)
+
+    def walking(system, n, *args, **kwargs):
+        walked.append(n)
+        return walk(system, n, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "check_word_cap", checking)
+    monkeypatch.setattr(cl.cover, "walk_cylinders", walking)
+    for window, depth in ((0, 1), (1, 2), (2, 2), (0, 4), (1, 5)):
+        plan = _plan_a(tmp_path, config_a)
+        plan.depths, plan.kstar_depth, plan.kstar_windows = [1], 1, [0]
+        plan.cover_window, plan.cover_depth = window, depth
+        plan.queries = [{"whole_space_depth": 2}, {"words": ["e1.e2.e1"]},
+                        {"words": ["e2"]}]
+        checked.clear()
+        walked.clear()
+        assert run(plan) == 0
+        # each search walks its window, and the check of the cover it found
+        # walks no deeper; the depth-0 walks follow words for their charges
+        deep = [n for n in walked if n]
+        assert deep[::2] == checked
+        assert all(v <= n for n, v in zip(deep[::2], deep[1::2]))
+        assert checked == [max(window, depth - n) + 1 for n in (2, 3, 1)]
 
 
 # case: (plan field changed, its new value, field path the error names)

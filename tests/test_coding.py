@@ -6,6 +6,7 @@ import pytest
 import cmslab as cl
 
 from conftest import sys_a_config
+from oracles import cauchy_violation, fold_backward_orbit
 
 
 def random_past(sys_, rng, depth):
@@ -194,6 +195,81 @@ def test_cauchy_check_catches_a_perturbed_orbit(make_config, shift,
     monkeypatch.setattr(cl.coding, "backward_orbit", perturbed)
     with pytest.raises(AssertionError, match="Cauchy inequality violated"):
         cl.coding_point(system, ("e2",) * 60)
+
+
+@pytest.mark.parametrize("fixture", ["sys_a", "sys_b", "sys_c"])
+@pytest.mark.parametrize("patched, factor", [
+    ("max_displacement", 0.9), ("max_displacement", 0.3),
+    ("contraction_rate", 0.95), ("contraction_rate", 0.7)])
+def test_cauchy_check_fails_where_a_per_truncation_check_does(
+        fixture, patched, factor, request, monkeypatch):
+    """With a or d patched below its value, coding_point raises at the first
+    failing depth, with the message a check of one truncation at a time
+    gives, and passes exactly when that check passes."""
+    sys_ = request.getfixturevalue(fixture)
+    true_value = getattr(sys_, patched)
+    monkeypatch.setattr(cl.MarkovSystem, patched,
+                        property(lambda self: true_value * factor))
+    rng = np.random.default_rng(8)
+    failures = set()
+    for depth in (1, 2, 7, 40, 256):
+        for _ in range(5):
+            past = random_past(sys_, rng, depth)
+            expected = cauchy_violation(sys_, past,
+                                        cl.backward_orbit(sys_, past))
+            if expected is None:
+                cl.coding_point(sys_, past)
+                continue
+            with pytest.raises(AssertionError) as info:
+                cl.coding_point(sys_, past)
+            assert str(info.value) == expected
+            failures.add(expected.split(":")[0])
+    # sys C's base points map onto base points: every gap is 0
+    assert (fixture == "sys_c") == (not failures)
+
+
+@pytest.mark.parametrize("depth", [1, 5, 30])
+def test_a_gap_exactly_at_the_bound_passes(depth, sys_a, monkeypatch):
+    """On the e1 chain every truncation of sys A is 0, so moving the
+    deepest one to a^(depth-1) d plus the slack puts its gap exactly at
+    the bound: it passes there and fails one ulp above, as the check of
+    one truncation at a time says."""
+    a, d = sys_a.contraction_rate, sys_a.max_displacement
+    past = ("e1",) * depth
+    exact = cl.coding.backward_orbit
+    bound = a ** (depth - 1) * d + 1e-12  # the slack is 1e-12 below 1
+
+    def moved(to):
+        def orbit(sys_, past_):
+            points = exact(sys_, past_)
+            points[0] = np.array([to])
+            return points
+        return orbit
+
+    monkeypatch.setattr(cl.coding, "backward_orbit", moved(bound))
+    assert cauchy_violation(sys_a, past, moved(bound)(sys_a, past)) is None
+    assert cl.coding_point(sys_a, past).point[0] == bound
+    above = float(np.nextafter(bound, 1.0))
+    message = cauchy_violation(sys_a, past, moved(above)(sys_a, past))
+    assert message.startswith(f"Cauchy inequality violated at depth "
+                              f"{depth - 1}: ")
+    monkeypatch.setattr(cl.coding, "backward_orbit", moved(above))
+    with pytest.raises(AssertionError) as info:
+        cl.coding_point(sys_a, past)
+    assert str(info.value) == message
+
+
+def test_orbit_is_the_fold_bit_for_bit_when_every_delta_is_zero(sys_c):
+    """Sys C's maps carry base points onto base points, so every delta_e is
+    exactly 0 and the telescoped orbit is each truncation folded afresh."""
+    assert all(sys_c.displacement(e) == 0.0 for e in sys_c.edges)
+    rng = np.random.default_rng(13)
+    for depth in (1, 2, 9, 64):
+        past = random_past(sys_c, rng, depth)
+        orbit = cl.backward_orbit(sys_c, past)
+        reference = fold_backward_orbit(sys_c, past)
+        assert len(orbit) == len(reference) == depth
+        assert all(np.array_equal(x, y) for x, y in zip(orbit, reference))
 
 
 def test_inadmissible_word_rejected(sys_c):

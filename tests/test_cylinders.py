@@ -3,13 +3,15 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 
 import cmslab as cl
 
-from conftest import sys_a_config, sys_b_config, sys_c_config
+from conftest import (loop_into_loop_config, one_loop_config, sys_a_config,
+                      sys_b_config, sys_c_config)
 from oracles import (chain_cyl_prob, csv_writer_text, enumerate_paths,
                      stationary_via_eig, word_row)
 
@@ -39,6 +41,36 @@ def test_depth_overflow(sys_a):
     with pytest.raises(cl.DepthOverflow):
         cl.enumerate_words(sys_a, 24)  # 2^24 > default cap of 1e7
     assert cl.count_words(sys_a, 24) == 2 ** 24
+
+
+def test_word_counts_are_closed_form():
+    """count_words costs O(log n) matrix products whatever the growth: one
+    word per depth on one loop, n + 2 words on a loop feeding a loop, both
+    exact at any depth whose count fits the walk cap."""
+    one = cl.validate_system(one_loop_config())
+    two = cl.validate_system(loop_into_loop_config())
+    start = time.perf_counter()
+    assert cl.count_words(one, 10 ** 8) == 1
+    assert time.perf_counter() - start < 0.1
+    for n in (0, 1, 5, 10 ** 6, 2 * cl.cylinders.WORD_CAP - 2):
+        assert cl.count_words(two, n) == n + 2
+    assert cl.count_words(two, 10 ** 12) > 2 * cl.cylinders.WORD_CAP
+    assert [cl.count_words(two, n) for n in range(1, 6)] == [
+        len(cl.enumerate_words(two, n)) for n in range(1, 6)]
+
+
+def test_walk_cap_binds_on_a_loop(monkeypatch):
+    """On one loop the walk to depth n takes n + 1 nodes, its root
+    included, and holds a word of every length up to n: with the word cap
+    at 5 the walk cap is 2 * 5 * 3 = 30, which depth 5 (5 * 6) fits and
+    depth 6 (6 * 7) does not, though each has one word."""
+    one = cl.validate_system(one_loop_config())
+    monkeypatch.setattr(cl.cylinders, "WORD_CAP", 5)
+    assert len(cl.walk_cylinders(one, 5, cl.EXACT)) == 5
+    with pytest.raises(cl.DepthOverflow,
+                       match="^depth 6 exceeds the walk cap 30 on depth "
+                             "times tree nodes$"):
+        cl.walk_cylinders(one, 6, cl.EXACT)
 
 
 # --- chain and base measures ------------------------------------------------
@@ -233,6 +265,41 @@ def test_walk_takes_one_step_per_tree_node(sys_b, small_measures, monkeypatch):
     for window in (0, 1, 2):
         cl.kstar_estimate(sys_b, window, 4, mu, rows=rows)
     assert calls["value_many"] == nodes
+
+
+@pytest.mark.parametrize("name", ["sys_b", "sys_c"])
+def test_walk_moves_only_the_start_vertex_atoms(name, request, small_measures,
+                                               monkeypatch):
+    """Every p_e evaluation and map move of a Monte Carlo walk takes exactly
+    the atoms of its word's start vertex, in the walk's order: start
+    vertices in turn, one call per node, moves below internal nodes only."""
+    sys_, mu, n_max = request.getfixturevalue(name), small_measures[name], 5
+    if name == "sys_c":  # both vertices hold 256 atoms: keep 100 of vertex 2's
+        keep = (mu.vertices == 1) | (np.cumsum(mu.vertices == 2) <= 100)
+        weights = mu.weights[keep]
+        mu = cl.EmpiricalMeasure(vertices=mu.vertices[keep],
+                                 points=mu.points[keep],
+                                 weights=weights / weights.sum())
+    sizes = {"value_many": [], "apply_many": []}
+    for cls, attr in ((cl.ProbabilityFunction, "value_many"),
+                      (cl.AffineMap, "apply_many")):
+        def wrapper(self, pts, _attr=attr, _original=getattr(cls, attr)):
+            sizes[_attr].append(len(pts))
+            return _original(self, pts)
+
+        monkeypatch.setattr(cls, attr, wrapper)
+    cl.walk_cylinders(sys_, n_max, mu)
+    atoms = {v.index: int(np.sum(mu.vertices == v.index))
+             for v in sys_.vertices}
+    assert len(set(atoms.values())) == len(atoms)  # the sizes tell them apart
+    per_vertex = {v: [0] * (n_max + 1) for v in atoms}
+    for n in range(1, n_max + 1):
+        for w in cl.enumerate_words(sys_, n):
+            per_vertex[sys_.edge(w[0]).source][n] += 1
+    assert sizes["value_many"] == [atoms[v] for v in sorted(atoms)
+                                   for _ in range(sum(per_vertex[v]))]
+    assert sizes["apply_many"] == [atoms[v] for v in sorted(atoms)
+                                   for _ in range(sum(per_vertex[v][:n_max]))]
 
 
 def test_scalar_chain_moves_no_point_when_probabilities_are_constant(

@@ -30,6 +30,7 @@ from conftest import LOCAL_MODULES, local_modules
 from oracles import (
     expected_running_max,
     fold_backward_orbit,
+    masked_word_mass,
     plain_cover_search,
     stationary_via_eig,
 )
@@ -261,6 +262,22 @@ def test_north_star_identities_on_random_systems(drawn, data):
     # both sides can be equal (factor 1, M = phi0) and then differ by
     # rounding: the run's consistency check allows COST_TOL
     assert m_q * report["corollary_factor"] <= cost + cl.cover.COST_TOL
+
+
+@settings(_SETTINGS, max_examples=80)
+@given(systems(full_support=True))
+def test_start_vertex_mass_is_the_masked_sum_on_random_systems(drawn):
+    """The walk roots each word at its start vertex's atoms alone; its M
+    stays within 1e-13 relative of the sum over every atom of mu_N, with
+    the atoms of other vertices masked to 0, at depths 1-4."""
+    cfg, _ = drawn
+    sys_ = cl.validate_system(cfg)
+    measure = cl.pushforward_measure(sys_)
+    rows = cl.walk_cylinders(sys_, DEPTH, measure)
+    for n in range(1, DEPTH + 1):
+        for word, m in zip(rows[n].words, rows[n].m_values.tolist()):
+            masked = masked_word_mass(sys_, word, measure)
+            assert abs(m - masked) <= 1e-13 * masked
 
 
 @settings(_SETTINGS, max_examples=40)
