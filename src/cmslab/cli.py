@@ -287,7 +287,8 @@ def _bounds(ctx: _Context) -> None:
             ctx.system, w, plan.kstar_depth, ctx.measure, rows=ctx.rows)
         report.kstar_estimates.append((w, plan.kstar_depth, kval, 0.0))
 
-    ks = [row[1] for row in report.k_n_series]
+    # the rows stay in plan order; K_n must not fall as the depth grows
+    ks = [row[1] for row in sorted(report.k_n_series)]
     report.pass_flags["k_n_nonnegative"] = all(k >= -1e-12 for k in ks)
     report.pass_flags["k_n_nondecreasing"] = all(
         ks[i + 1] >= ks[i] - 1e-12 for i in range(len(ks) - 1))

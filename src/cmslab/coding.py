@@ -9,11 +9,11 @@ decay of successive differences certifies the truncation error.
 The truncations telescope from the present backwards: with X_{-1} the base
 point of target(e_0), X_j = X_{j-1} + L_j delta_{e_j}, where L_0 = I,
 L_{j+1} = L_j A_{e_j} and delta_e = w_e(base(source e)) - base(target e).
-delta_e is computed once per distinct edge of the word, so that is one
-matrix-vector and one k x k product per edge of the word.  The sum agrees
-with a fresh fold of each truncation up to a few ulps, and is exact when
-every delta_e is exactly 0, as when the maps carry base points onto base
-points.
+delta_e is read from the system, which derives it once per edge, so that
+is one matrix-vector and one k x k product per edge of the word.  The sum
+agrees with a fresh fold of each truncation up to a few ulps, and is exact
+when every delta_e is exactly 0, as when the maps carry base points onto
+base points.
 """
 
 from __future__ import annotations
@@ -54,16 +54,15 @@ def backward_orbit(sys: MarkovSystem, past: Sequence[str]) -> list[np.ndarray]:
 
     X_j applies the maps of edges j..0 to the base point of source(e_j), so
     the first entry uses the whole word and the last entry a single edge.
+    Each delta_e is the system's own, sys.deltas.
     """
     edges = sys.require_admissible(past)
-    base = sys.base_point
-    delta = {e: e.map.apply(base(e.source)) - base(e.target)
-             for e in set(edges)}
-    x = base(edges[-1].target)
+    delta = sys.deltas
+    x = sys.base_point(edges[-1].target)
     lin = np.eye(len(x))
     orbit = []
     for e in reversed(edges):
-        x = x + lin @ delta[e]
+        x = x + lin @ delta[e.id]
         lin = lin @ e.map.linear
         orbit.append(x)
     return orbit[::-1]
@@ -76,10 +75,10 @@ def coding_point(sys: MarkovSystem, past: Sequence[str]) -> CodingResult:
     geometric Cauchy inequality |X_j - X_{j+1}| <= a^{-j} d
     (j = -depth+1 .. 0, with X_1 the target base point of the last edge).
     """
-    if not sys.is_uniformly_contractive:
+    a = sys.contraction_rate
+    if a >= 1.0:
         raise NotUniformlyContractive(
             "coding points need every edge map contractive")
-    a = sys.contraction_rate
     d = sys.max_displacement
     orbit = backward_orbit(sys, past)  # refuses an inadmissible past
     depth = len(orbit)

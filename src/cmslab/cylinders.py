@@ -308,26 +308,14 @@ class CylinderTable:
 
     def to_csv(self, path) -> None:
         """One row per word, led by the dotted word; write_csv formats each
-        distinct number of a block once.  Words are quoted as csv.writer
-        quotes them, which the table checks once, on its edge ids.  The
+        distinct number of a block once.  The word is never quoted: an edge
+        id holds no character csv.writer would quote (model._edge_id).  The
         last column, stderr, is always 0.0: M carries no standard error,
         and the column is kept for readers of the six-column format."""
-        text = ".".join
-        if any(c in e for e in set().union(*self.words) for c in ',"\r\n'):
-            text = _quoted_word
         write_csv(path, ["word", "M", "phi0", "Z", "logZ", "stderr"],
-                  lambda rows: map(text, self.words[rows]),
+                  lambda rows: map(".".join, self.words[rows]),
                   [self.m_values, self.phi0_values, self.z_values,
                    self.logz_values, np.zeros(len(self.words))])
-
-
-def _quoted_word(word: Word) -> str:
-    """The dotted word, quoted when it holds a delimiter, a quote or a line
-    break."""
-    text = ".".join(word)
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def build_table(sys: MarkovSystem, n: int, measure: Measure,

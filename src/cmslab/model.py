@@ -18,7 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -133,10 +134,6 @@ class ProbabilityFunction:
         out += self.alpha
         return out
 
-    @property
-    def gradient_norm(self) -> float:
-        return float(np.linalg.norm(self.beta))
-
 
 @dataclass(frozen=True, eq=False)
 class VertexSpace:
@@ -168,26 +165,62 @@ class DirectedEdge:
 
 @dataclass(frozen=True, eq=False)
 class MarkovSystem:
-    """A validated system; construct through ``validate_system``."""
+    """A validated system; construct through ``validate_system``.
+
+    Construction derives, once, everything that follows from the system
+    alone, so every later read is a lookup: the vertex, edge and sorted
+    out-edge indexes; ``base_points`` and ``out_degrees``, arrays indexed
+    by vertex index (row 0 unused); ``deltas``, delta_e = w_e(base(s(e))) -
+    base(t(e)) by edge id; and the scalars ``contraction_rate`` (the max
+    Lipschitz constant of an edge map), ``max_displacement`` (the max
+    |delta_e|), ``max_gradient_norm`` (the max |beta_e|),
+    ``normalization_gap`` (the largest |sum_e p_e(x) - 1| over a vertex's
+    out-edges e and the points x of its region: the slack validation
+    admitted) and ``all_constant_probabilities``.  Every array is
+    read-only.
+    """
 
     dimension: int
     vertices: tuple[VertexSpace, ...]
     edges: tuple[DirectedEdge, ...]
     support_set: frozenset[int]
-    _vertex_by_index: dict = field(repr=False, default_factory=dict)
-    _edge_by_id: dict = field(repr=False, default_factory=dict)
-    _out_edges: dict = field(repr=False, default_factory=dict)
+    _vertex_by_index: dict = field(init=False, repr=False)
+    _edge_by_id: dict = field(init=False, repr=False)
+    _out_edges: dict = field(init=False, repr=False)
+    base_points: np.ndarray = field(init=False, repr=False)
+    out_degrees: np.ndarray = field(init=False, repr=False)
+    deltas: Mapping[str, np.ndarray] = field(init=False, repr=False)
+    contraction_rate: float = field(init=False)
+    max_displacement: float = field(init=False)
+    max_gradient_norm: float = field(init=False)
+    normalization_gap: float = field(init=False)
+    all_constant_probabilities: bool = field(init=False)
 
     def __post_init__(self):
         by_index = {v.index: v for v in self.vertices}
-        by_id = {e.id: e for e in self.edges}
-        out: dict[int, tuple[DirectedEdge, ...]] = {}
+        out = {v.index: tuple(sorted((e for e in self.edges if e.source == v.index),
+                                     key=lambda e: e.id)) for v in self.vertices}
+        base = np.zeros((len(self.vertices) + 1, self.dimension))
+        degrees = np.zeros(len(self.vertices) + 1, dtype=int)
         for v in self.vertices:
-            out[v.index] = tuple(sorted((e for e in self.edges if e.source == v.index),
-                                        key=lambda e: e.id))
-        object.__setattr__(self, "_vertex_by_index", by_index)
-        object.__setattr__(self, "_edge_by_id", by_id)
-        object.__setattr__(self, "_out_edges", out)
+            base[v.index], degrees[v.index] = v.base_point, len(out[v.index])
+        deltas = {e.id: e.map.apply(by_index[e.source].base_point)
+                  - by_index[e.target].base_point for e in self.edges}
+        for arr in (base, degrees, *deltas.values()):
+            arr.setflags(write=False)
+        # the instance is frozen, so the derived fields go into its dict
+        self.__dict__.update(
+            _vertex_by_index=by_index, _edge_by_id={e.id: e for e in self.edges},
+            _out_edges=out, base_points=base, out_degrees=degrees,
+            deltas=MappingProxyType(deltas),
+            contraction_rate=max(e.map.lipschitz_constant for e in self.edges),
+            max_displacement=max(float(np.linalg.norm(d)) for d in deltas.values()),
+            max_gradient_norm=max(float(np.linalg.norm(e.prob.beta))
+                                  for e in self.edges),
+            normalization_gap=max(_normalization(v, out[v.index])[2]
+                                  for v in self.vertices),
+            all_constant_probabilities=not any(np.any(e.prob.beta)
+                                               for e in self.edges))
 
     def vertex(self, index: int) -> VertexSpace:
         return self._vertex_by_index[index]
@@ -205,38 +238,10 @@ class MarkovSystem:
     def base_point(self, vertex_index: int) -> np.ndarray:
         return self._vertex_by_index[vertex_index].base_point
 
-    @property
-    def contraction_rate(self) -> float:
-        """Max Lipschitz constant over edge maps."""
-        return max(e.map.lipschitz_constant for e in self.edges)
-
-    @property
-    def is_uniformly_contractive(self) -> bool:
-        return self.contraction_rate < 1.0
-
-    @property
-    def all_constant_probabilities(self) -> bool:
-        return not any(np.any(e.prob.beta) for e in self.edges)
-
     def displacement(self, edge: DirectedEdge) -> float:
-        """Distance from the image of the source base point to the target base point."""
-        image = edge.map.apply(self.base_point(edge.source))
-        return float(np.linalg.norm(image - self.base_point(edge.target)))
-
-    @property
-    def max_displacement(self) -> float:
-        return max(self.displacement(e) for e in self.edges)
-
-    @property
-    def max_gradient_norm(self) -> float:
-        return max(e.prob.gradient_norm for e in self.edges)
-
-    @property
-    def normalization_gap(self) -> float:
-        """The largest |sum_e p_e(x) - 1| over a vertex's out-edges e and
-        the points x of its region: the slack validation admitted."""
-        return max(_normalization(v, self.out_edges(v.index))[2]
-                   for v in self.vertices)
+        """|delta_e|: the distance from the image of the source base point
+        to the target base point."""
+        return float(np.linalg.norm(self.deltas[edge.id]))
 
     def require_admissible(self, word: Sequence[str]) -> tuple[DirectedEdge, ...]:
         try:
@@ -308,10 +313,17 @@ def json_list(value, item=None) -> list:
     return value if item is None else [item(v) for v in value]
 
 
+# the word separator, then what would make csv.writer quote a table's word
+# column or split a comma-separated list of words
+_ID_FORBIDDEN = '.,"\r\n'
+
+
 def _edge_id(value) -> str:
-    """A nonempty string without the word separator '.'."""
-    if not isinstance(value, str) or not value or "." in value:
-        raise ConfigError(f"expected a nonempty string without '.', got {value!r}")
+    """A nonempty string without any character of _ID_FORBIDDEN."""
+    if (not isinstance(value, str) or not value
+            or any(c in value for c in _ID_FORBIDDEN)):
+        raise ConfigError(f"expected a nonempty string with no '.', ',', "
+                          f"'\"', CR or LF, got {value!r}")
     return value
 
 
@@ -565,11 +577,10 @@ def modulus_geometric_sum(sys: MarkovSystem, ratio: float,
 
 
 def estimate_c_hat(sys: MarkovSystem, mu: "EmpiricalMeasure") -> float:
-    """Weighted average distance of mu atoms to their vertex base points."""
-    by_index = np.zeros((max(v.index for v in sys.vertices) + 1, sys.dimension))
-    for v in sys.vertices:
-        by_index[v.index] = v.base_point
-    return mu.average(np.linalg.norm(mu.points - by_index[mu.vertices], axis=1))
+    """Weighted average distance of mu's atoms to the base points of their
+    vertices, read from sys.base_points."""
+    return mu.average(np.linalg.norm(mu.points - sys.base_points[mu.vertices],
+                                     axis=1))
 
 
 def derive_constants(sys: MarkovSystem, mu: "EmpiricalMeasure") -> ConstantSet:

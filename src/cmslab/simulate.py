@@ -140,16 +140,13 @@ def pushforward_measure(sys: MarkovSystem,
     """
     if levels is not None and levels < 0:
         raise ValueError("levels must be >= 0")
-    support = sorted(sys.support_set)
-    verts = np.array(support)
-    pts = np.array([sys.base_point(v) for v in support])
-    wts = np.full(len(support), 1.0 / len(support))
-    fanout = np.zeros(len(sys.vertices) + 1, dtype=int)
-    for v in sys.vertices:
-        fanout[v.index] = len(sys.out_edges(v.index))
+    verts = np.array(sorted(sys.support_set))
+    pts = sys.base_points[verts]
+    wts = np.full(len(verts), 1.0 / len(verts))
     depth = 0
     while depth < (LEVEL_CAP if levels is None else levels):
-        if levels is None and int(fanout[verts].sum()) * sys.dimension > ATOM_CAP:
+        if (levels is None
+                and int(sys.out_degrees[verts].sum()) * sys.dimension > ATOM_CAP):
             break
         verts, wts, pts = _push(sys, verts, wts, pts)
         depth += 1
@@ -190,8 +187,8 @@ def check_average_contraction(sys: MarkovSystem, mu: EmpiricalMeasure,
         raise ValueError("i_max must be >= 1")
     a = sys.contraction_rate
     c_hat = estimate_c_hat(sys, mu)
-    base = np.array([sys.base_point(int(v)) for v in mu.vertices])
-    fanout = max(len(sys.out_edges(v.index)) for v in sys.vertices)
+    base = sys.base_points[mu.vertices]
+    fanout = int(sys.out_degrees.max())
     chunk = max(1, ATOM_CAP // (sys.dimension * fanout ** i_max))
     sums = [[] for _ in range(i_max)]
     for start in range(0, len(mu), chunk):

@@ -234,6 +234,40 @@ def test_bounds_subcommand(config_b, tmp_path, capsys):
     assert "## Divergence series" in capsys.readouterr().out
 
 
+def test_k_n_nondecreasing_compares_in_order_of_depth(config_b, tmp_path,
+                                                     capsys):
+    """K_n of sys B's tilted coin rises with the depth.  bounds --depths
+    3 1 2 and a run with depths [2, 2, 1] compare it in order of depth, so
+    the flag passes, and keep their rows in the plan's order."""
+    out = tmp_path / "bounds.json"
+    assert main(["bounds", "--config", str(config_b), "--depths", "3", "1",
+                 "2", "--out", str(out)]) == 0
+    assert "- k_n_nondecreasing: pass" in capsys.readouterr().out
+    series = json.loads(out.read_text())["k_n_series"]
+    assert [row[0] for row in series] == [3, 1, 2]
+    assert series[1][1] < series[2][1] < series[0][1]
+    plan = ExperimentPlan(config_path=str(config_b), depths=[2, 2, 1],
+                          kstar_depth=2, output_dir=str(tmp_path / "run"))
+    assert run(plan) == 0
+    report = json.loads((tmp_path / "run" / "bounds.json").read_text())
+    assert [row[0] for row in report["k_n_series"]] == [2, 2, 1]
+    assert report["pass_flags"]["k_n_nondecreasing"] is True
+
+
+@pytest.mark.parametrize("i, edge_id", [(0, "e,1"), (1, 'e"2'), (0, "e\r3"),
+                                        (1, "e\n4")])
+def test_edge_id_with_a_comma_quote_or_line_break_exits_2(i, edge_id,
+                                                          tmp_path, capsys):
+    """An id that would split a --query list or be quoted in a table's
+    word column is refused at validation, naming the field."""
+    cfg = sys_a_config()
+    cfg["edges"][i]["id"] = edge_id
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert f"ConfigError: edges[{i}].id: " in capsys.readouterr().err
+
+
 def test_cover_and_verify_cert(config_a, tmp_path):
     cert = tmp_path / "cert.json"
     assert main(["cover", "--config", str(config_a), "--query", "e1.e2",

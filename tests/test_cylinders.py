@@ -438,13 +438,9 @@ def test_table_csv_is_what_csv_writer_wrote(tmp_path, sys_a, sys_b,
     blocks of 3 and of 4 rows: exact sys A tables, whose numbers repeat
     within and across blocks, of 2 rows (fewer than a block), 4 and 8 (a
     multiple of 4 and not of 3); one of them with 0.0 and -0.0 in one block
-    and a -inf logZ; and Monte Carlo tables, one of whose words hold a
-    comma or a quote and are quoted as csv.writer quotes them."""
-    cfg = sys_b_config()
-    cfg["edges"][0]["id"], cfg["edges"][1]["id"] = 'e,1', 'e"2'
+    and a -inf logZ; and a Monte Carlo table."""
     tables = [cl.build_table(sys_a, n, cl.EXACT) for n in (1, 2, 3)]
-    tables += [cl.build_table(sys_, 3, cl.pushforward_measure(sys_, 5))
-               for sys_ in (sys_b, cl.validate_system(cfg))]
+    tables.append(cl.build_table(sys_b, 3, cl.pushforward_measure(sys_b, 5)))
     logz = tables[2].logz_values.copy()
     logz[1], logz[2] = -0.0, -math.inf
     tables.append(dataclasses.replace(tables[2], logz_values=logz))

@@ -49,7 +49,7 @@ def planar_mu(planar):
 
 def test_planar_validates_and_contracts(planar):
     assert planar.dimension == 2
-    assert planar.is_uniformly_contractive
+    assert planar.contraction_rate < 1.0
     spin = planar.edge("spin")
     assert spin.map.lipschitz_constant == pytest.approx(
         float(np.linalg.norm(np.array([[0.35, 0.2], [-0.2, 0.35]]), 2)),

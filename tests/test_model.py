@@ -154,11 +154,14 @@ _MALFORMED = {
     "edges[0].target": lambda c: c["edges"][0].update(target=1.7),
     "dimension": lambda c: c.update(dimension=True),
     "support_set: expected a list": lambda c: c.update(support_set="1"),
-    "edges[0].id: expected a nonempty string without '.', got 3":
+    "edges[0].id: expected a nonempty string with no '.', ',', '\"', CR or "
+    "LF, got 3":
         lambda c: c["edges"][0].update(id=3),
-    "edges[0].id: expected a nonempty string without '.', got ''":
+    "edges[0].id: expected a nonempty string with no '.', ',', '\"', CR or "
+    "LF, got ''":
         lambda c: c["edges"][0].update(id=""),
-    "edges[1].id: expected a nonempty string without '.', got 'e.1'":
+    "edges[1].id: expected a nonempty string with no '.', ',', '\"', CR or "
+    "LF, got 'e.1'":
         lambda c: c["edges"][1].update(id="e.1"),
     # JSON readers accept NaN and Infinity; a config refuses them
     "edges[0].prob.alpha: expected finite numbers, got nan":
@@ -259,7 +262,7 @@ def test_no_contraction_detected():
         ],
     }
     sys_ = cl.validate_system(cfg)
-    assert not sys_.is_uniformly_contractive
+    assert sys_.contraction_rate >= 1.0
     mu = cl.pushforward_measure(sys_, 4)
     with pytest.raises(cl.NotUniformlyContractive):
         cl.derive_constants(sys_, mu)
@@ -449,6 +452,33 @@ def test_normalization_checked_on_large_boxes():
     }
     with pytest.raises(cl.NormalizationError):
         cl.validate_system(cfg)
+
+
+def test_built_systems_are_read_not_recomputed(monkeypatch):
+    """Construction takes every edge map's spectral norm once and the
+    vertices' normalization gaps; afterwards coding_point, derive_constants,
+    build_table and walk_cylinders read the system's own values and take
+    neither again, on sys C (4 edges, constant) and sys B (affine)."""
+    calls = []
+    lipschitz = cl.AffineMap.lipschitz_constant
+    normalization = model_mod._normalization
+    monkeypatch.setattr(cl.AffineMap, "lipschitz_constant", property(
+        lambda m: calls.append("svd") or lipschitz.fget(m)))
+    monkeypatch.setattr(model_mod, "_normalization",
+                        lambda *args: calls.append("gap") or normalization(*args))
+    for make_config, past in ((sys_c_config, ("c11", "c12", "c21") * 4),
+                              (sys_b_config, ("e1", "e2") * 6)):
+        sys_ = cl.validate_system(make_config())
+        assert calls.count("svd") == len(sys_.edges) and "gap" in calls
+        mu = cl.pushforward_measure(sys_)
+        calls.clear()
+        cl.coding_point(sys_, past)
+        cl.derive_constants(sys_, mu)
+        for measure in ((mu, cl.EXACT) if sys_.all_constant_probabilities
+                        else (mu,)):
+            cl.build_table(sys_, 3, measure)
+            cl.walk_cylinders(sys_, 3, measure)
+        assert calls == []
 
 
 # --- serialization ----------------------------------------------------------

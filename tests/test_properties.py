@@ -20,13 +20,14 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmslab as cl
 from cmslab import cli
 
-from conftest import LOCAL_MODULES, local_modules
+from conftest import LOCAL_MODULES, local_modules, sys_c_config
 from oracles import (
     expected_running_max,
     fold_backward_orbit,
@@ -102,6 +103,53 @@ def test_draws_do_not_depend_on_the_tests_run_before():
     examples after a test that loaded a new one.  conftest loads every
     module the tests use before any test runs, and none loads another."""
     assert local_modules() == LOCAL_MODULES
+
+
+@settings(_SETTINGS, max_examples=200)
+@given(systems())
+def test_derived_tables_are_their_recomputation_on_random_systems(drawn):
+    """What MarkovSystem derives at construction is, bit for bit, its
+    recomputation from the config's numbers: the largest spectral norm of
+    an edge map, A_e base(s) + b_e - base(t) per edge and its largest norm,
+    the largest gradient norm, each vertex's normalization gap by
+    box_range, the base points and out-degrees by vertex index and whether
+    every probability is constant; and every array is read-only."""
+    cfg, _ = drawn
+    sys_ = cl.validate_system(cfg)
+    k = cfg["dimension"]
+    base = {v["index"]: np.array(v["base_point"]) for v in cfg["vertices"]}
+    linear = {e["id"]: np.array(e["linear"]).reshape(k, k) for e in cfg["edges"]}
+    beta = {e["id"]: np.array(e["prob"].get("beta", [0.0] * k))
+            for e in cfg["edges"]}
+    deltas = {e["id"]: linear[e["id"]] @ base[e["source"]]
+              + np.array(e["offset"]) - base[e["target"]] for e in cfg["edges"]}
+    assert sys_.contraction_rate == max(float(np.linalg.norm(a, 2))
+                                        for a in linear.values())
+    assert sys_.deltas.keys() == deltas.keys()
+    assert all(sys_.deltas[i].tobytes() == d.tobytes() for i, d in deltas.items())
+    assert sys_.max_displacement == max(float(np.linalg.norm(d))
+                                        for d in deltas.values())
+    assert sys_.max_gradient_norm == max(float(np.linalg.norm(b))
+                                         for b in beta.values())
+    assert sys_.all_constant_probabilities == (not any(b.any()
+                                                       for b in beta.values()))
+    gaps = []
+    for v in cfg["vertices"]:
+        out = sorted((e for e in cfg["edges"] if e["source"] == v["index"]),
+                     key=lambda e: e["id"])
+        lo, hi = cl.model.box_range(
+            math.fsum(e["prob"]["alpha"] for e in out) - 1.0,
+            np.sum([beta[e["id"]] for e in out], axis=0),
+            np.array(v["lower"]), np.array(v["upper"]))
+        gaps.append(max(-lo, hi))
+        assert sys_.base_points[v["index"]].tobytes() == base[v["index"]].tobytes()
+        assert sys_.out_degrees[v["index"]] == len(out)
+    assert sys_.normalization_gap == max(gaps)
+    assert sys_.base_points.shape == (len(cfg["vertices"]) + 1, k)
+    for arr in (sys_.base_points, sys_.out_degrees, *sys_.deltas.values()):
+        assert not arr.flags.writeable
+    with pytest.raises(TypeError):
+        sys_.deltas["new"] = np.zeros(k)
 
 
 @_SETTINGS
@@ -349,9 +397,12 @@ def test_validate_decides_every_walked_length_on_random_systems(drawn, data):
 
 
 # what a mutation writes: numbers outside every field's range (negative,
-# zero, fractional, huge or not finite) and values of another JSON type
+# zero, fractional, huge or not finite), integers past every cap on depths,
+# windows, budgets, dimensions and vertex indices, and values of another
+# JSON type
 _OUT_OF_RANGE = [-1, 0, -0.5, 0.5, 1.5, -1e308, 1e308,
                  math.nan, math.inf, -math.inf]
+_HUGE = [10 ** 6, 10 ** 8, 2 ** 63, 10 ** 30]
 _OTHER_TYPES = [None, True, "x", "", [], {}, [1.0], {"x": 1}]
 
 
@@ -369,7 +420,8 @@ def _paths(tree, path=()):
 def mutated(draw, tree):
     """A copy of a JSON tree after 1-3 mutations, each at a drawn value: drop
     it from its object or array, retype it, nest it in a list, or, when it
-    is a number, push it out of range."""
+    is a number, push it out of range: an integer, half the time, to a huge
+    one."""
     tree = copy.deepcopy(tree)
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(tree))))
@@ -381,7 +433,8 @@ def mutated(draw, tree):
             new = [value]
         elif (kind == "range" and isinstance(value, (int, float))
               and not isinstance(value, bool)):
-            new = draw(st.sampled_from(_OUT_OF_RANGE))
+            huge = isinstance(value, int) and draw(st.booleans())
+            new = draw(st.sampled_from(_HUGE if huge else _OUT_OF_RANGE))
         else:
             new = copy.deepcopy(draw(st.sampled_from(_OTHER_TYPES)))
         if not path:
@@ -397,19 +450,22 @@ def mutated(draw, tree):
     return tree
 
 
-@st.composite
-def configs_and_plans(draw):
-    """(valid config, config, plan): a drawn system's config and a plan for
-    it, one or both of them mutated."""
-    cfg, affine = draw(systems())
-    word = draw(st.sampled_from(cfg["edges"]))["id"]
-    plan = {"config_path": "system.json",
+def _plan(affine: bool, word: str) -> dict:
+    return {"config_path": "system.json",
             "mode": "monte_carlo" if affine else "exact",
             "seed": 0, "mc_samples": 1, "burn_in": 0,
             "depths": [1, 2], "kstar_windows": [0, 1], "kstar_depth": 2,
             "cover_window": 1, "cover_depth": 2, "cover_budget": 100,
             "queries": [{"words": [word]}, {"whole_space_depth": 2}],
             "output_dir": "out"}
+
+
+@st.composite
+def configs_and_plans(draw):
+    """(valid config, config, plan): a drawn system's config and a plan for
+    it, one or both of them mutated."""
+    cfg, affine = draw(systems())
+    plan = _plan(affine, draw(st.sampled_from(cfg["edges"]))["id"])
     which = draw(st.sampled_from(["config", "plan", "both"]))
     return (cfg,
             draw(mutated(cfg)) if which != "plan" else cfg,
@@ -433,3 +489,38 @@ def test_mutated_configs_and_plans_end_in_a_cms_error(drawn):
         cli.ExperimentPlan.from_dict(plan).validate(system)
     except cl.CMSError:
         pass
+
+
+def _set(tree, path, value):
+    tree = copy.deepcopy(tree)
+    parent = tree
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return tree
+
+
+def test_huge_integers_in_each_integer_field_end_in_a_cms_error():
+    """Each huge integer the mutations draw, in each integer field of sys
+    C's config and of a plan for it: a config refuses it, a plan field that
+    sets a walked depth raises DepthOverflow, and the budget and the unread
+    fields accept it."""
+    cfg = sys_c_config()
+    system = cl.validate_system(cfg)
+    plan = _plan(False, "c11")
+    walked = [("depths", 0), ("kstar_windows", 0), ("kstar_depth",),
+              ("cover_window",), ("cover_depth",),
+              ("queries", 1, "whole_space_depth")]
+    accepted = [("seed",), ("mc_samples",), ("burn_in",), ("cover_budget",)]
+    for value in _HUGE:
+        for path in [("dimension",), ("vertices", 0, "index"),
+                     ("edges", 0, "source"), ("edges", 0, "target"),
+                     ("support_set", 0)]:
+            with pytest.raises((cl.ConfigError, cl.ValidationError)):
+                cl.validate_system(_set(cfg, path, value))
+        for path in walked:
+            with pytest.raises(cl.DepthOverflow):
+                cli.ExperimentPlan.from_dict(
+                    _set(plan, path, value)).validate(system)
+        for path in accepted:
+            cli.ExperimentPlan.from_dict(_set(plan, path, value)).validate(system)
