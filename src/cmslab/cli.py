@@ -158,8 +158,9 @@ class ExperimentPlan:
         if not depths:
             raise ConfigError("plan.depths: needs at least one table depth")
         # every word of these depths is walked; query words are only
-        # followed, and cover._window walks the base measure past a query
-        # of depth n to max(cover_window, cover_depth - n) + 1
+        # followed, and cover._window reads the words of depth
+        # max(cover_window, cover_depth - n) + 1 past a query of depth n
+        # from the run's walk, or walks the base measure to it
         query_depths = [q if isinstance(q, int) else q.depth for q in queries]
         for where, n in [("plan.depths", n) for n in depths] + [
                 (f"plan.queries[{i}].whole_space_depth", q)
@@ -312,7 +313,7 @@ def _covers(ctx: _Context) -> None:
         lower = bounds_mod.corollary_lower_bound(report, m_q)
         cost, candidate = cover_mod.phi_upper(
             system, q, plan.cover_window, plan.cover_depth,
-            budget=plan.cover_budget)
+            budget=plan.cover_budget, rows=ctx.rows)
         check = cover_mod.consistency_check(lower, cost)
         cert = cover_mod.certificate_dict(system, q, candidate)
         ctx.save(f"covers/query_{qi}.json",
@@ -340,17 +341,20 @@ STAGES = (_validate, _simulate, _constants, _tables, _bounds, _covers,
 
 def _run_stages(ctx: _Context, stages) -> int:
     """Run stages in order, recording each in the manifest with its wall
-    and CPU seconds; stop at the first cmslab error, or OS error writing
-    an artifact, and return its exit code."""
+    and CPU seconds; stop at the first exception and record it as the
+    failure.  A cmslab error, or an OS error writing an artifact, returns
+    its exit code; any other exception propagates."""
     for stage in stages:
         name = stage.__name__[1:]
         wall, cpu = time.perf_counter(), time.process_time()
         try:
             stage(ctx)
-        except (CMSError, OSError) as exc:
+        except BaseException as exc:
             ctx.manifest["stages"][name] = "failed"
             ctx.manifest["failure"] = {
                 "stage": name, "error": type(exc).__name__, "message": str(exc)}
+            if not isinstance(exc, (CMSError, OSError)):
+                raise
             print(f"error at stage {name}: {exc}", file=_sys.stderr)
             return _exit_code(exc)
         finally:
@@ -362,13 +366,15 @@ def _run_stages(ctx: _Context, stages) -> int:
 
 
 def run(plan: ExperimentPlan) -> int:
-    """Execute the full pipeline; returns the process exit code."""
+    """Execute the full pipeline; returns the process exit code.
+    MANIFEST.json is written whatever ends the run."""
     out = Path(plan.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     ctx = _Context(plan, out)
-    code = _run_stages(ctx, STAGES)
-    _json_dump(ctx.manifest, out / "MANIFEST.json")
-    return code
+    try:
+        return _run_stages(ctx, STAGES)
+    finally:
+        _json_dump(ctx.manifest, out / "MANIFEST.json")
 
 
 def _report_text(ctx: _Context) -> str:

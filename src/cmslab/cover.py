@@ -23,16 +23,22 @@ completion pays at least the sum of r_b over the words still uncovered, so a
 node whose cost plus that sum exceeds the incumbent by more than COST_TOL is
 cut.  The search counts each piece it tries as a node and stops at the
 budget, so the memo holds at most as many entries as there are nodes, and
-nodes at most the budget.
+nodes at most the budget.  It runs on an explicit stack, one frame per
+chosen piece, so a cover of any number of pieces fits.
 
 Disjointness and coverage are verified symbolically on the query's window
 words, the admissible words on the common coordinate window that spell a
 query word: every piece must meet the query, each is expanded to the window
 words that spell it, and the sets are compared exactly.  Inadmissible
 sequences need no paying cover (they lie in zero-measure cylinders), and
-pieces that meet the query overlap only if they overlap on it.  The window
-words are joined from the words of one base walk; verify_cover builds its
-own window and charges from its own walks, independent of the search.
+pieces that meet the query overlap only if they overlap on it.  So a query
+whose window holds no word, every sequence of it inadmissible, is covered
+by no piece at cost 0.  The window words are joined from the words of one
+base walk, and phi0 takes the same bits under every chain measure, so
+phi_upper reads its window and charges from the rows of a run's walk where
+they hold them and checks its cover on its own masks; verify_cover, the
+check of certificate files, builds its own window and charges from its own
+walks, independent of the search.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from dataclasses import dataclass
 
 from . import cylinders
 from .coding import parse_word
-from .cylinders import CylinderSet, Word, cylinder_set, walk_cylinders
+from .cylinders import CylinderRows, CylinderSet, Word, cylinder_set
 from .errors import CertificateInvalid, ConfigError, DepthOverflow
 from .model import (MarkovSystem, json_int, json_list, json_number,
                     system_to_config, validate_system)
@@ -64,16 +70,20 @@ class CoverCandidate:
 
 
 def _window(sys: MarkovSystem, q: CylinderSet, max_shift: int, hi: int,
-            max_len: int) -> tuple[dict[Word, list], dict[tuple[int, Word], int]]:
+            max_len: int, rows: dict[int, CylinderRows] | None = None
+            ) -> tuple[dict[Word, list], dict[tuple[int, Word], int]]:
     """The admissible words on coordinates 1-max_shift..hi that spell a query
     word on 1..q.depth, in the base walk's order, each with the pieces
     (shift, word) with len(word) <= max_len that it spells; and per piece,
-    the bitmask of the window words that spell it (bit i: the i-th word)."""
+    the bitmask of the window words that spell it (bit i: the i-th word).
+    The words are read from `rows`, a walk_cylinders result under any
+    measure, when it holds every word of the depth needed, else walked."""
     # Two pieces that meet the query intersect if and only if they intersect
     # on the query: each starts at or before coordinate 1, so past the end of
     # the one that ends later, a sequence in both can continue as a query
     # sequence of that piece.
-    base = walk_cylinders(sys, max(max_shift, hi - q.depth) + 1, None)
+    base = cylinders.walked_to(sys, max(max_shift, hi - q.depth) + 1, None,
+                               rows)
     past = base[max_shift + 1].words  # overlap w by its first edge
     future = base[hi - q.depth + 1].words  # and by its last edge
     joined = (u[:-1] + w + v[1:] for w in q.words
@@ -95,15 +105,51 @@ def _window(sys: MarkovSystem, q: CylinderSet, max_shift: int, hi: int,
     return spelled, index
 
 
-def _charges(sys: MarkovSystem, words: set[Word]) -> dict[Word, float]:
-    """The base measure phi0 of each word and of its prefixes, from one
-    base walk along the words."""
-    return {w: phi for rows in walk_cylinders(sys, 0, None, along=words).values()
-            for w, phi in zip(rows.words, rows.phi0_values.tolist())}
+def _charges(sys: MarkovSystem, words: set[Word],
+             rows: dict[int, CylinderRows] | None = None
+             ) -> dict[Word, float]:
+    """The base measure phi0 of each word: read from `rows`, a
+    walk_cylinders result under any measure, where a row holds the word,
+    and from one base walk along the other words, which charges their
+    prefixes too."""
+    charge: dict[Word, float] = {}
+    for n in {len(w) for w in words} & (rows or {}).keys():
+        charge.update(zip(rows[n].words, rows[n].phi0_values.tolist()))
+    missing = [w for w in words if w not in charge]
+    if missing:
+        for walked in cylinders.walk_cylinders(sys, 0, None,
+                                               along=missing).values():
+            charge.update(zip(walked.words, walked.phi0_values.tolist()))
+    return charge
+
+
+def _check_masks(pieces, masks: list[int], spelled: dict[Word, list]) -> None:
+    """Raise CertificateInvalid unless each piece's mask of window words
+    (bit i: the i-th word of `spelled`) is nonzero, no two masks share a bit
+    and together they hold every window word; only an empty window takes
+    the empty cover."""
+    if not pieces and spelled:
+        raise CertificateInvalid("cover has no pieces")
+    union = 0
+    for (shift, word), mask in zip(pieces, masks):
+        name = f"piece ({shift}, {'.'.join(word)})"
+        if not mask:
+            raise CertificateInvalid(f"{name} misses the query")
+        if mask & union:
+            raise CertificateInvalid(f"disjointness: {name} overlaps an "
+                                     f"earlier piece")
+        union |= mask
+
+    missing = ~union & ((1 << len(spelled)) - 1)
+    if missing:
+        raise CertificateInvalid(
+            f"coverage: query word window "
+            f"{'.'.join(list(spelled)[missing.bit_length() - 1])} is not covered")
 
 
 def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
-              max_depth: int, budget: int = DEFAULT_BUDGET
+              max_depth: int, budget: int = DEFAULT_BUDGET,
+              rows: dict[int, CylinderRows] | None = None
               ) -> tuple[float, CoverCandidate]:
     """Minimal-cost disjoint cover of q found within the search budget.
 
@@ -115,15 +161,21 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
     tries `budget` pieces first; then the incumbent, still a verified cover,
     is returned with exhaustive=False.  The memo holds at most
     nodes_explored <= budget entries.
+
+    `rows` is a walk_cylinders result under any measure, such as a run's
+    walk: the window words and the charges are read from it where it holds
+    them and walked where it does not, with the same result bit for bit.  A
+    cover the search found is checked on its pieces' masks of window words
+    (_check_masks); the trivial cover covers q by construction.
     """
     if max_shift < 0 or max_depth < 1:
         raise ValueError("max_shift must be >= 0 and max_depth >= 1")
     lo, hi = 1 - max_shift, max(q.depth, max_depth)
-    spelled, index = _window(sys, q, max_shift, hi, max_depth)
+    spelled, index = _window(sys, q, max_shift, hi, max_depth, rows)
     target = (1 << len(spelled)) - 1
     # a piece's charge does not depend on its shift: one per word, so a word
     # no piece of the pool uses is never charged
-    charge_of = _charges(sys, {*(word for _, word in index), *q.words})
+    charge_of = _charges(sys, {*(word for _, word in index), *q.words}, rows)
 
     # candidate pool: the pieces that meet the query; an optimal cover never
     # needs a piece that misses it
@@ -143,30 +195,30 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
         for i in pieces:
             share[i] += r_b
 
-    best_pieces = tuple((0, w) for w in q.words)  # the trivial cover
+    best = None  # pool indexes of the incumbent; None: the trivial cover
     best_cost = math.fsum(charge_of[w] for w in q.words)
     seen: dict[int, float] = {}  # covered -> the cheapest cost it was reached at
     nodes = 0
     exhausted = False
-
-    def dfs(covered: int, cost: float, rest: float, chosen: list[int]) -> None:
-        nonlocal best_cost, best_pieces, nodes, exhausted
-        remaining = target & ~covered
-        if not remaining:
-            if cost < best_cost:
-                best_cost = cost
-                best_pieces = tuple((pool[i][1], pool[i][2]) for i in chosen)
-            return
-        bit = (remaining & -remaining).bit_length() - 1
-        for idx in by_bit[bit]:  # pool order: cheap pieces first
+    # The node being searched is (covered, cost, rest, the pool pieces not
+    # yet tried for its lowest uncovered word); a descent pushes it with the
+    # piece chosen, and a spent node pops its parent back
+    stack: list[tuple] = []
+    covered, cost, rest = 0, 0.0, math.fsum(least)
+    pieces = iter(by_bit[0] if target else ())
+    if not target:  # an empty window: no sequence to pay for
+        best, best_cost = (), 0.0
+    while not exhausted:
+        for idx in pieces:  # pool order: cheap pieces first
             if nodes == budget:
                 exhausted = True
-                return
+                break
             nodes += 1
             piece_cost, _, _, mask = pool[idx]
             new_cost = cost + piece_cost
             if new_cost >= best_cost:
-                break  # candidates for this word only get more expensive
+                pieces = ()  # candidates for this word only get more expensive
+                break
             if mask & covered:
                 continue
             new_covered, new_rest = covered | mask, rest - share[idx]
@@ -174,28 +226,40 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
                     or new_cost + new_rest > best_cost + COST_TOL):
                 continue
             seen[new_covered] = new_cost
-            chosen.append(idx)
-            dfs(new_covered, new_cost, new_rest, chosen)
-            chosen.pop()
+            remaining = target & ~new_covered
+            if not remaining:  # a complete cover, cheaper than the incumbent
+                best_cost = new_cost
+                best = (*(node[4] for node in stack), idx)
+                continue
+            stack.append((covered, cost, rest, pieces, idx))
+            covered, cost, rest = new_covered, new_cost, new_rest
+            pieces = iter(by_bit[(remaining & -remaining).bit_length() - 1])
+            break
+        else:  # the node is spent
+            if not stack:
+                break
+            covered, cost, rest, pieces, _ = stack.pop()
 
-    dfs(0, 0.0, math.fsum(least), [])
-
+    if best is None:
+        best_pieces = tuple((0, w) for w in q.words)
+    else:
+        best_pieces = tuple(pool[i][1:3] for i in best)
+        _check_masks(best_pieces, [pool[i][3] for i in best], spelled)
     cost = math.fsum(charge_of[w] for _, w in best_pieces)
-    candidate = CoverCandidate(pieces=best_pieces, cost=cost,
-                               exhaustive=not exhausted,
-                               window=(lo, hi), nodes_explored=nodes)
-    verify_cover(sys, q, candidate)
-    return cost, candidate
+    return cost, CoverCandidate(pieces=best_pieces, cost=cost,
+                                exhaustive=not exhausted, window=(lo, hi),
+                                nodes_explored=nodes)
 
 
 def verify_cover(sys: MarkovSystem, q: CylinderSet,
                  candidate: CoverCandidate) -> None:
-    """Re-check that every piece lies in the search window and meets the
-    query, disjointness, coverage and cost; raises CertificateInvalid."""
-    if not candidate.pieces:
-        raise CertificateInvalid("cover has no pieces")
+    """Re-check, from walks of its own, that every piece lies in the search
+    window and meets the query, disjointness, coverage and cost; raises
+    CertificateInvalid.  The empty cover passes only where the window
+    holds no word."""
     lo, hi = candidate.window
-    for shift, word in candidate.pieces:
+    pieces = candidate.pieces
+    for shift, word in pieces:
         if shift > 0:
             raise CertificateInvalid(f"piece shift {shift} is positive")
         if 1 + shift < lo or len(word) + shift > hi:
@@ -203,29 +267,13 @@ def verify_cover(sys: MarkovSystem, q: CylinderSet,
                                      f"outside the window [{lo}, {hi}]")
         sys.require_admissible(word)
     spelled, index = _window(
-        sys, q, max(-shift for shift, _ in candidate.pieces),
-        max(q.depth, *(len(w) + shift for shift, w in candidate.pieces)),
-        max(len(w) for _, w in candidate.pieces))
+        sys, q, max((-shift for shift, _ in pieces), default=max(0, 1 - lo)),
+        max([q.depth, *(len(w) + shift for shift, w in pieces)]),
+        max((len(w) for _, w in pieces), default=1))
+    _check_masks(pieces, [index.get(piece, 0) for piece in pieces], spelled)
 
-    union = 0
-    for shift, word in candidate.pieces:
-        mask = index.get((shift, word), 0)
-        name = f"piece ({shift}, {'.'.join(word)})"
-        if not mask:
-            raise CertificateInvalid(f"{name} misses the query")
-        if mask & union:
-            raise CertificateInvalid(f"disjointness: {name} overlaps an "
-                                     f"earlier piece")
-        union |= mask
-
-    missing = ~union & ((1 << len(spelled)) - 1)
-    if missing:
-        raise CertificateInvalid(
-            f"coverage: query word window "
-            f"{'.'.join(list(spelled)[missing.bit_length() - 1])} is not covered")
-
-    charge_of = _charges(sys, {w for _, w in candidate.pieces})
-    cost = math.fsum(charge_of[w] for _, w in candidate.pieces)
+    charge_of = _charges(sys, {w for _, w in pieces})
+    cost = math.fsum(charge_of[w] for _, w in pieces)
     if abs(cost - candidate.cost) > COST_TOL:
         raise CertificateInvalid(
             f"cost mismatch: recomputed {cost!r}, claimed {candidate.cost!r}")

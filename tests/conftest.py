@@ -128,6 +128,27 @@ def loop_into_loop_config() -> dict:
     return cfg
 
 
+def no_in_edge_config() -> dict:
+    """Vertex 1 feeds vertex 2 by e1 and no edge enters it; vertex 2 holds
+    two halving self-loops e2 and e3 at 0.5.  So no admissible word has
+    an edge before e1."""
+    def edge(eid, source, offset, alpha):
+        return {"id": eid, "source": source, "target": 2, "linear": [0.5],
+                "offset": [offset],
+                "prob": {"family": "constant", "alpha": alpha}}
+
+    return {
+        "dimension": 1,
+        "vertices": [
+            {"index": 1, "lower": [0.0], "upper": [1.0], "base_point": [0.0]},
+            {"index": 2, "lower": [2.0], "upper": [3.0], "base_point": [2.0]},
+        ],
+        "edges": [edge("e1", 1, 2.0, 1.0), edge("e2", 2, 1.0, 0.5),
+                  edge("e3", 2, 1.5, 0.5)],
+        "support_set": [1, 2],
+    }
+
+
 @pytest.fixture(scope="session")
 def sys_a() -> cl.MarkovSystem:
     return cl.validate_system(sys_a_config())

@@ -14,8 +14,9 @@ import cmslab as cl
 from cmslab import cli as cli_mod
 from cmslab.cli import ExperimentPlan, main, run
 
-from conftest import (bench_module, loop_into_loop_config, one_loop_config,
-                      sys_a_config, sys_b_config, sys_c_config)
+from conftest import (bench_module, loop_into_loop_config, no_in_edge_config,
+                      one_loop_config, sys_a_config, sys_b_config,
+                      sys_c_config)
 
 
 @pytest.fixture
@@ -215,11 +216,41 @@ def test_bounds_subcommand_walks_once(config_b, walks):
 def test_run_walks_once(config_a, tmp_path, walks, monkeypatch):
     plan = _plan_a(tmp_path, config_a)
     # a query deeper than every table and K* length, and past the word cap,
-    # is followed by the one walk past its full depth 3
+    # is followed by the one walk past its full depth 3; the three cover
+    # searches read their windows and charges from its rows, the depth-4
+    # query's trivial cover included
     monkeypatch.setattr(cl.cylinders, "WORD_CAP", 8)
     plan.queries.append({"words": ["e1.e2.e1.e2"]})
     assert run(plan) == 0
     assert walks == [3]
+    manifest = json.loads((tmp_path / "out" / "MANIFEST.json").read_text())
+    assert len(manifest["covers"]) == 3
+    # the fixture counts the cover module's walks: with no rows, a search
+    # walks its window and then along the words it charges
+    sys_a = cl.validate_system(sys_a_config())
+    q = cl.full_cylinder_set(sys_a, 2)
+    walks.clear()
+    cl.phi_upper(sys_a, q, 1, 2)
+    assert walks == [2, 0]
+
+
+def test_run_writes_the_manifest_whatever_ends_it(config_a, tmp_path,
+                                                  monkeypatch):
+    """An exception that is not a cmslab error still propagates, and
+    MANIFEST.json records the stage it ended and the exception."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken search")
+
+    monkeypatch.setattr(cli_mod.cover_mod, "phi_upper", broken)
+    with pytest.raises(RuntimeError, match="broken search"):
+        run(_plan_a(tmp_path, config_a))
+    manifest = json.loads((tmp_path / "out" / "MANIFEST.json").read_text())
+    assert manifest["stages"] == {
+        "validate": "ok", "simulate": "ok", "constants": "ok",
+        "tables": "ok", "bounds": "ok", "covers": "failed"}
+    assert manifest["failure"] == {"stage": "covers", "error": "RuntimeError",
+                                   "message": "broken search"}
+    assert set(manifest["seconds"]) == set(manifest["stages"])
 
 
 def test_bounds_subcommand(config_b, tmp_path, capsys):
@@ -321,6 +352,76 @@ def test_cover_cut_short_by_the_budget_exits_0(config_a, tmp_path, capsys):
     blob = json.loads(cert.read_text())
     assert (blob["exhaustive"], blob["nodes_explored"]) == (False, 1)
     assert main(["verify-cert", "--certificate", str(cert)]) == 0
+
+
+@pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+def test_whole_space_cover_of_a_thousand_window_words(mode, config_a,
+                                                      tmp_path, capsys):
+    """Sys A's whole depth-10 space at window 0 and cover depth 10: each of
+    its 1,024 window words is a cheapest piece, so the search descends
+    1,023 pieces deep before its incumbent's cost cuts it.  `cover` and
+    `run` end in an exhaustive cover of cost 1 whose certificate verifies."""
+    cert = tmp_path / "cert.json"
+    assert main(["cover", "--config", str(config_a), "--whole-space-depth",
+                 "10", "--window", "0", "--depth", "10", "--out",
+                 str(cert)]) == 0
+    assert capsys.readouterr().out == "cost=1 pieces=1024 exhaustive=True\n"
+    assert main(["verify-cert", "--certificate", str(cert)]) == 0
+
+    plan = _plan_a(tmp_path, config_a)
+    plan.mode, plan.depths, plan.kstar_depth = mode, [1], 1
+    plan.cover_window, plan.cover_depth = 0, 10
+    plan.queries = [{"whole_space_depth": 10}]
+    assert run(plan) == 0
+    cert = tmp_path / "out" / "covers" / "query_0.json"
+    blob = json.loads(cert.read_text())
+    assert (blob["cost"], len(blob["pieces"]), blob["exhaustive"]) == (
+        1.0, 1024, True)
+    assert main(["verify-cert", "--certificate", str(cert)]) == 0
+
+
+@pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+def test_query_with_an_empty_window_is_covered_at_cost_0(mode, tmp_path):
+    """No edge enters e1's vertex, so no admissible word on coordinates 0..1
+    spells e1: at window 1 the query e1's window holds no word, every
+    sequence of it is inadmissible, and the empty cover costs 0.  Its M(Q)
+    is 0 in both modes, so the run passes, and the certificate verifies."""
+    config = tmp_path / "no_in_edge.json"
+    config.write_text(json.dumps(no_in_edge_config()))
+    out = tmp_path / "out"
+    plan = ExperimentPlan(
+        config_path=str(config), mode=mode, depths=[1, 2], kstar_depth=1,
+        kstar_windows=[0, 1], cover_window=1, cover_depth=1,
+        queries=[{"words": ["e1"]}], output_dir=str(out))
+    assert run(plan) == 0
+    cert = out / "covers" / "query_0.json"
+    blob = json.loads(cert.read_text())
+    assert (blob["pieces"], blob["cost"], blob["window"]) == ([], 0.0, [0, 1])
+    assert ("| 0 (1 words, depth 1) | 0 | 0 | 0 | 0 | yes | yes |"
+            in (out / "report.md").read_text())
+    assert main(["verify-cert", "--certificate", str(cert)]) == 0
+
+
+def test_cover_subcommand_takes_the_empty_cover_of_an_empty_window_only(
+        tmp_path, capsys):
+    """`cover` returns the empty cover of e1 at window 1.  At window 0 the
+    window is e1 itself, so its cover is e1; a certificate that drops that
+    piece fails with "cover has no pieces"."""
+    config = tmp_path / "no_in_edge.json"
+    config.write_text(json.dumps(no_in_edge_config()))
+    cert = tmp_path / "cert.json"
+    for window, printed in (("1", "cost=0 pieces=0 exhaustive=True\n"),
+                            ("0", "cost=0.5 pieces=1 exhaustive=True\n")):
+        assert main(["cover", "--config", str(config), "--query", "e1",
+                     "--window", window, "--depth", "1", "--out",
+                     str(cert)]) == 0
+        assert main(["verify-cert", "--certificate", str(cert)]) == 0
+        assert capsys.readouterr().out == printed + "certificate ok\n"
+    cert.write_text(json.dumps(dict(json.loads(cert.read_text()), pieces=[],
+                                    cost=0.0)))
+    assert main(["verify-cert", "--certificate", str(cert)]) == 1
+    assert ("CertificateInvalid: cover has no pieces"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("kinds", [[], ["--query", "e1.e2",
@@ -743,22 +844,27 @@ def test_cover_window_over_word_cap_fails_at_validate(window, depth, query,
 
 def test_validate_checks_the_depth_a_cover_window_walks(tmp_path, config_a,
                                                         monkeypatch):
-    """Validate checks, for each query, the depth its cover window's base
-    walk reaches, and the cover search walks to no other depth."""
-    checked, walked = [], []
-    check, walk = cli_mod.check_word_cap, cl.cover.walk_cylinders
+    """Validate checks, for each query, the depth its cover window reads.
+    The search reads it from the run's walk, complete to depth 2 here, and
+    walks the base measure to exactly that depth when the walk stops short;
+    it walks along only the words the walk's rows lack."""
+    checked, walked, followed = [], [], []
+    check, walk = cli_mod.check_word_cap, cl.cylinders.walk_cylinders
 
     def checking(system, n, where=""):
         if where == "plan.cover_window: ":
             checked.append(n)
         return check(system, n, where)
 
-    def walking(system, n, *args, **kwargs):
+    def walking(system, n, *args, along=(), **kwargs):
         walked.append(n)
-        return walk(system, n, *args, **kwargs)
+        if not n:
+            followed.extend(tuple(w) for w in along)
+        return walk(system, n, *args, along=along, **kwargs)
 
     monkeypatch.setattr(cli_mod, "check_word_cap", checking)
-    monkeypatch.setattr(cl.cover, "walk_cylinders", walking)
+    monkeypatch.setattr(cl.cylinders, "walk_cylinders", walking)
+    monkeypatch.setattr(cli_mod, "walk_cylinders", walking)
     for window, depth in ((0, 1), (1, 2), (2, 2), (0, 4), (1, 5)):
         plan = _plan_a(tmp_path, config_a)
         plan.depths, plan.kstar_depth, plan.kstar_windows = [1], 1, [0]
@@ -767,13 +873,14 @@ def test_validate_checks_the_depth_a_cover_window_walks(tmp_path, config_a,
                         {"words": ["e2"]}]
         checked.clear()
         walked.clear()
+        followed.clear()
         assert run(plan) == 0
-        # each search walks its window, and the check of the cover it found
-        # walks no deeper; the depth-0 walks follow words for their charges
-        deep = [n for n in walked if n]
-        assert deep[::2] == checked
-        assert all(v <= n for n, v in zip(deep[::2], deep[1::2]))
         assert checked == [max(window, depth - n) + 1 for n in (2, 3, 1)]
+        # the run's walk, then one window walk per query past its depth
+        assert [n for n in walked if n] == [2, *(n for n in checked if n > 2)]
+        # every word of depth <= 2 and the followed query word are rows
+        assert all(len(w) > 2 and w != ("e1", "e2", "e1") for w in followed)
+        assert bool(followed) == (depth > 2)
 
 
 # case: (plan field changed, its new value, field path the error names)

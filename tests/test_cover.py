@@ -191,10 +191,11 @@ def test_workload_whole_space_search_finishes(workload, depth, max_shift,
 
 
 def _charge_walks(monkeypatch) -> list[list]:
-    """Record the `along` words of every walk along words that cover makes:
-    its charge walks (the window's walks follow no words)."""
+    """Record the `along` words of every walk along words that the cover
+    module makes, through the cylinders module: its charge walks (the
+    window's walks follow no words)."""
     walks = []
-    original = cl.cover.walk_cylinders
+    original = cl.cylinders.walk_cylinders
 
     def recording(sys_, n_max, measure, along=()):
         along = [tuple(w) for w in along]
@@ -202,38 +203,48 @@ def _charge_walks(monkeypatch) -> list[list]:
             walks.append(along)
         return original(sys_, n_max, measure, along=along)
 
-    monkeypatch.setattr(cl.cover, "walk_cylinders", recording)
+    monkeypatch.setattr(cl.cylinders, "walk_cylinders", recording)
     return walks
 
 
 def test_phi_upper_charges_each_word_once(sys_c, monkeypatch):
-    """Regression guard by counting: the pool, the trivial-cover seed and the
-    final cost read one base walk along distinct words, whatever the number
-    of shifts; verify_cover walks along the piece words on its own."""
+    """Regression guard by counting: with no rows, the pool, the trivial
+    seed and the final cost read one base walk along distinct words,
+    whatever the number of shifts, and the check of the cover walks no
+    more; given the rows of a walk that holds every word charged, it walks
+    along none and returns the same cover."""
     walks = _charge_walks(monkeypatch)
     for q, max_shift, max_depth in (
             (cl.full_cylinder_set(sys_c, 2), 2, 3),
             (cl.cylinder_set(sys_c, [("c12", "c21", "c11", "c12")]), 1, 2)):
+        rows = cl.walk_cylinders(sys_c, max_depth, cl.EXACT, along=q.words)
         walks.clear()
-        _, candidate = cl.phi_upper(sys_c, q, max_shift, max_depth)
-        searched, verified = walks  # one per phi_upper, one per verify_cover
+        found = cl.phi_upper(sys_c, q, max_shift, max_depth)
+        (searched,) = walks  # one walk along words per phi_upper
         shallow = {w for n in range(1, max_depth + 1)
                    for w in cl.enumerate_words(sys_c, n)}
         assert len(searched) == len(set(searched))
         assert set(searched) <= shallow | set(q.words)
-        assert sorted(verified) == sorted({w for _, w in candidate.pieces})
+        assert {w for _, w in found[1].pieces} <= set(searched)
+        walks.clear()
+        assert cl.phi_upper(sys_c, q, max_shift, max_depth, rows=rows) == found
+        assert walks == []
 
 
 def test_phi_upper_charges_only_words_of_pieces_that_meet_the_query(
         sys_a, monkeypatch):
     """With no shift, a one-word query at depth 2 meets only the pieces e1
-    and e1.e2; no other word of depth <= 2 is charged."""
+    and e1.e2; no other word of depth <= 2 is charged.  Given rows that
+    hold e1 but not e1.e2, it walks along e1.e2 alone."""
     walks = _charge_walks(monkeypatch)
     q = cl.cylinder_set(sys_a, [("e1", "e2")])
-    _, candidate = cl.phi_upper(sys_a, q, 0, 2)
-    searched, verified = walks  # verify_cover recharges the pieces
+    found = cl.phi_upper(sys_a, q, 0, 2)
+    (searched,) = walks  # the check of the cover charges nothing again
     assert sorted(searched) == [("e1",), ("e1", "e2")]
-    assert sorted(verified) == sorted({w for _, w in candidate.pieces})
+    walks.clear()
+    rows = cl.walk_cylinders(sys_a, 1, None)
+    assert cl.phi_upper(sys_a, q, 0, 2, rows=rows) == found
+    assert walks == [[("e1", "e2")]]
 
 
 def test_monotone_in_search_space(sys_b):

@@ -1,5 +1,6 @@
-"""No cmslab module imports a name it never uses, and no module defines a
-private name that no module reads (no linter is required)."""
+"""No cmslab module imports a name it never uses, no module defines a
+private name that no module reads, and no function calls itself by name
+(no linter is required)."""
 
 from __future__ import annotations
 
@@ -73,3 +74,30 @@ def test_module_uses_every_name_it_imports(path):
 def test_every_private_name_is_read(path):
     tree = ast.parse((SRC / path).read_text())
     assert sorted(_private(tree) - _read_in_package()) == []
+
+
+def _calls_itself(function: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """Whether the function's body, nested functions included, calls it by
+    its name, plainly or as an attribute of self or cls."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call):
+            called = node.func
+            if isinstance(called, ast.Name) and called.id == function.name:
+                return True
+            if (isinstance(called, ast.Attribute)
+                    and called.attr == function.name
+                    and isinstance(called.value, ast.Name)
+                    and called.value.id in ("self", "cls")):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_function_recurses(path):
+    """A recursion as deep as its input, such as a search that descends
+    one call per chosen piece, ends in RecursionError past about 1,000
+    levels; walks and searches keep an explicit stack instead."""
+    tree = ast.parse((SRC / path).read_text())
+    assert sorted(node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and _calls_itself(node)) == []

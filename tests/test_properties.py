@@ -212,6 +212,35 @@ def test_cover_search_matches_the_plain_search_on_random_systems(drawn, data):
         assert abs(cost - plain_cost) <= 1e-12
 
 
+@settings(_SETTINGS, max_examples=60)
+@given(systems(), st.data())
+def test_cover_search_on_walk_rows_is_the_search_alone_on_random_systems(
+        drawn, data):
+    """phi_upper given the rows of a walk under the run's measure (exact
+    mode for constant probabilities, mu_N for affine ones), which follows
+    the query words as the run's walk does, returns what it returns with no
+    rows: cost, pieces, nodes and exhaustive, bit for bit, whether the rows
+    reach the window's depth and hold every word charged or not."""
+    cfg, affine = drawn
+    sys_ = cl.validate_system(cfg)
+    measure = cl.pushforward_measure(sys_, 3) if affine else cl.EXACT
+    depth = data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        q = cl.full_cylinder_set(sys_, min(depth, 2))
+    else:
+        q = cl.cylinder_set(sys_, data.draw(st.lists(
+            st.sampled_from(cl.enumerate_words(sys_, depth)), min_size=1,
+            max_size=3, unique=True)))
+    rows = cl.walk_cylinders(sys_, data.draw(st.integers(1, 4)), measure,
+                             along=q.words)
+    max_shift, max_depth = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 3))
+    cost, candidate = cl.phi_upper(sys_, q, max_shift, max_depth, rows=rows)
+    alone, expected = cl.phi_upper(sys_, q, max_shift, max_depth)
+    assert cost.hex() == alone.hex()
+    assert candidate.cost.hex() == expected.cost.hex()
+    assert candidate == expected
+
+
 @settings(_SETTINGS, max_examples=50)
 @given(systems(affine=False, full_support=True))
 def test_exact_kl_n_is_the_closed_form_on_random_systems(drawn):
