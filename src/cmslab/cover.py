@@ -266,10 +266,14 @@ def verify_cover(sys: MarkovSystem, q: CylinderSet,
             raise CertificateInvalid(f"piece ({shift}, {'.'.join(word)}) lies "
                                      f"outside the window [{lo}, {hi}]")
         sys.require_admissible(word)
-    spelled, index = _window(
-        sys, q, max((-shift for shift, _ in pieces), default=max(0, 1 - lo)),
-        max([q.depth, *(len(w) + shift for shift, w in pieces)]),
-        max((len(w) for _, w in pieces), default=1))
+    try:  # the window's walk checks its depth against the caps first
+        spelled, index = _window(
+            sys, q,
+            max((-shift for shift, _ in pieces), default=max(0, 1 - lo)),
+            max([q.depth, *(len(w) + shift for shift, w in pieces)]),
+            max((len(w) for _, w in pieces), default=1))
+    except DepthOverflow as exc:
+        raise CertificateInvalid(f"certificate window: {exc}") from None
     _check_masks(pieces, [index.get(piece, 0) for piece in pieces], spelled)
 
     charge_of = _charges(sys, {w for _, w in pieces})

@@ -130,22 +130,50 @@ def enumerate_words(sys: MarkovSystem, n: int) -> list[Word]:
     return list(walk_cylinders(sys, n, None)[n].words)
 
 
-# A chain state is a pair (probability, point): the probability that the
-# chain realizes the word read so far, and where that word leaves it.  Every
-# cylinder quantity is a fold of one one-edge step over a word; the step
-# multiplies by p_e at the current point and then moves the point by w_e,
-# except at a leaf, where nothing reads the point.  Two kinds of state:
-#   atoms   ((N,) array over the start vertex's N mu atoms, (N, k) array)
-#           M under mu; the atoms of other vertices carry no mass of the word
-#   scalar  (float, (k,) array or None)  phi0, exact M, or 0.0 with no measure
-# The point is None when every probability is constant: p_e is alpha, which
-# value(y) = alpha + 0 . y equals bit for bit, and no point moves.
+# Every cylinder quantity is a fold of one one-edge step over a word.  A
+# chain state leads with the mass of the word read so far; the step extends
+# a parent's state by an edge e, and a leaf's state is read for its mass
+# alone.  Two kinds of state:
+#   scalar  (probability, (k,) point or None)  phi0, exact M, or 0.0 with no
+#           measure: the probability that the chain realizes the word, and
+#           where the word leaves it.  The step multiplies by p_e at the
+#           point and moves the point by w_e, except at a leaf.  The point
+#           is None when every probability is constant: p_e is alpha, which
+#           value(y) = alpha + 0 . y equals bit for bit, and no point moves.
+#   atoms   (M, x, P, S, A, b)  M under mu, over the N mu atoms of the start
+#           vertex (the atoms of other vertices carry no mass of the word):
+#           x, the (N, k) atoms less the start vertex's base point, which
+#           never move; P, each atom's weight times its chain probability;
+#           S = P^T x, their first moment; and the word's composed map,
+#           base + x -> A x + b.  The step relies on p_e being affine
+#           (ProbabilityFunction has only the constant and affine families):
+#           at an atom's image p_e is x . g + c, g = A^T beta_e and
+#           c = alpha_e + beta_e . b, so M(ue) = S . g + c M(u) in O(k).  A
+#           child with children of its own reweighs its atoms in one pass,
+#           P_ue = (x . g + c) P and S_ue = P_ue^T x, and composes
+#           (A_e A, A_e b + b_e); a leaf does no per-atom work.  Centring x
+#           keeps x . g small next to c.
+
+def _reweigh(x: np.ndarray, probs: np.ndarray, g: np.ndarray,
+             c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The per-atom pass of an atoms step: each chain probability times
+    x . g + c at its atom, and the first moment of the products."""
+    out = x @ g
+    out += c
+    out *= probs  # in place saves a temporary; the product commutes exactly
+    return out, out @ x
+
 
 def _atoms_step(state, e, leaf: bool):
-    probs, pts = state
-    p_e = e.prob.value_many(pts)
-    p_e *= probs  # in place saves a temporary; the product commutes exactly
-    return p_e, None if leaf else e.map.apply_many(pts)
+    mass, x, probs, moment, linear, offset = state
+    beta = e.prob.beta
+    g = beta @ linear  # A^T beta_e
+    c = e.prob.alpha + float(beta @ offset)
+    child = float(moment @ g) + c * mass
+    if leaf:
+        return (child,)
+    return (child, x, *_reweigh(x, probs, g, c), e.map.linear @ linear,
+            e.map.linear @ offset + e.map.offset)
 
 
 def _scalar_step(state, e, leaf: bool):
@@ -156,23 +184,27 @@ def _scalar_step(state, e, leaf: bool):
 
 
 def _mass_chain(sys: MarkovSystem, measure: Measure):
-    """(step, root state of a start vertex, M of a final probability) for
-    the chain mass under `measure`; with no measure the mass is 0 on every
-    word.  Under mu a word is rooted at its start vertex's atoms alone, each
-    carrying its weight, so M is the plain sum of the final probabilities."""
+    """(step, root state of a start vertex) for the chain mass under
+    `measure`; M is the first entry of every state, and with no measure it
+    is 0 on every word.  Under mu a word is rooted at its start vertex's
+    atoms alone, each carrying its weight, with the identity map from the
+    vertex's base point: M of the root is the vertex's mass."""
     if measure is None:
-        return _scalar_step, lambda v: (0.0, None), float
+        return _scalar_step, lambda v: (0.0, None)
     if isinstance(measure, str):
         if measure != EXACT:
             raise ValueError(f"unknown measure mode {measure!r}")
         pi = stationary_vertex_distribution(sys)
-        return _scalar_step, lambda v: (float(pi[v - 1]), None), float
+        return _scalar_step, lambda v: (float(pi[v - 1]), None)
 
     def root(v):
         at = np.flatnonzero(measure.vertices == v)
-        return measure.weights[at], measure.points[at]
+        base = sys.base_point(v)
+        x, probs = measure.points[at] - base, measure.weights[at]
+        return (float(probs.sum()), x, probs, probs @ x,
+                np.identity(sys.dimension), base)
 
-    return _atoms_step, root, lambda probs: float(probs.sum())
+    return _atoms_step, root
 
 
 def phi0_cyl(sys: MarkovSystem, word: Sequence[str]) -> float:
@@ -235,7 +267,9 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
     words, so a deep word costs one step per edge; those rows are not
     complete.  Each child node extends its parent's chain states by one
     edge, so every word costs one step, and exact mode solves the stationary
-    law once.  The walk holds one state per level of the current path.
+    law once; under a measure no atom moves, and only a word the walk
+    extends passes over its atoms.  The walk holds one state per level of
+    the current path.
     With measure None it walks phi0 alone and its M rows are 0.
     The rows are unchecked; build_table checks them.
     """
@@ -246,7 +280,7 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
     # prefixes of the followed words past n_max, and those the walk extends
     follow = {w[:i] for w in along for i in range(n_max + 1, len(w) + 1)}
     extend = {w[:i] for w in along for i in range(n_max, len(w))}
-    step, root, reduce = _mass_chain(sys, measure)
+    step, root = _mass_chain(sys, measure)
     n_support = len(sys.support_set)
     found = {n: ([], [], [])
              for n in range(1, max([n_max, *map(len, along)]) + 1)}
@@ -273,7 +307,7 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
             child_base = None if base is None else _scalar_step(base, e, leaf)
             words, m_vals, phi_vals = found[len(child)]
             words.append(child)
-            m_vals.append(reduce(child_mass[0]))
+            m_vals.append(child_mass[0])
             phi_vals.append(0.0 if child_base is None
                             else child_base[0] / n_support)
             if not leaf:

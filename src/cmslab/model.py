@@ -173,17 +173,18 @@ class MarkovSystem:
     by vertex index (row 0 unused); ``deltas``, delta_e = w_e(base(s(e))) -
     base(t(e)) by edge id; and the scalars ``contraction_rate`` (the max
     Lipschitz constant of an edge map), ``max_displacement`` (the max
-    |delta_e|), ``max_gradient_norm`` (the max |beta_e|),
-    ``normalization_gap`` (the largest |sum_e p_e(x) - 1| over a vertex's
-    out-edges e and the points x of its region: the slack validation
-    admitted) and ``all_constant_probabilities``.  Every array is
-    read-only.
+    |delta_e|), ``max_gradient_norm`` (the max |beta_e|) and
+    ``all_constant_probabilities``.  Every array is read-only.
+    ``normalization_gap``, the largest |sum_e p_e(x) - 1| over a vertex's
+    out-edges e and the points x of its region, is the slack validation
+    admitted; validate_system hands it over from its checks.
     """
 
     dimension: int
     vertices: tuple[VertexSpace, ...]
     edges: tuple[DirectedEdge, ...]
     support_set: frozenset[int]
+    normalization_gap: float
     _vertex_by_index: dict = field(init=False, repr=False)
     _edge_by_id: dict = field(init=False, repr=False)
     _out_edges: dict = field(init=False, repr=False)
@@ -193,7 +194,6 @@ class MarkovSystem:
     contraction_rate: float = field(init=False)
     max_displacement: float = field(init=False)
     max_gradient_norm: float = field(init=False)
-    normalization_gap: float = field(init=False)
     all_constant_probabilities: bool = field(init=False)
 
     def __post_init__(self):
@@ -217,8 +217,6 @@ class MarkovSystem:
             max_displacement=max(float(np.linalg.norm(d)) for d in deltas.values()),
             max_gradient_norm=max(float(np.linalg.norm(e.prob.beta))
                                   for e in self.edges),
-            normalization_gap=max(_normalization(v, out[v.index])[2]
-                                  for v in self.vertices),
             all_constant_probabilities=not any(np.any(e.prob.beta)
                                                for e in self.edges))
 
@@ -391,14 +389,19 @@ def _parse_raw(raw: dict):
     return k, tuple(vertices), tuple(edges), support
 
 
-def _violations(vertices, edges, support) -> list[ValidationError]:
+def _violations(vertices, edges, support
+                ) -> tuple[list[ValidationError], float]:
+    """The structural violations of a parsed config, and the largest
+    normalization gap of a vertex, which means nothing unless there are
+    none."""
     violations: list[ValidationError] = []
+    largest_gap = 0.0
 
     indices = sorted(v.index for v in vertices)
     if indices != list(range(1, len(vertices) + 1)):
         violations.append(ValidationError(
             f"vertex indices must be 1..{len(vertices)}, got {indices}"))
-        return violations
+        return violations, largest_gap
     by_index = {v.index: v for v in vertices}
 
     for v in vertices:
@@ -426,7 +429,7 @@ def _violations(vertices, edges, support) -> list[ValidationError]:
     for e in edges:
         if e.source not in by_index or e.target not in by_index:
             violations.append(ValidationError(f"edge {e.id}: unknown endpoint"))
-            return violations
+            return violations, largest_gap
 
     out = {v.index: [e for e in edges if e.source == v.index] for v in vertices}
     for v in vertices:
@@ -466,8 +469,9 @@ def _violations(vertices, edges, support) -> list[ValidationError]:
             violations.append(NormalizationError(
                 f"vertex {v.index}: out-edge probabilities sum to 1 only within "
                 f"{gap:.3g} on the region"))
+        largest_gap = max(largest_gap, gap)
 
-    return violations
+    return violations, largest_gap
 
 
 def _normalization(vertex: VertexSpace, out) -> tuple[float, np.ndarray, float]:
@@ -483,17 +487,17 @@ def _normalization(vertex: VertexSpace, out) -> tuple[float, np.ndarray, float]:
 def collect_violations(raw: dict) -> list[ValidationError]:
     """All structural violations of a raw config, empty if it is valid."""
     _, vertices, edges, support = _parse_raw(raw)
-    return _violations(vertices, edges, support)
+    return _violations(vertices, edges, support)[0]
 
 
 def validate_system(raw: dict) -> MarkovSystem:
     """Parse and validate a raw config, raising the first violation found."""
     k, vertices, edges, support = _parse_raw(raw)
-    violations = _violations(vertices, edges, support)
+    violations, gap = _violations(vertices, edges, support)
     if violations:
         raise violations[0]
     return MarkovSystem(dimension=k, vertices=vertices, edges=edges,
-                        support_set=support)
+                        support_set=support, normalization_gap=gap)
 
 
 def system_to_config(sys: MarkovSystem) -> dict:

@@ -3,12 +3,15 @@
 Everything here is deliberately written without reusing the library's
 algorithms: direct series summation, eigenvector stationary laws, a
 memoized exhaustive cover search, coding-map truncations folded afresh
-and checked one at a time, masses over every atom of a measure,
-pushforward atoms folded one path at a time, the sampled chain, and
+and checked one at a time, masses folded by moving every atom of a
+measure, pushforward atoms folded one path at a time, the sampled chain, and
 csv.writer's output.
-The one exception is plain_cover_search, the cover search as it was before
-its dominance memo and per-word bound: it reads the library's window and
-charges and keeps only the search itself apart.
+There are two exceptions.  plain_cover_search is the cover search as it
+was before its dominance memo and per-word bound: it reads the library's
+window and charges and keeps only the search itself apart.  word_row's
+Monte Carlo branch repeats the walk's first-moment arithmetic one word at a
+time, so that rows compare bit for bit; folded_word_mass and
+masked_word_mass check that arithmetic by moving the atoms.
 """
 
 from __future__ import annotations
@@ -187,10 +190,15 @@ def word_row(sys, word, measure, pi=None) -> tuple[float, float]:
 
     Exact mode (pi given, measure ignored) multiplies the stationary mass of
     the start vertex by the edge constants.  Monte Carlo mode starts from
-    the weights of the start vertex's atoms, multiplies in p_e at those
-    atoms edge by edge, and sums.  phi0 is chain_cyl_prob from the start
-    vertex's base point.  Per word the operations match the library's, so
-    rows compare bit for bit.
+    the weights of the start vertex's atoms, centred at its base point, and
+    the identity map from that point.  Along each edge, p_e at the atoms'
+    images under the composed map is x . g + c; M becomes the first moment
+    of the weights dotted with g plus c times M, and along every edge but
+    the last the weights are multiplied by x . g + c and the edge map is
+    composed in.  phi0 is chain_cyl_prob from the start vertex's base
+    point.  Per word the operations match the library's, so rows compare
+    bit for bit; folded_word_mass is the independent check of the Monte
+    Carlo arithmetic.
     """
     edges = [sys.edge(i) for i in word]
     start = edges[0].source
@@ -200,16 +208,36 @@ def word_row(sys, word, measure, pi=None) -> tuple[float, float]:
             m *= e.prob.alpha
     else:
         at = measure.vertices == start
-        probs, pts = measure.weights[at], measure.points[at]
-        for e in edges:
-            probs = probs * e.prob.value_many(pts)
-            pts = e.map.apply_many(pts)
-        m = float(probs.sum())
+        base = sys.base_point(start)
+        x, probs = measure.points[at] - base, measure.weights[at]
+        m, moment = float(probs.sum()), probs @ x
+        linear, offset = np.identity(sys.dimension), base
+        for j, e in enumerate(edges):
+            g = e.prob.beta @ linear
+            c = e.prob.alpha + float(e.prob.beta @ offset)
+            m = float(moment @ g) + c * m
+            if j + 1 < len(edges):
+                probs = (x @ g + c) * probs
+                moment = probs @ x
+                linear, offset = (e.map.linear @ linear,
+                                  e.map.linear @ offset + e.map.offset)
     phi0 = 0.0
     if start in sys.support_set:
         phi0 = (chain_cyl_prob(sys, (start, sys.base_point(start)), word)
                 / len(sys.support_set))
     return m, phi0
+
+
+def folded_word_mass(sys, word, measure) -> float:
+    """M of one word by moving the points: start from the weights of the
+    start vertex's atoms, multiply in p_e at the atoms edge by edge, move
+    the atoms by w_e after each edge, and sum."""
+    at = measure.vertices == sys.edge(word[0]).source
+    probs, pts = measure.weights[at], measure.points[at]
+    for e in (sys.edge(i) for i in word):
+        probs = probs * e.prob.value_many(pts)
+        pts = e.map.apply_many(pts)
+    return float(probs.sum())
 
 
 def masked_word_mass(sys, word, measure) -> float:

@@ -334,6 +334,25 @@ def test_verify_cert_malformed_field_exits_1_without_traceback(
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("pieces, depth", [
+    ([{"shift": -40, "word": "e1"}], 41), ([], 42)])
+def test_verify_cert_with_a_window_past_the_word_cap_exits_1(
+        pieces, depth, config_a, tmp_path, capsys):
+    """A certificate whose window walks past the word cap is invalid: the
+    window's depth is checked before the window is built, and the check
+    ends in CertificateInvalid (exit 1), not DepthOverflow (exit 3)."""
+    cert = tmp_path / "cert.json"
+    assert main(["cover", "--config", str(config_a), "--query", "e1",
+                 "--window", "1", "--depth", "1", "--out", str(cert)]) == 0
+    cert.write_text(json.dumps(dict(json.loads(cert.read_text()),
+                                    pieces=pieces, window=[-40, 1])))
+    capsys.readouterr()
+    assert main(["verify-cert", "--certificate", str(cert)]) == 1
+    assert capsys.readouterr().err == (
+        f"CertificateInvalid: certificate window: depth {depth} exceeds the "
+        f"word cap {cl.cylinders.WORD_CAP}\n")
+
+
 def test_cover_whole_space_flag(config_a, tmp_path):
     cert = tmp_path / "cert.json"
     assert main(["cover", "--config", str(config_a), "--whole-space-depth",

@@ -247,32 +247,58 @@ def _count_calls(monkeypatch, *attrs: tuple[type, str]) -> dict[str, int]:
     return calls
 
 
-def test_walk_takes_one_step_per_tree_node(sys_b, small_measures, monkeypatch):
-    """Regression guard on the walk's cost, by counting instead of timing:
-    p_e is evaluated once per node of the word tree, not once per edge of
-    every word, and the points are moved only below internal nodes."""
+def _atom_work(monkeypatch) -> tuple[list[int], dict[str, int]]:
+    """Record the atoms of each per-atom pass of a Monte Carlo walk
+    (cylinders._reweigh), in order, and count its steps and every call
+    that evaluates p_e at points or moves them."""
+    sizes = []
+    original = cl.cylinders._reweigh
+    monkeypatch.setattr(cl.cylinders, "_reweigh",
+                        lambda x, *args: sizes.append(len(x))
+                        or original(x, *args))
     calls = _count_calls(monkeypatch, (cl.ProbabilityFunction, "value_many"),
                          (cl.AffineMap, "apply_many"))
+    step = cl.cylinders._atoms_step
+    calls["step"] = 0
+
+    def counted(state, e, leaf):
+        calls["step"] += 1
+        return step(state, e, leaf)
+
+    monkeypatch.setattr(cl.cylinders, "_atoms_step", counted)
+    return sizes, calls
+
+
+def test_walk_takes_one_step_per_tree_node(sys_b, small_measures, monkeypatch):
+    """Regression guard on the walk's cost, by counting instead of timing:
+    a Monte Carlo walk takes one step per node of the word tree, not one
+    per edge of every word; it passes over the atoms once per internal
+    word and never at a leaf; and it never moves an atom or evaluates p_e
+    at one."""
+    sizes, calls = _atom_work(monkeypatch)
     mu, n_max = small_measures["sys_b"], 6
     rows = cl.walk_cylinders(sys_b, n_max, mu)
     nodes = sum(cl.count_words(sys_b, n) for n in range(1, n_max + 1))
-    assert calls["value_many"] == nodes
-    assert calls["apply_many"] == nodes - cl.count_words(sys_b, n_max)
+    internal = nodes - cl.count_words(sys_b, n_max)
+    assert calls == {"value_many": 0, "apply_many": 0, "step": nodes}
+    assert sizes == [len(mu)] * internal  # sys B has one vertex
 
     # tables and K* read the shared rows without stepping again
     for n in range(1, 5):
         cl.build_table(sys_b, n, mu, rows=rows)
     for window in (0, 1, 2):
         cl.kstar_estimate(sys_b, window, 4, mu, rows=rows)
-    assert calls["value_many"] == nodes
+    assert calls == {"value_many": 0, "apply_many": 0, "step": nodes}
+    assert len(sizes) == internal
 
 
 @pytest.mark.parametrize("name", ["sys_b", "sys_c"])
 def test_walk_moves_only_the_start_vertex_atoms(name, request, small_measures,
                                                monkeypatch):
-    """Every p_e evaluation and map move of a Monte Carlo walk takes exactly
-    the atoms of its word's start vertex, in the walk's order: start
-    vertices in turn, one call per node, moves below internal nodes only."""
+    """A Monte Carlo walk moves no atom, and each of its per-atom passes
+    takes exactly the atoms of its word's start vertex, in the walk's
+    order: start vertices in turn, one pass per internal word, none per
+    leaf."""
     sys_, mu, n_max = request.getfixturevalue(name), small_measures[name], 5
     if name == "sys_c":  # both vertices hold 256 atoms: keep 100 of vertex 2's
         keep = (mu.vertices == 1) | (np.cumsum(mu.vertices == 2) <= 100)
@@ -280,14 +306,7 @@ def test_walk_moves_only_the_start_vertex_atoms(name, request, small_measures,
         mu = cl.EmpiricalMeasure(vertices=mu.vertices[keep],
                                  points=mu.points[keep],
                                  weights=weights / weights.sum())
-    sizes = {"value_many": [], "apply_many": []}
-    for cls, attr in ((cl.ProbabilityFunction, "value_many"),
-                      (cl.AffineMap, "apply_many")):
-        def wrapper(self, pts, _attr=attr, _original=getattr(cls, attr)):
-            sizes[_attr].append(len(pts))
-            return _original(self, pts)
-
-        monkeypatch.setattr(cls, attr, wrapper)
+    sizes, calls = _atom_work(monkeypatch)
     cl.walk_cylinders(sys_, n_max, mu)
     atoms = {v.index: int(np.sum(mu.vertices == v.index))
              for v in sys_.vertices}
@@ -296,10 +315,10 @@ def test_walk_moves_only_the_start_vertex_atoms(name, request, small_measures,
     for n in range(1, n_max + 1):
         for w in cl.enumerate_words(sys_, n):
             per_vertex[sys_.edge(w[0]).source][n] += 1
-    assert sizes["value_many"] == [atoms[v] for v in sorted(atoms)
-                                   for _ in range(sum(per_vertex[v]))]
-    assert sizes["apply_many"] == [atoms[v] for v in sorted(atoms)
-                                   for _ in range(sum(per_vertex[v][:n_max]))]
+    assert sizes == [atoms[v] for v in sorted(atoms)
+                     for _ in range(sum(per_vertex[v][:n_max]))]
+    assert calls == {"value_many": 0, "apply_many": 0,
+                     "step": sum(map(sum, per_vertex.values()))}
 
 
 def test_scalar_chain_moves_no_point_when_probabilities_are_constant(
@@ -324,17 +343,19 @@ def test_scalar_chain_moves_no_point_when_probabilities_are_constant(
 def test_walk_follows_words_past_full_depth(sys_b, small_measures,
                                             monkeypatch):
     """Past n_max the walk steps only along the prefixes of the followed
-    words, and reads each of them exactly as a full walk does."""
+    words and passes over the atoms only at the words it extends; it reads
+    each word exactly as a full walk does."""
     mu, deep = small_measures["sys_b"], cl.enumerate_words(sys_b, 6)[::11]
     full = cl.walk_cylinders(sys_b, 6, mu)
-    steps = []
-    original = cl.ProbabilityFunction.value_many
-    monkeypatch.setattr(cl.ProbabilityFunction, "value_many",
-                        lambda self, pts: steps.append(1) or original(self, pts))
+    sizes, calls = _atom_work(monkeypatch)
     rows = cl.walk_cylinders(sys_b, 2, mu, along=deep)
-    prefixes = {n: sorted({w[:n] for w in deep}) for n in range(3, 7)}
-    assert len(steps) == (cl.count_words(sys_b, 1) + cl.count_words(sys_b, 2)
-                          + sum(map(len, prefixes.values())))
+    prefixes = {n: sorted({w[:n] for w in deep}) for n in range(2, 7)}
+    assert calls == {"value_many": 0, "apply_many": 0,
+                     "step": cl.count_words(sys_b, 1) + cl.count_words(sys_b, 2)
+                     + sum(len(prefixes[n]) for n in range(3, 7))}
+    # internal: every depth-1 word and the followed prefixes short of depth 6
+    assert sizes == [len(mu)] * (cl.count_words(sys_b, 1) + sum(
+        len(prefixes[n]) for n in range(2, 6)))
     for n in range(1, 7):
         assert rows[n].complete == (n <= 2)
         words = full[n].words if n <= 2 else prefixes[n]

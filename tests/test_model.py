@@ -455,8 +455,9 @@ def test_normalization_checked_on_large_boxes():
 
 
 def test_built_systems_are_read_not_recomputed(monkeypatch):
-    """Construction takes every edge map's spectral norm once and the
-    vertices' normalization gaps; afterwards coding_point, derive_constants,
+    """Validation and construction take every edge map's spectral norm
+    once and every vertex's normalization gap once, validation handing its
+    gaps to the system it builds; afterwards coding_point, derive_constants,
     build_table and walk_cylinders read the system's own values and take
     neither again, on sys C (4 edges, constant) and sys B (affine)."""
     calls = []
@@ -469,7 +470,8 @@ def test_built_systems_are_read_not_recomputed(monkeypatch):
     for make_config, past in ((sys_c_config, ("c11", "c12", "c21") * 4),
                               (sys_b_config, ("e1", "e2") * 6)):
         sys_ = cl.validate_system(make_config())
-        assert calls.count("svd") == len(sys_.edges) and "gap" in calls
+        assert calls.count("svd") == len(sys_.edges)
+        assert calls.count("gap") == len(sys_.vertices)
         mu = cl.pushforward_measure(sys_)
         calls.clear()
         cl.coding_point(sys_, past)

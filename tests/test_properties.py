@@ -31,6 +31,7 @@ from conftest import LOCAL_MODULES, local_modules, sys_c_config
 from oracles import (
     expected_running_max,
     fold_backward_orbit,
+    folded_word_mass,
     masked_word_mass,
     plain_cover_search,
     stationary_via_eig,
@@ -355,6 +356,23 @@ def test_start_vertex_mass_is_the_masked_sum_on_random_systems(drawn):
         for word, m in zip(rows[n].words, rows[n].m_values.tolist()):
             masked = masked_word_mass(sys_, word, measure)
             assert abs(m - masked) <= 1e-13 * masked
+
+
+@settings(_SETTINGS, max_examples=80)
+@given(systems(affine=True))
+def test_walk_mass_is_the_moved_atoms_fold_on_random_systems(drawn):
+    """The walk reads each word's M from first moments of atoms that never
+    move; it stays within 1e-12 relative of the fold that moves the start
+    vertex's atoms by each edge map and multiplies in p_e at them, at
+    depths 1-4, with place-dependent probabilities."""
+    cfg, _ = drawn
+    sys_ = cl.validate_system(cfg)
+    measure = cl.pushforward_measure(sys_)
+    rows = cl.walk_cylinders(sys_, DEPTH, measure)
+    for n in range(1, DEPTH + 1):
+        for word, m in zip(rows[n].words, rows[n].m_values.tolist()):
+            folded = folded_word_mass(sys_, word, measure)
+            assert abs(m - folded) <= 1e-12 * folded
 
 
 @settings(_SETTINGS, max_examples=40)
