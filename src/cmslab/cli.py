@@ -127,10 +127,11 @@ class ExperimentPlan:
         json_field(raw, "output_dir", "plan", _string, default=None)
         return cls(**raw)
 
-    def validate(self, system: MarkovSystem) -> list[CylinderSet | int]:
+    def validate(self, system: MarkovSystem) -> tuple[list, int]:
         """Check each field, then every walked depth's word cap and exact
         mode, so no later stage does; every error names its field.  Returns
-        each query's cylinder set, or a whole-space query's depth."""
+        each query's cylinder set (or a whole-space query's depth) and the
+        deepest walked depth, to which the run walks every word."""
         fields = vars(self)
         for key, minimum in _PLAN_MINIMUMS.items():
             json_field(fields, key, "plan", _at_least(minimum))
@@ -157,21 +158,21 @@ class ExperimentPlan:
             stationary_vertex_distribution(system, "plan.mode: ")
         if not depths:
             raise ConfigError("plan.depths: needs at least one table depth")
-        # every word of these depths is walked; query words are only
-        # followed, and cover._window reads the words of depth
-        # max(cover_window, cover_depth - n) + 1 past a query of depth n
-        # from the run's walk, or walks the base measure to it
+        # the run walks every word to the deepest of these depths, query
+        # words are only followed, and cover._window reads the words of
+        # depth max(cover_window, cover_depth - n) + 1 past a query of depth n
         query_depths = [q if isinstance(q, int) else q.depth for q in queries]
-        for where, n in [("plan.depths", n) for n in depths] + [
-                (f"plan.queries[{i}].whole_space_depth", q)
-                for i, q in enumerate(queries) if isinstance(q, int)] + [
-                (f"plan.kstar_depth + plan.kstar_windows[{i}]",
-                 self.kstar_depth + w) for i, w in enumerate(windows)] + [
-                ("plan.cover_window",
-                 max(self.cover_window, self.cover_depth - n) + 1)
-                for n in query_depths]:
+        walked = [("plan.depths", n) for n in depths] + [
+            (f"plan.queries[{i}].whole_space_depth", q)
+            for i, q in enumerate(queries) if isinstance(q, int)] + [
+            (f"plan.kstar_depth + plan.kstar_windows[{i}]",
+             self.kstar_depth + w) for i, w in enumerate(windows)] + [
+            ("plan.cover_window",
+             max(self.cover_window, self.cover_depth - n) + 1)
+            for n in query_depths]
+        for where, n in walked:
             check_word_cap(system, n, f"{where}: ")
-        return queries
+        return queries, max(n for _, n in walked)
 
 
 def _query_set(system: MarkovSystem, value) -> CylinderSet:
@@ -225,6 +226,7 @@ class _Context:
     measure: object = None
     report: bounds_mod.BoundReport | None = None
     queries: list = field(default_factory=list)
+    depth: int = 0  # the run's walk is complete to it
     rows: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)
     cover_rows: list = field(default_factory=list)
@@ -240,7 +242,7 @@ class _Context:
 
 def _validate(ctx: _Context) -> None:
     ctx.system = validate_system(_load_config(ctx.plan.config_path))
-    ctx.queries = ctx.plan.validate(ctx.system)
+    ctx.queries, ctx.depth = ctx.plan.validate(ctx.system)
     ctx.save("system.json",
              lambda path: _json_dump(system_to_config(ctx.system), path))
 
@@ -261,15 +263,12 @@ def _constants(ctx: _Context) -> None:
 
 
 def _tables(ctx: _Context) -> None:
-    """Every table depth, the K* windows' words and the query words from one
-    walk of the word tree.  Past the deepest table, K* length or whole-space
-    query the walk follows only the query words."""
+    """Every table depth, K* window, whole-space query and cover window's
+    words from one walk of the word tree, to the deepest depth validate
+    checked; past it the walk follows only the query words."""
     plan, system = ctx.plan, ctx.system
-    whole = [q for q in ctx.queries if isinstance(q, int)]
     words = [w for q in ctx.queries if not isinstance(q, int) for w in q.words]
-    deepest = max([*plan.depths, *whole,
-                   *(plan.kstar_depth + w for w in plan.kstar_windows)])
-    ctx.rows = walk_cylinders(system, deepest, ctx.measure, along=words)
+    ctx.rows = walk_cylinders(system, ctx.depth, ctx.measure, along=words)
     ctx.manifest["counts"]["tables"] = {
         "words_per_depth": [[n, len(rows.words)]
                             for n, rows in ctx.rows.items()]}

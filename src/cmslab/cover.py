@@ -34,11 +34,11 @@ sequences need no paying cover (they lie in zero-measure cylinders), and
 pieces that meet the query overlap only if they overlap on it.  So a query
 whose window holds no word, every sequence of it inadmissible, is covered
 by no piece at cost 0.  The window words are joined from the words of one
-base walk, and phi0 takes the same bits under every chain measure, so
-phi_upper reads its window and charges from the rows of a run's walk where
-they hold them and checks its cover on its own masks; verify_cover, the
-check of certificate files, builds its own window and charges from its own
-walks, independent of the search.
+walk.  phi0 takes the same bits under every measure, since every chain
+state multiplies the same p_e at the same orbit point, so phi_upper reads
+its window and charges from a run's walk, walks only what it lacks, and
+checks its cover on its own masks; verify_cover, the check of certificate
+files, builds its own window and charges from its own walks.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def _window(sys: MarkovSystem, q: CylinderSet, max_shift: int, hi: int,
             max_len: int, rows: dict[int, CylinderRows] | None = None
             ) -> tuple[dict[Word, list], dict[tuple[int, Word], int]]:
     """The admissible words on coordinates 1-max_shift..hi that spell a query
-    word on 1..q.depth, in the base walk's order, each with the pieces
+    word on 1..q.depth, in the walk's order, each with the pieces
     (shift, word) with len(word) <= max_len that it spells; and per piece,
     the bitmask of the window words that spell it (bit i: the i-th word).
     The words are read from `rows`, a walk_cylinders result under any

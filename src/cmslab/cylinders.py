@@ -8,10 +8,10 @@ measure phi0 (average of chain probabilities started at the support base
 points), and their ratio Z with its logarithm.  walk_cylinders computes M
 and phi0 for every word up to a depth in one pass over the word tree, or
 phi0 alone when it is given no chain measure; it is the only code that
-steps through words, with two kinds of chain state: atoms for M under a
-measure, scalar for the rest.  enumerate_words and phi0_cyl are reads of
-it, build_table checks one depth of its rows, and m_of_cylinder_set sums
-them over a cylinder union.
+steps through words, one step per tree node of one chain state that
+carries both (atoms under a measure, scalar otherwise).  enumerate_words
+and phi0_cyl are reads of it, build_table checks one depth of its rows,
+and m_of_cylinder_set sums them over a cylinder union.
 """
 
 from __future__ import annotations
@@ -131,25 +131,27 @@ def enumerate_words(sys: MarkovSystem, n: int) -> list[Word]:
 
 
 # Every cylinder quantity is a fold of one one-edge step over a word.  A
-# chain state leads with the mass of the word read so far; the step extends
-# a parent's state by an edge e, and a leaf's state is read for its mass
-# alone.  Two kinds of state:
-#   scalar  (probability, (k,) point or None)  phi0, exact M, or 0.0 with no
-#           measure: the probability that the chain realizes the word, and
-#           where the word leaves it.  The step multiplies by p_e at the
-#           point and moves the point by w_e, except at a leaf.  The point
-#           is None when every probability is constant: p_e is alpha, which
-#           value(y) = alpha + 0 . y equals bit for bit, and no point moves.
-#   atoms   (M, x, P, S, A, b)  M under mu, over the N mu atoms of the start
-#           vertex (the atoms of other vertices carry no mass of the word):
-#           x, the (N, k) atoms less the start vertex's base point, which
-#           never move; P, each atom's weight times its chain probability;
-#           S = P^T x, their first moment; and the word's composed map,
-#           base + x -> A x + b.  The step relies on p_e being affine
-#           (ProbabilityFunction has only the constant and affine families):
-#           at an atom's image p_e is x . g + c, g = A^T beta_e and
-#           c = alpha_e + beta_e . b, so M(ue) = S . g + c M(u) in O(k).  A
-#           child with children of its own reweighs its atoms in one pass,
+# chain state leads with (M, Phi) of the word read so far, Phi = |S| phi0
+# (1.0 at a support vertex's root, 0.0 at another's).  The step extends a
+# parent's state by an edge e; a leaf's state is read for (M, Phi) alone.
+# Both kinds multiply Phi by the same p_e at the same orbit point of the
+# base point, so Phi takes the same bits under every measure:
+#   scalar  (M, Phi, (k,) point or None)  exact M, or 0.0 with no measure.
+#           The step multiplies both by p_e at the point and moves the
+#           point by w_e, except at a leaf.  The point is None when every
+#           probability is constant: p_e is alpha, which value(y) = alpha +
+#           0 . y equals bit for bit, and no point moves.
+#   atoms   (M, Phi, x, P, S, A, b)  M under mu, over the N mu atoms of the
+#           start vertex (the atoms of other vertices carry no mass of the
+#           word): x, the (N, k) atoms less the start vertex's base point,
+#           which never move; P, each atom's weight times its chain
+#           probability; S = P^T x, their first moment; and the word's
+#           composed map, base + x -> A x + b.  The step relies on p_e being
+#           affine (ProbabilityFunction has only the constant and affine
+#           families): at an atom's image p_e is x . g + c, g = A^T beta_e
+#           and c = alpha_e + beta_e . b, p_e at the base point's orbit, so
+#           M(ue) = S . g + c M(u) in O(k) and Phi(ue) = c Phi(u).  A child
+#           with children of its own reweighs its atoms in one pass,
 #           P_ue = (x . g + c) P and S_ue = P_ue^T x, and composes
 #           (A_e A, A_e b + b_e); a leaf does no per-atom work.  Centring x
 #           keeps x . g small next to c.
@@ -165,43 +167,45 @@ def _reweigh(x: np.ndarray, probs: np.ndarray, g: np.ndarray,
 
 
 def _atoms_step(state, e, leaf: bool):
-    mass, x, probs, moment, linear, offset = state
+    mass, phi, x, probs, moment, linear, offset = state
     beta = e.prob.beta
     g = beta @ linear  # A^T beta_e
     c = e.prob.alpha + float(beta @ offset)
-    child = float(moment @ g) + c * mass
+    child = float(moment @ g) + c * mass, phi * c
     if leaf:
-        return (child,)
-    return (child, x, *_reweigh(x, probs, g, c), e.map.linear @ linear,
+        return child
+    return (*child, x, *_reweigh(x, probs, g, c), e.map.linear @ linear,
             e.map.linear @ offset + e.map.offset)
 
 
 def _scalar_step(state, e, leaf: bool):
-    prob, y = state
-    if y is None:
-        return prob * e.prob.alpha, None
-    return prob * e.prob.value(y), None if leaf else e.map.apply(y)
+    mass, phi, y = state
+    p = e.prob.alpha if y is None else e.prob.value(y)
+    return mass * p, phi * p, None if leaf or y is None else e.map.apply(y)
 
 
-def _mass_chain(sys: MarkovSystem, measure: Measure):
-    """(step, root state of a start vertex) for the chain mass under
-    `measure`; M is the first entry of every state, and with no measure it
-    is 0 on every word.  Under mu a word is rooted at its start vertex's
-    atoms alone, each carrying its weight, with the identity map from the
+def _chain(sys: MarkovSystem, measure: Measure):
+    """(step, root state of a start vertex) of the one chain a walk under
+    `measure` steps; (M, Phi) leads every state, and with no measure M is 0
+    on every word.  Under mu a word is rooted at its start vertex's atoms
+    alone, each carrying its weight, with the identity map from the
     vertex's base point: M of the root is the vertex's mass."""
+    support = sys.support_set
     if measure is None:
-        return _scalar_step, lambda v: (0.0, None)
+        moves = not sys.all_constant_probabilities
+        return _scalar_step, lambda v: (
+            0.0, float(v in support), sys.base_point(v) if moves else None)
     if isinstance(measure, str):
         if measure != EXACT:
             raise ValueError(f"unknown measure mode {measure!r}")
-        pi = stationary_vertex_distribution(sys)
-        return _scalar_step, lambda v: (float(pi[v - 1]), None)
+        pi = stationary_vertex_distribution(sys).tolist()
+        return _scalar_step, lambda v: (pi[v - 1], float(v in support), None)
 
     def root(v):
         at = np.flatnonzero(measure.vertices == v)
         base = sys.base_point(v)
         x, probs = measure.points[at] - base, measure.weights[at]
-        return (float(probs.sum()), x, probs, probs @ x,
+        return (float(probs.sum()), float(v in support), x, probs, probs @ x,
                 np.identity(sys.dimension), base)
 
     return _atoms_step, root
@@ -265,13 +269,12 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
     Words come by start vertex, then lexicographic by edge ids.  Past n_max
     (which may be 0) the walk follows only the prefixes of the `along`
     words, so a deep word costs one step per edge; those rows are not
-    complete.  Each child node extends its parent's chain states by one
-    edge, so every word costs one step, and exact mode solves the stationary
-    law once; under a measure no atom moves, and only a word the walk
-    extends passes over its atoms.  The walk holds one state per level of
-    the current path.
-    With measure None it walks phi0 alone and its M rows are 0.
-    The rows are unchecked; build_table checks them.
+    complete, and at n_max 0 only followed words' start vertices are rooted.
+    Each node takes one step of its parent's chain state, which carries M
+    and phi0 together (with measure None M is 0); exact mode solves the
+    stationary law once, and under a measure no atom or point moves.  The
+    walk holds one state per level of the current path.  The rows are
+    unchecked; build_table checks them.
     """
     along = [tuple(w) for w in along]
     if n_max < (0 if along else 1):
@@ -280,21 +283,21 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
     # prefixes of the followed words past n_max, and those the walk extends
     follow = {w[:i] for w in along for i in range(n_max + 1, len(w) + 1)}
     extend = {w[:i] for w in along for i in range(n_max, len(w))}
-    step, root = _mass_chain(sys, measure)
+    step, root = _chain(sys, measure)
     n_support = len(sys.support_set)
     found = {n: ([], [], [])
              for n in range(1, max([n_max, *map(len, along)]) + 1)}
-    # explicit stack of (word, out-edges not yet taken, M state, phi0 state)
-    # per level of the current path; a recursive closure would be a
-    # reference cycle that keeps the rows alive until the cyclic collector
+    # explicit stack of (word, out-edges not yet taken, chain state) per
+    # level of the current path; a recursive closure would be a reference
+    # cycle that keeps the rows alive until the cyclic collector
     stack = []
-    constant = sys.all_constant_probabilities  # then phi0 needs no point
     for v in sorted(v.index for v in sys.vertices):
-        point = None if constant else sys.base_point(v)
-        base = (1.0, point) if v in sys.support_set else None
-        stack.append(((), iter(sys.out_edges(v)), root(v), base))
+        out = sys.out_edges(v)
+        if not n_max and not any((e.id,) in follow for e in out):
+            continue  # no followed word starts at v
+        stack.append(((), iter(out), root(v)))
         while stack:
-            word, edges, mass, base = stack[-1]
+            word, edges, state = stack[-1]
             e = next(edges, None)
             if e is None:
                 stack.pop()
@@ -303,16 +306,14 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
             if len(child) > n_max and child not in follow:
                 continue
             leaf = len(child) >= n_max and child not in extend
-            child_mass = step(mass, e, leaf)
-            child_base = None if base is None else _scalar_step(base, e, leaf)
+            child_state = step(state, e, leaf)
             words, m_vals, phi_vals = found[len(child)]
             words.append(child)
-            m_vals.append(child_mass[0])
-            phi_vals.append(0.0 if child_base is None
-                            else child_base[0] / n_support)
+            m_vals.append(child_state[0])
+            phi_vals.append(child_state[1] / n_support)
             if not leaf:
                 stack.append((child, iter(sys.out_edges(e.target)),
-                              child_mass, child_base))
+                              child_state))
     return {n: CylinderRows(words=tuple(words), m_values=_read_only(m_vals),
                             phi0_values=_read_only(phi_vals),
                             complete=n <= n_max)

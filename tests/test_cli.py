@@ -863,11 +863,11 @@ def test_cover_window_over_word_cap_fails_at_validate(window, depth, query,
 
 def test_validate_checks_the_depth_a_cover_window_walks(tmp_path, config_a,
                                                         monkeypatch):
-    """Validate checks, for each query, the depth its cover window reads.
-    The search reads it from the run's walk, complete to depth 2 here, and
-    walks the base measure to exactly that depth when the walk stops short;
-    it walks along only the words the walk's rows lack."""
-    checked, walked, followed = [], [], []
+    """Validate checks, for each query, the depth its cover window reads,
+    and the run walks once, to the deepest depth validate checked, so the
+    searches read every window and charge from that walk and walk nothing
+    of their own."""
+    checked, walked = [], []
     check, walk = cli_mod.check_word_cap, cl.cylinders.walk_cylinders
 
     def checking(system, n, where=""):
@@ -875,11 +875,9 @@ def test_validate_checks_the_depth_a_cover_window_walks(tmp_path, config_a,
             checked.append(n)
         return check(system, n, where)
 
-    def walking(system, n, *args, along=(), **kwargs):
+    def walking(system, n, *args, **kwargs):
         walked.append(n)
-        if not n:
-            followed.extend(tuple(w) for w in along)
-        return walk(system, n, *args, along=along, **kwargs)
+        return walk(system, n, *args, **kwargs)
 
     monkeypatch.setattr(cli_mod, "check_word_cap", checking)
     monkeypatch.setattr(cl.cylinders, "walk_cylinders", walking)
@@ -892,14 +890,9 @@ def test_validate_checks_the_depth_a_cover_window_walks(tmp_path, config_a,
                         {"words": ["e2"]}]
         checked.clear()
         walked.clear()
-        followed.clear()
         assert run(plan) == 0
         assert checked == [max(window, depth - n) + 1 for n in (2, 3, 1)]
-        # the run's walk, then one window walk per query past its depth
-        assert [n for n in walked if n] == [2, *(n for n in checked if n > 2)]
-        # every word of depth <= 2 and the followed query word are rows
-        assert all(len(w) > 2 and w != ("e1", "e2", "e1") for w in followed)
-        assert bool(followed) == (depth > 2)
+        assert walked == [max(2, *checked)]
 
 
 # case: (plan field changed, its new value, field path the error names)

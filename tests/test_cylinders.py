@@ -247,6 +247,20 @@ def _count_calls(monkeypatch, *attrs: tuple[type, str]) -> dict[str, int]:
     return calls
 
 
+def _count_steps(monkeypatch, calls: dict[str, int], **names: str) -> None:
+    """Count the calls of each chain step, key=cylinders attribute name,
+    under its key."""
+    for key, name in names.items():
+        step = getattr(cl.cylinders, name)
+
+        def counted(state, e, leaf, _key=key, _step=step):
+            calls[_key] += 1
+            return _step(state, e, leaf)
+
+        calls[key] = 0
+        monkeypatch.setattr(cl.cylinders, name, counted)
+
+
 def _atom_work(monkeypatch) -> tuple[list[int], dict[str, int]]:
     """Record the atoms of each per-atom pass of a Monte Carlo walk
     (cylinders._reweigh), in order, and count its steps and every call
@@ -258,29 +272,26 @@ def _atom_work(monkeypatch) -> tuple[list[int], dict[str, int]]:
                         or original(x, *args))
     calls = _count_calls(monkeypatch, (cl.ProbabilityFunction, "value_many"),
                          (cl.AffineMap, "apply_many"))
-    step = cl.cylinders._atoms_step
-    calls["step"] = 0
-
-    def counted(state, e, leaf):
-        calls["step"] += 1
-        return step(state, e, leaf)
-
-    monkeypatch.setattr(cl.cylinders, "_atoms_step", counted)
+    _count_steps(monkeypatch, calls, step="_atoms_step")
     return sizes, calls
 
 
-def test_walk_takes_one_step_per_tree_node(sys_b, small_measures, monkeypatch):
+def test_walk_takes_one_step_per_tree_node(sys_b, sys_c, small_measures,
+                                           monkeypatch):
     """Regression guard on the walk's cost, by counting instead of timing:
     a Monte Carlo walk takes one step per node of the word tree, not one
-    per edge of every word; it passes over the atoms once per internal
-    word and never at a leaf; and it never moves an atom or evaluates p_e
-    at one."""
+    per edge of every word, and no scalar step, so M and phi0 ride one
+    state; it passes over the atoms once per internal word and never at a
+    leaf; and it never moves an atom or evaluates p_e at one.  An exact
+    walk takes one scalar step per node."""
     sizes, calls = _atom_work(monkeypatch)
+    _count_steps(monkeypatch, calls, scalar="_scalar_step")
     mu, n_max = small_measures["sys_b"], 6
     rows = cl.walk_cylinders(sys_b, n_max, mu)
     nodes = sum(cl.count_words(sys_b, n) for n in range(1, n_max + 1))
     internal = nodes - cl.count_words(sys_b, n_max)
-    assert calls == {"value_many": 0, "apply_many": 0, "step": nodes}
+    work = {"value_many": 0, "apply_many": 0, "step": nodes, "scalar": 0}
+    assert calls == work
     assert sizes == [len(mu)] * internal  # sys B has one vertex
 
     # tables and K* read the shared rows without stepping again
@@ -288,8 +299,13 @@ def test_walk_takes_one_step_per_tree_node(sys_b, small_measures, monkeypatch):
         cl.build_table(sys_b, n, mu, rows=rows)
     for window in (0, 1, 2):
         cl.kstar_estimate(sys_b, window, 4, mu, rows=rows)
-    assert calls == {"value_many": 0, "apply_many": 0, "step": nodes}
+    assert calls == work
     assert len(sizes) == internal
+
+    cl.walk_cylinders(sys_c, n_max, cl.EXACT)
+    assert calls["scalar"] == sum(cl.count_words(sys_c, n)
+                                  for n in range(1, n_max + 1))
+    assert calls["step"] == nodes and len(sizes) == internal
 
 
 @pytest.mark.parametrize("name", ["sys_b", "sys_c"])
@@ -325,8 +341,10 @@ def test_scalar_chain_moves_no_point_when_probabilities_are_constant(
         sys_a, sys_b, small_measures, monkeypatch):
     """phi0 and exact M read the edge constants alone when every probability
     is constant: on sys A no walk evaluates p_e at a point or moves one,
-    whatever its chain measure.  On sys B phi0 evaluates p_e once per node
-    of the word tree and moves its point below internal nodes only."""
+    whatever its chain measure.  On sys B a walk under mu_N reads phi0 off
+    its atoms state and evaluates or moves no point; with no measure phi0
+    evaluates p_e once per node of the word tree and moves its point below
+    internal nodes only."""
     calls = _count_calls(monkeypatch, (cl.ProbabilityFunction, "value"),
                          (cl.AffineMap, "apply"))
     n_max = 6
@@ -335,9 +353,36 @@ def test_scalar_chain_moves_no_point_when_probabilities_are_constant(
         assert calls == {"value": 0, "apply": 0}
 
     cl.walk_cylinders(sys_b, n_max, small_measures["sys_b"])
+    assert calls == {"value": 0, "apply": 0}
+    cl.walk_cylinders(sys_b, n_max, None)
     nodes = sum(cl.count_words(sys_b, n) for n in range(1, n_max + 1))
     assert calls == {"value": nodes,
                      "apply": nodes - cl.count_words(sys_b, n_max)}
+
+
+def test_walk_roots_only_the_start_vertices_of_followed_words(
+        sys_c, small_measures, monkeypatch):
+    """A walk to depth 0 builds the root state of a vertex only when a
+    followed word starts there; a walk to depth >= 1 roots every vertex."""
+    chain, roots = cl.cylinders._chain, []
+
+    def counting(sys_, measure):
+        step, root = chain(sys_, measure)
+        return step, lambda v: roots.append(v) or root(v)
+
+    monkeypatch.setattr(cl.cylinders, "_chain", counting)
+    mu = small_measures["sys_c"]
+    for measure in (mu, cl.EXACT, None):
+        roots.clear()
+        rows = cl.walk_cylinders(sys_c, 0, measure, along=[("c11",) * 3])
+        assert roots == [1]
+        assert rows[3].words == (("c11",) * 3,)
+        roots.clear()
+        cl.walk_cylinders(sys_c, 0, measure, along=[("c21",), ("c11", "c12")])
+        assert roots == [1, 2]
+        roots.clear()
+        cl.walk_cylinders(sys_c, 1, measure, along=[("c11",) * 3])
+        assert roots == [1, 2]
 
 
 def test_walk_follows_words_past_full_depth(sys_b, small_measures,
