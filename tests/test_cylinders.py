@@ -248,8 +248,8 @@ def _count_calls(monkeypatch, *attrs: tuple[type, str]) -> dict[str, int]:
 
 
 def _count_steps(monkeypatch, calls: dict[str, int], **names: str) -> None:
-    """Count the calls of each chain step, key=cylinders attribute name,
-    under its key."""
+    """Wrap each chain step cylinders.<name>, given as key=name, so that
+    calling it counts under its key."""
     for key, name in names.items():
         step = getattr(cl.cylinders, name)
 
