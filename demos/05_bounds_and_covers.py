@@ -36,11 +36,13 @@ print("pointwise bound on log-density:  ", f"{report.bound_ii_value:.6f}")
 print("corollary factor:                ", f"{report.corollary_factor:.6f}",
       "(= e^-2 for this system:", f"{math.exp(-2):.6f})")
 
-# sandwich a single cylinder: corollary lower bound vs cover upper bound
+# sandwich a single cylinder: corollary lower bound vs cover upper bound,
+# both read from one walk under mu_N (the cover reads only phi0 from it)
+walk = cl.walk_cylinders(system, 3, mu)
 q = cl.cylinder_set(system, [("e1",)])
-m_q = cl.m_of_cylinder_set(system, q, mu)
+m_q = cl.m_of_cylinder_set(walk, q)
 lower = cl.corollary_lower_bound(report, m_q)
-cost, candidate = cl.phi_upper(system, q, max_shift=2, max_depth=3)
+cost, candidate = cl.phi_upper(walk, q, max_shift=2, max_depth=3)
 check = cl.consistency_check(lower, cost)
 print(f"\nquery: the cylinder of e1, chain mass {m_q:.5f}")
 print(f"  lower bound {lower:.6f}  <=  cover cost {cost:.6f}"
@@ -55,5 +57,5 @@ print("  certificate re-verified: disjoint, covering, cost matches")
 
 # a shifted partition of the whole space also costs exactly its total mass
 whole = cl.full_cylinder_set(system, 2)
-cost, _ = cl.phi_upper(system, whole, max_shift=2, max_depth=2)
+cost, _ = cl.phi_upper(walk, whole, max_shift=2, max_depth=2)
 print(f"\nwhole space at depth 2: cover cost {cost:.12f}")

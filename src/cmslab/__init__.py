@@ -35,6 +35,7 @@ from .cylinders import (
     CylinderRows,
     CylinderSet,
     CylinderTable,
+    Walk,
     build_table,
     count_words,
     cylinder_set,

@@ -14,13 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-from .cylinders import (
-    CylinderRows,
-    CylinderTable,
-    Measure,
-    build_table,
-    walked_to,
-)
+from .cylinders import CylinderTable, Walk, build_table
 from .errors import NotUniformlyContractive
 from .model import ConstantSet, MarkovSystem
 
@@ -80,23 +74,23 @@ def corollary_lower_bound(report: BoundReport, m_of_q: float) -> float:
 
 
 def kstar_estimate(sys: MarkovSystem, window: int, depth: int,
-                   measure: Measure, rows: dict[int, CylinderRows] | None = None
-                   ) -> float:
+                   walk: Walk) -> float:
     """Shift-maximized divergence estimate over a finite window.
 
     Words of length depth+window are weighted by their chain mass and scored
     by the largest table log Z over their window+1 backward depth-`depth`
     shifts, so the estimate never falls as the window grows; window=0
-    reproduces kl_n exactly.
-    `rows` is a walk_cylinders result under the same measure; without one
-    reaching depth+window, the estimate walks for itself.
+    reproduces kl_n exactly.  The table and the words are read from
+    walk.to(depth + window); `sys` must be the walk's system (ValueError).
     """
     if window < 0:
         raise ValueError("window must be >= 0")
-    rows = walked_to(sys, depth + window, measure, rows)
-    table = build_table(sys, depth, measure, rows=rows)
+    if walk.system is not sys:
+        raise ValueError("kstar_estimate: the walk is of another system")
+    walk = walk.to(depth + window)
+    table = build_table(walk, depth)
     logz_of = dict(zip(table.words, table.logz_values.tolist()))
-    long_rows = rows[depth + window]
+    long_rows = walk.rows[depth + window]
     log_best = [max(logz_of[w[m_off:m_off + depth]] for m_off in range(window + 1))
                 for w in long_rows.words]
     return _divergence(long_rows.m_values.tolist(), log_best)

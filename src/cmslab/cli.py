@@ -41,6 +41,7 @@ from .coding import coding_point, parse_word
 from .cylinders import (
     EXACT,
     CylinderSet,
+    Walk,
     build_table,
     check_word_cap,
     cylinder_set,
@@ -158,21 +159,23 @@ class ExperimentPlan:
             stationary_vertex_distribution(system, "plan.mode: ")
         if not depths:
             raise ConfigError("plan.depths: needs at least one table depth")
-        # the run walks every word to the deepest of these depths, query
-        # words are only followed, and cover._window reads the words of
-        # depth max(cover_window, cover_depth - n) + 1 past a query of depth n
+        # the run walks every word to the deepest of these depths and
+        # follows query words; each depth is checked once, under the first
+        # field that names it, which is the first to fail
         query_depths = [q if isinstance(q, int) else q.depth for q in queries]
         walked = [("plan.depths", n) for n in depths] + [
             (f"plan.queries[{i}].whole_space_depth", q)
             for i, q in enumerate(queries) if isinstance(q, int)] + [
             (f"plan.kstar_depth + plan.kstar_windows[{i}]",
              self.kstar_depth + w) for i, w in enumerate(windows)] + [
-            ("plan.cover_window",
-             max(self.cover_window, self.cover_depth - n) + 1)
-            for n in query_depths]
+            ("plan.cover_window", cover_mod.window_depth(
+                n, self.cover_window, self.cover_depth)) for n in query_depths]
+        first: dict[int, str] = {}
         for where, n in walked:
+            first.setdefault(n, where)
+        for n, where in first.items():
             check_word_cap(system, n, f"{where}: ")
-        return queries, max(n for _, n in walked)
+        return queries, max(first)
 
 
 def _query_set(system: MarkovSystem, value) -> CylinderSet:
@@ -223,11 +226,10 @@ class _Context:
         "stages": {}, "seconds": {}, "counts": {}, "artifacts": []})
     system: MarkovSystem | None = None
     mu: EmpiricalMeasure | None = None
-    measure: object = None
     report: bounds_mod.BoundReport | None = None
     queries: list = field(default_factory=list)
     depth: int = 0  # the run's walk is complete to it
-    rows: dict = field(default_factory=dict)
+    walk: Walk | None = None
     tables: dict = field(default_factory=dict)
     cover_rows: list = field(default_factory=list)
 
@@ -252,7 +254,6 @@ def _simulate(ctx: _Context) -> None:
     ctx.mu = pushforward_measure(ctx.system)
     ctx.manifest["counts"]["simulate"] = {"levels": ctx.mu.levels,
                                           "atoms": len(ctx.mu)}
-    ctx.measure = EXACT if ctx.plan.mode == "exact" else ctx.mu
 
 
 def _constants(ctx: _Context) -> None:
@@ -263,17 +264,18 @@ def _constants(ctx: _Context) -> None:
 
 
 def _tables(ctx: _Context) -> None:
-    """Every table depth, K* window, whole-space query and cover window's
-    words from one walk of the word tree, to the deepest depth validate
-    checked; past it the walk follows only the query words."""
-    plan, system = ctx.plan, ctx.system
+    """The run's one walk, under the run's measure, to the deepest depth
+    validate checked, past which it follows only the query words; every
+    table, K* window, M(Q), whole-space query, cover window and charge is
+    read from it."""
     words = [w for q in ctx.queries if not isinstance(q, int) for w in q.words]
-    ctx.rows = walk_cylinders(system, ctx.depth, ctx.measure, along=words)
+    measure = EXACT if ctx.plan.mode == "exact" else ctx.mu
+    ctx.walk = walk_cylinders(ctx.system, ctx.depth, measure, along=words)
     ctx.manifest["counts"]["tables"] = {
         "words_per_depth": [[n, len(rows.words)]
-                            for n, rows in ctx.rows.items()]}
-    for n in plan.depths:
-        ctx.tables[n] = build_table(system, n, ctx.measure, rows=ctx.rows)
+                            for n, rows in ctx.walk.rows.items()]}
+    for n in ctx.plan.depths:
+        ctx.tables[n] = build_table(ctx.walk, n)
         ctx.save(f"tables/depth_{n}.csv", ctx.tables[n].to_csv)
 
 
@@ -283,8 +285,8 @@ def _bounds(ctx: _Context) -> None:
     for n in plan.depths:
         report.k_n_series.append((n, bounds_mod.kl_n(tables[n]), 0.0))
     for w in plan.kstar_windows:
-        kval = bounds_mod.kstar_estimate(
-            ctx.system, w, plan.kstar_depth, ctx.measure, rows=ctx.rows)
+        kval = bounds_mod.kstar_estimate(ctx.system, w, plan.kstar_depth,
+                                         ctx.walk)
         report.kstar_estimates.append((w, plan.kstar_depth, kval, 0.0))
 
     # the rows stay in plan order; K_n must not fall as the depth grows
@@ -307,12 +309,12 @@ def _covers(ctx: _Context) -> None:
     plan, system, report = ctx.plan, ctx.system, ctx.report
     for qi, q in enumerate(ctx.queries):
         if isinstance(q, int):  # _tables walked every word of its depth
-            q = CylinderSet(words=ctx.rows[q].words)
-        m_q = m_of_cylinder_set(system, q, ctx.measure, rows=ctx.rows)
+            q = CylinderSet(words=ctx.walk.rows[q].words)
+        m_q = m_of_cylinder_set(ctx.walk, q)
         lower = bounds_mod.corollary_lower_bound(report, m_q)
         cost, candidate = cover_mod.phi_upper(
-            system, q, plan.cover_window, plan.cover_depth,
-            budget=plan.cover_budget, rows=ctx.rows)
+            ctx.walk, q, plan.cover_window, plan.cover_depth,
+            budget=plan.cover_budget)
         check = cover_mod.consistency_check(lower, cost)
         cert = cover_mod.certificate_dict(system, q, candidate)
         ctx.save(f"covers/query_{qi}.json",
@@ -563,7 +565,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "table":
         system = validate_system(_load_config(args.config))
         measure = EXACT if args.mode == "exact" else pushforward_measure(system)
-        table = build_table(system, args.depth, measure)
+        table = build_table(walk_cylinders(system, args.depth, measure),
+                            args.depth)
         table.to_csv(args.out)
         print(f"wrote {args.out}: {len(table)} rows at depth {args.depth}")
         return EXIT_OK
@@ -587,7 +590,9 @@ def _dispatch(args: argparse.Namespace) -> int:
                              [parse_word(w) for w in args.query.split(",")])
         else:
             q = full_cylinder_set(system, args.whole_space_depth)
-        cost, candidate = cover_mod.phi_upper(system, q, args.window,
+        walk = walk_cylinders(system, cover_mod.window_depth(
+            q.depth, args.window, args.depth), None)
+        cost, candidate = cover_mod.phi_upper(walk, q, args.window,
                                               args.depth, budget=args.budget)
         _json_dump(cover_mod.certificate_dict(system, q, candidate),
                    Path(args.out))

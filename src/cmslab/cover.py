@@ -2,8 +2,7 @@
 
 A cover piece is a pair (shift m <= 0, word u); it stands for the set of
 sequences that spell u on coordinates 1+m .. len(u)+m, and it is charged the
-base measure of the unshifted cylinder of u, read from a walk_cylinders walk
-of the base measure along the words charged.  The outer measure of a query
+base measure of the unshifted cylinder of u.  The outer measure of a query
 set is the infimum of total charge over families of pairwise disjoint pieces
 whose union contains the query; the search minimizes over pieces with shifts
 down to -max_shift and words up to max_depth long, which realizes every
@@ -33,12 +32,11 @@ words that spell it, and the sets are compared exactly.  Inadmissible
 sequences need no paying cover (they lie in zero-measure cylinders), and
 pieces that meet the query overlap only if they overlap on it.  So a query
 whose window holds no word, every sequence of it inadmissible, is covered
-by no piece at cost 0.  The window words are joined from the words of one
-walk.  phi0 takes the same bits under every measure, since every chain
-state multiplies the same p_e at the same orbit point, so phi_upper reads
-its window and charges from a run's walk, walks only what it lacks, and
-checks its cover on its own masks; verify_cover, the check of certificate
-files, builds its own window and charges from its own walks.
+by no piece at cost 0.  phi0 takes the same bits under every measure,
+since every chain state multiplies the same p_e at the same orbit point,
+so phi_upper reads its window words and charges from the cylinders.Walk it
+is given, whatever its measure, and checks its cover on its own masks;
+verify_cover, the check of certificate files, reads a base walk of its own.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from dataclasses import dataclass
 
 from . import cylinders
 from .coding import parse_word
-from .cylinders import CylinderRows, CylinderSet, Word, cylinder_set
+from .cylinders import CylinderSet, Walk, Word, cylinder_set
 from .errors import CertificateInvalid, ConfigError, DepthOverflow
 from .model import (MarkovSystem, json_int, json_list, json_number,
                     system_to_config, validate_system)
@@ -69,21 +67,28 @@ class CoverCandidate:
     nodes_explored: int
 
 
-def _window(sys: MarkovSystem, q: CylinderSet, max_shift: int, hi: int,
-            max_len: int, rows: dict[int, CylinderRows] | None = None
+def window_depth(depth: int, max_shift: int, hi: int) -> int:
+    """The depth to which the cover window on coordinates 1-max_shift..hi of
+    a depth-`depth` query reads every word: its past words, max_shift + 1
+    long, and its future words, hi - depth + 1 long, each overlap a query
+    word by one edge."""
+    return max(max_shift, hi - depth) + 1
+
+
+def _window(walk: Walk, q: CylinderSet, max_shift: int, hi: int,
+            max_len: int
             ) -> tuple[dict[Word, list], dict[tuple[int, Word], int]]:
     """The admissible words on coordinates 1-max_shift..hi that spell a query
     word on 1..q.depth, in the walk's order, each with the pieces
     (shift, word) with len(word) <= max_len that it spells; and per piece,
     the bitmask of the window words that spell it (bit i: the i-th word).
-    The words are read from `rows`, a walk_cylinders result under any
-    measure, when it holds every word of the depth needed, else walked."""
+    The words are read from walk.to(window_depth(...)), so from the walk
+    itself when it holds every word of that depth."""
     # Two pieces that meet the query intersect if and only if they intersect
     # on the query: each starts at or before coordinate 1, so past the end of
     # the one that ends later, a sequence in both can continue as a query
     # sequence of that piece.
-    base = cylinders.walked_to(sys, max(max_shift, hi - q.depth) + 1, None,
-                               rows)
+    base = walk.to(window_depth(q.depth, max_shift, hi)).rows
     past = base[max_shift + 1].words  # overlap w by its first edge
     future = base[hi - q.depth + 1].words  # and by its last edge
     joined = (u[:-1] + w + v[1:] for w in q.words
@@ -92,7 +97,8 @@ def _window(sys: MarkovSystem, q: CylinderSet, max_shift: int, hi: int,
     words = list(itertools.islice(joined, cap + 1))
     if len(words) > cap:
         raise DepthOverflow(f"the cover window exceeds the cap {cap}")
-    words.sort(key=lambda x: (sys.edge(x[0]).source, x))
+    edge = walk.system.edge
+    words.sort(key=lambda x: (edge(x[0]).source, x))
 
     spelled: dict[Word, list] = {}
     index: dict[tuple[int, Word], int] = {}
@@ -105,22 +111,11 @@ def _window(sys: MarkovSystem, q: CylinderSet, max_shift: int, hi: int,
     return spelled, index
 
 
-def _charges(sys: MarkovSystem, words: set[Word],
-             rows: dict[int, CylinderRows] | None = None
-             ) -> dict[Word, float]:
-    """The base measure phi0 of each word: read from `rows`, a
-    walk_cylinders result under any measure, where a row holds the word,
-    and from one base walk along the other words, which charges their
-    prefixes too."""
-    charge: dict[Word, float] = {}
-    for n in {len(w) for w in words} & (rows or {}).keys():
-        charge.update(zip(rows[n].words, rows[n].phi0_values.tolist()))
-    missing = [w for w in words if w not in charge]
-    if missing:
-        for walked in cylinders.walk_cylinders(sys, 0, None,
-                                               along=missing).values():
-            charge.update(zip(walked.words, walked.phi0_values.tolist()))
-    return charge
+def _charges(walk: Walk, words: set[Word]) -> dict[Word, float]:
+    """The base measure phi0 of each word, from the walk's rows of the
+    words (Walk.along)."""
+    rows = walk.along(words)
+    return dict(zip(rows.words, rows.phi0_values.tolist()))
 
 
 def _check_masks(pieces, masks: list[int], spelled: dict[Word, list]) -> None:
@@ -147,10 +142,8 @@ def _check_masks(pieces, masks: list[int], spelled: dict[Word, list]) -> None:
             f"{'.'.join(list(spelled)[missing.bit_length() - 1])} is not covered")
 
 
-def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
-              max_depth: int, budget: int = DEFAULT_BUDGET,
-              rows: dict[int, CylinderRows] | None = None
-              ) -> tuple[float, CoverCandidate]:
+def phi_upper(walk: Walk, q: CylinderSet, max_shift: int, max_depth: int,
+              budget: int = DEFAULT_BUDGET) -> tuple[float, CoverCandidate]:
     """Minimal-cost disjoint cover of q found within the search budget.
 
     The trivial cover (the query words themselves, unshifted) seeds the
@@ -162,20 +155,19 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
     is returned with exhaustive=False.  The memo holds at most
     nodes_explored <= budget entries.
 
-    `rows` is a walk_cylinders result under any measure, such as a run's
-    walk: the window words and the charges are read from it where it holds
-    them and walked where it does not, with the same result bit for bit.  A
-    cover the search found is checked on its pieces' masks of window words
-    (_check_masks); the trivial cover covers q by construction.
+    The window words and charges are read from `walk`, under any measure,
+    or walked under its measure where it lacks them (Walk.to, Walk.along).
+    A cover the search found is checked on its pieces' masks of window
+    words (_check_masks); the trivial cover covers q by construction.
     """
     if max_shift < 0 or max_depth < 1:
         raise ValueError("max_shift must be >= 0 and max_depth >= 1")
     lo, hi = 1 - max_shift, max(q.depth, max_depth)
-    spelled, index = _window(sys, q, max_shift, hi, max_depth, rows)
+    spelled, index = _window(walk, q, max_shift, hi, max_depth)
     target = (1 << len(spelled)) - 1
     # a piece's charge does not depend on its shift: one per word, so a word
     # no piece of the pool uses is never charged
-    charge_of = _charges(sys, {*(word for _, word in index), *q.words}, rows)
+    charge_of = _charges(walk, {*(word for _, word in index), *q.words})
 
     # candidate pool: the pieces that meet the query; an optimal cover never
     # needs a piece that misses it
@@ -253,10 +245,10 @@ def phi_upper(sys: MarkovSystem, q: CylinderSet, max_shift: int,
 
 def verify_cover(sys: MarkovSystem, q: CylinderSet,
                  candidate: CoverCandidate) -> None:
-    """Re-check, from walks of its own, that every piece lies in the search
-    window and meets the query, disjointness, coverage and cost; raises
-    CertificateInvalid.  The empty cover passes only where the window
-    holds no word."""
+    """Re-check, from a base walk of its own to the window's depth, that
+    every piece lies in the search window and meets the query,
+    disjointness, coverage and cost; raises CertificateInvalid.  The empty
+    cover passes only where the window holds no word."""
     lo, hi = candidate.window
     pieces = candidate.pieces
     for shift, word in pieces:
@@ -266,17 +258,18 @@ def verify_cover(sys: MarkovSystem, q: CylinderSet,
             raise CertificateInvalid(f"piece ({shift}, {'.'.join(word)}) lies "
                                      f"outside the window [{lo}, {hi}]")
         sys.require_admissible(word)
-    try:  # the window's walk checks its depth against the caps first
-        spelled, index = _window(
-            sys, q,
-            max((-shift for shift, _ in pieces), default=max(0, 1 - lo)),
-            max([q.depth, *(len(w) + shift for shift, w in pieces)]),
-            max((len(w) for _, w in pieces), default=1))
+    max_shift = max((-shift for shift, _ in pieces), default=max(0, 1 - lo))
+    last = max([q.depth, *(len(w) + shift for shift, w in pieces)])
+    try:  # the walk checks its depth against the caps before it walks
+        walk = cylinders.walk_cylinders(
+            sys, window_depth(q.depth, max_shift, last), None)
+        spelled, index = _window(walk, q, max_shift, last,
+                                 max((len(w) for _, w in pieces), default=1))
     except DepthOverflow as exc:
         raise CertificateInvalid(f"certificate window: {exc}") from None
     _check_masks(pieces, [index.get(piece, 0) for piece in pieces], spelled)
 
-    charge_of = _charges(sys, {w for _, w in pieces})
+    charge_of = _charges(walk, {w for _, w in pieces})
     cost = math.fsum(charge_of[w] for _, w in pieces)
     if abs(cost - candidate.cost) > COST_TOL:
         raise CertificateInvalid(

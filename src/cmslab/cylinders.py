@@ -9,9 +9,9 @@ points), and their ratio Z with its logarithm.  walk_cylinders computes M
 and phi0 for every word up to a depth in one pass over the word tree, or
 phi0 alone when it is given no chain measure; it is the only code that
 steps through words, one step per tree node of one chain state that
-carries both (atoms under a measure, scalar otherwise).  enumerate_words
-and phi0_cyl are reads of it, build_table checks one depth of its rows,
-and m_of_cylinder_set sums them over a cylinder union.
+carries both (atoms under a measure, scalar otherwise), into a Walk that
+every reader takes: enumerate_words and phi0_cyl read one, build_table
+checks one depth of its rows, and m_of_cylinder_set sums them.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def check_word_cap(sys: MarkovSystem, n: int, where: str = "") -> None:
 
 def enumerate_words(sys: MarkovSystem, n: int) -> list[Word]:
     """All admissible length-n words, in the walk's order."""
-    return list(walk_cylinders(sys, n, None)[n].words)
+    return list(walk_cylinders(sys, n, None).rows[n].words)
 
 
 # Every cylinder quantity is a fold of one one-edge step over a word.  A
@@ -214,9 +214,8 @@ def _chain(sys: MarkovSystem, measure: Measure):
 def phi0_cyl(sys: MarkovSystem, word: Sequence[str]) -> float:
     """Base measure of a cylinder: the support-averaged chain probability
     from the base point of the word's start vertex."""
-    sys.require_admissible(word)
-    rows = walk_cylinders(sys, 0, None, along=[word])
-    return float(rows[len(word)].phi0_values[0])
+    return float(walk_cylinders(sys, 0, None, along=[word]).rows[len(word)]
+                 .phi0_values[0])
 
 
 def stationary_vertex_distribution(sys: MarkovSystem,
@@ -246,14 +245,12 @@ def stationary_vertex_distribution(sys: MarkovSystem,
 
 @dataclass(frozen=True, eq=False)
 class CylinderRows:
-    """Unchecked M and phi0 of every word at one depth, in the walk's order,
-    or only of the words a walk followed past its full depth (complete is
-    False)."""
+    """Unchecked M and phi0 of words, in order: those of one depth of a walk,
+    in the walk's order, or those Walk.along was asked for."""
 
     words: tuple[Word, ...]
     m_values: np.ndarray
     phi0_values: np.ndarray
-    complete: bool
 
 
 def _read_only(values: list[float]) -> np.ndarray:
@@ -262,14 +259,53 @@ def _read_only(values: list[float]) -> np.ndarray:
     return arr
 
 
+def _by_word(rows: Iterable[CylinderRows]) -> dict[Word, tuple[float, float]]:
+    """(M, phi0) of every word the rows hold."""
+    return {w: pair for raw in rows for w, pair in zip(
+        raw.words, zip(raw.m_values.tolist(), raw.phi0_values.tolist()))}
+
+
+@dataclass(frozen=True, eq=False)
+class Walk:
+    """The rows per depth of one walk of `system` under `measure` (None:
+    phi0 alone, M 0 on every word), every word of depth 1..depth and past
+    it the followed words; every reader takes one, with its measure."""
+
+    system: MarkovSystem
+    measure: Measure
+    depth: int
+    rows: dict[int, CylinderRows]
+
+    def to(self, n: int) -> Walk:
+        """This walk when it holds every word of depth n, else one fresh
+        walk to depth n under its system and measure."""
+        return self if n <= self.depth else walk_cylinders(
+            self.system, n, self.measure)
+
+    def along(self, words: Iterable[Word]) -> CylinderRows:
+        """The rows of `words`, in their order: read from this walk where a
+        row holds the word, and from one walk under its measure that
+        follows the others."""
+        words = tuple(words)
+        found = _by_word(self.rows[n]
+                         for n in {len(w) for w in words} & self.rows.keys())
+        missing = [w for w in words if w not in found]
+        if missing:
+            found.update(_by_word(walk_cylinders(
+                self.system, 0, self.measure, along=missing).rows.values()))
+        return CylinderRows(
+            words=words, m_values=_read_only([found[w][0] for w in words]),
+            phi0_values=_read_only([found[w][1] for w in words]))
+
+
 def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
-                   along: Iterable[Sequence[str]] = ()) -> dict[int, CylinderRows]:
-    """Rows of every depth 1..n_max from one depth-first walk of the word tree.
+                   along: Iterable[Sequence[str]] = ()) -> Walk:
+    """The Walk of every depth 1..n_max from one depth-first walk of the tree.
 
     Words come by start vertex, then lexicographic by edge ids.  Past n_max
     (which may be 0) the walk follows only the prefixes of the `along`
-    words, so a deep word costs one step per edge; those rows are not
-    complete, and at n_max 0 only followed words' start vertices are rooted.
+    words, so a deep word costs one step per edge, and at n_max 0 only
+    followed words' start vertices are rooted.
     Each node takes one step of its parent's chain state, which carries M
     and phi0 together (with measure None M is 0); exact mode solves the
     stationary law once, and under a measure no atom or point moves.  The
@@ -277,6 +313,8 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
     unchecked; build_table checks them.
     """
     along = [tuple(w) for w in along]
+    for w in along:
+        sys.require_admissible(w)  # raises InadmissibleWord
     if n_max < (0 if along else 1):
         raise ValueError("depth must be >= 1, or >= 0 with words to follow")
     check_word_cap(sys, n_max)
@@ -314,18 +352,15 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
             if not leaf:
                 stack.append((child, iter(sys.out_edges(e.target)),
                               child_state))
-    return {n: CylinderRows(words=tuple(words), m_values=_read_only(m_vals),
-                            phi0_values=_read_only(phi_vals),
-                            complete=n <= n_max)
-            for n, (words, m_vals, phi_vals) in found.items()}
+    return Walk(sys, measure, n_max, {
+        n: CylinderRows(words=tuple(words), m_values=_read_only(m_vals),
+                        phi0_values=_read_only(phi_vals))
+        for n, (words, m_vals, phi_vals) in found.items()})
 
 
-def walked_to(sys: MarkovSystem, n: int, measure: Measure,
-              rows: dict[int, CylinderRows] | None) -> dict[int, CylinderRows]:
-    """`rows` when it holds every word of depth n, else a fresh walk."""
-    if rows is not None and n in rows and rows[n].complete:
-        return rows
-    return walk_cylinders(sys, n, measure)
+def _require_measure(walk: Walk) -> None:
+    if walk.measure is None:
+        raise ValueError("chain masses need a walk under a chain measure")
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,18 +388,16 @@ class CylinderTable:
                    self.logz_values, np.zeros(len(self.words))])
 
 
-def build_table(sys: MarkovSystem, n: int, measure: Measure,
-                rows: dict[int, CylinderRows] | None = None) -> CylinderTable:
-    """Depth-n cylinder table over every admissible word.
-
-    `rows` is a walk_cylinders result under the same measure; the table
-    reads depth n from it, and walks for itself when it has none.  A word
-    of zero base measure and zero chain mass gets Z = log Z = 0; with chain
-    mass it raises AbsoluteContinuityViolation: the support set misses a
-    vertex the chain visits.  So do chain masses or base measures that do
-    not sum to 1 within 1e-12 and n times sys.normalization_gap.
+def build_table(walk: Walk, n: int) -> CylinderTable:
+    """Depth-n cylinder table over every admissible word, read from
+    walk.to(n); ValueError on a walk with no measure.  A word of zero base
+    measure and zero chain mass gets Z = log Z = 0; with chain mass it
+    raises AbsoluteContinuityViolation: the support set misses a vertex the
+    chain visits.  So do chain masses or base measures that do not sum to 1
+    within 1e-12 and n times the system's normalization_gap.
     """
-    raw = walked_to(sys, n, measure, rows)[n]
+    _require_measure(walk)
+    raw = walk.to(n).rows[n]
     m_vals, phi_vals = raw.m_values, raw.phi0_values
 
     z_list, logz_list = [], []
@@ -385,7 +418,7 @@ def build_table(sys: MarkovSystem, n: int, measure: Measure,
     # normalization gap g, so n levels may move either sum by n g
     total_m = math.fsum(m_vals)
     total_phi = math.fsum(phi_vals)
-    slack = 1e-12 + n * sys.normalization_gap
+    slack = 1e-12 + n * walk.system.normalization_gap
     if abs(total_m - 1.0) > slack:
         raise AbsoluteContinuityViolation(
             f"depth-{n} chain masses sum to {total_m!r}, not 1")
@@ -398,17 +431,9 @@ def build_table(sys: MarkovSystem, n: int, measure: Measure,
                          logz_values=_read_only(logz_list))
 
 
-def m_of_cylinder_set(sys: MarkovSystem, q: CylinderSet, measure: Measure,
-                      rows: dict[int, CylinderRows] | None = None
-                      ) -> float:
+def m_of_cylinder_set(walk: Walk, q: CylinderSet) -> float:
     """Chain mass of a finite cylinder union (words are disjoint by depth),
-    summed from `rows`, a walk_cylinders result under the same measure, or
-    from a walk along q's words when `rows` lacks one."""
-    raw = (rows or {}).get(q.depth)
-    if raw is None or not set(q.words) <= set(raw.words):
-        for w in q.words:
-            sys.require_admissible(w)  # raises InadmissibleWord
-        raw = walk_cylinders(sys, 0, measure, along=q.words)[q.depth]
-    index = {w: i for i, w in enumerate(raw.words)}
-    at = [index[w] for w in q.words]
-    return math.fsum(raw.m_values[at])
+    summed from the walk's rows of q's words (Walk.along); ValueError on a
+    walk with no measure."""
+    _require_measure(walk)
+    return math.fsum(walk.along(q.words).m_values)

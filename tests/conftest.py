@@ -192,3 +192,31 @@ def constants_b(sys_b, mu_b) -> cl.ConstantSet:
 @pytest.fixture(scope="session")
 def constants_c(sys_c, mu_c) -> cl.ConstantSet:
     return cl.derive_constants(sys_c, mu_c)
+
+
+# --- each reader on a walk of its own ----------------------------------------
+
+def table_of(sys_, n: int, measure) -> cl.CylinderTable:
+    """build_table on a walk of its own to depth n."""
+    return cl.build_table(cl.walk_cylinders(sys_, n, measure), n)
+
+
+def kstar_of(sys_, window: int, depth: int, measure) -> float:
+    """kstar_estimate on a walk of its own to depth + window."""
+    return cl.kstar_estimate(sys_, window, depth,
+                             cl.walk_cylinders(sys_, depth + window, measure))
+
+
+def m_of(sys_, q: cl.CylinderSet, measure) -> float:
+    """m_of_cylinder_set on a walk of its own along q's words."""
+    return cl.m_of_cylinder_set(
+        cl.walk_cylinders(sys_, 0, measure, along=q.words), q)
+
+
+def cover_of(sys_, q: cl.CylinderSet, max_shift: int, max_depth: int,
+          **kwargs):
+    """phi_upper on a base walk of its own (no chain measure) to the depth
+    of q's cover window; it walks along the charged words it lacks."""
+    depth = cl.cover.window_depth(q.depth, max_shift, max_depth)
+    return cl.phi_upper(cl.walk_cylinders(sys_, depth, None), q, max_shift,
+                        max_depth, **kwargs)

@@ -16,7 +16,8 @@ import numpy as np
 import cmslab as cl
 from cmslab.cli import ExperimentPlan, run
 
-from conftest import record_acceptance, sys_a_config
+from conftest import (cover_of, kstar_of, m_of, record_acceptance,
+                      sys_a_config, table_of)
 from test_coding import extend_past, random_past
 
 
@@ -42,7 +43,7 @@ def test_criterion_1_exact_identity_suite(sys_a, sys_c):
         start = time.perf_counter()
         for sys_, depths in ((sys_a, range(1, 9)), (sys_c, range(1, 6))):
             for n in depths:
-                table = cl.build_table(sys_, n, cl.EXACT)
+                table = table_of(sys_, n, cl.EXACT)
                 assert np.all(np.abs(table.z_values - 1.0) <= 1e-12)
                 assert abs(cl.kl_n(table)) <= 1e-12
         assert time.perf_counter() - start < 5.0
@@ -66,12 +67,12 @@ def test_criterion_2_martingale_and_consistency(sys_a, sys_b, sys_c):
     with criterion(2, "Kolmogorov consistency and martingale identity"):
         start = time.perf_counter()
         for sys_, depths in ((sys_a, range(1, 9)), (sys_c, range(1, 6))):
-            tables = {n: cl.build_table(sys_, n, cl.EXACT) for n in depths}
+            tables = {n: table_of(sys_, n, cl.EXACT) for n in depths}
             for n in list(depths)[:-1]:
                 _consistency_and_martingale(sys_, tables[n], tables[n + 1],
                                             tol=1e-12)
         mu = _fresh_mu_b(sys_b)
-        tables = {n: cl.build_table(sys_b, n, mu) for n in range(1, 7)}
+        tables = {n: table_of(sys_b, n, mu) for n in range(1, 7)}
         for n in range(1, 6):
             _consistency_and_martingale(sys_b, tables[n], tables[n + 1],
                                         tol=1e-12)
@@ -86,7 +87,7 @@ def test_criterion_3_divergence_below_average_contraction_bound(sys_b, mu_b):
             1.0 / (1.0 - math.sqrt(constants.a))
             + cl.modulus_geometric_sum(sys_b, math.sqrt(constants.a),
                                        constants.c_hat))
-        series = [cl.kl_n(cl.build_table(sys_b, n, mu_b))
+        series = [cl.kl_n(table_of(sys_b, n, mu_b))
                   for n in range(1, 7)]
         for value in series:
             assert 0.0 <= value <= rhs
@@ -98,7 +99,7 @@ def test_criterion_3_divergence_below_average_contraction_bound(sys_b, mu_b):
 def test_criterion_4_pointwise_density_bound(sys_b, mu_b):
     with criterion(4, "pointwise log-density below 2 on every row, n <= 6"):
         for n in range(1, 7):
-            table = cl.build_table(sys_b, n, mu_b)
+            table = table_of(sys_b, n, mu_b)
             for m, lz in zip(table.m_values, table.logz_values):
                 if m > 0.0:
                     assert float(lz) <= 2.0
@@ -117,17 +118,17 @@ def test_criterion_5_corollary_sandwich(sys_a, sys_b, sys_c, mu_b,
             for depth in (1, 2, 3):
                 for word in cl.enumerate_words(sys_, depth):
                     q = cl.CylinderSet(words=(word,))
-                    m_q = cl.m_of_cylinder_set(sys_, q, measure)
+                    m_q = m_of(sys_, q, measure)
                     lower = cl.corollary_lower_bound(report, m_q)
-                    cost, _ = cl.phi_upper(sys_, q, 1, depth)
+                    cost, _ = cover_of(sys_, q, 1, depth)
                     assert cl.consistency_check(lower, cost).passed
 
         # whole space of the halving system: both sides exactly 1
         report = cl.evaluate_bounds(sys_a, constants_a)
         q = cl.full_cylinder_set(sys_a, 3)
-        m_q = cl.m_of_cylinder_set(sys_a, q, cl.EXACT)
+        m_q = m_of(sys_a, q, cl.EXACT)
         lower = cl.corollary_lower_bound(report, m_q)
-        cost, _ = cl.phi_upper(sys_a, q, 2, 3)
+        cost, _ = cover_of(sys_a, q, 2, 3)
         assert lower == 1.0
         assert cost == 1.0
 
@@ -181,19 +182,19 @@ def test_criterion_7_average_contraction_decay(sys_b, mu_b):
 def test_criterion_8_kstar_behavior(sys_a, sys_b, mu_b):
     with criterion(8, "shift-maximized divergence: anchoring and monotonicity"):
         for n in (1, 2, 3):
-            table = cl.build_table(sys_b, n, mu_b)
-            assert cl.kstar_estimate(sys_b, 0, n, mu_b) == cl.kl_n(table)
-        values = [cl.kstar_estimate(sys_b, w, 3, mu_b) for w in (0, 1, 2)]
+            table = table_of(sys_b, n, mu_b)
+            assert kstar_of(sys_b, 0, n, mu_b) == cl.kl_n(table)
+        values = [kstar_of(sys_b, w, 3, mu_b) for w in (0, 1, 2)]
         for v1, v2 in zip(values, values[1:]):
             assert v2 >= v1 - 1e-15
         for w in (0, 1, 2):
-            assert cl.kstar_estimate(sys_a, w, 3, cl.EXACT) == 0.0
+            assert kstar_of(sys_a, w, 3, cl.EXACT) == 0.0
 
 
 def test_criterion_9_cover_search(sys_a, sys_b):
     with criterion(9, "exhaustive cover search, certificates, monotonicity"):
         q = cl.full_cylinder_set(sys_a, 3)
-        cost, candidate = cl.phi_upper(sys_a, q, 2, 3)
+        cost, candidate = cover_of(sys_a, q, 2, 3)
         assert cost == 1.0
         assert candidate.exhaustive
         cl.verify_certificate_data(
@@ -209,7 +210,7 @@ def test_criterion_9_cover_search(sys_a, sys_b):
         for sys_, query, grid in sweep:
             costs = []
             for w, n in grid:
-                c, cand = cl.phi_upper(sys_, query, w, n)
+                c, cand = cover_of(sys_, query, w, n)
                 assert cand.exhaustive
                 cl.verify_certificate_data(json.loads(json.dumps(
                     cl.certificate_dict(sys_, query, cand))))

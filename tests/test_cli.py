@@ -225,12 +225,14 @@ def test_run_walks_once(config_a, tmp_path, walks, monkeypatch):
     assert walks == [3]
     manifest = json.loads((tmp_path / "out" / "MANIFEST.json").read_text())
     assert len(manifest["covers"]) == 3
-    # the fixture counts the cover module's walks: with no rows, a search
-    # walks its window and then along the words it charges
+    # the fixture counts the walks a search's Walk makes: on a depth-1
+    # walk, it walks its window to depth 2 and then along the words it
+    # charges that the walk lacks
     sys_a = cl.validate_system(sys_a_config())
     q = cl.full_cylinder_set(sys_a, 2)
+    shallow = cl.walk_cylinders(sys_a, 1, None)
     walks.clear()
-    cl.phi_upper(sys_a, q, 1, 2)
+    cl.phi_upper(shallow, q, 1, 2)
     assert walks == [2, 0]
 
 
@@ -864,15 +866,14 @@ def test_cover_window_over_word_cap_fails_at_validate(window, depth, query,
 def test_validate_checks_the_depth_a_cover_window_walks(tmp_path, config_a,
                                                         monkeypatch):
     """Validate checks, for each query, the depth its cover window reads,
-    and the run walks once, to the deepest depth validate checked, so the
-    searches read every window and charge from that walk and walk nothing
-    of their own."""
+    under the first field that names that depth, and the run walks once,
+    to the deepest depth validate checked, so the searches read every
+    window and charge from that walk and walk nothing of their own."""
     checked, walked = [], []
     check, walk = cli_mod.check_word_cap, cl.cylinders.walk_cylinders
 
     def checking(system, n, where=""):
-        if where == "plan.cover_window: ":
-            checked.append(n)
+        checked.append((where, n))
         return check(system, n, where)
 
     def walking(system, n, *args, **kwargs):
@@ -891,8 +892,41 @@ def test_validate_checks_the_depth_a_cover_window_walks(tmp_path, config_a,
         checked.clear()
         walked.clear()
         assert run(plan) == 0
-        assert checked == [max(window, depth - n) + 1 for n in (2, 3, 1)]
-        assert walked == [max(2, *checked)]
+        windows = [max(window, depth - n) + 1 for n in (2, 3, 1)]
+        listed = [("plan.depths: ", 1),
+                  ("plan.queries[0].whole_space_depth: ", 2),
+                  ("plan.kstar_depth + plan.kstar_windows[0]: ", 1)] + [
+            ("plan.cover_window: ", n) for n in windows]
+        assert checked == [(where, n) for i, (where, n) in enumerate(listed)
+                           if n not in [m for _, m in listed[:i]]]
+        assert walked == [max(2, *windows)]
+
+
+@pytest.mark.parametrize("workload, counts", [
+    ("mc_affine", 6), ("exact_cover", 12), ("geometry_highdim", 2)])
+def test_validate_counts_each_walked_depth_once(workload, counts, tmp_path,
+                                                monkeypatch):
+    """Validate counts the words of each distinct depth it checks once (the
+    benchmark plans of seed 3 list 11, 18 and 6 depths, of which 6, 12 and
+    2 are distinct), and a depth that fails names the first field that
+    lists it."""
+    workloads = bench_module("workloads")
+    inputs = workloads.prepare(workload, 3, tmp_path)
+    plan = ExperimentPlan.from_dict(dict(inputs.plan))
+    system = cl.validate_system(inputs.config)
+    counted, tree_counts = [], cl.cylinders._tree_counts
+    monkeypatch.setattr(cl.cylinders, "_tree_counts",
+                        lambda sys_, n: counted.append(n)
+                        or tree_counts(sys_, n))
+    _, deepest = plan.validate(system)
+    assert len(counted) == len(set(counted)) == counts
+    assert deepest == max(counted)
+
+    plan.depths = [*plan.depths, 40]
+    plan.kstar_windows = [40 - plan.kstar_depth, *plan.kstar_windows]
+    with pytest.raises(cl.DepthOverflow,
+                       match=r"^plan\.depths: depth 40 exceeds"):
+        plan.validate(system)
 
 
 # case: (plan field changed, its new value, field path the error names)

@@ -9,7 +9,7 @@ import pytest
 
 import cmslab as cl
 
-from conftest import bench_module
+from conftest import bench_module, cover_of, m_of
 from oracles import brute_min_cover_cost, enumerate_paths, plain_cover_search
 
 
@@ -46,7 +46,7 @@ def _oracle_pieces(sys_, q, max_shift, max_depth):
 
 def test_whole_space_cost_one_sys_a(sys_a):
     q = cl.full_cylinder_set(sys_a, 3)
-    cost, candidate = cl.phi_upper(sys_a, q, max_shift=2, max_depth=3)
+    cost, candidate = cover_of(sys_a, q, max_shift=2, max_depth=3)
     assert cost == 1.0
     assert candidate.exhaustive
     target, pieces = _oracle_pieces(sys_a, q, 2, 3)
@@ -55,7 +55,7 @@ def test_whole_space_cost_one_sys_a(sys_a):
 
 def test_single_cylinder_trivial_cover_sys_a(sys_a):
     q = cl.cylinder_set(sys_a, [("e1", "e2")])
-    cost, candidate = cl.phi_upper(sys_a, q, max_shift=2, max_depth=3)
+    cost, candidate = cover_of(sys_a, q, max_shift=2, max_depth=3)
     assert cost == 0.25
     assert candidate.exhaustive
     target, pieces = _oracle_pieces(sys_a, q, 2, 3)
@@ -64,7 +64,7 @@ def test_single_cylinder_trivial_cover_sys_a(sys_a):
 
 def test_whole_space_cost_one_sys_c(sys_c):
     q = cl.full_cylinder_set(sys_c, 2)
-    cost, candidate = cl.phi_upper(sys_c, q, max_shift=1, max_depth=2)
+    cost, candidate = cover_of(sys_c, q, max_shift=1, max_depth=2)
     assert cost == pytest.approx(1.0, abs=1e-12)
     assert candidate.exhaustive
     target, pieces = _oracle_pieces(sys_c, q, 1, 2)
@@ -76,7 +76,7 @@ def test_result_never_exceeds_trivial_cover(sys_b):
                   [("e2", "e1", "e1")]):
         q = cl.cylinder_set(sys_b, words)
         trivial = math.fsum(cl.phi0_cyl(sys_b, w) for w in words)
-        cost, _ = cl.phi_upper(sys_b, q, 1, max(len(w) for w in words))
+        cost, _ = cover_of(sys_b, q, 1, max(len(w) for w in words))
         assert cost <= trivial + 1e-15
 
 
@@ -93,7 +93,7 @@ def test_query_window_search_matches_full_window_oracle(name, request):
             for _ in range(2):
                 q = cl.cylinder_set(sys_, rng.sample(words, rng.randint(1, 2)))
                 max_depth = rng.randint(1, 3)
-                cost, candidate = cl.phi_upper(sys_, q, max_shift, max_depth)
+                cost, candidate = cover_of(sys_, q, max_shift, max_depth)
                 assert candidate.exhaustive
                 target, pieces = _oracle_pieces(sys_, q, max_shift, max_depth)
                 trivial = math.fsum(cl.phi0_cyl(sys_, w) for w in q.words)
@@ -106,7 +106,7 @@ def test_deep_one_word_query_searches_its_own_window(sys_a):
     # the full depth-31 window would hold 2^31 words, past the word cap
     word = ("e1",) * 30
     q = cl.cylinder_set(sys_a, [word])
-    cost, candidate = cl.phi_upper(sys_a, q, 1, 3)
+    cost, candidate = cover_of(sys_a, q, 1, 3)
     assert cost == cl.phi0_cyl(sys_a, word)
     assert candidate.exhaustive
     cl.verify_cover(sys_a, q, candidate)
@@ -116,8 +116,8 @@ def test_window_past_word_cap_raises_depth_overflow(sys_a, monkeypatch):
     q = cl.full_cylinder_set(sys_a, 3)
     monkeypatch.setattr(cl.cylinders, "WORD_CAP", 4)
     with pytest.raises(cl.DepthOverflow):
-        cl.phi_upper(sys_a, q, 0, 3)
-    cl.phi_upper(sys_a, cl.cylinder_set(sys_a, [("e1", "e2", "e1")]), 1, 3)
+        cover_of(sys_a, q, 0, 3)
+    cover_of(sys_a, cl.cylinder_set(sys_a, [("e1", "e2", "e1")]), 1, 3)
 
 
 def test_search_node_counts_are_pinned(sys_b, sys_c):
@@ -129,14 +129,14 @@ def test_search_node_counts_are_pinned(sys_b, sys_c):
             (sys_b, cl.enumerate_words(sys_b, 3), 520),
             (sys_b, [("e1", "e2"), ("e2", "e2")], 171),
             (sys_c, [("c11", "c12"), ("c12", "c21")], 36)):
-        _, candidate = cl.phi_upper(sys_, cl.cylinder_set(sys_, words), 2, 3)
+        _, candidate = cover_of(sys_, cl.cylinder_set(sys_, words), 2, 3)
         assert (candidate.nodes_explored, candidate.exhaustive) == (nodes, True)
 
 
 def _same_as_plain_search(sys_, q, max_shift, max_depth, budget):
     """The search finishes, and wherever the plain search finishes within
     `budget` too, both find the same cost and pieces; returns both."""
-    cost, candidate = cl.phi_upper(sys_, q, max_shift, max_depth)
+    cost, candidate = cover_of(sys_, q, max_shift, max_depth)
     plain = plain_cover_search(sys_, q, max_shift, max_depth, budget)
     assert candidate.exhaustive
     assert cost <= plain[0]
@@ -208,48 +208,51 @@ def _charge_walks(monkeypatch) -> list[list]:
 
 
 def test_phi_upper_charges_each_word_once(sys_c, monkeypatch):
-    """Regression guard by counting: with no rows, the pool, the trivial
-    seed and the final cost read one base walk along distinct words,
-    whatever the number of shifts, and the check of the cover walks no
-    more; given the rows of a walk that holds every word charged, it walks
-    along none and returns the same cover."""
+    """Regression guard by counting: given a depth-1 walk, the pool, the
+    trivial seed and the final cost read the words of depth 1 from it and
+    one base walk along the other words, each once, whatever the number of
+    shifts, and the check of the cover walks no more; given a walk that
+    holds every word charged, it walks along none and returns the same
+    cover."""
     walks = _charge_walks(monkeypatch)
     for q, max_shift, max_depth in (
             (cl.full_cylinder_set(sys_c, 2), 2, 3),
             (cl.cylinder_set(sys_c, [("c12", "c21", "c11", "c12")]), 1, 2)):
-        rows = cl.walk_cylinders(sys_c, max_depth, cl.EXACT, along=q.words)
+        full = cl.walk_cylinders(sys_c, max_depth, cl.EXACT, along=q.words)
         walks.clear()
-        found = cl.phi_upper(sys_c, q, max_shift, max_depth)
+        found = cl.phi_upper(cl.walk_cylinders(sys_c, 1, None), q, max_shift,
+                             max_depth)
         (searched,) = walks  # one walk along words per phi_upper
-        shallow = {w for n in range(1, max_depth + 1)
-                   for w in cl.enumerate_words(sys_c, n)}
+        deeper = {w for n in range(2, max_depth + 1)
+                  for w in cl.enumerate_words(sys_c, n)}
         assert len(searched) == len(set(searched))
-        assert set(searched) <= shallow | set(q.words)
-        assert {w for _, w in found[1].pieces} <= set(searched)
+        assert set(searched) <= deeper | set(q.words)
+        assert {w for _, w in found[1].pieces if len(w) > 1} <= set(searched)
         walks.clear()
-        assert cl.phi_upper(sys_c, q, max_shift, max_depth, rows=rows) == found
+        assert cl.phi_upper(full, q, max_shift, max_depth) == found
         assert walks == []
 
 
 def test_phi_upper_charges_only_words_of_pieces_that_meet_the_query(
         sys_a, monkeypatch):
     """With no shift, a one-word query at depth 2 meets only the pieces e1
-    and e1.e2; no other word of depth <= 2 is charged.  Given rows that
-    hold e1 but not e1.e2, it walks along e1.e2 alone."""
+    and e1.e2; no other word of depth <= 2 is charged: given a walk that
+    holds neither (it follows e2 alone), it walks along both.  Given a walk
+    that holds e1 but not e1.e2, it walks along e1.e2 alone."""
     walks = _charge_walks(monkeypatch)
     q = cl.cylinder_set(sys_a, [("e1", "e2")])
-    found = cl.phi_upper(sys_a, q, 0, 2)
+    found = cl.phi_upper(cl.walk_cylinders(sys_a, 0, None, along=[("e2",)]),
+                         q, 0, 2)
     (searched,) = walks  # the check of the cover charges nothing again
     assert sorted(searched) == [("e1",), ("e1", "e2")]
     walks.clear()
-    rows = cl.walk_cylinders(sys_a, 1, None)
-    assert cl.phi_upper(sys_a, q, 0, 2, rows=rows) == found
+    assert cl.phi_upper(cl.walk_cylinders(sys_a, 1, None), q, 0, 2) == found
     assert walks == [[("e1", "e2")]]
 
 
 def test_monotone_in_search_space(sys_b):
     q = cl.cylinder_set(sys_b, [("e1", "e2")])
-    costs = [cl.phi_upper(sys_b, q, w, n)[0]
+    costs = [cover_of(sys_b, q, w, n)[0]
              for w, n in ((0, 2), (1, 2), (1, 3), (2, 3))]
     for c1, c2 in zip(costs, costs[1:]):
         assert c2 <= c1 + 1e-15
@@ -259,15 +262,15 @@ def test_additivity_sanity(sys_a):
     q1 = cl.cylinder_set(sys_a, [("e1", "e1")])
     q2 = cl.cylinder_set(sys_a, [("e2", "e1")])
     q12 = cl.cylinder_set(sys_a, [("e1", "e1"), ("e2", "e1")])
-    c1, _ = cl.phi_upper(sys_a, q1, 1, 2)
-    c2, _ = cl.phi_upper(sys_a, q2, 1, 2)
-    c12, _ = cl.phi_upper(sys_a, q12, 1, 2)
+    c1, _ = cover_of(sys_a, q1, 1, 2)
+    c2, _ = cover_of(sys_a, q2, 1, 2)
+    c12, _ = cover_of(sys_a, q12, 1, 2)
     assert c12 <= c1 + c2 + 1e-15
 
 
 def test_budget_exhaustion_returns_trivial_incumbent(sys_a):
     q = cl.full_cylinder_set(sys_a, 3)
-    cost, candidate = cl.phi_upper(sys_a, q, 2, 3, budget=1)
+    cost, candidate = cover_of(sys_a, q, 2, 3, budget=1)
     assert not candidate.exhaustive
     assert cost == 1.0  # the seeded trivial cover
     cl.verify_cover(sys_a, q, candidate)
@@ -275,7 +278,7 @@ def test_budget_exhaustion_returns_trivial_incumbent(sys_a):
 
 def test_returned_candidate_reverifies(sys_c):
     q = cl.cylinder_set(sys_c, [("c11", "c12"), ("c12", "c21")])
-    cost, candidate = cl.phi_upper(sys_c, q, 1, 2)
+    cost, candidate = cover_of(sys_c, q, 1, 2)
     cl.verify_cover(sys_c, q, candidate)
     assert candidate.cost == cost
 
@@ -319,7 +322,7 @@ def test_verify_rejects_cost_mismatch(sys_a):
 
 def test_certificate_round_trip_and_tamper(sys_a, tmp_path):
     q = cl.cylinder_set(sys_a, [("e1", "e2")])
-    _, candidate = cl.phi_upper(sys_a, q, 1, 2)
+    _, candidate = cover_of(sys_a, q, 1, 2)
     data = cl.certificate_dict(sys_a, q, candidate)
     cl.verify_certificate_data(json.loads(json.dumps(data)))
 
@@ -376,9 +379,9 @@ def test_certificate_round_trip_and_tamper(sys_a, tmp_path):
 def test_consistency_check_passes(sys_b, mu_b, constants_b):
     report = cl.evaluate_bounds(sys_b, constants_b)
     q = cl.cylinder_set(sys_b, [("e1",)])
-    m_q = cl.m_of_cylinder_set(sys_b, q, mu_b)
+    m_q = m_of(sys_b, q, mu_b)
     lower = cl.corollary_lower_bound(report, m_q)
-    cost, _ = cl.phi_upper(sys_b, q, 1, 2)
+    cost, _ = cover_of(sys_b, q, 1, 2)
     result = cl.consistency_check(lower, cost)
     assert result.passed
     assert result.margin == cost - lower
@@ -406,8 +409,8 @@ def test_consistency_check_allows_rounding_when_both_sides_are_equal():
     mu = cl.pushforward_measure(sys_)
     report = cl.evaluate_bounds(sys_, cl.derive_constants(sys_, mu))
     q = cl.cylinder_set(sys_, [("a", "a")])
-    lower = cl.corollary_lower_bound(report, cl.m_of_cylinder_set(sys_, q, mu))
-    cost, _ = cl.phi_upper(sys_, q, 1, 2)
+    lower = cl.corollary_lower_bound(report, m_of(sys_, q, mu))
+    cost, _ = cover_of(sys_, q, 1, 2)
     assert report.corollary_factor == 1.0
     assert abs(lower - cost) <= 1e-15  # equal up to rounding
     assert cl.consistency_check(lower, cost).passed

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import inspect
 import math
 import time
 
@@ -10,8 +11,8 @@ import pytest
 
 import cmslab as cl
 
-from conftest import (loop_into_loop_config, one_loop_config, sys_a_config,
-                      sys_b_config, sys_c_config)
+from conftest import (loop_into_loop_config, m_of, one_loop_config,
+                      sys_a_config, sys_b_config, sys_c_config, table_of)
 from oracles import (chain_cyl_prob, csv_writer_text, enumerate_paths,
                      stationary_via_eig, word_row)
 
@@ -66,7 +67,7 @@ def test_walk_cap_binds_on_a_loop(monkeypatch):
     depth 6 (6 * 7) does not, though each has one word."""
     one = cl.validate_system(one_loop_config())
     monkeypatch.setattr(cl.cylinders, "WORD_CAP", 5)
-    assert len(cl.walk_cylinders(one, 5, cl.EXACT)) == 5
+    assert len(cl.walk_cylinders(one, 5, cl.EXACT).rows) == 5
     with pytest.raises(cl.DepthOverflow,
                        match="^depth 6 exceeds the walk cap 30 on depth "
                              "times tree nodes$"):
@@ -127,10 +128,9 @@ def test_phi0_sums_to_one(sys_b, sys_c):
 
 # --- chain mass -------------------------------------------------------------
 
-def _m_one(sys_, word, measure, rows=None):
-    """M of the cylinder of one word."""
-    return cl.m_of_cylinder_set(sys_, cl.cylinder_set(sys_, [word]), measure,
-                                rows=rows)
+def _m_one(sys_, word, measure):
+    """M of the cylinder of one word, from a walk of its own."""
+    return m_of(sys_, cl.cylinder_set(sys_, [word]), measure)
 
 
 def test_m_cyl_exact_sys_a(sys_a):
@@ -174,29 +174,28 @@ def test_m_cyl_mc_matches_scalar_path(sys_b, mu_b):
 @pytest.mark.parametrize("mode", ["exact", "mc"])
 def test_m_of_cylinder_set_from_rows_equals_own_walk(mode, sys_c, mu_c):
     measure = cl.EXACT if mode == "exact" else mu_c
-    rows = cl.walk_cylinders(sys_c, 4, measure)
+    walk = cl.walk_cylinders(sys_c, 4, measure)
     sets = [cl.cylinder_set(sys_c, [w]) for w in cl.enumerate_words(sys_c, 3)]
     sets += [cl.full_cylinder_set(sys_c, n) for n in (1, 3)]
     for q in sets:
-        assert (cl.m_of_cylinder_set(sys_c, q, measure, rows=rows)
-                == cl.m_of_cylinder_set(sys_c, q, measure))
-    # past the rows' full depth: read the followed words, or walk along them
+        assert cl.m_of_cylinder_set(walk, q) == m_of(sys_c, q, measure)
+    # past the walk's depth: read the followed words, or walk along them
     deep = cl.cylinder_set(sys_c, cl.enumerate_words(sys_c, 6)[::9])
     followed = cl.walk_cylinders(sys_c, 2, measure, along=deep.words)
-    expected = cl.m_of_cylinder_set(sys_c, deep, measure)
-    assert cl.m_of_cylinder_set(sys_c, deep, measure, rows=followed) == expected
-    assert cl.m_of_cylinder_set(sys_c, deep, measure, rows=rows) == expected
-    full = cl.walk_cylinders(sys_c, 6, measure)[6]
+    expected = m_of(sys_c, deep, measure)
+    assert cl.m_of_cylinder_set(followed, deep) == expected
+    assert cl.m_of_cylinder_set(walk, deep) == expected
+    full = cl.walk_cylinders(sys_c, 6, measure).rows[6]
     at = [full.words.index(w) for w in deep.words]
     assert expected == math.fsum(full.m_values[at])
 
 
 def test_m_of_cylinder_set_rejects_inadmissible_word(sys_c):
     q = cl.CylinderSet(words=(("c11", "c21"),))  # c21 leaves vertex 2, not 1
-    rows = cl.walk_cylinders(sys_c, 2, cl.EXACT)
-    for walked in (rows, None):
+    for walk in (cl.walk_cylinders(sys_c, 2, cl.EXACT),
+                 cl.walk_cylinders(sys_c, 1, cl.EXACT)):
         with pytest.raises(cl.InadmissibleWord):
-            cl.m_of_cylinder_set(sys_c, q, cl.EXACT, rows=walked)
+            cl.m_of_cylinder_set(walk, q)
 
 
 # --- the prefix-shared walk -------------------------------------------------
@@ -218,7 +217,8 @@ def test_walk_rows_match_per_word_oracle(name, mode, request, small_measures):
         measure, pi = cl.EXACT, cl.stationary_vertex_distribution(sys_)
     else:
         measure, pi = small_measures[name], None
-    rows = cl.walk_cylinders(sys_, 6, measure)
+    walk = cl.walk_cylinders(sys_, 6, measure)
+    rows = walk.rows
     assert sorted(rows) == [1, 2, 3, 4, 5, 6]
     for n in range(1, 7):
         words = cl.enumerate_words(sys_, n)
@@ -227,8 +227,8 @@ def test_walk_rows_match_per_word_oracle(name, mode, request, small_measures):
         assert rows[n].m_values.tolist() == [r[0] for r in oracle]
         assert rows[n].phi0_values.tolist() == [r[1] for r in oracle]
         # a one-word set reads its row; phi0_cyl reads a walk along the word
-        assert [_m_one(sys_, w, measure, rows) for w in words] == [
-            r[0] for r in oracle]
+        assert [cl.m_of_cylinder_set(walk, cl.cylinder_set(sys_, [w]))
+                for w in words] == [r[0] for r in oracle]
         assert [cl.phi0_cyl(sys_, w) for w in words] == [r[1] for r in oracle]
 
 
@@ -287,18 +287,18 @@ def test_walk_takes_one_step_per_tree_node(sys_b, sys_c, small_measures,
     sizes, calls = _atom_work(monkeypatch)
     _count_steps(monkeypatch, calls, scalar="_scalar_step")
     mu, n_max = small_measures["sys_b"], 6
-    rows = cl.walk_cylinders(sys_b, n_max, mu)
+    walk = cl.walk_cylinders(sys_b, n_max, mu)
     nodes = sum(cl.count_words(sys_b, n) for n in range(1, n_max + 1))
     internal = nodes - cl.count_words(sys_b, n_max)
     work = {"value_many": 0, "apply_many": 0, "step": nodes, "scalar": 0}
     assert calls == work
     assert sizes == [len(mu)] * internal  # sys B has one vertex
 
-    # tables and K* read the shared rows without stepping again
+    # tables and K* read the shared walk without stepping again
     for n in range(1, 5):
-        cl.build_table(sys_b, n, mu, rows=rows)
+        cl.build_table(walk, n)
     for window in (0, 1, 2):
-        cl.kstar_estimate(sys_b, window, 4, mu, rows=rows)
+        cl.kstar_estimate(sys_b, window, 4, walk)
     assert calls == work
     assert len(sizes) == internal
 
@@ -374,9 +374,9 @@ def test_walk_roots_only_the_start_vertices_of_followed_words(
     mu = small_measures["sys_c"]
     for measure in (mu, cl.EXACT, None):
         roots.clear()
-        rows = cl.walk_cylinders(sys_c, 0, measure, along=[("c11",) * 3])
+        walk = cl.walk_cylinders(sys_c, 0, measure, along=[("c11",) * 3])
         assert roots == [1]
-        assert rows[3].words == (("c11",) * 3,)
+        assert walk.rows[3].words == (("c11",) * 3,)
         roots.clear()
         cl.walk_cylinders(sys_c, 0, measure, along=[("c21",), ("c11", "c12")])
         assert roots == [1, 2]
@@ -391,9 +391,10 @@ def test_walk_follows_words_past_full_depth(sys_b, small_measures,
     words and passes over the atoms only at the words it extends; it reads
     each word exactly as a full walk does."""
     mu, deep = small_measures["sys_b"], cl.enumerate_words(sys_b, 6)[::11]
-    full = cl.walk_cylinders(sys_b, 6, mu)
+    full = cl.walk_cylinders(sys_b, 6, mu).rows
     sizes, calls = _atom_work(monkeypatch)
-    rows = cl.walk_cylinders(sys_b, 2, mu, along=deep)
+    walk = cl.walk_cylinders(sys_b, 2, mu, along=deep)
+    rows = walk.rows
     prefixes = {n: sorted({w[:n] for w in deep}) for n in range(2, 7)}
     assert calls == {"value_many": 0, "apply_many": 0,
                      "step": cl.count_words(sys_b, 1) + cl.count_words(sys_b, 2)
@@ -401,17 +402,17 @@ def test_walk_follows_words_past_full_depth(sys_b, small_measures,
     # internal: every depth-1 word and the followed prefixes short of depth 6
     assert sizes == [len(mu)] * (cl.count_words(sys_b, 1) + sum(
         len(prefixes[n]) for n in range(2, 6)))
+    assert walk.depth == 2
     for n in range(1, 7):
-        assert rows[n].complete == (n <= 2)
         words = full[n].words if n <= 2 else prefixes[n]
         assert sorted(rows[n].words) == sorted(words)
         at = [full[n].words.index(w) for w in rows[n].words]
         for key in ("m_values", "phi0_values"):
             assert getattr(rows[n], key).tolist() == getattr(full[n], key)[at].tolist()
     # a table never reads rows the walk did not complete
-    assert (cl.build_table(sys_b, 4, mu, rows=rows).m_values.tolist()
+    assert (cl.build_table(walk, 4).m_values.tolist()
             == full[4].m_values.tolist())
-    assert (sorted(cl.walk_cylinders(sys_b, 0, mu, along=deep)[6].words)
+    assert (sorted(cl.walk_cylinders(sys_b, 0, mu, along=deep).rows[6].words)
             == sorted(deep))
 
 
@@ -423,22 +424,135 @@ def test_walk_respects_word_cap(sys_a, monkeypatch):
         cl.walk_cylinders(sys_a, 0, cl.EXACT)
 
 
+# --- the Walk the readers take -----------------------------------------------
+
+def _walks_made(monkeypatch) -> list[tuple]:
+    """Record (depth, measure, along) of every walk_cylinders call made
+    through the cylinders module, as Walk.to and Walk.along make them."""
+    made, original = [], cl.cylinders.walk_cylinders
+
+    def recording(sys_, n_max, measure, along=()):
+        along = [tuple(w) for w in along]
+        made.append((n_max, measure, along))
+        return original(sys_, n_max, measure, along=along)
+
+    monkeypatch.setattr(cl.cylinders, "walk_cylinders", recording)
+    return made
+
+
+@pytest.mark.parametrize("name", ["sys_b", "sys_c"])
+def test_each_reader_follows_its_walks_measure(name, request, small_measures,
+                                               monkeypatch):
+    """build_table and m_of_cylinder_set return the M of the walk they are
+    given, under mu_N, EXACT (constant sys C) or no measure, and take no
+    measure or rows of their own; a walk with no measure has no M, so both
+    raise ValueError naming that, not a mass sum of 0.  phi_upper takes no
+    measure either, and kstar_estimate refuses a walk of another system."""
+    sys_ = request.getfixturevalue(name)
+    other = request.getfixturevalue("sys_c" if name == "sys_b" else "sys_b")
+    measures = [small_measures[name], None]
+    if sys_.all_constant_probabilities:
+        measures.append(cl.EXACT)
+    q = cl.full_cylinder_set(sys_, 2)
+    made = _walks_made(monkeypatch)
+    for measure in measures:
+        walk = cl.cylinders.walk_cylinders(sys_, 3, measure)
+        assert walk.system is sys_ and walk.measure is measure
+        if measure is None:
+            assert not any(walk.rows[n].m_values.any() for n in (1, 2, 3))
+            for read in (lambda: cl.build_table(walk, 2),
+                         lambda: cl.m_of_cylinder_set(walk, q)):
+                with pytest.raises(ValueError, match="chain measure"):
+                    read()
+            continue
+        for n in (1, 2, 3):
+            assert (cl.build_table(walk, n).m_values.tobytes()
+                    == walk.rows[n].m_values.tobytes())
+        assert cl.m_of_cylinder_set(walk, q) == math.fsum(
+            walk.rows[2].m_values)
+        assert (cl.kstar_estimate(sys_, 0, 3, walk)
+                == cl.kl_n(cl.build_table(walk, 3)))
+        with pytest.raises(ValueError, match="another system"):
+            cl.kstar_estimate(other, 0, 3, walk)
+    assert [n for n, _, _ in made] == [3] * len(measures)  # reads walk none
+    for reader in (cl.build_table, cl.m_of_cylinder_set, cl.phi_upper):
+        params = inspect.signature(reader).parameters
+        assert "walk" in params
+        assert not {"measure", "rows", "sys"} & set(params)
+
+
+@pytest.mark.parametrize("name", ["sys_b", "sys_c"])
+def test_walk_to_extends_a_shallow_walk_only(name, request, small_measures,
+                                             monkeypatch):
+    """Walk.to returns the walk itself, walking nothing, up to its depth,
+    and past it one fresh walk under its own system and measure whose rows
+    are those of a deep walk, bit for bit; a table past a walk's depth
+    reads that walk."""
+    sys_, mu = request.getfixturevalue(name), small_measures[name]
+    deep = cl.walk_cylinders(sys_, 5, mu)
+    made = _walks_made(monkeypatch)
+    shallow = cl.walk_cylinders(sys_, 2, mu, along=deep.rows[4].words[:3])
+    made.clear()
+    assert shallow.to(1) is shallow and shallow.to(2) is shallow
+    assert made == []
+    extended = shallow.to(5)
+    assert made == [(5, mu, [])]
+    assert extended.system is sys_ and extended.measure is mu
+    assert extended.depth == 5 and sorted(extended.rows) == [1, 2, 3, 4, 5]
+    for n in range(1, 6):
+        assert extended.rows[n].words == deep.rows[n].words
+        for key in ("m_values", "phi0_values"):
+            assert (getattr(extended.rows[n], key).tobytes()
+                    == getattr(deep.rows[n], key).tobytes())
+    made.clear()
+    assert (cl.build_table(shallow, 4).m_values.tobytes()
+            == deep.rows[4].m_values.tobytes())
+    assert made == [(4, mu, [])]
+
+
+def test_walk_along_reads_what_it_holds_and_follows_the_rest(
+        sys_c, small_measures, monkeypatch):
+    """Walk.along returns the rows of the words asked for, in their order:
+    those the walk holds, at its full depth or followed past it, are read
+    from it, and the others come from one walk under its measure that
+    follows them alone; an inadmissible word raises InadmissibleWord."""
+    mu = small_measures["sys_c"]
+    deep = cl.walk_cylinders(sys_c, 4, mu)
+    followed = deep.rows[4].words[5]
+    walk = cl.walk_cylinders(sys_c, 2, mu, along=[followed])
+    made = _walks_made(monkeypatch)
+    words = [deep.rows[3].words[7], followed, deep.rows[1].words[0],
+             deep.rows[4].words[9]]
+    rows = walk.along(words)
+    assert made == [(0, mu, [words[0], words[3]])]
+    assert rows.words == tuple(words)
+    for key in ("m_values", "phi0_values"):
+        expected = [getattr(deep.rows[len(w)], key)[
+            deep.rows[len(w)].words.index(w)] for w in words]
+        assert getattr(rows, key).tolist() == expected
+    made.clear()
+    assert walk.along(words[1:3]).words == tuple(words[1:3])
+    assert made == []
+    with pytest.raises(cl.InadmissibleWord):
+        walk.along([("c11", "c21", "c11")])
+
+
 # --- tables -----------------------------------------------------------------
 
 def test_table_sys_a_all_unit_density(sys_a):
-    table = cl.build_table(sys_a, 4, cl.EXACT)
+    table = table_of(sys_a, 4, cl.EXACT)
     assert len(table) == 16
     assert all(float(z) == 1.0 for z in table.z_values)
     assert all(float(lz) == 0.0 for lz in table.logz_values)
 
 
 def test_table_sys_c_all_unit_density(sys_c):
-    table = cl.build_table(sys_c, 3, cl.EXACT)
+    table = table_of(sys_c, 3, cl.EXACT)
     assert all(float(z) == 1.0 for z in table.z_values)
 
 
 def test_table_sys_b_depth_2(sys_b, mu_b):
-    table = cl.build_table(sys_b, 2, mu_b)
+    table = table_of(sys_b, 2, mu_b)
     assert len(table) == 4
     assert abs(math.fsum(table.m_values) - 1.0) <= 1e-12
     assert np.max(np.abs(table.logz_values)) <= 2.0
@@ -450,14 +564,14 @@ def test_table_sys_b_depth_2(sys_b, mu_b):
 ])
 def test_kolmogorov_consistency_exact(mode_fixture, depths, request):
     sys_ = request.getfixturevalue(mode_fixture)
-    shallow = cl.build_table(sys_, depths[0], cl.EXACT)
-    deep = cl.build_table(sys_, depths[1], cl.EXACT)
+    shallow = table_of(sys_, depths[0], cl.EXACT)
+    deep = table_of(sys_, depths[1], cl.EXACT)
     _check_consistency(sys_, shallow, deep, tol=1e-12)
 
 
 def test_kolmogorov_consistency_mc(sys_b, mu_b):
-    shallow = cl.build_table(sys_b, 2, mu_b)
-    deep = cl.build_table(sys_b, 3, mu_b)
+    shallow = table_of(sys_b, 2, mu_b)
+    deep = table_of(sys_b, 3, mu_b)
     _check_consistency(sys_b, shallow, deep, tol=1e-12)
 
 
@@ -482,11 +596,11 @@ def test_absolute_continuity_violation():
     cfg["support_set"] = [1]
     sys_ = cl.validate_system(cfg)
     with pytest.raises(cl.AbsoluteContinuityViolation):
-        cl.build_table(sys_, 2, cl.EXACT)
+        table_of(sys_, 2, cl.EXACT)
 
 
 def test_table_csv_round_trip(tmp_path, sys_b, mu_b):
-    table = cl.build_table(sys_b, 2, mu_b)
+    table = table_of(sys_b, 2, mu_b)
     path = tmp_path / "depth_2.csv"
     table.to_csv(path)
     with open(path, newline="") as fh:
@@ -505,8 +619,8 @@ def test_table_csv_is_what_csv_writer_wrote(tmp_path, sys_a, sys_b,
     within and across blocks, of 2 rows (fewer than a block), 4 and 8 (a
     multiple of 4 and not of 3); one of them with 0.0 and -0.0 in one block
     and a -inf logZ; and a Monte Carlo table."""
-    tables = [cl.build_table(sys_a, n, cl.EXACT) for n in (1, 2, 3)]
-    tables.append(cl.build_table(sys_b, 3, cl.pushforward_measure(sys_b, 5)))
+    tables = [table_of(sys_a, n, cl.EXACT) for n in (1, 2, 3)]
+    tables.append(table_of(sys_b, 3, cl.pushforward_measure(sys_b, 5)))
     logz = tables[2].logz_values.copy()
     logz[1], logz[2] = -0.0, -math.inf
     tables.append(dataclasses.replace(tables[2], logz_values=logz))
@@ -543,7 +657,7 @@ def test_tables_accept_the_normalization_gap_validation_admits(make_config,
     assert abs(sys_.normalization_gap - 9e-13) < 1e-15
     measure = cl.EXACT if mode == "exact" else cl.pushforward_measure(sys_)
     for n in range(1, 5):
-        table = cl.build_table(sys_, n, measure)
+        table = table_of(sys_, n, measure)
         assert abs(math.fsum(table.m_values) - 1.0) <= 1e-12 + n * 9.1e-13
     assert math.fsum(table.phi0_values) - 1.0 > 3e-12
 
@@ -551,11 +665,12 @@ def test_tables_accept_the_normalization_gap_validation_admits(make_config,
 def test_tables_refuse_sums_past_the_normalization_gap():
     """Rows whose masses or base measures sum to 1.01 still raise."""
     sys_ = cl.validate_system(_alpha_raised(sys_a_config))
-    raw = cl.walk_cylinders(sys_, 2, cl.EXACT)[2]
+    walk = cl.walk_cylinders(sys_, 2, cl.EXACT)
+    raw = walk.rows[2]
     for key in ("m_values", "phi0_values"):
         rows = {2: dataclasses.replace(raw, **{key: getattr(raw, key) * 1.01})}
         with pytest.raises(cl.AbsoluteContinuityViolation, match="sum to"):
-            cl.build_table(sys_, 2, cl.EXACT, rows=rows)
+            cl.build_table(dataclasses.replace(walk, rows=rows), 2)
 
 
 def test_cylinder_set_validation(sys_a):
@@ -569,4 +684,4 @@ def test_cylinder_set_validation(sys_a):
 
 def test_m_of_cylinder_set(sys_a):
     q = cl.full_cylinder_set(sys_a, 3)
-    assert cl.m_of_cylinder_set(sys_a, q, cl.EXACT) == 1.0
+    assert m_of(sys_a, q, cl.EXACT) == 1.0

@@ -13,7 +13,8 @@ from pathlib import Path
 import cmslab as cl
 from cmslab.cli import ExperimentPlan, _build_parser, run
 
-from conftest import sys_a_config
+from conftest import (cover_of, kstar_of, m_of, sys_a_config, sys_b_config,
+                      table_of)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -110,3 +111,19 @@ def test_readme_lists_the_artifacts_run_writes(tmp_path):
     assert [n for n in names if not fnmatch.filter(artifacts, n)] == []
     assert [a for a in artifacts
             if not any(fnmatch.fnmatch(a, n) for n in names)] == []
+
+
+def test_readme_library_tour_runs():
+    """README.md's python block runs as written on sys B, whose affine
+    probabilities take the Monte Carlo path, and its walk's readers give
+    the values of readers on walks of their own."""
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    tour = {"config_dict": sys_b_config()}
+    exec(compile(block, "README.md", "exec"), tour)
+    system, mu, q = tour["system"], tour["mu"], tour["q"]
+    assert tour["walk"].measure is mu and tour["deeper"].depth == 7
+    assert tour["k_n"] == cl.kl_n(table_of(system, 3, mu))
+    assert tour["k_star"] == kstar_of(system, 2, 3, mu)
+    assert tour["m_q"] == m_of(system, q, mu)
+    assert tour["cost"] == cover_of(system, q, 2, 3)[0]

@@ -13,6 +13,7 @@ import pytest
 
 import cmslab as cl
 
+from conftest import cover_of, m_of, table_of
 from test_coding import random_past
 
 
@@ -84,7 +85,7 @@ def test_planar_coding_geometry(planar):
 
 
 def test_planar_table_and_divergence(planar, planar_mu):
-    table = cl.build_table(planar, 3, planar_mu)
+    table = table_of(planar, 3, planar_mu)
     assert abs(math.fsum(table.phi0_values) - 1.0) <= 1e-12
     value = cl.kl_n(table)
     assert value >= 0.0
@@ -98,8 +99,8 @@ def test_planar_cover_and_sandwich(planar, planar_mu):
     cs = cl.derive_constants(planar, planar_mu)
     report = cl.evaluate_bounds(planar, cs)
     q = cl.cylinder_set(planar, [("spin", "flat")])
-    m_q = cl.m_of_cylinder_set(planar, q, planar_mu)
+    m_q = m_of(planar, q, planar_mu)
     lower = cl.corollary_lower_bound(report, m_q)
-    cost, candidate = cl.phi_upper(planar, q, 1, 2)
+    cost, candidate = cover_of(planar, q, 1, 2)
     assert candidate.exhaustive
     assert cl.consistency_check(lower, cost).passed

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import cmslab as cl
 from cmslab import model as model_mod
 
-from conftest import sys_a_config, sys_b_config, sys_c_config
+from conftest import sys_a_config, sys_b_config, sys_c_config, table_of
 from oracles import corner_values, direct_modulus_series, power_iteration_norm
 
 
@@ -478,7 +478,7 @@ def test_built_systems_are_read_not_recomputed(monkeypatch):
         cl.derive_constants(sys_, mu)
         for measure in ((mu, cl.EXACT) if sys_.all_constant_probabilities
                         else (mu,)):
-            cl.build_table(sys_, 3, measure)
+            table_of(sys_, 3, measure)
             cl.walk_cylinders(sys_, 3, measure)
         assert calls == []
 

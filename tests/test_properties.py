@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 import cmslab as cl
 from cmslab import cli
 
-from conftest import LOCAL_MODULES, local_modules, sys_c_config
+from conftest import (LOCAL_MODULES, cover_of, kstar_of, local_modules,
+                      m_of, sys_c_config, table_of)
 from oracles import (
     expected_running_max,
     fold_backward_orbit,
@@ -163,10 +164,11 @@ def test_walks_agree_on_random_systems(drawn):
     cfg, affine = drawn
     sys_ = cl.validate_system(cfg)
     assert sys_.contraction_rate <= 0.9
-    base = cl.walk_cylinders(sys_, DEPTH, None)
+    base = cl.walk_cylinders(sys_, DEPTH, None).rows
     walks = [cl.walk_cylinders(sys_, DEPTH, cl.pushforward_measure(sys_, 3))]
     if not affine:
         walks.append(cl.walk_cylinders(sys_, DEPTH, cl.EXACT))
+    walks = [walk.rows for walk in walks]
     for n in range(1, DEPTH + 1):
         assert not np.signbit(base[n].phi0_values).any()
         for rows in walks:
@@ -188,12 +190,12 @@ def test_one_word_cover_on_random_systems(drawn, data):
     cfg, _ = drawn
     sys_ = cl.validate_system(cfg)
     depth = data.draw(st.integers(1, 3))
-    rows = cl.walk_cylinders(sys_, depth, None)[depth]
+    rows = cl.walk_cylinders(sys_, depth, None).rows[depth]
     i = data.draw(st.integers(0, len(rows.words) - 1))
     word = rows.words[i]
     assert cl.phi0_cyl(sys_, word) == rows.phi0_values[i]
     q = cl.cylinder_set(sys_, [word])
-    cost, candidate = cl.phi_upper(sys_, q, data.draw(st.integers(0, 2)),
+    cost, candidate = cover_of(sys_, q, data.draw(st.integers(0, 2)),
                                    data.draw(st.integers(1, 3)))
     assert cost <= cl.phi0_cyl(sys_, word)
     cert = cl.certificate_dict(sys_, q, candidate)
@@ -210,7 +212,7 @@ def test_cover_search_matches_the_plain_search_on_random_systems(drawn, data):
     sys_ = cl.validate_system(cfg)
     q = cl.full_cylinder_set(sys_, data.draw(st.integers(1, 2)))
     max_shift, max_depth = data.draw(st.integers(0, 1)), data.draw(st.integers(1, 2))
-    cost, candidate = cl.phi_upper(sys_, q, max_shift, max_depth)
+    cost, candidate = cover_of(sys_, q, max_shift, max_depth)
     plain_cost, _, plain_exhaustive, _ = plain_cover_search(
         sys_, q, max_shift, max_depth, cl.cover.DEFAULT_BUDGET)
     assert cost <= math.fsum(cl.phi0_cyl(sys_, w) for w in q.words)
@@ -222,11 +224,12 @@ def test_cover_search_matches_the_plain_search_on_random_systems(drawn, data):
 @given(systems(), st.data())
 def test_cover_search_on_walk_rows_is_the_search_alone_on_random_systems(
         drawn, data):
-    """phi_upper given the rows of a walk under the run's measure (exact
-    mode for constant probabilities, mu_N for affine ones), which follows
-    the query words as the run's walk does, returns what it returns with no
-    rows: cost, pieces, nodes and exhaustive, bit for bit, whether the rows
-    reach the window's depth and hold every word charged or not."""
+    """phi_upper given a walk under the run's measure (exact mode for
+    constant probabilities, mu_N for affine ones), which follows the query
+    words as the run's walk does, returns what it returns on a base walk of
+    its own to the window's depth: cost, pieces, nodes and exhaustive, bit
+    for bit, whether the walk reaches the window's depth and holds every
+    word charged or not."""
     cfg, affine = drawn
     sys_ = cl.validate_system(cfg)
     measure = cl.pushforward_measure(sys_, 3) if affine else cl.EXACT
@@ -237,11 +240,11 @@ def test_cover_search_on_walk_rows_is_the_search_alone_on_random_systems(
         q = cl.cylinder_set(sys_, data.draw(st.lists(
             st.sampled_from(cl.enumerate_words(sys_, depth)), min_size=1,
             max_size=3, unique=True)))
-    rows = cl.walk_cylinders(sys_, data.draw(st.integers(1, 4)), measure,
+    walk = cl.walk_cylinders(sys_, data.draw(st.integers(1, 4)), measure,
                              along=q.words)
     max_shift, max_depth = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 3))
-    cost, candidate = cl.phi_upper(sys_, q, max_shift, max_depth, rows=rows)
-    alone, expected = cl.phi_upper(sys_, q, max_shift, max_depth)
+    cost, candidate = cl.phi_upper(walk, q, max_shift, max_depth)
+    alone, expected = cover_of(sys_, q, max_shift, max_depth)
     assert cost.hex() == alone.hex()
     assert candidate.cost.hex() == expected.cost.hex()
     assert candidate == expected
@@ -265,12 +268,12 @@ def test_exact_kl_n_is_the_closed_form_on_random_systems(drawn):
     g = np.log(n * pi)
     expected = math.fsum(float(v) * math.log(n * float(v)) for v in pi)
     for depth in range(1, DEPTH + 1):
-        value = cl.kl_n(cl.build_table(sys_, depth, cl.EXACT))
+        value = cl.kl_n(table_of(sys_, depth, cl.EXACT))
         assert abs(value - expected) <= 1e-12
     for window in range(3):
         expected = expected_running_max(p, pi, g, window)
         for depth in range(1, 4):
-            value = cl.kstar_estimate(sys_, window, depth, cl.EXACT)
+            value = kstar_of(sys_, window, depth, cl.EXACT)
             assert abs(value - expected) <= 1e-12
 
 
@@ -289,7 +292,7 @@ def test_pushforward_mass_is_the_vertex_law_on_random_systems(drawn):
     start = np.zeros(n)
     start[[v - 1 for v in cfg["support_set"]]] = 1.0 / len(cfg["support_set"])
     law = start @ np.linalg.matrix_power(p, mu.levels)
-    rows = cl.walk_cylinders(sys_, 3, mu)
+    rows = cl.walk_cylinders(sys_, 3, mu).rows
     for depth in (1, 2, 3):
         for word, m in zip(rows[depth].words, rows[depth].m_values.tolist()):
             edges = [sys_.edge(eid) for eid in word]
@@ -314,7 +317,7 @@ def test_north_star_identities_on_random_systems(drawn, data):
                 cover_depth=2)
     # the measure the run's tables use
     measure = cl.pushforward_measure(sys_) if affine else cl.EXACT
-    rows = cl.walk_cylinders(sys_, DEPTH, measure)
+    rows = cl.walk_cylinders(sys_, DEPTH, measure).rows
     for key in ("m_values", "phi0_values"):
         assert abs(math.fsum(getattr(rows[1], key)) - 1.0) <= 1e-12
         for n in range(1, DEPTH):
@@ -341,7 +344,7 @@ def test_north_star_identities_on_random_systems(drawn, data):
     assert kstar[0] == k_n[2]
     assert all(b >= a - 1e-12 for a, b in zip(kstar, kstar[1:]))
     q = cl.cylinder_set(sys_, [word])
-    m_q = cl.m_of_cylinder_set(sys_, q, measure)
+    m_q = m_of(sys_, q, measure)
     # both sides can be equal (factor 1, M = phi0) and then differ by
     # rounding: the run's consistency check allows COST_TOL
     assert m_q * report["corollary_factor"] <= cost + cl.cover.COST_TOL
@@ -356,7 +359,7 @@ def test_start_vertex_mass_is_the_masked_sum_on_random_systems(drawn):
     cfg, _ = drawn
     sys_ = cl.validate_system(cfg)
     measure = cl.pushforward_measure(sys_)
-    rows = cl.walk_cylinders(sys_, DEPTH, measure)
+    rows = cl.walk_cylinders(sys_, DEPTH, measure).rows
     for n in range(1, DEPTH + 1):
         for word, m in zip(rows[n].words, rows[n].m_values.tolist()):
             masked = masked_word_mass(sys_, word, measure)
@@ -373,7 +376,7 @@ def test_walk_mass_is_the_moved_atoms_fold_on_random_systems(drawn):
     cfg, _ = drawn
     sys_ = cl.validate_system(cfg)
     measure = cl.pushforward_measure(sys_)
-    rows = cl.walk_cylinders(sys_, DEPTH, measure)
+    rows = cl.walk_cylinders(sys_, DEPTH, measure).rows
     for n in range(1, DEPTH + 1):
         for word, m in zip(rows[n].words, rows[n].m_values.tolist()):
             folded = folded_word_mass(sys_, word, measure)

@@ -9,7 +9,7 @@ from scipy import stats
 
 import cmslab as cl
 
-from conftest import sys_a_config, sys_c_config
+from conftest import sys_a_config, sys_c_config, table_of
 from oracles import (binomial_sigma, chain_contraction, chain_samples,
                      chain_step, csv_writer_text, pushforward_atoms)
 from test_integration_2d import planar_config
@@ -259,9 +259,9 @@ def test_pushforward_vertex_law_on_a_reducible_chain():
 
 
 def _kl_kstar_c_hat(sys_, measure) -> tuple[float, float, float]:
-    rows = cl.walk_cylinders(sys_, 3, measure)
-    return (cl.kl_n(cl.build_table(sys_, 2, measure, rows=rows)),
-            cl.kstar_estimate(sys_, 1, 2, measure, rows=rows),
+    walk = cl.walk_cylinders(sys_, 3, measure)
+    return (cl.kl_n(cl.build_table(walk, 2)),
+            cl.kstar_estimate(sys_, 1, 2, walk),
             cl.estimate_c_hat(sys_, measure))
 
 
@@ -291,7 +291,7 @@ def test_pushforward_truncation_gap_on_sys_b(sys_b):
     assert gap == abs(cl.estimate_c_hat(sys_b, mu)
                       - cl.estimate_c_hat(sys_b, coarse))
     assert gap < 1e-6
-    k_4 = [cl.kl_n(cl.build_table(sys_b, 4, m)) for m in (mu, coarse)]
+    k_4 = [cl.kl_n(table_of(sys_b, 4, m)) for m in (mu, coarse)]
     assert abs(k_4[0] - k_4[1]) < 1e-6
     assert cl.simulate.c_hat_gap(sys_b, cl.pushforward_measure(sys_b, 1)) is None
 
