@@ -161,7 +161,7 @@ class ExperimentPlan:
             raise ConfigError("plan.depths: needs at least one table depth")
         # the run walks every word to the deepest of these depths and
         # follows query words; each depth is checked once, under the first
-        # field that names it, which is the first to fail
+        # field that lists it, where a depth past a cap fails first
         query_depths = [q if isinstance(q, int) else q.depth for q in queries]
         walked = [("plan.depths", n) for n in depths] + [
             (f"plan.queries[{i}].whole_space_depth", q)

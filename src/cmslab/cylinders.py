@@ -9,9 +9,9 @@ points), and their ratio Z with its logarithm.  walk_cylinders computes M
 and phi0 for every word up to a depth in one pass over the word tree, or
 phi0 alone when it is given no chain measure; it is the only code that
 steps through words, one step per tree node of one chain state that
-carries both (atoms under a measure, scalar otherwise), into a Walk that
-every reader takes: enumerate_words and phi0_cyl read one, build_table
-checks one depth of its rows, and m_of_cylinder_set sums them.
+carries both (atoms under a measure, scalar otherwise).  It returns a Walk,
+which every reader takes: enumerate_words and phi0_cyl read one,
+build_table checks one depth of its rows, and m_of_cylinder_set sums them.
 """
 
 from __future__ import annotations
@@ -214,8 +214,8 @@ def _chain(sys: MarkovSystem, measure: Measure):
 def phi0_cyl(sys: MarkovSystem, word: Sequence[str]) -> float:
     """Base measure of a cylinder: the support-averaged chain probability
     from the base point of the word's start vertex."""
-    return float(walk_cylinders(sys, 0, None, along=[word]).rows[len(word)]
-                 .phi0_values[0])
+    walk = walk_cylinders(sys, 0, None, along=[word])
+    return float(walk.rows[len(word)].phi0_values[0])
 
 
 def stationary_vertex_distribution(sys: MarkovSystem,

@@ -214,7 +214,7 @@ def m_of(sys_, q: cl.CylinderSet, measure) -> float:
 
 
 def cover_of(sys_, q: cl.CylinderSet, max_shift: int, max_depth: int,
-          **kwargs):
+             **kwargs):
     """phi_upper on a base walk of its own (no chain measure) to the depth
     of q's cover window; it walks along the charged words it lacks."""
     depth = cl.cover.window_depth(q.depth, max_shift, max_depth)
