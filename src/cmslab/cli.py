@@ -159,8 +159,8 @@ class ExperimentPlan:
             stationary_vertex_distribution(system, "plan.mode: ")
         if not depths:
             raise ConfigError("plan.depths: needs at least one table depth")
-        # the run walks every word to the deepest of these depths and
-        # follows query words; each depth is checked once, under the first
+        # the run walks every word to the deepest of these depths and folds
+        # query words past it; each depth is checked once, under the first
         # field that lists it, where a depth past a cap fails first
         query_depths = [q if isinstance(q, int) else q.depth for q in queries]
         walked = [("plan.depths", n) for n in depths] + [
@@ -264,13 +264,12 @@ def _constants(ctx: _Context) -> None:
 
 
 def _tables(ctx: _Context) -> None:
-    """The run's one walk, under the run's measure, to the deepest depth
-    validate checked, past which it follows only the query words; every
-    table, K* window, M(Q), whole-space query, cover window and charge is
-    read from it."""
-    words = [w for q in ctx.queries if not isinstance(q, int) for w in q.words]
+    """The run's one walk, under the run's measure, of every word to the
+    deepest depth validate checked; every table, K* window, M(Q),
+    whole-space query, cover window and charge is read from it, and a query
+    word past its depth is folded (Walk.along)."""
     measure = EXACT if ctx.plan.mode == "exact" else ctx.mu
-    ctx.walk = walk_cylinders(ctx.system, ctx.depth, measure, along=words)
+    ctx.walk = walk_cylinders(ctx.system, ctx.depth, measure)
     ctx.manifest["counts"]["tables"] = {
         "words_per_depth": [[n, len(rows.words)]
                             for n, rows in ctx.walk.rows.items()]}

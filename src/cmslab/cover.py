@@ -112,8 +112,8 @@ def _window(walk: Walk, q: CylinderSet, max_shift: int, hi: int,
 
 
 def _charges(walk: Walk, words: set[Word]) -> dict[Word, float]:
-    """The base measure phi0 of each word, from the walk's rows of the
-    words (Walk.along)."""
+    """The base measure phi0 of each word, read from the walk's rows or
+    folded past its depth (Walk.along)."""
     rows = walk.along(words)
     return dict(zip(rows.words, rows.phi0_values.tolist()))
 
@@ -156,7 +156,7 @@ def phi_upper(walk: Walk, q: CylinderSet, max_shift: int, max_depth: int,
     nodes_explored <= budget entries.
 
     The window words and charges are read from `walk`, under any measure,
-    or walked under its measure where it lacks them (Walk.to, Walk.along).
+    or past its depth walked and folded under it (Walk.to, Walk.along).
     A cover the search found is checked on its pieces' masks of window
     words (_check_masks); the trivial cover covers q by construction.
     """

@@ -6,12 +6,12 @@ chain mass M (stationary chain in exact mode, weighted average of chain
 probabilities over the atoms of a measure in Monte Carlo mode), the base
 measure phi0 (average of chain probabilities started at the support base
 points), and their ratio Z with its logarithm.  walk_cylinders computes M
-and phi0 for every word up to a depth in one pass over the word tree, or
-phi0 alone when it is given no chain measure; it is the only code that
-steps through words, one step per tree node of one chain state that
-carries both (atoms under a measure, scalar otherwise).  It returns a Walk,
-which every reader takes: enumerate_words and phi0_cyl read one,
-build_table checks one depth of its rows, and m_of_cylinder_set sums them.
+and phi0 for every word up to a depth in one pass over the word tree (phi0
+alone with no chain measure), one step per tree node of one chain state
+that carries both (atoms under a measure, scalar otherwise); _fold takes the
+same step once per edge of a word past a walk's depth.  They alone step
+through words.  Every reader takes the Walk: enumerate_words reads one,
+build_table checks one depth of its rows, m_of_cylinder_set sums them.
 """
 
 from __future__ import annotations
@@ -211,11 +211,29 @@ def _chain(sys: MarkovSystem, measure: Measure):
     return _atoms_step, root
 
 
+def _fold(sys: MarkovSystem, measure: Measure, words: Iterable[Word]):
+    """(M, phi0) of each word: the walk's step from its start vertex's root,
+    a leaf step at its last edge alone, so a walk's float operations; one
+    chain and one root per start vertex per call.  Raises InadmissibleWord."""
+    step, root = _chain(sys, measure)
+    roots, n_support, found = {}, len(sys.support_set), []
+    for word in words:
+        edges = sys.require_admissible(word)
+        v = edges[0].source
+        if v not in roots:
+            roots[v] = root(v)
+        state = roots[v]
+        for e in edges[:-1]:
+            state = step(state, e, False)
+        mass, phi = step(state, edges[-1], True)[:2]
+        found.append((mass, phi / n_support))
+    return found
+
+
 def phi0_cyl(sys: MarkovSystem, word: Sequence[str]) -> float:
     """Base measure of a cylinder: the support-averaged chain probability
-    from the base point of the word's start vertex."""
-    walk = walk_cylinders(sys, 0, None, along=[word])
-    return float(walk.rows[len(word)].phi0_values[0])
+    from the base point of the word's start vertex, one fold along it."""
+    return float(_fold(sys, None, [word])[0][1])
 
 
 def stationary_vertex_distribution(sys: MarkovSystem,
@@ -267,9 +285,9 @@ def _by_word(rows: Iterable[CylinderRows]) -> dict[Word, tuple[float, float]]:
 
 @dataclass(frozen=True, eq=False)
 class Walk:
-    """The rows per depth of one walk of `system` under `measure` (None:
-    phi0 alone, M 0 on every word), every word of depth 1..depth and past
-    it the followed words; every reader takes one, with its measure."""
+    """The rows of every word of depth 1..depth from one walk of `system`
+    under `measure` (None: phi0 alone, M 0 on every word); every reader
+    takes one, with its measure."""
 
     system: MarkovSystem
     measure: Measure
@@ -284,56 +302,40 @@ class Walk:
 
     def along(self, words: Iterable[Word]) -> CylinderRows:
         """The rows of `words`, in their order: read from this walk where a
-        row holds the word, and from one walk under its measure that
-        follows the others."""
+        row holds the word, and folded under its measure for the others."""
         words = tuple(words)
         found = _by_word(self.rows[n]
                          for n in {len(w) for w in words} & self.rows.keys())
         missing = [w for w in words if w not in found]
         if missing:
-            found.update(_by_word(walk_cylinders(
-                self.system, 0, self.measure, along=missing).rows.values()))
+            found.update(zip(missing, _fold(self.system, self.measure, missing)))
         return CylinderRows(
             words=words, m_values=_read_only([found[w][0] for w in words]),
             phi0_values=_read_only([found[w][1] for w in words]))
 
 
-def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
-                   along: Iterable[Sequence[str]] = ()) -> Walk:
+def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure) -> Walk:
     """The Walk of every depth 1..n_max from one depth-first walk of the tree.
 
-    Words come by start vertex, then lexicographic by edge ids.  Past n_max
-    (which may be 0) the walk follows only the prefixes of the `along`
-    words, so a deep word costs one step per edge, and at n_max 0 only
-    followed words' start vertices are rooted.
-    Each node takes one step of its parent's chain state, which carries M
-    and phi0 together (with measure None M is 0); exact mode solves the
-    stationary law once, and under a measure no atom or point moves.  The
-    walk holds one state per level of the current path.  The rows are
-    unchecked; build_table checks them.
+    Words come by start vertex, then lexicographic by edge ids.  Each node
+    takes one step of its parent's chain state, which carries M and phi0
+    together (with measure None M is 0); exact mode solves the stationary
+    law once, and under a measure no atom or point moves.  The walk holds
+    one state per level of the current path.  The rows are unchecked;
+    build_table checks them.
     """
-    along = [tuple(w) for w in along]
-    for w in along:
-        sys.require_admissible(w)  # raises InadmissibleWord
-    if n_max < (0 if along else 1):
-        raise ValueError("depth must be >= 1, or >= 0 with words to follow")
+    if n_max < 1:
+        raise ValueError("depth must be >= 1")
     check_word_cap(sys, n_max)
-    # prefixes of the followed words past n_max, and those the walk extends
-    follow = {w[:i] for w in along for i in range(n_max + 1, len(w) + 1)}
-    extend = {w[:i] for w in along for i in range(n_max, len(w))}
     step, root = _chain(sys, measure)
     n_support = len(sys.support_set)
-    found = {n: ([], [], [])
-             for n in range(1, max([n_max, *map(len, along)]) + 1)}
+    found = {n: ([], [], []) for n in range(1, n_max + 1)}
     # explicit stack of (word, out-edges not yet taken, chain state) per
     # level of the current path; a recursive closure would be a reference
     # cycle that keeps the rows alive until the cyclic collector
     stack = []
     for v in sorted(v.index for v in sys.vertices):
-        out = sys.out_edges(v)
-        if not n_max and not any((e.id,) in follow for e in out):
-            continue  # no followed word starts at v
-        stack.append(((), iter(out), root(v)))
+        stack.append(((), iter(sys.out_edges(v)), root(v)))
         while stack:
             word, edges, state = stack[-1]
             e = next(edges, None)
@@ -341,9 +343,7 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure,
                 stack.pop()
                 continue
             child = word + (e.id,)
-            if len(child) > n_max and child not in follow:
-                continue
-            leaf = len(child) >= n_max and child not in extend
+            leaf = len(child) == n_max
             child_state = step(state, e, leaf)
             words, m_vals, phi_vals = found[len(child)]
             words.append(child)

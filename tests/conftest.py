@@ -208,15 +208,29 @@ def kstar_of(sys_, window: int, depth: int, measure) -> float:
 
 
 def m_of(sys_, q: cl.CylinderSet, measure) -> float:
-    """m_of_cylinder_set on a walk of its own along q's words."""
-    return cl.m_of_cylinder_set(
-        cl.walk_cylinders(sys_, 0, measure, along=q.words), q)
+    """m_of_cylinder_set on a depth-1 walk of its own, which folds q's words
+    past depth 1."""
+    return cl.m_of_cylinder_set(cl.walk_cylinders(sys_, 1, measure), q)
 
 
 def cover_of(sys_, q: cl.CylinderSet, max_shift: int, max_depth: int,
              **kwargs):
     """phi_upper on a base walk of its own (no chain measure) to the depth
-    of q's cover window; it walks along the charged words it lacks."""
+    of q's cover window; it folds the charged words past that depth."""
     depth = cl.cover.window_depth(q.depth, max_shift, max_depth)
     return cl.phi_upper(cl.walk_cylinders(sys_, depth, None), q, max_shift,
                         max_depth, **kwargs)
+
+
+def fold_calls(monkeypatch) -> list[list[tuple]]:
+    """Record the words of every fold (cylinders._fold) in order, one list
+    per call: the words a Walk reads past its depth."""
+    calls, fold = [], cl.cylinders._fold
+
+    def recording(sys_, measure, words):
+        words = [tuple(w) for w in words]
+        calls.append(words)
+        return fold(sys_, measure, words)
+
+    monkeypatch.setattr(cl.cylinders, "_fold", recording)
+    return calls

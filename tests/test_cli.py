@@ -216,8 +216,8 @@ def test_bounds_subcommand_walks_once(config_b, walks):
 def test_run_walks_once(config_a, tmp_path, walks, monkeypatch):
     plan = _plan_a(tmp_path, config_a)
     # a query deeper than every table and K* length, and past the word cap,
-    # is followed by the one walk past its full depth 3; the three cover
-    # searches read their windows and charges from its rows, the depth-4
+    # is folded past the one walk's depth 3; the three cover searches read
+    # their windows and charges from its rows or from folds, the depth-4
     # query's trivial cover included
     monkeypatch.setattr(cl.cylinders, "WORD_CAP", 8)
     plan.queries.append({"words": ["e1.e2.e1.e2"]})
@@ -226,14 +226,14 @@ def test_run_walks_once(config_a, tmp_path, walks, monkeypatch):
     manifest = json.loads((tmp_path / "out" / "MANIFEST.json").read_text())
     assert len(manifest["covers"]) == 3
     # the fixture counts the walks a search's Walk makes: on a depth-1
-    # walk, it walks its window to depth 2 and then along the words it
-    # charges that the walk lacks
+    # walk, it walks its window to depth 2 and folds the words it charges
+    # that the walk lacks, which walks nothing
     sys_a = cl.validate_system(sys_a_config())
     q = cl.full_cylinder_set(sys_a, 2)
     shallow = cl.walk_cylinders(sys_a, 1, None)
     walks.clear()
     cl.phi_upper(shallow, q, 1, 2)
-    assert walks == [2, 0]
+    assert walks == [2]
 
 
 def test_run_writes_the_manifest_whatever_ends_it(config_a, tmp_path,
@@ -491,7 +491,8 @@ def test_run_writes_all_artifacts(tmp_path, config_a):
 def test_manifest_counts_match_bounds_json(mode, config, tmp_path, request):
     """MANIFEST.json counts mu_N's levels and atoms as bounds.json records
     them, and the words walked per depth: every admissible word up to the
-    deepest table or K* length, then only the prefixes of the query word."""
+    deepest table or K* length, and no row of the deeper query word, which
+    is folded."""
     config = request.getfixturevalue(config)
     out = tmp_path / "out"
     plan = ExperimentPlan(
@@ -506,7 +507,7 @@ def test_manifest_counts_match_bounds_json(mode, config, tmp_path, request):
     system = cl.validate_system(json.loads(config.read_text()))
     assert manifest["counts"]["tables"] == {"words_per_depth": [
         [1, cl.count_words(system, 1)], [2, cl.count_words(system, 2)],
-        [3, cl.count_words(system, 3)], [4, 1], [5, 1]]}
+        [3, cl.count_words(system, 3)]]}
 
 
 def _assert_stage_seconds(manifest: dict) -> None:

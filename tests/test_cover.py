@@ -9,7 +9,7 @@ import pytest
 
 import cmslab as cl
 
-from conftest import bench_module, cover_of, m_of
+from conftest import bench_module, cover_of, fold_calls, m_of
 from oracles import brute_min_cover_cost, enumerate_paths, plain_cover_search
 
 
@@ -190,64 +190,49 @@ def test_workload_whole_space_search_finishes(workload, depth, max_shift,
     assert candidate.nodes_explored <= 60_000
 
 
-def _charge_walks(monkeypatch) -> list[list]:
-    """Record the `along` words of every walk along words that the cover
-    module makes, through the cylinders module: its charge walks (the
-    window's walks follow no words)."""
-    walks = []
-    original = cl.cylinders.walk_cylinders
-
-    def recording(sys_, n_max, measure, along=()):
-        along = [tuple(w) for w in along]
-        if along:
-            walks.append(along)
-        return original(sys_, n_max, measure, along=along)
-
-    monkeypatch.setattr(cl.cylinders, "walk_cylinders", recording)
-    return walks
-
-
 def test_phi_upper_charges_each_word_once(sys_c, monkeypatch):
     """Regression guard by counting: given a depth-1 walk, the pool, the
     trivial seed and the final cost read the words of depth 1 from it and
-    one base walk along the other words, each once, whatever the number of
-    shifts, and the check of the cover walks no more; given a walk that
-    holds every word charged, it walks along none and returns the same
-    cover."""
-    walks = _charge_walks(monkeypatch)
+    one fold of the other words, each once, whatever the number of shifts,
+    and the check of the cover folds no more; given a walk that holds every
+    word charged, it folds none and returns the same cover."""
+    folds = fold_calls(monkeypatch)
     for q, max_shift, max_depth in (
             (cl.full_cylinder_set(sys_c, 2), 2, 3),
             (cl.cylinder_set(sys_c, [("c12", "c21", "c11", "c12")]), 1, 2)):
-        full = cl.walk_cylinders(sys_c, max_depth, cl.EXACT, along=q.words)
-        walks.clear()
+        full = cl.walk_cylinders(sys_c, max(max_depth, q.depth), cl.EXACT)
+        folds.clear()
         found = cl.phi_upper(cl.walk_cylinders(sys_c, 1, None), q, max_shift,
                              max_depth)
-        (searched,) = walks  # one walk along words per phi_upper
+        (searched,) = folds  # one fold of words per phi_upper
         deeper = {w for n in range(2, max_depth + 1)
                   for w in cl.enumerate_words(sys_c, n)}
         assert len(searched) == len(set(searched))
         assert set(searched) <= deeper | set(q.words)
         assert {w for _, w in found[1].pieces if len(w) > 1} <= set(searched)
-        walks.clear()
+        folds.clear()
         assert cl.phi_upper(full, q, max_shift, max_depth) == found
-        assert walks == []
+        assert folds == []
 
 
 def test_phi_upper_charges_only_words_of_pieces_that_meet_the_query(
         sys_a, monkeypatch):
     """With no shift, a one-word query at depth 2 meets only the pieces e1
-    and e1.e2; no other word of depth <= 2 is charged: given a walk that
-    holds neither (it follows e2 alone), it walks along both.  Given a walk
-    that holds e1 but not e1.e2, it walks along e1.e2 alone."""
-    walks = _charge_walks(monkeypatch)
+    and e1.e2; no other word of depth <= 2 is charged: the search asks its
+    walk for both, once.  Given a walk that holds e1 but not e1.e2, it
+    folds e1.e2 alone; given one that holds both, it folds nothing."""
+    asked, along = [], cl.Walk.along
+    monkeypatch.setattr(cl.Walk, "along", lambda walk, words: asked.append(
+        sorted(words)) or along(walk, words))
+    folds = fold_calls(monkeypatch)
     q = cl.cylinder_set(sys_a, [("e1", "e2")])
-    found = cl.phi_upper(cl.walk_cylinders(sys_a, 0, None, along=[("e2",)]),
-                         q, 0, 2)
-    (searched,) = walks  # the check of the cover charges nothing again
-    assert sorted(searched) == [("e1",), ("e1", "e2")]
-    walks.clear()
-    assert cl.phi_upper(cl.walk_cylinders(sys_a, 1, None), q, 0, 2) == found
-    assert walks == [[("e1", "e2")]]
+    found = cl.phi_upper(cl.walk_cylinders(sys_a, 1, None), q, 0, 2)
+    (charged,) = asked  # the check of the cover charges nothing again
+    assert charged == [("e1",), ("e1", "e2")]
+    assert folds == [[("e1", "e2")]]
+    folds.clear()
+    assert cl.phi_upper(cl.walk_cylinders(sys_a, 2, None), q, 0, 2) == found
+    assert folds == []
 
 
 def test_monotone_in_search_space(sys_b):

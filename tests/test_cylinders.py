@@ -11,8 +11,9 @@ import pytest
 
 import cmslab as cl
 
-from conftest import (loop_into_loop_config, m_of, one_loop_config,
-                      sys_a_config, sys_b_config, sys_c_config, table_of)
+from conftest import (fold_calls, loop_into_loop_config, m_of,
+                      one_loop_config, sys_a_config, sys_b_config,
+                      sys_c_config, table_of)
 from oracles import (chain_cyl_prob, csv_writer_text, enumerate_paths,
                      stationary_via_eig, word_row)
 
@@ -179,11 +180,11 @@ def test_m_of_cylinder_set_from_rows_equals_own_walk(mode, sys_c, mu_c):
     sets += [cl.full_cylinder_set(sys_c, n) for n in (1, 3)]
     for q in sets:
         assert cl.m_of_cylinder_set(walk, q) == m_of(sys_c, q, measure)
-    # past the walk's depth: read the followed words, or walk along them
+    # past the walk's depth: fold the words
     deep = cl.cylinder_set(sys_c, cl.enumerate_words(sys_c, 6)[::9])
-    followed = cl.walk_cylinders(sys_c, 2, measure, along=deep.words)
+    shallow = cl.walk_cylinders(sys_c, 2, measure)
     expected = m_of(sys_c, deep, measure)
-    assert cl.m_of_cylinder_set(followed, deep) == expected
+    assert cl.m_of_cylinder_set(shallow, deep) == expected
     assert cl.m_of_cylinder_set(walk, deep) == expected
     full = cl.walk_cylinders(sys_c, 6, measure).rows[6]
     at = [full.words.index(w) for w in deep.words]
@@ -226,7 +227,7 @@ def test_walk_rows_match_per_word_oracle(name, mode, request, small_measures):
         oracle = [word_row(sys_, w, measure, pi) for w in words]
         assert rows[n].m_values.tolist() == [r[0] for r in oracle]
         assert rows[n].phi0_values.tolist() == [r[1] for r in oracle]
-        # a one-word set reads its row; phi0_cyl reads a walk along the word
+        # a one-word set reads its row; phi0_cyl folds the word
         assert [cl.m_of_cylinder_set(walk, cl.cylinder_set(sys_, [w]))
                 for w in words] == [r[0] for r in oracle]
         assert [cl.phi0_cyl(sys_, w) for w in words] == [r[1] for r in oracle]
@@ -360,10 +361,11 @@ def test_scalar_chain_moves_no_point_when_probabilities_are_constant(
                      "apply": nodes - cl.count_words(sys_b, n_max)}
 
 
-def test_walk_roots_only_the_start_vertices_of_followed_words(
+def test_fold_roots_only_the_start_vertices_of_its_words(
         sys_c, small_measures, monkeypatch):
-    """A walk to depth 0 builds the root state of a vertex only when a
-    followed word starts there; a walk to depth >= 1 roots every vertex."""
+    """A fold past a walk's depth builds the root state of a vertex only
+    when one of its words starts there, once per call whatever the number
+    of such words; a walk to depth >= 1 roots every vertex."""
     chain, roots = cl.cylinders._chain, []
 
     def counting(sys_, measure):
@@ -374,46 +376,44 @@ def test_walk_roots_only_the_start_vertices_of_followed_words(
     mu = small_measures["sys_c"]
     for measure in (mu, cl.EXACT, None):
         roots.clear()
-        walk = cl.walk_cylinders(sys_c, 0, measure, along=[("c11",) * 3])
+        walk = cl.walk_cylinders(sys_c, 1, measure)
+        assert roots == [1, 2]
+        roots.clear()
+        assert walk.along([("c11",) * 3]).words == (("c11",) * 3,)
         assert roots == [1]
-        assert walk.rows[3].words == (("c11",) * 3,)
         roots.clear()
-        cl.walk_cylinders(sys_c, 0, measure, along=[("c21",), ("c11", "c12")])
+        walk.along([("c11", "c12"), ("c21", "c11"), ("c11",) * 3])
         assert roots == [1, 2]
-        roots.clear()
-        cl.walk_cylinders(sys_c, 1, measure, along=[("c11",) * 3])
-        assert roots == [1, 2]
+    roots.clear()
+    cl.phi0_cyl(sys_c, ("c21", "c11"))
+    assert roots == [2]
 
 
-def test_walk_follows_words_past_full_depth(sys_b, small_measures,
-                                            monkeypatch):
-    """Past n_max the walk steps only along the prefixes of the followed
-    words and passes over the atoms only at the words it extends; it reads
-    each word exactly as a full walk does."""
+def test_fold_steps_once_per_edge_of_each_word(sys_b, small_measures,
+                                               monkeypatch):
+    """Past its depth a walk folds each word on its own: one step per edge
+    of the word, shared prefixes or not, and a pass over the atoms at every
+    edge but the last; it reads each word bit for bit as a full walk does,
+    and a table never reads folded rows."""
     mu, deep = small_measures["sys_b"], cl.enumerate_words(sys_b, 6)[::11]
     full = cl.walk_cylinders(sys_b, 6, mu).rows
+    walk = cl.walk_cylinders(sys_b, 2, mu)
+    words = sorted({w[:n] for w in deep for n in range(3, 7)})
     sizes, calls = _atom_work(monkeypatch)
-    walk = cl.walk_cylinders(sys_b, 2, mu, along=deep)
-    rows = walk.rows
-    prefixes = {n: sorted({w[:n] for w in deep}) for n in range(2, 7)}
+    rows = walk.along(words)
     assert calls == {"value_many": 0, "apply_many": 0,
-                     "step": cl.count_words(sys_b, 1) + cl.count_words(sys_b, 2)
-                     + sum(len(prefixes[n]) for n in range(3, 7))}
-    # internal: every depth-1 word and the followed prefixes short of depth 6
-    assert sizes == [len(mu)] * (cl.count_words(sys_b, 1) + sum(
-        len(prefixes[n]) for n in range(2, 6)))
-    assert walk.depth == 2
-    for n in range(1, 7):
-        words = full[n].words if n <= 2 else prefixes[n]
-        assert sorted(rows[n].words) == sorted(words)
-        at = [full[n].words.index(w) for w in rows[n].words]
+                     "step": sum(map(len, words))}
+    assert sizes == [len(mu)] * sum(len(w) - 1 for w in words)
+    assert walk.depth == 2 and sorted(walk.rows) == [1, 2]
+    assert rows.words == tuple(words)
+    for i, w in enumerate(words):
+        at = full[len(w)].words.index(w)
         for key in ("m_values", "phi0_values"):
-            assert getattr(rows[n], key).tolist() == getattr(full[n], key)[at].tolist()
+            assert (getattr(rows, key)[i].tobytes()
+                    == getattr(full[len(w)], key)[at].tobytes())
     # a table never reads rows the walk did not complete
     assert (cl.build_table(walk, 4).m_values.tolist()
             == full[4].m_values.tolist())
-    assert (sorted(cl.walk_cylinders(sys_b, 0, mu, along=deep).rows[6].words)
-            == sorted(deep))
 
 
 def test_walk_respects_word_cap(sys_a, monkeypatch):
@@ -427,14 +427,13 @@ def test_walk_respects_word_cap(sys_a, monkeypatch):
 # --- the Walk the readers take -----------------------------------------------
 
 def _walks_made(monkeypatch) -> list[tuple]:
-    """Record (depth, measure, along) of every walk_cylinders call made
-    through the cylinders module, as Walk.to and Walk.along make them."""
+    """Record (depth, measure) of every walk_cylinders call made through the
+    cylinders module, as Walk.to makes them."""
     made, original = [], cl.cylinders.walk_cylinders
 
-    def recording(sys_, n_max, measure, along=()):
-        along = [tuple(w) for w in along]
-        made.append((n_max, measure, along))
-        return original(sys_, n_max, measure, along=along)
+    def recording(sys_, n_max, measure):
+        made.append((n_max, measure))
+        return original(sys_, n_max, measure)
 
     monkeypatch.setattr(cl.cylinders, "walk_cylinders", recording)
     return made
@@ -474,7 +473,7 @@ def test_each_reader_follows_its_walks_measure(name, request, small_measures,
                 == cl.kl_n(cl.build_table(walk, 3)))
         with pytest.raises(ValueError, match="another system"):
             cl.kstar_estimate(other, 0, 3, walk)
-    assert [n for n, _, _ in made] == [3] * len(measures)  # reads walk none
+    assert [n for n, _ in made] == [3] * len(measures)  # reads walk none
     for reader in (cl.build_table, cl.m_of_cylinder_set, cl.phi_upper):
         params = inspect.signature(reader).parameters
         assert "walk" in params
@@ -491,12 +490,12 @@ def test_walk_to_extends_a_shallow_walk_only(name, request, small_measures,
     sys_, mu = request.getfixturevalue(name), small_measures[name]
     deep = cl.walk_cylinders(sys_, 5, mu)
     made = _walks_made(monkeypatch)
-    shallow = cl.walk_cylinders(sys_, 2, mu, along=deep.rows[4].words[:3])
+    shallow = cl.walk_cylinders(sys_, 2, mu)
     made.clear()
     assert shallow.to(1) is shallow and shallow.to(2) is shallow
     assert made == []
     extended = shallow.to(5)
-    assert made == [(5, mu, [])]
+    assert made == [(5, mu)]
     assert extended.system is sys_ and extended.measure is mu
     assert extended.depth == 5 and sorted(extended.rows) == [1, 2, 3, 4, 5]
     for n in range(1, 6):
@@ -507,32 +506,36 @@ def test_walk_to_extends_a_shallow_walk_only(name, request, small_measures,
     made.clear()
     assert (cl.build_table(shallow, 4).m_values.tobytes()
             == deep.rows[4].m_values.tobytes())
-    assert made == [(4, mu, [])]
+    assert made == [(4, mu)]
 
 
-def test_walk_along_reads_what_it_holds_and_follows_the_rest(
+def test_walk_along_reads_what_it_holds_and_folds_the_rest(
         sys_c, small_measures, monkeypatch):
     """Walk.along returns the rows of the words asked for, in their order:
-    those the walk holds, at its full depth or followed past it, are read
-    from it, and the others come from one walk under its measure that
-    follows them alone; an inadmissible word raises InadmissibleWord."""
+    those the walk holds are read from it, and the others come from one
+    fold under its measure, which walks nothing and counts no word tree;
+    an inadmissible word raises InadmissibleWord."""
     mu = small_measures["sys_c"]
     deep = cl.walk_cylinders(sys_c, 4, mu)
-    followed = deep.rows[4].words[5]
-    walk = cl.walk_cylinders(sys_c, 2, mu, along=[followed])
-    made = _walks_made(monkeypatch)
-    words = [deep.rows[3].words[7], followed, deep.rows[1].words[0],
-             deep.rows[4].words[9]]
+    walk = cl.walk_cylinders(sys_c, 2, mu)
+    made, folds = _walks_made(monkeypatch), fold_calls(monkeypatch)
+    counted, tree_counts = [], cl.cylinders._tree_counts
+    monkeypatch.setattr(cl.cylinders, "_tree_counts",
+                        lambda sys_, n: counted.append(n)
+                        or tree_counts(sys_, n))
+    words = [deep.rows[3].words[7], deep.rows[4].words[5],
+             deep.rows[1].words[0], deep.rows[4].words[9]]
     rows = walk.along(words)
-    assert made == [(0, mu, [words[0], words[3]])]
+    assert folds == [[words[0], words[1], words[3]]]
+    assert made == [] and counted == []
     assert rows.words == tuple(words)
     for key in ("m_values", "phi0_values"):
         expected = [getattr(deep.rows[len(w)], key)[
             deep.rows[len(w)].words.index(w)] for w in words]
         assert getattr(rows, key).tolist() == expected
-    made.clear()
-    assert walk.along(words[1:3]).words == tuple(words[1:3])
-    assert made == []
+    folds.clear()
+    assert walk.along(words[2:3]).words == tuple(words[2:3])
+    assert folds == [] and made == []
     with pytest.raises(cl.InadmissibleWord):
         walk.along([("c11", "c21", "c11")])
 

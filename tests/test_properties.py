@@ -21,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import cmslab as cl
@@ -95,8 +95,10 @@ def systems(draw, affine=None, full_support=False):
             "support_set": support}, affine
 
 
+# no shrink phase: a property that raises is reported with its own error
+# and example, where the shrinker could fail on it and report its own
 _SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
-                     database=None)
+                     database=None, phases=(Phase.explicit, Phase.generate))
 
 
 def test_draws_do_not_depend_on_the_tests_run_before():
@@ -183,6 +185,31 @@ def test_walks_agree_on_random_systems(drawn):
 
 
 @_SETTINGS
+@given(systems())
+def test_a_fold_reads_what_a_walk_holds_on_random_systems(drawn):
+    """A depth-1 walk folds every word of depth DEPTH to the bits a walk to
+    DEPTH holds, M and phi0, with no measure, under mu_N and, for constant
+    draws, in exact mode; a walk's rows are its depths 1..depth, and a walk
+    to depth 0 raises ValueError."""
+    cfg, affine = drawn
+    sys_ = cl.validate_system(cfg)
+    measures = [None, cl.pushforward_measure(sys_, 3)]
+    if not affine:
+        measures.append(cl.EXACT)
+    for measure in measures:
+        walk, shallow = (cl.walk_cylinders(sys_, n, measure) for n in (DEPTH, 1))
+        for w in (walk, shallow):
+            assert sorted(w.rows) == list(range(1, w.depth + 1))
+        held = walk.rows[DEPTH]
+        folded = shallow.along(held.words)
+        for key in ("m_values", "phi0_values"):
+            assert (getattr(folded, key).tobytes()
+                    == getattr(held, key).tobytes())
+        with pytest.raises(ValueError):
+            cl.walk_cylinders(sys_, 0, measure)
+
+
+@_SETTINGS
 @given(systems(), st.data())
 def test_one_word_cover_on_random_systems(drawn, data):
     """A one-word query costs at most its own cylinder's charge, phi0_cyl
@@ -225,11 +252,11 @@ def test_cover_search_matches_the_plain_search_on_random_systems(drawn, data):
 def test_cover_search_on_walk_rows_is_the_search_alone_on_random_systems(
         drawn, data):
     """phi_upper given a walk under the run's measure (exact mode for
-    constant probabilities, mu_N for affine ones), which follows the query
-    words as the run's walk does, returns what it returns on a base walk of
-    its own to the window's depth: cost, pieces, nodes and exhaustive, bit
-    for bit, whether the walk reaches the window's depth and holds every
-    word charged or not."""
+    constant probabilities, mu_N for affine ones), which folds the query
+    words past its depth as the run's walk does, returns what it returns on
+    a base walk of its own to the window's depth: cost, pieces, nodes and
+    exhaustive, bit for bit, whether the walk reaches the window's depth
+    and holds every word charged or not."""
     cfg, affine = drawn
     sys_ = cl.validate_system(cfg)
     measure = cl.pushforward_measure(sys_, 3) if affine else cl.EXACT
@@ -240,8 +267,7 @@ def test_cover_search_on_walk_rows_is_the_search_alone_on_random_systems(
         q = cl.cylinder_set(sys_, data.draw(st.lists(
             st.sampled_from(cl.enumerate_words(sys_, depth)), min_size=1,
             max_size=3, unique=True)))
-    walk = cl.walk_cylinders(sys_, data.draw(st.integers(1, 4)), measure,
-                             along=q.words)
+    walk = cl.walk_cylinders(sys_, data.draw(st.integers(1, 4)), measure)
     max_shift, max_depth = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 3))
     cost, candidate = cl.phi_upper(walk, q, max_shift, max_depth)
     alone, expected = cover_of(sys_, q, max_shift, max_depth)
@@ -299,6 +325,31 @@ def test_pushforward_mass_is_the_vertex_law_on_random_systems(drawn):
             expected = law[edges[0].source - 1] * math.prod(
                 e.prob.alpha for e in edges)
             assert abs(m - expected) <= 1e-12
+
+
+@_SETTINGS
+@given(systems())
+def test_pushforward_mass_is_a_ratio_of_base_measures_on_random_systems(
+        drawn):
+    """mu_j pushes the support's base points j levels with their chain
+    probabilities, so M of a word u under mu_j is the sum of phi0(v.u) over
+    the words v of depth j, over the sum of phi0(v): within 1e-14 relative,
+    for j <= 3 and u of depth 1-3, phi0 read from one base walk."""
+    cfg, _ = drawn
+    sys_ = cl.validate_system(cfg)
+    for j in range(4):
+        masses = cl.walk_cylinders(sys_, 3, cl.pushforward_measure(sys_, j))
+        base = cl.walk_cylinders(sys_, j + 3, None).rows
+        total = math.fsum(base[j].phi0_values) if j else 1.0
+        for n in (1, 2, 3):
+            ends: dict[tuple, list[float]] = {}
+            for w, phi in zip(base[j + n].words,
+                              base[j + n].phi0_values.tolist()):
+                ends.setdefault(w[j:], []).append(phi)
+            rows = masses.rows[n]
+            for u, m in zip(rows.words, rows.m_values.tolist()):
+                expected = math.fsum(ends.get(u, ())) / total
+                assert abs(m - expected) <= 1e-14 * expected
 
 
 @settings(_SETTINGS, max_examples=80)
