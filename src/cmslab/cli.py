@@ -129,10 +129,11 @@ class ExperimentPlan:
         return cls(**raw)
 
     def validate(self, system: MarkovSystem) -> tuple[list, int]:
-        """Check each field, then every walked depth's word cap and exact
-        mode, so no later stage does; every error names its field.  Returns
-        each query's cylinder set (or a whole-space query's depth) and the
-        deepest walked depth, to which the run walks every word."""
+        """Check each field, exact mode and the word cap of the deepest
+        walked depth, counted once, so no later stage does; every error
+        names its field.  Returns each query's cylinder set (or a
+        whole-space query's depth) and that depth, to which the run walks
+        every word."""
         fields = vars(self)
         for key, minimum in _PLAN_MINIMUMS.items():
             json_field(fields, key, "plan", _at_least(minimum))
@@ -160,8 +161,10 @@ class ExperimentPlan:
         if not depths:
             raise ConfigError("plan.depths: needs at least one table depth")
         # the run walks every word to the deepest of these depths and folds
-        # query words past it; each depth is checked once, under the first
-        # field that lists it, where a depth past a cap fails first
+        # query words past it.  validate_system gives every vertex an
+        # out-edge, so words and tree nodes never fall as the depth grows:
+        # one check of the deepest depth, under the first field that lists
+        # it, covers every shallower one
         query_depths = [q if isinstance(q, int) else q.depth for q in queries]
         walked = [("plan.depths", n) for n in depths] + [
             (f"plan.queries[{i}].whole_space_depth", q)
@@ -170,12 +173,9 @@ class ExperimentPlan:
              self.kstar_depth + w) for i, w in enumerate(windows)] + [
             ("plan.cover_window", cover_mod.window_depth(
                 n, self.cover_window, self.cover_depth)) for n in query_depths]
-        first: dict[int, str] = {}
-        for where, n in walked:
-            first.setdefault(n, where)
-        for n, where in first.items():
-            check_word_cap(system, n, f"{where}: ")
-        return queries, max(first)
+        where, deepest = max(walked, key=lambda listed: listed[1])
+        check_word_cap(system, deepest, f"{where}: ")
+        return queries, deepest
 
 
 def _query_set(system: MarkovSystem, value) -> CylinderSet:

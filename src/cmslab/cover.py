@@ -34,9 +34,10 @@ pieces that meet the query overlap only if they overlap on it.  So a query
 whose window holds no word, every sequence of it inadmissible, is covered
 by no piece at cost 0.  phi0 takes the same bits under every measure,
 since every chain state multiplies the same p_e at the same orbit point,
-so phi_upper reads its window words and charges from the cylinders.Walk it
-is given, whatever its measure, and checks its cover on its own masks;
-verify_cover, the check of certificate files, reads a base walk of its own.
+so phi_upper reads its window words from the cylinders.Walk it is given,
+whatever its measure, and each charge as phi0 of walk.along's {word: (M,
+phi0)}, and checks its cover on its own masks; verify_cover, the check of
+certificate files, reads a base walk of its own the same way.
 """
 
 from __future__ import annotations
@@ -111,13 +112,6 @@ def _window(walk: Walk, q: CylinderSet, max_shift: int, hi: int,
     return spelled, index
 
 
-def _charges(walk: Walk, words: set[Word]) -> dict[Word, float]:
-    """The base measure phi0 of each word, read from the walk's rows or
-    folded past its depth (Walk.along)."""
-    rows = walk.along(words)
-    return dict(zip(rows.words, rows.phi0_values.tolist()))
-
-
 def _check_masks(pieces, masks: list[int], spelled: dict[Word, list]) -> None:
     """Raise CertificateInvalid unless each piece's mask of window words
     (bit i: the i-th word of `spelled`) is nonzero, no two masks share a bit
@@ -167,7 +161,8 @@ def phi_upper(walk: Walk, q: CylinderSet, max_shift: int, max_depth: int,
     target = (1 << len(spelled)) - 1
     # a piece's charge does not depend on its shift: one per word, so a word
     # no piece of the pool uses is never charged
-    charge_of = _charges(walk, {*(word for _, word in index), *q.words})
+    charge_of = {w: phi for w, (_, phi) in walk.along(
+        {*(word for _, word in index), *q.words}).items()}
 
     # candidate pool: the pieces that meet the query; an optimal cover never
     # needs a piece that misses it
@@ -269,8 +264,8 @@ def verify_cover(sys: MarkovSystem, q: CylinderSet,
         raise CertificateInvalid(f"certificate window: {exc}") from None
     _check_masks(pieces, [index.get(piece, 0) for piece in pieces], spelled)
 
-    charge_of = _charges(walk, {w for _, w in pieces})
-    cost = math.fsum(charge_of[w] for _, w in pieces)
+    charge_of = walk.along({w for _, w in pieces})
+    cost = math.fsum(charge_of[w][1] for _, w in pieces)
     if abs(cost - candidate.cost) > COST_TOL:
         raise CertificateInvalid(
             f"cost mismatch: recomputed {cost!r}, claimed {candidate.cost!r}")

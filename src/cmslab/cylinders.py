@@ -11,7 +11,8 @@ alone with no chain measure), one step per tree node of one chain state
 that carries both (atoms under a measure, scalar otherwise); _fold takes the
 same step once per edge of a word past a walk's depth.  They alone step
 through words.  Every reader takes the Walk: enumerate_words reads one,
-build_table checks one depth of its rows, m_of_cylinder_set sums them.
+build_table checks one depth of its rows, and m_of_cylinder_set sums the M
+of Walk.along's {word: (M, phi0)}.
 """
 
 from __future__ import annotations
@@ -84,18 +85,20 @@ def _walk_cap() -> int:
 def _tree_counts(sys: MarkovSystem, n: int) -> tuple[int, int]:
     """(words of depth n, nodes of the word tree to depth n, its roots
     included): 1^T A^n 1 and the sum over m <= n of 1^T A^m 1, for the
-    integer adjacency matrix A.  Both are read off B^n, B = [[A, I], [0, I]],
-    whose top blocks are A^n and the sum over m < n of A^m.  B^n comes by
-    squaring, in O(V^3 log n), with every entry held at the walk cap + 1: a
-    product of nonnegative integer matrices so held is the true product
-    held, so each count is exact up to the walk cap and past it otherwise."""
+    adjacency matrix A.  Both are read off B^n, B = [[A, I], [0, I]], whose
+    top blocks are A^n and the sum over m < n of A^m.  B^n comes by
+    squaring, in O(V^3 log n), in float64 with every entry held at the walk
+    cap + 1: a sum of products of nonnegative integers that stays at or
+    below the cap is exact (each term is below 2^53), and one past it rounds
+    to at least the cap + 1, since rounding is monotone; so each count is
+    exact up to the walk cap, and past it otherwise."""
     v = len(sys.vertices)
-    top = _walk_cap() + 1
-    b = np.zeros((2 * v, 2 * v), dtype=object)
-    b[:v, v:] = b[v:, v:] = np.identity(v, dtype=object)
+    top = float(_walk_cap() + 1)
+    b = np.zeros((2 * v, 2 * v))
+    b[:v, v:] = b[v:, v:] = np.identity(v)
     for e in sys.edges:
         b[e.source - 1, e.target - 1] += 1
-    power = np.identity(2 * v, dtype=object)
+    power = np.identity(2 * v)
     while n:
         if n & 1:
             power = np.minimum(power @ b, top)
@@ -263,8 +266,8 @@ def stationary_vertex_distribution(sys: MarkovSystem,
 
 @dataclass(frozen=True, eq=False)
 class CylinderRows:
-    """Unchecked M and phi0 of words, in order: those of one depth of a walk,
-    in the walk's order, or those Walk.along was asked for."""
+    """Unchecked M and phi0 of the words of one depth of one walk, in the
+    walk's order."""
 
     words: tuple[Word, ...]
     m_values: np.ndarray
@@ -275,12 +278,6 @@ def _read_only(values: list[float]) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
-
-
-def _by_word(rows: Iterable[CylinderRows]) -> dict[Word, tuple[float, float]]:
-    """(M, phi0) of every word the rows hold."""
-    return {w: pair for raw in rows for w, pair in zip(
-        raw.words, zip(raw.m_values.tolist(), raw.phi0_values.tolist()))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,22 +293,24 @@ class Walk:
 
     def to(self, n: int) -> Walk:
         """This walk when it holds every word of depth n, else one fresh
-        walk to depth n under its system and measure."""
-        return self if n <= self.depth else walk_cylinders(
+        walk to depth n under its system and measure, which refuses n < 1
+        (ValueError)."""
+        return self if 0 < n <= self.depth else walk_cylinders(
             self.system, n, self.measure)
 
-    def along(self, words: Iterable[Word]) -> CylinderRows:
-        """The rows of `words`, in their order: read from this walk where a
-        row holds the word, and folded under its measure for the others."""
-        words = tuple(words)
-        found = _by_word(self.rows[n]
-                         for n in {len(w) for w in words} & self.rows.keys())
-        missing = [w for w in words if w not in found]
+    def along(self, words: Iterable[Word]) -> dict[Word, tuple[float, float]]:
+        """{word: (M, phi0)} of `words`, in their order: read from this
+        walk's rows where it holds the word, and folded under its measure
+        for the others."""
+        found = dict.fromkeys(words)
+        for n in {len(w) for w in found} & self.rows.keys():
+            raw = self.rows[n]
+            found.update((w, pair) for w, pair in zip(raw.words, zip(
+                raw.m_values.tolist(), raw.phi0_values.tolist())) if w in found)
+        missing = [w for w, pair in found.items() if pair is None]
         if missing:
             found.update(zip(missing, _fold(self.system, self.measure, missing)))
-        return CylinderRows(
-            words=words, m_values=_read_only([found[w][0] for w in words]),
-            phi0_values=_read_only([found[w][1] for w in words]))
+        return found
 
 
 def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure) -> Walk:
@@ -433,7 +432,7 @@ def build_table(walk: Walk, n: int) -> CylinderTable:
 
 def m_of_cylinder_set(walk: Walk, q: CylinderSet) -> float:
     """Chain mass of a finite cylinder union (words are disjoint by depth),
-    summed from the walk's rows of q's words (Walk.along); ValueError on a
-    walk with no measure."""
+    the sum of M over Walk.along of q's words; ValueError on a walk with no
+    measure."""
     _require_measure(walk)
-    return math.fsum(walk.along(q.words).m_values)
+    return math.fsum(m for m, _ in walk.along(q.words).values())

@@ -149,6 +149,24 @@ def no_in_edge_config() -> dict:
     }
 
 
+def ring_config(n: int = 100) -> dict:
+    """n unit boxes on a line, vertex v feeding v + 1 and v + 2 (mod n) by
+    halving maps at 0.5 each, so depth d has n 2^d words."""
+    def edge(source, step):
+        target = (source + step - 1) % n + 1
+        return {"id": f"r{source}s{step}", "source": source, "target": target,
+                "linear": [0.5], "offset": [2.0 * target - source],
+                "prob": {"family": "constant", "alpha": 0.5}}
+
+    return {
+        "dimension": 1,
+        "vertices": [{"index": v, "lower": [2.0 * v], "upper": [2.0 * v + 1],
+                      "base_point": [2.0 * v]} for v in range(1, n + 1)],
+        "edges": [edge(v, step) for v in range(1, n + 1) for step in (1, 2)],
+        "support_set": list(range(1, n + 1)),
+    }
+
+
 @pytest.fixture(scope="session")
 def sys_a() -> cl.MarkovSystem:
     return cl.validate_system(sys_a_config())

@@ -109,14 +109,15 @@ def plain_cover_search(sys, q, max_shift: int, max_depth: int,
     only on the incumbent: pool order, cheapest piece for the lowest
     uncovered window word first, no memo and no lower bound; its window and
     charges come from a base walk of its own, to the window's depth."""
-    from cmslab.cover import _charges, _window, window_depth
+    from cmslab.cover import _window, window_depth
     from cmslab.cylinders import walk_cylinders
 
     hi = max(q.depth, max_depth)
     walk = walk_cylinders(sys, window_depth(q.depth, max_shift, hi), None)
     spelled, index = _window(walk, q, max_shift, hi, max_depth)
     target = (1 << len(spelled)) - 1
-    charge_of = _charges(walk, {*(word for _, word in index), *q.words})
+    charge_of = {w: phi for w, (_, phi) in walk.along(
+        {*(word for _, word in index), *q.words}).items()}
     pool = sorted(((charge_of[word], shift, word, mask)
                    for (shift, word), mask in index.items()),
                   key=lambda p: (p[0], -p[1], p[2]))

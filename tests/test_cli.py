@@ -764,7 +764,7 @@ def _two_self_loops() -> dict:
 _FAILURES = {
     "depth_over_cap": ({"word_cap": 2}, sys_a_config, "validate",
                        "DepthOverflow", 3,
-                       "plan.depths: depth 2 exceeds the word cap 2"),
+                       "plan.depths: depth 3 exceeds the word cap 2"),
     "support_too_small": ({"queries": []}, _sys_c_support_1, "tables",
                           "AbsoluteContinuityViolation", 1,
                           "the support set is too small"),
@@ -866,9 +866,9 @@ def test_cover_window_over_word_cap_fails_at_validate(window, depth, query,
 
 def test_validate_checks_the_depth_a_cover_window_walks(tmp_path, config_a,
                                                         monkeypatch):
-    """Validate checks, for each query, the depth its cover window reads,
-    under the first field that names that depth, and the run walks once,
-    to the deepest depth validate checked, so the searches read every
+    """Validate checks one depth, the deepest of those the plan walks (each
+    query's cover window reads one), under the first field that names it,
+    and the run walks once, to that depth, so the searches read every
     window and charge from that walk and walk nothing of their own."""
     checked, walked = [], []
     check, walk = cli_mod.check_word_cap, cl.cylinders.walk_cylinders
@@ -898,19 +898,20 @@ def test_validate_checks_the_depth_a_cover_window_walks(tmp_path, config_a,
                   ("plan.queries[0].whole_space_depth: ", 2),
                   ("plan.kstar_depth + plan.kstar_windows[0]: ", 1)] + [
             ("plan.cover_window: ", n) for n in windows]
-        assert checked == [(where, n) for i, (where, n) in enumerate(listed)
-                           if n not in [m for _, m in listed[:i]]]
+        deepest = max(n for _, n in listed)
+        assert checked == [next(item for item in listed
+                                if item[1] == deepest)]
         assert walked == [max(2, *windows)]
 
 
-@pytest.mark.parametrize("workload, counts", [
+@pytest.mark.parametrize("workload, deepest", [
     ("mc_affine", 6), ("exact_cover", 12), ("geometry_highdim", 2)])
-def test_validate_counts_each_walked_depth_once(workload, counts, tmp_path,
+def test_validate_counts_each_walked_depth_once(workload, deepest, tmp_path,
                                                 monkeypatch):
-    """Validate counts the words of each distinct depth it checks once (the
-    benchmark plans of seed 3 list 11, 18 and 6 depths, of which 6, 12 and
-    2 are distinct), and a depth that fails names the first field that
-    lists it."""
+    """Validate counts words once, at the deepest depth it checks (the
+    benchmark plans of seed 3 list 11, 18 and 6 walked depths, the deepest
+    6, 12 and 2), and a depth that fails names the first field that lists
+    it."""
     workloads = bench_module("workloads")
     inputs = workloads.prepare(workload, 3, tmp_path)
     plan = ExperimentPlan.from_dict(dict(inputs.plan))
@@ -919,9 +920,8 @@ def test_validate_counts_each_walked_depth_once(workload, counts, tmp_path,
     monkeypatch.setattr(cl.cylinders, "_tree_counts",
                         lambda sys_, n: counted.append(n)
                         or tree_counts(sys_, n))
-    _, deepest = plan.validate(system)
-    assert len(counted) == len(set(counted)) == counts
-    assert deepest == max(counted)
+    _, walked = plan.validate(system)
+    assert counted == [deepest] and walked == deepest
 
     plan.depths = [*plan.depths, 40]
     plan.kstar_windows = [40 - plan.kstar_depth, *plan.kstar_windows]

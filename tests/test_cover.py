@@ -222,8 +222,13 @@ def test_phi_upper_charges_only_words_of_pieces_that_meet_the_query(
     walk for both, once.  Given a walk that holds e1 but not e1.e2, it
     folds e1.e2 alone; given one that holds both, it folds nothing."""
     asked, along = [], cl.Walk.along
-    monkeypatch.setattr(cl.Walk, "along", lambda walk, words: asked.append(
-        sorted(words)) or along(walk, words))
+
+    def asking(walk, words):
+        found = along(walk, words)
+        asked.append(sorted(found))
+        return found
+
+    monkeypatch.setattr(cl.Walk, "along", asking)
     folds = fold_calls(monkeypatch)
     q = cl.cylinder_set(sys_a, [("e1", "e2")])
     found = cl.phi_upper(cl.walk_cylinders(sys_a, 1, None), q, 0, 2)

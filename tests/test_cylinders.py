@@ -12,8 +12,8 @@ import pytest
 import cmslab as cl
 
 from conftest import (fold_calls, loop_into_loop_config, m_of,
-                      one_loop_config, sys_a_config, sys_b_config,
-                      sys_c_config, table_of)
+                      one_loop_config, ring_config, sys_a_config,
+                      sys_b_config, sys_c_config, table_of)
 from oracles import (chain_cyl_prob, csv_writer_text, enumerate_paths,
                      stationary_via_eig, word_row)
 
@@ -59,6 +59,21 @@ def test_word_counts_are_closed_form():
     assert cl.count_words(two, 10 ** 12) > 2 * cl.cylinders.WORD_CAP
     assert [cl.count_words(two, n) for n in range(1, 6)] == [
         len(cl.enumerate_words(two, n)) for n in range(1, 6)]
+
+
+def test_word_cap_check_is_fast_on_a_wide_graph():
+    """The counts are float64 matrix products: on a ring of 100 vertices
+    with two out-edges each, depth 1000 (100 2^1000 words) overflows within
+    a second, and depth 5 counts its 100 2^5 words and 100 (2^6 - 1) tree
+    nodes exactly."""
+    ring = cl.validate_system(ring_config())
+    start = time.perf_counter()
+    with pytest.raises(cl.DepthOverflow,
+                       match="^depth 1000 exceeds the word cap"):
+        cl.cylinders.check_word_cap(ring, 1000)
+    assert time.perf_counter() - start < 1.0
+    assert cl.cylinders._tree_counts(ring, 5) == (100 * 2 ** 5,
+                                                   100 * (2 ** 6 - 1))
 
 
 def test_walk_cap_binds_on_a_loop(monkeypatch):
@@ -379,7 +394,7 @@ def test_fold_roots_only_the_start_vertices_of_its_words(
         walk = cl.walk_cylinders(sys_c, 1, measure)
         assert roots == [1, 2]
         roots.clear()
-        assert walk.along([("c11",) * 3]).words == (("c11",) * 3,)
+        assert list(walk.along([("c11",) * 3])) == [("c11",) * 3]
         assert roots == [1]
         roots.clear()
         walk.along([("c11", "c12"), ("c21", "c11"), ("c11",) * 3])
@@ -405,11 +420,11 @@ def test_fold_steps_once_per_edge_of_each_word(sys_b, small_measures,
                      "step": sum(map(len, words))}
     assert sizes == [len(mu)] * sum(len(w) - 1 for w in words)
     assert walk.depth == 2 and sorted(walk.rows) == [1, 2]
-    assert rows.words == tuple(words)
-    for i, w in enumerate(words):
+    assert list(rows) == words
+    for w, pair in rows.items():
         at = full[len(w)].words.index(w)
-        for key in ("m_values", "phi0_values"):
-            assert (getattr(rows, key)[i].tobytes()
+        for value, key in zip(pair, ("m_values", "phi0_values")):
+            assert (np.float64(value).tobytes()
                     == getattr(full[len(w)], key)[at].tobytes())
     # a table never reads rows the walk did not complete
     assert (cl.build_table(walk, 4).m_values.tolist()
@@ -480,6 +495,21 @@ def test_each_reader_follows_its_walks_measure(name, request, small_measures,
         assert not {"measure", "rows", "sys"} & set(params)
 
 
+def test_readers_refuse_a_depth_below_1_as_the_walk_does(sys_b,
+                                                         small_measures):
+    """Walk.to refuses a depth below 1 with the walk's own ValueError, up
+    to its depth as past it, so a table or K* window at depth 0 raises it
+    too, not a KeyError."""
+    walk = cl.walk_cylinders(sys_b, 2, small_measures["sys_b"])
+    for read in (lambda: cl.walk_cylinders(sys_b, 0, walk.measure),
+                 lambda: walk.to(0), lambda: walk.to(-1),
+                 lambda: cl.build_table(walk, 0),
+                 lambda: cl.kstar_estimate(sys_b, 1, 0, walk),
+                 lambda: cl.kstar_estimate(sys_b, 0, 0, walk)):
+        with pytest.raises(ValueError, match="^depth must be >= 1$"):
+            read()
+
+
 @pytest.mark.parametrize("name", ["sys_b", "sys_c"])
 def test_walk_to_extends_a_shallow_walk_only(name, request, small_measures,
                                              monkeypatch):
@@ -511,10 +541,10 @@ def test_walk_to_extends_a_shallow_walk_only(name, request, small_measures,
 
 def test_walk_along_reads_what_it_holds_and_folds_the_rest(
         sys_c, small_measures, monkeypatch):
-    """Walk.along returns the rows of the words asked for, in their order:
-    those the walk holds are read from it, and the others come from one
-    fold under its measure, which walks nothing and counts no word tree;
-    an inadmissible word raises InadmissibleWord."""
+    """Walk.along returns {word: (M, phi0)} of the words asked for, in their
+    order: those the walk holds are read from it, and the others come from
+    one fold under its measure, which walks nothing and counts no word
+    tree; an inadmissible word raises InadmissibleWord."""
     mu = small_measures["sys_c"]
     deep = cl.walk_cylinders(sys_c, 4, mu)
     walk = cl.walk_cylinders(sys_c, 2, mu)
@@ -528,13 +558,13 @@ def test_walk_along_reads_what_it_holds_and_folds_the_rest(
     rows = walk.along(words)
     assert folds == [[words[0], words[1], words[3]]]
     assert made == [] and counted == []
-    assert rows.words == tuple(words)
-    for key in ("m_values", "phi0_values"):
+    assert list(rows) == words
+    for i, key in enumerate(("m_values", "phi0_values")):
         expected = [getattr(deep.rows[len(w)], key)[
             deep.rows[len(w)].words.index(w)] for w in words]
-        assert getattr(rows, key).tolist() == expected
+        assert [rows[w][i] for w in words] == expected
     folds.clear()
-    assert walk.along(words[2:3]).words == tuple(words[2:3])
+    assert list(walk.along(words[2:3])) == words[2:3]
     assert folds == [] and made == []
     with pytest.raises(cl.InadmissibleWord):
         walk.along([("c11", "c21", "c11")])

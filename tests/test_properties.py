@@ -186,9 +186,35 @@ def test_walks_agree_on_random_systems(drawn):
 
 @_SETTINGS
 @given(systems())
+def test_counts_never_fall_with_depth_on_random_systems(drawn):
+    """The word and tree-node counts of depths 0-12 are those of the
+    Python-int recurrence c_{m+1} = c_m A from c_0 = 1 on every vertex:
+    words never fall as the depth grows and tree nodes rise, which
+    validate's one check of the deepest walked depth relies on; to depth 4
+    count_words is the number of words a walk enumerates."""
+    cfg, _ = drawn
+    sys_ = cl.validate_system(cfg)
+    row = {v["index"]: 1 for v in cfg["vertices"]}
+    words, nodes = [], []
+    for n in range(13):
+        words.append(sum(row.values()))
+        nodes.append(sum(words))
+        assert cl.cylinders._tree_counts(sys_, n) == (words[-1], nodes[-1])
+        ahead = dict.fromkeys(row, 0)
+        for e in cfg["edges"]:
+            ahead[e["target"]] += row[e["source"]]
+        row = ahead
+    assert all(a <= b for a, b in zip(words, words[1:]))
+    assert all(a < b for a, b in zip(nodes, nodes[1:]))
+    for n in range(1, 5):
+        assert cl.count_words(sys_, n) == len(cl.enumerate_words(sys_, n))
+
+
+@_SETTINGS
+@given(systems())
 def test_a_fold_reads_what_a_walk_holds_on_random_systems(drawn):
-    """A depth-1 walk folds every word of depth DEPTH to the bits a walk to
-    DEPTH holds, M and phi0, with no measure, under mu_N and, for constant
+    """A depth-1 walk folds every word of depth DEPTH, in their order, to the
+    bits a walk to DEPTH holds, M and phi0, with no measure, under mu_N and, for constant
     draws, in exact mode; a walk's rows are its depths 1..depth, and a walk
     to depth 0 raises ValueError."""
     cfg, affine = drawn
@@ -202,8 +228,9 @@ def test_a_fold_reads_what_a_walk_holds_on_random_systems(drawn):
             assert sorted(w.rows) == list(range(1, w.depth + 1))
         held = walk.rows[DEPTH]
         folded = shallow.along(held.words)
-        for key in ("m_values", "phi0_values"):
-            assert (getattr(folded, key).tobytes()
+        assert list(folded) == list(held.words)
+        for i, key in enumerate(("m_values", "phi0_values")):
+            assert (np.array([pair[i] for pair in folded.values()]).tobytes()
                     == getattr(held, key).tobytes())
         with pytest.raises(ValueError):
             cl.walk_cylinders(sys_, 0, measure)
