@@ -214,9 +214,9 @@ def test_counts_never_fall_with_depth_on_random_systems(drawn):
 @given(systems())
 def test_a_fold_reads_what_a_walk_holds_on_random_systems(drawn):
     """A depth-1 walk folds every word of depth DEPTH, in their order, to the
-    bits a walk to DEPTH holds, M and phi0, with no measure, under mu_N and, for constant
-    draws, in exact mode; a walk's rows are its depths 1..depth, and a walk
-    to depth 0 raises ValueError."""
+    bits a walk to DEPTH holds, M and phi0, with no measure, under mu_N and,
+    for constant draws, in exact mode; a walk's rows are its depths
+    1..depth, and a walk to depth 0 raises ValueError."""
     cfg, affine = drawn
     sys_ = cl.validate_system(cfg)
     measures = [None, cl.pushforward_measure(sys_, 3)]
