@@ -12,8 +12,10 @@ codes: 0 success (a cover search cut short by its budget included: its
 cover is still an upper bound), 1 any other cmslab error (an inadmissible
 flag word, an invalid certificate, an output path that cannot be written,
 ...), 2 invalid config or plan, 3 word cap exceeded, 4 consistency red
-flag.  The validate stage decides exact mode and the word cap of every
-depth a run walks; the subcommands check --out before any work.
+flag; an error prints one line.  A config, plan or certificate file that
+cannot be read or decoded as JSON is invalid, and its line names the file.
+The validate stage decides exact mode and the word cap of every depth a run
+walks; the subcommands check --out before any work.
 
 The simulate stage builds mu_N, the base points pushed forward to the
 deepest level within simulate.ATOM_CAP, in both modes: it gives c_hat, and
@@ -195,11 +197,13 @@ def _json_dump(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _load_config(path: str) -> dict:
+def _read_json(path: str, error: type[CMSError] = ConfigError):
+    """The JSON of a config, plan or certificate file, all read here: one that
+    cannot be read or decoded (bad bytes, deep nesting) raises `error`."""
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, TypeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except (OSError, TypeError, ValueError, RecursionError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
 
 
 def _exit_code(exc: CMSError | OSError) -> int:
@@ -243,7 +247,7 @@ class _Context:
 
 
 def _validate(ctx: _Context) -> None:
-    ctx.system = validate_system(_load_config(ctx.plan.config_path))
+    ctx.system = validate_system(_read_json(ctx.plan.config_path))
     ctx.queries, ctx.depth = ctx.plan.validate(ctx.system)
     ctx.save("system.json",
              lambda path: _json_dump(system_to_config(ctx.system), path))
@@ -258,9 +262,10 @@ def _simulate(ctx: _Context) -> None:
 
 def _constants(ctx: _Context) -> None:
     system, mu = ctx.system, ctx.mu
-    ctx.report = bounds_mod.evaluate_bounds(system, derive_constants(system, mu))
+    constants = derive_constants(system, mu)
+    ctx.report = bounds_mod.evaluate_bounds(system, constants)
     ctx.report.measure = {"levels": mu.levels, "atoms": len(mu),
-                          "c_hat_gap": c_hat_gap(system, mu)}
+                          "c_hat_gap": c_hat_gap(system, mu, constants.c_hat)}
 
 
 def _tables(ctx: _Context) -> None:
@@ -417,11 +422,7 @@ def _report_text(ctx: _Context) -> str:
 
 def verify_certificate(path: str) -> bool:
     """Re-verify a certificate file; prints nothing, returns True or raises."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CertificateInvalid(f"cannot read certificate: {exc}") from exc
-    cover_mod.verify_certificate_data(data)
+    cover_mod.verify_certificate_data(_read_json(path, CertificateInvalid))
     return True
 
 
@@ -536,39 +537,13 @@ def _check_out(path: str | None) -> None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     _check_out(getattr(args, "out", None))
-    if args.command == "validate":
-        system = validate_system(_load_config(args.config))
-        print(f"ok: {len(system.vertices)} vertices, {len(system.edges)} edges, "
-              f"support {sorted(system.support_set)}, "
-              f"contraction rate {_fmt(system.contraction_rate)}")
+    if args.command == "verify-cert":
+        verify_certificate(args.certificate)
+        print("certificate ok")
         return EXIT_OK
 
-    if args.command == "simulate":
-        system = validate_system(_load_config(args.config))
-        mu = pushforward_measure(system)
-        mu.to_csv(args.out)
-        print(f"wrote {args.out}: mu_{mu.levels}, {len(mu)} atoms, "
-              f"mean {[ _fmt(v) for v in mu.mean_point() ]}")
-        return EXIT_OK
-
-    if args.command == "coding":
-        system = validate_system(_load_config(args.config))
-        result = coding_point(system, parse_word(args.past))
-        print(f"point={','.join(_fmt(c) for c in result.point)} "
-              f"error_bound={_fmt(result.error_bound)} depth={result.depth}")
-        print("j," + ",".join(f"x_{i + 1}" for i in range(system.dimension)))
-        for j, x in enumerate(result.orbit, start=1 - result.depth):
-            print(f"{j}," + ",".join(repr(float(c)) for c in x))
-        return EXIT_OK
-
-    if args.command == "table":
-        system = validate_system(_load_config(args.config))
-        measure = EXACT if args.mode == "exact" else pushforward_measure(system)
-        table = build_table(walk_cylinders(system, args.depth, measure),
-                            args.depth)
-        table.to_csv(args.out)
-        print(f"wrote {args.out}: {len(table)} rows at depth {args.depth}")
-        return EXIT_OK
+    if args.command == "run":
+        return run(ExperimentPlan.from_dict(_read_json(args.plan)))
 
     if args.command == "bounds":
         plan = ExperimentPlan(
@@ -582,8 +557,30 @@ def _dispatch(args: argparse.Namespace) -> int:
                 _json_dump(ctx.report.to_dict(), Path(args.out))
         return code
 
-    if args.command == "cover":
-        system = validate_system(_load_config(args.config))
+    system = validate_system(_read_json(args.config))
+    if args.command == "validate":
+        print(f"ok: {len(system.vertices)} vertices, {len(system.edges)} edges, "
+              f"support {sorted(system.support_set)}, "
+              f"contraction rate {_fmt(system.contraction_rate)}")
+    elif args.command == "simulate":
+        mu = pushforward_measure(system)
+        mu.to_csv(args.out)
+        print(f"wrote {args.out}: mu_{mu.levels}, {len(mu)} atoms, "
+              f"mean {[ _fmt(v) for v in mu.mean_point() ]}")
+    elif args.command == "coding":
+        result = coding_point(system, parse_word(args.past))
+        print(f"point={','.join(_fmt(c) for c in result.point)} "
+              f"error_bound={_fmt(result.error_bound)} depth={result.depth}")
+        print("j," + ",".join(f"x_{i + 1}" for i in range(system.dimension)))
+        for j, x in enumerate(result.orbit, start=1 - result.depth):
+            print(f"{j}," + ",".join(repr(float(c)) for c in x))
+    elif args.command == "table":
+        measure = EXACT if args.mode == "exact" else pushforward_measure(system)
+        table = build_table(walk_cylinders(system, args.depth, measure),
+                            args.depth)
+        table.to_csv(args.out)
+        print(f"wrote {args.out}: {len(table)} rows at depth {args.depth}")
+    elif args.command == "cover":
         if args.query is not None:
             q = cylinder_set(system,
                              [parse_word(w) for w in args.query.split(",")])
@@ -597,17 +594,9 @@ def _dispatch(args: argparse.Namespace) -> int:
                    Path(args.out))
         print(f"cost={_fmt(cost)} pieces={len(candidate.pieces)} "
               f"exhaustive={candidate.exhaustive}")
-        return EXIT_OK
-
-    if args.command == "verify-cert":
-        verify_certificate(args.certificate)
-        print("certificate ok")
-        return EXIT_OK
-
-    if args.command == "run":
-        return run(ExperimentPlan.from_dict(_load_config(args.plan)))
-
-    raise AssertionError(f"unhandled command {args.command}")
+    else:
+        raise AssertionError(f"unhandled command {args.command}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -363,12 +363,9 @@ def _require_measure(walk: Walk) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class CylinderTable:
-    """Per-word M, phi0, Z = M/phi0 and log Z at one depth."""
+class CylinderTable(CylinderRows):
+    """Checked rows of one depth, with Z = M/phi0 and log Z per word."""
 
-    words: tuple[Word, ...]
-    m_values: np.ndarray
-    phi0_values: np.ndarray
     z_values: np.ndarray
     logz_values: np.ndarray
 

@@ -84,11 +84,12 @@ class EmpiricalMeasure:
         return len(self.weights)
 
     def mean_point(self) -> np.ndarray:
-        return self.weights @ self.points
+        return np.array([self.average(x) for x in self.points.T])
 
     def average(self, values: np.ndarray) -> float:
-        """Weighted mean of one value per atom."""
-        return float(self.weights @ values)
+        """Weighted mean of one value per atom: the correctly rounded fsum
+        of the products, so no summation order (BLAS threads) moves it."""
+        return math.fsum((self.weights * values).tolist())
 
     def to_csv(self, path) -> None:
         """One row per atom: vertex, coordinates, weight.  The vertex
@@ -155,13 +156,23 @@ def pushforward_measure(sys: MarkovSystem,
                             levels=depth)
 
 
-def c_hat_gap(sys: MarkovSystem, mu: EmpiricalMeasure) -> float | None:
-    """|c_hat(mu_N) - c_hat(mu_{N-2})|: how far the last two levels still
-    move c_hat, or None when mu has fewer than two levels."""
+def c_hat_gap(sys: MarkovSystem, mu: EmpiricalMeasure,
+              c_hat: float) -> float | None:
+    """|c_hat - c_hat(mu_{N-2})| for c_hat that of mu = mu_N: how far the last
+    two levels still move c_hat, or None when mu has fewer than two levels."""
     if mu.levels < 2:
         return None
-    coarse = pushforward_measure(sys, mu.levels - 2)
-    return abs(estimate_c_hat(sys, mu) - estimate_c_hat(sys, coarse))
+    return abs(c_hat - estimate_c_hat(
+        sys, pushforward_measure(sys, mu.levels - 2)))
+
+
+def _exact_terms(values: list[float]) -> list[float]:
+    """Floats whose exact sum is that of `values`, each the fsum of what the
+    ones before leave: one fsum of many lists' terms rounds their sum once."""
+    terms = []
+    while rest := math.fsum(values + [-t for t in terms]):
+        terms.append(rest)
+    return terms
 
 
 @dataclass(frozen=True)
@@ -180,8 +191,9 @@ def check_average_contraction(sys: MarkovSystem, mu: EmpiricalMeasure,
     at the atom, so the estimate at step i is the exact mean distance over
     every edge path of length i.  The atoms go in chunks whose pairs after
     i_max steps, times the dimension, stay within ATOM_CAP where the fan-out
-    allows it.  Returns rows (i, estimate, a^i * c_hat) for
-    i = 1..i_max.
+    allows it; a level's estimate is the correctly rounded sum of its
+    products over all chunks (_exact_terms), whatever the chunk size.
+    Returns rows (i, estimate, a^i * c_hat) for i = 1..i_max.
     """
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
@@ -198,6 +210,7 @@ def check_average_contraction(sys: MarkovSystem, mu: EmpiricalMeasure,
         for level in sums:
             pairs = _push(sys, *pairs)
             _, wts, pts, ys = pairs
-            level.append(float(wts @ np.linalg.norm(pts - ys, axis=1)))
+            level += _exact_terms(
+                (wts * np.linalg.norm(pts - ys, axis=1)).tolist())
     return [ContractionRow(i=i, estimate=math.fsum(level), bound=a ** i * c_hat)
             for i, level in enumerate(sums, start=1)]

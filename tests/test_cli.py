@@ -14,9 +14,15 @@ import cmslab as cl
 from cmslab import cli as cli_mod
 from cmslab.cli import ExperimentPlan, main, run
 
-from conftest import (bench_module, loop_into_loop_config, no_in_edge_config,
-                      one_loop_config, sys_a_config, sys_b_config,
-                      sys_c_config)
+from conftest import (ROOT, bench_module, loop_into_loop_config,
+                      no_in_edge_config, one_loop_config, sys_a_config,
+                      sys_b_config, sys_c_config)
+
+
+# files that no JSON reader decodes: bytes that are not UTF-8, an integer
+# past Python's 4,300-digit limit and an array nested past the recursion limit
+_UNREADABLE = {"non_utf8": b"\xff\xfe{}", "long_integer": b"1" * 5000,
+               "deep_array": b"[" * 100_000 + b"]" * 100_000}
 
 
 @pytest.fixture
@@ -56,12 +62,26 @@ def test_validate_failure_exit_code(tmp_path, capsys):
 
 
 def test_validate_malformed_config_exit_code(tmp_path, capsys):
+    """A config that is no system, or that no JSON reader decodes, exits 2
+    from every command that takes --config, with one line naming the fault
+    and nothing written."""
     cfg = sys_a_config()
     cfg["edges"] = 3
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(cfg))
-    assert main(["validate", "--config", str(path)]) == 2
-    assert "edges" in capsys.readouterr().err
+    out = tmp_path / "out"
+    commands = [["validate"], ["coding", "--past", "e1"],
+                *([*argv, "--out", str(out)] for argv in _OUT_COMMANDS.values())]
+    for name, raw in {"malformed": None, **_UNREADABLE}.items():
+        if raw is not None:
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(raw)
+        for argv in commands:
+            assert main([*argv, "--config", str(path)]) == 2, (name, argv)
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1, (name, argv)
+            assert ("edges" if raw is None else f"cannot read {path}: ") in err
+    assert not out.exists()
 
 
 def test_simulate_deterministic(config_b, tmp_path, capsys):
@@ -154,7 +174,7 @@ def test_unwritable_out_exits_1_before_any_work(command, where, config_b,
     def no_work(*args, **kwargs):
         raise AssertionError("the work began before --out was checked")
 
-    monkeypatch.setattr(cli_mod, "_load_config", no_work)
+    monkeypatch.setattr(cli_mod, "_read_json", no_work)
     monkeypatch.setattr(cli_mod.cover_mod, "phi_upper", no_work)
     (tmp_path / "file").write_text("")
     out = {"missing_parent": tmp_path / "nodir" / "x",
@@ -321,19 +341,27 @@ def test_cover_deep_query_and_verify_cert(config_a, tmp_path):
     assert main(["verify-cert", "--certificate", str(cert)]) == 0
 
 
-@pytest.mark.parametrize("key, value", [("window", 5),
-                                        ("nodes_explored", "abc")])
+@pytest.mark.parametrize("key, value", [
+    ("window", 5), ("nodes_explored", "abc"),
+    *((None, name) for name in _UNREADABLE)])
 def test_verify_cert_malformed_field_exits_1_without_traceback(
         key, value, config_a, tmp_path):
+    """A certificate with a malformed field, or one that no JSON reader
+    decodes (key None), exits 1 with one line."""
     cert = tmp_path / "cert.json"
-    assert main(["cover", "--config", str(config_a), "--query", "e1.e2",
-                 "--out", str(cert)]) == 0
-    cert.write_text(json.dumps(dict(json.loads(cert.read_text()),
-                                    **{key: value})))
+    if key is None:
+        cert.write_bytes(_UNREADABLE[value])
+    else:
+        assert main(["cover", "--config", str(config_a), "--query", "e1.e2",
+                     "--out", str(cert)]) == 0
+        cert.write_text(json.dumps(dict(json.loads(cert.read_text()),
+                                        **{key: value})))
     proc = _cmslab("verify-cert", "--certificate", str(cert))
     assert proc.returncode == 1, proc.stderr
-    assert "malformed certificate" in proc.stderr
+    assert ("malformed certificate" if key else
+            f"CertificateInvalid: cannot read {cert}: ") in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("pieces, depth", [
@@ -542,7 +570,8 @@ def test_run_never_samples_the_chain(tmp_path, config_b, monkeypatch):
     mu = cl.pushforward_measure(system)
     # k = 1 and two out-edges: 2^14 atoms fill ATOM_CAP at level 14
     assert blob["measure"] == {"levels": 14, "atoms": 2 ** 14,
-                               "c_hat_gap": cl.simulate.c_hat_gap(system, mu)}
+                               "c_hat_gap": cl.simulate.c_hat_gap(
+                                   system, mu, cl.estimate_c_hat(system, mu))}
     assert "c_hat_stderr" not in blob["constants"]
     assert all(row[2] == 0.0 for row in blob["k_n_series"])
     assert all(row[3] == 0.0 for row in blob["kstar_estimates"])
@@ -557,21 +586,36 @@ def test_run_deterministic_bounds_json(tmp_path, config_a):
     assert b1 == b2
 
 
-def test_run_malformed_config_keeps_manifest_only(tmp_path):
+def test_run_malformed_config_keeps_manifest_only(tmp_path, capsys):
+    """A plan whose config is invalid, or that no JSON reader decodes, exits
+    2 at stage validate and writes MANIFEST.json only; a plan file that no
+    JSON reader decodes exits 2 before any stage.  Each prints one line."""
     cfg = sys_a_config()
     cfg["edges"][0]["prob"]["alpha"] = 0.9
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
-    plan = ExperimentPlan(config_path=str(path), mode="exact",
-                          depths=[1], queries=[],
-                          output_dir=str(tmp_path / "out"))
-    assert run(plan) == 2
-    out = tmp_path / "out"
-    manifest = json.loads((out / "MANIFEST.json").read_text())
-    assert manifest["failure"]["stage"] == "validate"
-    assert manifest["failure"]["error"] == "NormalizationError"
-    assert not (out / "system.json").exists()
-    assert not (out / "bounds.json").exists()
+    for name, raw in {"NormalizationError": None, **_UNREADABLE}.items():
+        if raw is not None:
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(raw)
+        out = tmp_path / f"out_{name}"
+        plan = ExperimentPlan(config_path=str(path), mode="exact",
+                              depths=[1], queries=[], output_dir=str(out))
+        plan_path = tmp_path / f"plan_{name}.json"
+        plan_path.write_text(json.dumps(vars(plan)))
+        assert main(["run", "--plan", str(plan_path)]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error at stage validate: ")
+        assert err.count("\n") == 1
+        manifest = json.loads((out / "MANIFEST.json").read_text())
+        assert manifest["failure"]["stage"] == "validate"
+        assert manifest["failure"]["error"] == (
+            "ConfigError" if raw is not None else name)
+        assert sorted(p.name for p in out.iterdir()) == ["MANIFEST.json"]
+        if raw is not None:
+            assert main(["run", "--plan", str(path)]) == 2, name
+            assert capsys.readouterr().err.startswith(
+                f"ConfigError: cannot read {path}: ")
 
 
 def test_run_exact_mode_refused_for_place_dependent(tmp_path, config_b):
@@ -1089,3 +1133,68 @@ def test_bad_integer_flag_or_seed_exits_2_naming_it(case, config_a, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert name in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# One tiny job per bench workload and three k = 1 affine draws, in a child
+# process; prints each output's SHA-256, each draw's BLAS dot of weights and
+# distances, and the same sum as mu.average takes it.
+_BLAS_CHILD = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import cmslab as cl
+import cmslab.cli
+import workloads
+
+def sha(raw):
+    return hashlib.sha256(raw).hexdigest()
+
+found, dots = {}, []
+with tempfile.TemporaryDirectory() as tmp:
+    for name in workloads.WORKLOADS:
+        inputs = workloads.prepare(name, 0, Path(tmp) / name, tiny=True)
+        system = cl.validate_system(inputs.config)
+        outcome = workloads.run_job(cl, inputs, system)
+        for path in sorted(inputs.out_dir.rglob("*.*")):
+            blob = path.read_bytes()
+            if path.name == "MANIFEST.json":
+                blob = json.dumps(dict(json.loads(blob), seconds=None)).encode()
+            found[f"{name}/{path.relative_to(inputs.out_dir)}"] = sha(blob)
+        found[f"{name}/points"] = sha(repr(
+            [(p.point.tolist(), p.error_bound) for p in outcome.points]).encode())
+    for seed in (1, 2, 3):
+        system = cl.validate_system(workloads.make_system(
+            np.random.default_rng([seed, 9]), 1, affine=True))
+        mu = cl.pushforward_measure(system)
+        csv = Path(tmp) / "measure.csv"
+        mu.to_csv(csv)
+        found[f"draw {seed}/measure.csv"] = sha(csv.read_bytes())
+        dist = np.linalg.norm(mu.points - system.base_points[mu.vertices], axis=1)
+        found[f"draw {seed}/c_hat"] = repr(cl.estimate_c_hat(system, mu))
+        found[f"draw {seed}/mean"] = repr(mu.mean_point().tolist())
+        dots.append(repr(float(mu.weights @ dist)))
+print(json.dumps({"found": found, "dots": dots, "atoms": len(mu)}))
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    """Every file a tiny job of each bench workload writes, its coding
+    points, and mu_N, c_hat and the mean point of three k = 1 affine draws
+    hash the same under OPENBLAS_NUM_THREADS=1 and =2.  The draws first show
+    that the host's BLAS sums a dot product in another order under the two
+    settings; where it does not, nothing here could differ."""
+    src = str(Path(cl.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_CHILD, str(ROOT / "bench")],
+            capture_output=True, text=True, env=dict(
+                os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = json.loads(proc.stdout)
+    assert runs["1"]["atoms"] == 2 ** 14
+    if runs["1"]["dots"] == runs["2"]["dots"]:
+        pytest.skip("this host's BLAS sums a dot product in one order under "
+                    "1 and 2 threads, so no output could move with them")
+    assert runs["1"]["found"] == runs["2"]["found"]

@@ -101,3 +101,31 @@ def test_no_function_recurses(path):
     assert sorted(node.name for node in ast.walk(tree)
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   and _calls_itself(node)) == []
+
+
+def _file_reads(tree: ast.Module) -> list[str]:
+    """The function around each call of json.load, json.loads, read_text or
+    read_bytes, or "<module>" at module level."""
+    found, todo = [], [(tree, "<module>")]
+    while todo:
+        node, owner = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        called = node.func if isinstance(node, ast.Call) else None
+        if isinstance(called, ast.Attribute) and (
+                called.attr in ("read_text", "read_bytes")
+                or called.attr in ("load", "loads")
+                and isinstance(called.value, ast.Name)
+                and called.value.id == "json"):
+            found.append(owner)
+        todo += [(child, owner) for child in ast.iter_child_nodes(node)]
+    return found
+
+
+def test_only_the_reader_reads_a_file():
+    """Every file from outside is read by cli._read_json, so each one that
+    cannot be read or decoded ends in its one error: ConfigError (exit 2)
+    or CertificateInvalid (exit 1), never a traceback."""
+    reads = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
+             for owner in _file_reads(ast.parse(path.read_text()))}
+    assert reads == {("cli.py", "_read_json")}

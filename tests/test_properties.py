@@ -12,7 +12,9 @@ set.  A second strategy mutates such a config and a plan for it.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
 import math
 import tempfile
@@ -622,6 +624,30 @@ def test_mutated_configs_and_plans_end_in_a_cms_error(drawn):
         cli.ExperimentPlan.from_dict(plan).validate(system)
     except cl.CMSError:
         pass
+
+
+# each input file, the arguments that read it and the exit code of one that
+# cannot be read, decoded or accepted
+_INPUT_FILES = {"config": (["validate", "--config"], cli.EXIT_VALIDATION),
+                "plan": (["run", "--plan"], cli.EXIT_VALIDATION),
+                "certificate": (["verify-cert", "--certificate"],
+                                cli.EXIT_ERROR)}
+
+
+@settings(_SETTINGS, max_examples=150)
+@given(st.sampled_from(sorted(_INPUT_FILES)), st.binary())
+def test_any_bytes_as_an_input_file_end_in_its_exit_code(kind, raw):
+    """Bytes written as a config, a plan or a certificate make main return
+    that file's documented exit code, 2 or 1, with one line on stderr, and
+    raise nothing."""
+    argv, code = _INPUT_FILES[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_bytes(raw)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main([*argv, str(path)]) == code
+    assert err.getvalue().count("\n") == 1
 
 
 def _set(tree, path, value):

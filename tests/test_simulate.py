@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -232,11 +233,20 @@ def test_pushforward_drops_atoms_of_zero_weight():
 
 
 def test_pushforward_averages_carry_no_stderr(sys_b):
-    """An average over mu_N is the plain weighted sum of its atoms: one
-    float, no error attached."""
+    """An average over mu_N is the weighted sum of its atoms, correctly
+    rounded, so the order of the atoms does not move it: one float, no
+    error attached.  mean_point averages each coordinate so."""
     mu = cl.pushforward_measure(sys_b, 4)
     values = mu.points[:, 0]
-    assert mu.average(values) == float(mu.weights @ values)
+    exact = sum(map(Fraction, (mu.weights * values).tolist()), Fraction(0))
+    assert mu.average(values) == float(exact)
+    order = np.argsort(values)
+    shuffled = cl.EmpiricalMeasure(vertices=mu.vertices[order],
+                                   points=mu.points[order],
+                                   weights=mu.weights[order])
+    assert shuffled.average(values[order]) == mu.average(values)
+    assert type(mu.mean_point()) is np.ndarray
+    assert mu.mean_point().tolist() == [mu.average(values)]
     assert type(mu.average(values)) is float
     assert type(cl.estimate_c_hat(sys_b, mu)) is float
     with pytest.raises(ValueError, match="levels"):
@@ -287,13 +297,14 @@ def test_pushforward_truncation_gap_on_sys_b(sys_b):
     """c_hat and K_4 move by less than 1e-6 from mu_{N-2} to mu_N."""
     mu = cl.pushforward_measure(sys_b)
     coarse = cl.pushforward_measure(sys_b, mu.levels - 2)
-    gap = cl.simulate.c_hat_gap(sys_b, mu)
+    gap = cl.simulate.c_hat_gap(sys_b, mu, cl.estimate_c_hat(sys_b, mu))
     assert gap == abs(cl.estimate_c_hat(sys_b, mu)
                       - cl.estimate_c_hat(sys_b, coarse))
     assert gap < 1e-6
     k_4 = [cl.kl_n(table_of(sys_b, 4, m)) for m in (mu, coarse)]
     assert abs(k_4[0] - k_4[1]) < 1e-6
-    assert cl.simulate.c_hat_gap(sys_b, cl.pushforward_measure(sys_b, 1)) is None
+    assert cl.simulate.c_hat_gap(sys_b, cl.pushforward_measure(sys_b, 1),
+                                 0.0) is None
 
 
 # --- average contraction ----------------------------------------------------
