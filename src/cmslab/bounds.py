@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from .cylinders import CylinderTable, Walk, build_table
 from .errors import NotUniformlyContractive
 from .model import ConstantSet, MarkovSystem
@@ -40,15 +42,16 @@ class BoundReport:
         return asdict(self)
 
 
-def _divergence(masses, log_densities) -> float:
-    """Sum of M log d over the rows with M > 0 (0 log 0 = 0)."""
-    return math.fsum(m * log_d for m, log_d in zip(masses, log_densities)
-                     if m > 0.0)
+def _divergence(masses: np.ndarray, log_densities: np.ndarray) -> float:
+    """fsum of M log d over the rows with M > 0 (0 log 0 = 0); each product
+    is one IEEE multiplication, in numpy as in Python."""
+    held = masses > 0.0
+    return math.fsum((masses[held] * log_densities[held]).tolist())
 
 
 def kl_n(table: CylinderTable) -> float:
     """Depth-n divergence: sum of M log Z over rows."""
-    return _divergence(table.m_values.tolist(), table.logz_values.tolist())
+    return _divergence(table.m_values, table.logz_values)
 
 
 def evaluate_bounds(sys: MarkovSystem, constants: ConstantSet) -> BoundReport:
@@ -80,17 +83,28 @@ def kstar_estimate(sys: MarkovSystem, window: int, depth: int,
     Words of length depth+window are weighted by their chain mass and scored
     by the largest table log Z over their window+1 backward depth-`depth`
     shifts, so the estimate never falls as the window grows; window=0
-    reproduces kl_n exactly.  The table and the words are read from
-    walk.to(depth + window); `sys` must be the walk's system (ValueError).
+    reproduces kl_n exactly.  Each shift's sub-word is found by index
+    arithmetic on the walk's rows (Walk.tails, then parents).  The table
+    and the words are read from walk.to(depth + window); `sys` must be the
+    walk's system (ValueError).
     """
     if window < 0:
         raise ValueError("window must be >= 0")
     if walk.system is not sys:
         raise ValueError("kstar_estimate: the walk is of another system")
-    walk = walk.to(depth + window)
-    table = build_table(walk, depth)
-    logz_of = dict(zip(table.words, table.logz_values.tolist()))
-    long_rows = walk.rows[depth + window]
-    log_best = [max(logz_of[w[m_off:m_off + depth]] for m_off in range(window + 1))
-                for w in long_rows.words]
-    return _divergence(long_rows.m_values.tolist(), log_best)
+    length = depth + window
+    walk = walk.to(length)
+    logz = build_table(walk, depth).logz_values
+    tails = walk.tails(length) if window else []
+    # at each shift, `suffix` holds each long word's row of its suffix from
+    # that shift on, at depth length - shift; the suffix's first `depth`
+    # edges are its prefix length - shift - depth parents up
+    suffix = np.arange(len(walk.rows[length]))
+    for shift in range(window + 1):
+        if shift:
+            suffix = tails[length - shift][suffix]
+        sub = suffix
+        for k in range(length - shift, depth, -1):
+            sub = walk.rows[k].parent[sub]
+        log_best = logz[sub] if not shift else np.maximum(log_best, logz[sub])
+    return _divergence(walk.rows[length].m_values, log_best)

@@ -131,11 +131,11 @@ class ExperimentPlan:
         return cls(**raw)
 
     def validate(self, system: MarkovSystem) -> tuple[list, int]:
-        """Check each field, exact mode and the word cap of the deepest
-        walked depth, counted once, so no later stage does; every error
-        names its field.  Returns each query's cylinder set (or a
-        whole-space query's depth) and that depth, to which the run walks
-        every word."""
+        """Check each field, exact mode, the word cap of the deepest
+        walked depth, counted once, and each query's cover window cap, so
+        no later stage does; every error names its fields.  Returns each
+        query's cylinder set (or a whole-space query's depth) and that
+        depth, to which the run walks every word."""
         fields = vars(self)
         for key, minimum in _PLAN_MINIMUMS.items():
             json_field(fields, key, "plan", _at_least(minimum))
@@ -177,6 +177,11 @@ class ExperimentPlan:
                 n, self.cover_window, self.cover_depth)) for n in query_depths]
         where, deepest = max(walked, key=lambda listed: listed[1])
         check_word_cap(system, deepest, f"{where}: ")
+        for i, q in enumerate(queries):
+            cover_mod.check_window_cap(
+                system, q, self.cover_window, self.cover_depth,
+                self.cover_budget, f"plan.queries[{i}], plan.cover_window, "
+                f"plan.cover_depth, plan.cover_budget: ")
         return queries, deepest
 
 
@@ -276,7 +281,7 @@ def _tables(ctx: _Context) -> None:
     measure = EXACT if ctx.plan.mode == "exact" else ctx.mu
     ctx.walk = walk_cylinders(ctx.system, ctx.depth, measure)
     ctx.manifest["counts"]["tables"] = {
-        "words_per_depth": [[n, len(rows.words)]
+        "words_per_depth": [[n, len(rows)]
                             for n, rows in ctx.walk.rows.items()]}
     for n in ctx.plan.depths:
         ctx.tables[n] = build_table(ctx.walk, n)
@@ -301,7 +306,7 @@ def _bounds(ctx: _Context) -> None:
     report.pass_flags["k_n_below_bound_i"] = all(
         k <= report.bound_i_value + 1e-12 for k in ks)
     report.pass_flags["max_logz_below_bound_ii"] = all(
-        float(max(tables[n].logz_values)) <= report.bound_ii_value + 1e-12
+        float(tables[n].logz_values.max()) <= report.bound_ii_value + 1e-12
         for n in plan.depths)
     kstar_vals = [row[2] for row in sorted(report.kstar_estimates)]
     report.pass_flags["kstar_nondecreasing_in_window"] = all(
@@ -586,6 +591,8 @@ def _dispatch(args: argparse.Namespace) -> int:
                              [parse_word(w) for w in args.query.split(",")])
         else:
             q = full_cylinder_set(system, args.whole_space_depth)
+        cover_mod.check_window_cap(system, q, args.window, args.depth,
+                                   args.budget, "--window, --depth, --budget: ")
         walk = walk_cylinders(system, cover_mod.window_depth(
             q.depth, args.window, args.depth), None)
         cost, candidate = cover_mod.phi_upper(walk, q, args.window,

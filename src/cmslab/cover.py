@@ -38,6 +38,11 @@ so phi_upper reads its window words from the cylinders.Walk it is given,
 whatever its measure, and each charge as phi0 of walk.along's {word: (M,
 phi0)}, and checks its cover on its own masks; verify_cover, the check of
 certificate files, reads a base walk of its own the same way.
+
+The masks and the memo keys are as wide as the window.  check_window_cap
+bounds what a search may hold from the window's word count alone
+(window_words), so a plan's validation refuses a search past
+WINDOW_BITS_CAP before any walk.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import cylinders
 from .coding import parse_word
@@ -55,6 +62,7 @@ from .model import (MarkovSystem, json_int, json_list, json_number,
 
 DEFAULT_BUDGET = 1_000_000
 COST_TOL = 1e-12
+WINDOW_BITS_CAP = 2 ** 33  # window mask bits a validated cover search holds
 
 
 @dataclass(frozen=True)
@@ -76,6 +84,41 @@ def window_depth(depth: int, max_shift: int, hi: int) -> int:
     return max(max_shift, hi - depth) + 1
 
 
+def window_words(sys: MarkovSystem, q: CylinderSet | int, max_shift: int,
+                 max_depth: int) -> int:
+    """The number of words in the cover window of q (for an int, the whole
+    space at that depth) that _window builds, from cylinders.tree_power
+    alone: per query word w, the words of max_shift edges that end where w
+    starts times those of hi - depth edges that start where w ends.  Exact
+    up to the walk cap, and past it otherwise."""
+    depth = q if isinstance(q, int) else q.depth
+    v = len(sys.vertices)
+    ending = cylinders.tree_power(sys, max_shift)[:v, :v].sum(axis=0)
+    starting = cylinders.tree_power(
+        sys, max(depth, max_depth) - depth)[:v, :v].sum(axis=1)
+    if isinstance(q, int):
+        return int(ending @ cylinders.tree_power(sys, depth)[:v, :v] @ starting)
+    return int(sum(ending[sys.edge(w[0]).source - 1]
+                   * starting[sys.edge(w[-1]).target - 1] for w in q.words))
+
+
+def check_window_cap(sys: MarkovSystem, q: CylinderSet | int, max_shift: int,
+                     max_depth: int, budget: int, where: str = "") -> None:
+    """DepthOverflow, led by `where`, when a cover search of q may hold more
+    than WINDOW_BITS_CAP bits of window masks: one mask per piece, at most
+    (max_shift + 1) max_depth pieces per window word, and one memo key per
+    node, at most min(budget, 2^words) distinct ones, each as wide as the
+    window.  A count past the walk cap is inexact but past it, so such a
+    window is refused too."""
+    words = window_words(sys, q, max_shift, max_depth)
+    memo = min(budget, 2 ** min(words, budget.bit_length()))
+    bits = (words * (max_shift + 1) * max_depth + memo) * words
+    if bits > WINDOW_BITS_CAP:
+        raise DepthOverflow(
+            f"{where}the cover window's {words} words need up to {bits} "
+            f"mask bits, past the window cap {WINDOW_BITS_CAP}")
+
+
 def _window(walk: Walk, q: CylinderSet, max_shift: int, hi: int,
             max_len: int
             ) -> tuple[dict[Word, list], dict[tuple[int, Word], int]]:
@@ -90,10 +133,16 @@ def _window(walk: Walk, q: CylinderSet, max_shift: int, hi: int,
     # the one that ends later, a sequence in both can continue as a query
     # sequence of that piece.
     base = walk.to(window_depth(q.depth, max_shift, hi)).rows
-    past = base[max_shift + 1].words  # overlap w by its first edge
-    future = base[hi - q.depth + 1].words  # and by its last edge
+    past, future = base[max_shift + 1], base[hi - q.depth + 1]
+    last, first = past.ids[past.edge], future.ids[future.edge_columns()[0]]
+    # the past words that overlap w by its first edge, and the future words
+    # that overlap it by its last, each in the walk's order
+    ending = {e: past.word_list(np.flatnonzero(last == e))
+              for e in {w[0] for w in q.words}}
+    starting = {e: future.word_list(np.flatnonzero(first == e))
+                for e in {w[-1] for w in q.words}}
     joined = (u[:-1] + w + v[1:] for w in q.words
-              for u in past if u[-1] == w[0] for v in future if v[0] == w[-1])
+              for u in ending[w[0]] for v in starting[w[-1]])
     cap = cylinders.WORD_CAP
     words = list(itertools.islice(joined, cap + 1))
     if len(words) > cap:

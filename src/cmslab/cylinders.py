@@ -10,15 +10,21 @@ and phi0 for every word up to a depth in one pass over the word tree (phi0
 alone with no chain measure), one step per tree node of one chain state
 that carries both (atoms under a measure, scalar otherwise); _fold takes the
 same step once per edge of a word past a walk's depth.  They alone step
-through words.  Every reader takes the Walk: enumerate_words reads one,
-build_table checks one depth of its rows, and m_of_cylinder_set sums the M
-of Walk.along's {word: (M, phi0)}.
+through words.
+
+A walk holds no word tuple.  Each depth is four arrays: per word, the row
+of its prefix one depth up (`parent`), the position of its last edge in
+the system's edges (`edge`), M and phi0.  A row's children are contiguous,
+in out-edge order, so the readers work by index arithmetic on whole arrays:
+build_table and the divergences read the value arrays, Walk.along descends
+the parents to a word's row, Walk.tails maps a word to its word less the
+first edge for K*, and `words` rebuilds the tuples on demand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -82,16 +88,14 @@ def _walk_cap() -> int:
     return 2 * WORD_CAP * WORD_CAP.bit_length()
 
 
-def _tree_counts(sys: MarkovSystem, n: int) -> tuple[int, int]:
-    """(words of depth n, nodes of the word tree to depth n, its roots
-    included): 1^T A^n 1 and the sum over m <= n of 1^T A^m 1, for the
-    adjacency matrix A.  Both are read off B^n, B = [[A, I], [0, I]], whose
-    top blocks are A^n and the sum over m < n of A^m.  B^n comes by
-    squaring, in O(V^3 log n), in float64 with every entry held at the walk
-    cap + 1: a sum of products of nonnegative integers that stays at or
-    below the cap is exact (each term is below 2^53), and one past it rounds
-    to at least the cap + 1, since rounding is monotone; so each count is
-    exact up to the walk cap, and past it otherwise."""
+def tree_power(sys: MarkovSystem, n: int) -> np.ndarray:
+    """B^n for B = [[A, I], [0, I]], A the adjacency matrix: its top blocks
+    are A^n and the sum over m < n of A^m.  It comes by squaring, in
+    O(V^3 log n), in float64 with every entry held at the walk cap + 1: a
+    sum of products of nonnegative integers that stays at or below the cap
+    is exact (each term is below 2^53), and one past it rounds to at least
+    the cap + 1, since rounding is monotone; so each entry, and each sum
+    of entries, is exact up to the walk cap, and past it otherwise."""
     v = len(sys.vertices)
     top = float(_walk_cap() + 1)
     b = np.zeros((2 * v, 2 * v))
@@ -105,6 +109,16 @@ def _tree_counts(sys: MarkovSystem, n: int) -> tuple[int, int]:
         n >>= 1
         if n:
             b = np.minimum(b @ b, top)
+    return power
+
+
+def _tree_counts(sys: MarkovSystem, n: int) -> tuple[int, int]:
+    """(words of depth n, nodes of the word tree to depth n, its roots
+    included): 1^T A^n 1 and the sum over m <= n of 1^T A^m 1, read off
+    tree_power; each count is exact up to the walk cap, and past it
+    otherwise."""
+    v = len(sys.vertices)
+    power = tree_power(sys, n)
     words = int(power[:v, :v].sum())
     return words, words + int(power[:v, v:].sum())
 
@@ -130,7 +144,7 @@ def check_word_cap(sys: MarkovSystem, n: int, where: str = "") -> None:
 
 def enumerate_words(sys: MarkovSystem, n: int) -> list[Word]:
     """All admissible length-n words, in the walk's order."""
-    return list(walk_cylinders(sys, n, None).rows[n].words)
+    return walk_cylinders(sys, n, None).rows[n].word_list()
 
 
 # Every cylinder quantity is a fold of one one-edge step over a word.  A
@@ -267,24 +281,109 @@ def stationary_vertex_distribution(sys: MarkovSystem,
 @dataclass(frozen=True, eq=False)
 class CylinderRows:
     """Unchecked M and phi0 of the words of one depth of one walk, in the
-    walk's order."""
+    walk's order.  A word is two indexes: `parent`, the row of its prefix in
+    `prefix`, the rows one depth up (at depth 1, where `prefix` is None, the
+    start vertex's index - 1), and `edge`, the position of its last edge in
+    the system's edges, whose ids are `ids`.  `words` builds the tuples on
+    demand."""
 
-    words: tuple[Word, ...]
     m_values: np.ndarray
     phi0_values: np.ndarray
+    parent: np.ndarray
+    edge: np.ndarray
+    prefix: CylinderRows | None
+    ids: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.m_values)
+
+    def edge_columns(self, rows=slice(None)) -> list[np.ndarray]:
+        """The edge positions of the words at `rows`, first edge first."""
+        columns, level = [], self
+        while level is not None:
+            columns.append(level.edge[rows])
+            rows, level = level.parent[rows], level.prefix
+        return columns[::-1]
+
+    def word_list(self, rows=slice(None)) -> list[Word]:
+        """The words at `rows` (a slice or an index array), in that order."""
+        return list(zip(*(self.ids[c].tolist() for c in self.edge_columns(rows))))
+
+    @property
+    def words(self) -> tuple[Word, ...]:
+        return tuple(self.word_list())
+
+    def dotted(self, rows: slice) -> list[str]:
+        """The dotted words of the contiguous `rows`, each prefix text built
+        once: the parents of contiguous rows are contiguous one depth up."""
+        start, stop, _ = rows.indices(len(self))
+        spans, level = [], self
+        while level is not None and start < stop:
+            spans.append((level, start, stop))
+            start, stop = int(level.parent[start]), int(level.parent[stop - 1]) + 1
+            level = level.prefix
+        texts = np.array([], dtype=object)
+        dots = np.array(["." + i for i in self.ids], dtype=object)
+        for level, start, stop in reversed(spans):
+            edges = level.edge[start:stop]
+            texts = (texts[level.parent[start:stop] - offset] + dots[edges]
+                     if level.prefix is not None else self.ids[edges])
+            offset = start
+        return texts.tolist()
 
 
-def _read_only(values: list[float]) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _edge_arrays(sys: MarkovSystem) -> tuple[np.ndarray, ...]:
+    """Int32 arrays over edge positions in sys.edges and vertex positions
+    (index - 1): `slots`, the positions of every vertex's out-edges in
+    turn, in out-edge order; `first`, each vertex's first slot; `degree`,
+    its out-degree; `target`, each edge's target vertex; and `rank`, each
+    edge's place among its source's out-edges."""
+    position = {e.id: i for i, e in enumerate(sys.edges)}
+    slots = np.array([position[e.id] for v in range(1, len(sys.vertices) + 1)
+                      for e in sys.out_edges(v)], dtype=np.int32)
+    degree = sys.out_degrees[1:].astype(np.int32)
+    first = np.cumsum(degree, dtype=np.int32) - degree
+    rank = np.empty(len(slots), dtype=np.int32)
+    rank[slots] = np.arange(len(slots), dtype=np.int32) - np.repeat(first, degree)
+    target = np.array([e.target - 1 for e in sys.edges], dtype=np.int32)
+    return slots, first, degree, target, rank
+
+
+def _index_rows(sys: MarkovSystem, n_max: int) -> list[tuple[np.ndarray, ...]]:
+    """(parent, edge) of every depth 1..n_max, one depth at a time: the
+    children of a row are its last vertex's out-edges in order, so depth n
+    repeats each row of depth n - 1 by that vertex's out-degree.  The rows
+    come in the walk's order, by start vertex and then by out-edge order."""
+    slots, first, degree, target, _ = _edge_arrays(sys)
+    edge_type = np.min_scalar_type(len(sys.edges) - 1)
+    at = np.arange(len(degree), dtype=np.int32)  # depth 0: the vertices
+    levels = []
+    for _ in range(n_max):
+        counts = degree[at]
+        parent = np.repeat(np.arange(len(at), dtype=np.int32), counts)
+        slot = np.repeat(first[at] - (np.cumsum(counts, dtype=np.int32) - counts),
+                         counts)
+        slot += np.arange(len(slot), dtype=np.int32)
+        edge = slots[slot].astype(edge_type)
+        levels.append((parent, edge))
+        at = target[edge]
+    return levels
+
+
+_STORE_ROWS = 4096  # leaf values a walk holds in lists before storing them
 
 
 @dataclass(frozen=True, eq=False)
 class Walk:
     """The rows of every word of depth 1..depth from one walk of `system`
     under `measure` (None: phi0 alone, M 0 on every word); every reader
-    takes one, with its measure."""
+    takes one, with its measure.  Each depth is index arrays and value
+    arrays (CylinderRows), about 21 bytes per word."""
 
     system: MarkovSystem
     measure: Measure
@@ -300,61 +399,122 @@ class Walk:
 
     def along(self, words: Iterable[Word]) -> dict[Word, tuple[float, float]]:
         """{word: (M, phi0)} of `words`, in their order: read from this
-        walk's rows where it holds the word, and folded under its measure
-        for the others."""
+        walk's rows where it holds the word, found by descending from its
+        start vertex one edge rank at a time, and folded under its measure
+        for the others.  Raises InadmissibleWord."""
         found = dict.fromkeys(words)
-        for n in {len(w) for w in found} & self.rows.keys():
-            raw = self.rows[n]
-            found.update((w, pair) for w, pair in zip(raw.words, zip(
-                raw.m_values.tolist(), raw.phi0_values.tolist())) if w in found)
+        by_depth: dict[int, list[Word]] = {}
+        for w in found:
+            if len(w) in self.rows:
+                by_depth.setdefault(len(w), []).append(w)
+        rank = _edge_arrays(self.system)[4]
+        position = {e.id: i for i, e in enumerate(self.system.edges)}
+        for n, held in by_depth.items():
+            edges = [self.system.require_admissible(w) for w in held]
+            at = np.array([w[0].source - 1 for w in edges])
+            ranks = rank[np.array([[position[e.id] for e in w] for w in edges])]
+            for k in range(1, n + 1):
+                at = np.searchsorted(self.rows[k].parent, at) + ranks[:, k - 1]
+            rows = self.rows[n]
+            found.update(zip(held, zip(rows.m_values[at].tolist(),
+                                       rows.phi0_values[at].tolist())))
         missing = [w for w, pair in found.items() if pair is None]
         if missing:
             found.update(zip(missing, _fold(self.system, self.measure, missing)))
         return found
 
+    def tails(self, n: int) -> list[np.ndarray]:
+        """Per depth k = 1..n, the row at depth k - 1 of each depth-k word
+        less its first edge (at k = 1 its last vertex's index - 1): the
+        child, by the word's last edge, of the tail of its prefix."""
+        _, _, _, target, rank = _edge_arrays(self.system)
+        out = [target[self.rows[1].edge]]
+        for k in range(2, n + 1):
+            rows = self.rows[k]
+            out.append(np.searchsorted(self.rows[k - 1].parent,
+                                       out[-1][rows.parent]) + rank[rows.edge])
+        return out
+
 
 def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure) -> Walk:
     """The Walk of every depth 1..n_max from one depth-first walk of the tree.
 
-    Words come by start vertex, then lexicographic by edge ids.  Each node
-    takes one step of its parent's chain state, which carries M and phi0
-    together (with measure None M is 0); exact mode solves the stationary
-    law once, and under a measure no atom or point moves.  The walk holds
-    one state per level of the current path.  The rows are unchecked;
-    build_table checks them.
+    Words come by start vertex, then lexicographic by edge ids; their index
+    arrays are laid out first (_index_rows).  Each node takes one step of
+    its parent's chain state, which carries M and phi0 together (with
+    measure None M is 0), and the values are stored in the rows' order;
+    exact mode solves the stationary law once, and under a measure no atom
+    or point moves.  With no measure a start vertex outside the support set
+    is not walked: M and phi0 are 0.0 on every word below it.  The walk
+    holds one state per level of the current path.  The rows are
+    unchecked; build_table checks them.
     """
     if n_max < 1:
         raise ValueError("depth must be >= 1")
     check_word_cap(sys, n_max)
     step, root = _chain(sys, measure)
-    n_support = len(sys.support_set)
-    found = {n: ([], [], []) for n in range(1, n_max + 1)}
-    # explicit stack of (word, out-edges not yet taken, chain state) per
-    # level of the current path; a recursive closure would be a reference
-    # cycle that keeps the rows alive until the cyclic collector
-    stack = []
-    for v in sorted(v.index for v in sys.vertices):
-        stack.append(((), iter(sys.out_edges(v)), root(v)))
+    levels = _index_rows(sys, n_max)
+    m_vals = [np.zeros(len(parent)) for parent, _ in levels]
+    phi_vals = [np.zeros(len(parent)) for parent, _ in levels]
+    # per depth, (M, Phi) stepped and not yet stored, and the row they start
+    stepped = [([], []) for _ in levels]
+    at = [0] * n_max
+    bounds = np.arange(len(sys.vertices) + 1)  # each start vertex's rows
+    starts = []
+    for parent, _ in levels:
+        bounds = np.searchsorted(parent, bounds)
+        starts.append(bounds.tolist())
+
+    def store():
+        for i, (masses, phis) in enumerate(stepped):
+            end = at[i] + len(masses)
+            m_vals[i][at[i]:end] = masses
+            phi_vals[i][at[i]:end] = phis
+            at[i] = end
+            masses.clear()
+            phis.clear()
+
+    for v in range(1, len(sys.vertices) + 1):
+        if measure is None and v not in sys.support_set:
+            continue
+        at[:] = [start[v - 1] for start in starts]
+        # explicit stack of (out-edges not yet taken, chain state) per level
+        # of the current path; a recursive closure would be a reference
+        # cycle that keeps the rows alive until the cyclic collector
+        stack = [(iter(sys.out_edges(v)), root(v))]
         while stack:
-            word, edges, state = stack[-1]
+            edges, state = stack[-1]
+            n = len(stack)  # the children's depth
+            if n == n_max:  # step every leaf child in one loop
+                masses, phis = stepped[-1]
+                for e in edges:
+                    leaf = step(state, e, True)
+                    masses.append(leaf[0])
+                    phis.append(leaf[1])
+                stack.pop()
+                if len(masses) >= _STORE_ROWS:
+                    store()
+                continue
             e = next(edges, None)
             if e is None:
                 stack.pop()
                 continue
-            child = word + (e.id,)
-            leaf = len(child) == n_max
-            child_state = step(state, e, leaf)
-            words, m_vals, phi_vals = found[len(child)]
-            words.append(child)
-            m_vals.append(child_state[0])
-            phi_vals.append(child_state[1] / n_support)
-            if not leaf:
-                stack.append((child, iter(sys.out_edges(e.target)),
-                              child_state))
-    return Walk(sys, measure, n_max, {
-        n: CylinderRows(words=tuple(words), m_values=_read_only(m_vals),
-                        phi0_values=_read_only(phi_vals))
-        for n, (words, m_vals, phi_vals) in found.items()})
+            child = step(state, e, False)
+            masses, phis = stepped[n - 1]
+            masses.append(child[0])
+            phis.append(child[1])
+            stack.append((iter(sys.out_edges(e.target)), child))
+        store()
+
+    ids = np.array([e.id for e in sys.edges], dtype=object)
+    n_support, rows, prefix = len(sys.support_set), {}, None
+    for n, ((parent, edge), m, phi) in enumerate(zip(levels, m_vals, phi_vals), 1):
+        phi /= n_support
+        prefix = rows[n] = CylinderRows(
+            m_values=_read_only(m), phi0_values=_read_only(phi),
+            parent=_read_only(parent), edge=_read_only(edge), prefix=prefix,
+            ids=ids)
+    return Walk(sys, measure, n_max, rows)
 
 
 def _require_measure(walk: Walk) -> None:
@@ -369,19 +529,17 @@ class CylinderTable(CylinderRows):
     z_values: np.ndarray
     logz_values: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.words)
-
     def to_csv(self, path) -> None:
         """One row per word, led by the dotted word; write_csv formats each
-        distinct number of a block once.  The word is never quoted: an edge
-        id holds no character csv.writer would quote (model._edge_id).  The
-        last column, stderr, is always 0.0: M carries no standard error,
-        and the column is kept for readers of the six-column format."""
+        distinct number of a block once, and `dotted` builds the block's
+        words from the index arrays.  The word is never quoted: an edge id holds
+        no character csv.writer would quote (model._edge_id).  The last
+        column, stderr, is always 0.0: M carries no standard error, and the
+        column is kept for readers of the six-column format."""
         write_csv(path, ["word", "M", "phi0", "Z", "logZ", "stderr"],
-                  lambda rows: map(".".join, self.words[rows]),
+                  self.dotted,
                   [self.m_values, self.phi0_values, self.z_values,
-                   self.logz_values, np.zeros(len(self.words))])
+                   self.logz_values, np.zeros(len(self))])
 
 
 def build_table(walk: Walk, n: int) -> CylinderTable:
@@ -390,30 +548,25 @@ def build_table(walk: Walk, n: int) -> CylinderTable:
     measure and zero chain mass gets Z = log Z = 0; with chain mass it
     raises AbsoluteContinuityViolation: the support set misses a vertex the
     chain visits.  So do chain masses or base measures that do not sum to 1
-    within 1e-12 and n times the system's normalization_gap.
+    within 1e-12 and n times the system's normalization_gap.  Z = M/phi0 is
+    one numpy division, the same IEEE operation as Python's, and log Z is
+    math.log of each positive Z (numpy's log may differ in the last bit).
     """
     _require_measure(walk)
     raw = walk.to(n).rows[n]
     m_vals, phi_vals = raw.m_values, raw.phi0_values
-
-    z_list, logz_list = [], []
-    for w, m, phi in zip(raw.words, m_vals.tolist(), phi_vals.tolist()):
-        if phi > 0.0:
-            z = m / phi
-            z_list.append(z)
-            logz_list.append(math.log(z) if z > 0.0 else -math.inf)
-        elif m > 0.0:
-            raise AbsoluteContinuityViolation(
-                f"word {'.'.join(w)} has chain mass {m:.3e} but zero "
-                f"base measure; the support set is too small")
-        else:
-            z_list.append(0.0)
-            logz_list.append(0.0)
+    based = phi_vals > 0.0
+    orphans = np.flatnonzero(~based & (m_vals > 0.0))
+    if len(orphans):
+        word = raw.word_list(orphans[:1])[0]
+        raise AbsoluteContinuityViolation(
+            f"word {'.'.join(word)} has chain mass {m_vals[orphans[0]]:.3e} but "
+            f"zero base measure; the support set is too small")
 
     # out-edge probabilities may sum to 1 only within the system's
     # normalization gap g, so n levels may move either sum by n g
-    total_m = math.fsum(m_vals)
-    total_phi = math.fsum(phi_vals)
+    total_m = math.fsum(m_vals.tolist())
+    total_phi = math.fsum(phi_vals.tolist())
     slack = 1e-12 + n * walk.system.normalization_gap
     if abs(total_m - 1.0) > slack:
         raise AbsoluteContinuityViolation(
@@ -422,9 +575,14 @@ def build_table(walk: Walk, n: int) -> CylinderTable:
         raise AbsoluteContinuityViolation(
             f"depth-{n} base measures sum to {total_phi!r}, not 1")
 
-    return CylinderTable(words=raw.words, m_values=m_vals, phi0_values=phi_vals,
-                         z_values=_read_only(z_list),
-                         logz_values=_read_only(logz_list))
+    z_vals = np.zeros(len(raw))
+    np.divide(m_vals, phi_vals, out=z_vals, where=based)
+    logz_vals = np.where(based, -math.inf, 0.0)  # log 0 where phi0 > 0
+    positive = z_vals > 0.0
+    logz_vals[positive] = list(map(math.log, z_vals[positive].tolist()))
+    return CylinderTable(**{f.name: getattr(raw, f.name) for f in fields(raw)},
+                         z_values=_read_only(z_vals),
+                         logz_values=_read_only(logz_vals))
 
 
 def m_of_cylinder_set(walk: Walk, q: CylinderSet) -> float:

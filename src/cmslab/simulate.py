@@ -21,7 +21,7 @@ from .model import MarkovSystem, estimate_c_hat
 
 ATOM_CAP = 2 ** 14  # atoms x dimension of a default pushforward measure
 LEVEL_CAP = 256     # its levels when the atom count stops growing
-CSV_BLOCK = 256     # rows a CSV write formats at a time
+CSV_BLOCK = 1024    # rows a CSV write formats at a time
 
 
 def _float_texts(block: np.ndarray) -> list[list[str]]:

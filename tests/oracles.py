@@ -6,12 +6,15 @@ memoized exhaustive cover search, coding-map truncations folded afresh
 and checked one at a time, masses folded by moving every atom of a
 measure, pushforward atoms folded one path at a time, the sampled chain, and
 csv.writer's output.
-There are two exceptions.  plain_cover_search is the cover search as it
+There are three exceptions.  plain_cover_search is the cover search as it
 was before its dominance memo and per-word bound: it reads the library's
 window and charges and keeps only the search itself apart.  word_row's
 Monte Carlo branch repeats the walk's first-moment arithmetic one word at a
 time, so that rows compare bit for bit; folded_word_mass and
-masked_word_mass check that arithmetic by moving the atoms.
+masked_word_mass check that arithmetic by moving the atoms.  tuple_walk is
+the walk as it was when its rows held word tuples: the library's chain step
+over the word tree, each word built as its prefix plus an edge, and
+tuple_kstar reads K* off it by slicing and looking up each shifted word.
 """
 
 from __future__ import annotations
@@ -388,3 +391,54 @@ def csv_writer_text(header: list[str], rows) -> str:
         writer.writerow([c if isinstance(c, (str, int)) else repr(float(c))
                          for c in row])
     return out.getvalue()
+
+
+def tuple_walk(sys, n_max: int, measure) -> dict[int, tuple]:
+    """{n: (words, M, phi0)} of every depth 1..n_max, M and phi0 as float
+    arrays: a depth-first walk of the word tree whose rows hold each word
+    as a tuple of edge ids, the prefix's tuple plus the edge, stepped by
+    the library's chain step (cylinders._chain) from each start vertex,
+    with phi0 = Phi / |S| divided per word."""
+    from cmslab.cylinders import _chain
+
+    step, root = _chain(sys, measure)
+    n_support = len(sys.support_set)
+    found = {n: ([], [], []) for n in range(1, n_max + 1)}
+    stack = []
+    for v in sorted(v.index for v in sys.vertices):
+        stack.append(((), iter(sys.out_edges(v)), root(v)))
+        while stack:
+            word, edges, state = stack[-1]
+            e = next(edges, None)
+            if e is None:
+                stack.pop()
+                continue
+            child = word + (e.id,)
+            leaf = len(child) == n_max
+            child_state = step(state, e, leaf)
+            words, m_vals, phi_vals = found[len(child)]
+            words.append(child)
+            m_vals.append(child_state[0])
+            phi_vals.append(child_state[1] / n_support)
+            if not leaf:
+                stack.append((child, iter(sys.out_edges(e.target)),
+                              child_state))
+    return {n: (tuple(words), np.array(m_vals), np.array(phi_vals))
+            for n, (words, m_vals, phi_vals) in found.items()}
+
+
+def tuple_kstar(rows: dict[int, tuple], window: int, depth: int) -> float:
+    """K* from tuple_walk rows: log Z per depth-`depth` word, a word at a
+    time as build_table once computed it, then each word of length
+    depth + window scored by the largest log Z over its window + 1 slices
+    w[m:m + depth], each looked up by its tuple, and the fsum of M times
+    that score over the words with M > 0."""
+    words, m_vals, phi_vals = rows[depth]
+    logz_of = {}
+    for w, m, phi in zip(words, m_vals.tolist(), phi_vals.tolist()):
+        z = m / phi if phi > 0.0 else 0.0
+        logz_of[w] = (math.log(z) if z > 0.0 else -math.inf) if phi > 0.0 else 0.0
+    long_words, long_m, _ = rows[depth + window]
+    return math.fsum(
+        m * max(logz_of[w[s:s + depth]] for s in range(window + 1))
+        for w, m in zip(long_words, long_m.tolist()) if m > 0.0)

@@ -908,6 +908,44 @@ def test_cover_window_over_word_cap_fails_at_validate(window, depth, query,
     assert not (out / "tables").exists()
 
 
+def test_cover_window_past_the_window_cap_fails_at_validate(tmp_path,
+                                                           config_a, capsys):
+    """Sys A's whole space at depth 16 with window 1 and cover depth 16 is
+    within the word cap (65,536 words), but its cover window holds 131,072
+    words, whose piece masks and memo keys could take about 86 GB: validate
+    refuses it within a second, exit 3, naming the query and the cover
+    fields, and writes no table; the `cover` command refuses it as fast,
+    naming its flags, and writes no certificate.  The same query at depth
+    10 with window 0 passes (1,024 window words)."""
+    plan = _plan_a(tmp_path, config_a)
+    plan.depths, plan.cover_window, plan.cover_depth = [1], 1, 16
+    plan.queries = [{"whole_space_depth": 16}]
+    start = time.perf_counter()
+    assert run(plan) == cli_mod.EXIT_BUDGET
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    fields = ("plan.queries[0], plan.cover_window, plan.cover_depth, "
+              "plan.cover_budget: ")
+    assert (f"error at stage validate: {fields}the cover window's 131072 "
+            f"words need up to ") in err
+    assert f"mask bits, past the window cap {2 ** 33}" in err
+    assert not (tmp_path / "out" / "tables").exists()
+    cert = tmp_path / "cert.json"
+    start = time.perf_counter()
+    assert main(["cover", "--config", str(config_a), "--whole-space-depth",
+                 "16", "--window", "1", "--depth", "16", "--out",
+                 str(cert)]) == cli_mod.EXIT_BUDGET
+    assert time.perf_counter() - start < 1.0
+    assert ("--window, --depth, --budget: the cover window's 131072 words"
+            in capsys.readouterr().err)
+    assert not cert.exists()
+    system = cl.validate_system(sys_a_config())
+    assert cl.cover.window_words(system, 16, 1, 16) == 2 ** 17
+    plan.cover_window, plan.cover_depth = 0, 10
+    plan.queries = [{"whole_space_depth": 10}]
+    assert plan.validate(system) == ([10], 10)
+
+
 def test_validate_checks_the_depth_a_cover_window_walks(tmp_path, config_a,
                                                         monkeypatch):
     """Validate checks one depth, the deepest of those the plan walks (each

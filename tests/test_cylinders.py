@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from conftest import (fold_calls, loop_into_loop_config, m_of,
                       one_loop_config, ring_config, sys_a_config,
                       sys_b_config, sys_c_config, table_of)
 from oracles import (chain_cyl_prob, csv_writer_text, enumerate_paths,
-                     stationary_via_eig, word_row)
+                     stationary_via_eig, tuple_walk, word_row)
 
 
 # --- enumeration ------------------------------------------------------------
@@ -376,6 +377,36 @@ def test_scalar_chain_moves_no_point_when_probabilities_are_constant(
                      "apply": nodes - cl.count_words(sys_b, n_max)}
 
 
+def test_a_base_walk_steps_no_word_outside_the_support(monkeypatch):
+    """With no chain measure a walk steps only the words that start in the
+    support set: on sys C with support [1] and affine probabilities on
+    vertex 1, a depth-4 walk evaluates p_e at vertex 1's 30 tree nodes and
+    moves the point below its 14 internal ones, not 60 and 28.  The words
+    below vertex 2 read M = phi0 = +0.0, and every row is the tuple walk's
+    by tobytes()."""
+    cfg = sys_c_config()
+    cfg["support_set"] = [1]
+    cfg["edges"][0]["prob"] = {"family": "affine", "alpha": 0.5, "beta": [0.25]}
+    cfg["edges"][1]["prob"] = {"family": "affine", "alpha": 0.5,
+                               "beta": [-0.25]}
+    sys_ = cl.validate_system(cfg)
+    oracle = tuple_walk(sys_, 4, None)
+    calls = _count_calls(monkeypatch, (cl.ProbabilityFunction, "value"),
+                         (cl.AffineMap, "apply"))
+    walk = cl.walk_cylinders(sys_, 4, None)
+    assert calls == {"value": 30, "apply": 14}
+    for n, (words, m_vals, phi_vals) in oracle.items():
+        rows = walk.rows[n]
+        assert rows.words == words
+        assert rows.m_values.tobytes() == m_vals.tobytes()
+        assert rows.phi0_values.tobytes() == phi_vals.tobytes()
+        outside = [sys_.edge(w[0]).source == 2 for w in words]
+        assert any(outside)
+        for values in (rows.m_values, rows.phi0_values):
+            assert not np.signbit(values).any()
+            assert not values[outside].any()
+
+
 def test_fold_roots_only_the_start_vertices_of_its_words(
         sys_c, small_measures, monkeypatch):
     """A fold past a walk's depth builds the root state of a vertex only
@@ -429,6 +460,23 @@ def test_fold_steps_once_per_edge_of_each_word(sys_b, small_measures,
     # a table never reads rows the walk did not complete
     assert (cl.build_table(walk, 4).m_values.tolist()
             == full[4].m_values.tolist())
+
+
+def test_a_walk_peaks_below_32_bytes_per_word(sys_a):
+    """Index rows hold a word in about 21 bytes: an int32 parent, a one-byte
+    edge and two float64 values.  An exact walk of sys A to depth 16
+    (131,070 words) peaks below 32 bytes per walked word under tracemalloc,
+    the bound README states; rows of word tuples took about 300."""
+    cl.walk_cylinders(sys_a, 3, cl.EXACT)
+    words = sum(cl.count_words(sys_a, n) for n in range(1, 17))
+    tracemalloc.start()
+    try:
+        walk = cl.walk_cylinders(sys_a, 16, cl.EXACT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(walk.rows[16]) == 65_536 and words == 131_070
+    assert peak < 32 * words
 
 
 def test_walk_respects_word_cap(sys_a, monkeypatch):
@@ -670,6 +718,33 @@ def test_table_csv_is_what_csv_writer_wrote(tmp_path, sys_a, sys_b,
                     table.z_values, table.logz_values)))
             with open(path, newline="") as fh:
                 assert fh.read() == expected
+
+
+def test_table_csv_blocks_are_what_csv_writer_wrote(tmp_path):
+    """At the real CSV_BLOCK, the same bytes as csv.writer for a table of
+    fewer rows than a block and for one longer than a block, neither row
+    count a multiple of it: exact tables of a vertex with three out-edges,
+    3^3 and 3^8 rows."""
+    cfg = sys_a_config()
+    cfg["edges"] = [
+        {"id": f"t{i}", "source": 1, "target": 1, "linear": [1 / 3],
+         "offset": [i / 3], "prob": {"family": "constant", "alpha": alpha}}
+        for i, alpha in enumerate((0.25, 0.25, 0.5))]
+    walk = cl.walk_cylinders(cl.validate_system(cfg), 8, cl.EXACT)
+    block = cl.simulate.CSV_BLOCK
+    path = tmp_path / "table.csv"
+    for n, rows in ((3, 27), (8, 6561)):
+        table = cl.build_table(walk, n)
+        assert len(table) == rows and rows % block
+        assert (rows < block) == (n == 3)
+        table.to_csv(path)
+        expected = csv_writer_text(
+            ["word", "M", "phi0", "Z", "logZ", "stderr"],
+            ([".".join(w), *values, 0.0] for w, *values in zip(
+                table.words, table.m_values, table.phi0_values,
+                table.z_values, table.logz_values)))
+        with open(path, newline="") as fh:
+            assert fh.read() == expected
 
 
 def _alpha_raised(make_config) -> dict:

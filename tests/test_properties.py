@@ -38,6 +38,8 @@ from oracles import (
     masked_word_mass,
     plain_cover_search,
     stationary_via_eig,
+    tuple_kstar,
+    tuple_walk,
 )
 
 DEPTH = 4
@@ -184,6 +186,73 @@ def test_walks_agree_on_random_systems(drawn):
         assert words == list(base[n].words)
         assert len(set(words)) == len(words) == cl.count_words(sys_, n)
         assert abs(math.fsum(base[n].phi0_values) - 1.0) <= 1e-12
+
+
+@_SETTINGS
+@given(systems())
+def test_index_rows_are_the_tuple_walk_on_random_systems(drawn):
+    """Under no measure, mu_N and, for constant draws, exact mode, a walk's
+    index rows rebuild the tuple walk's words in order, with M and phi0
+    equal by tobytes(); Walk.along reads the same pairs for the words a
+    walk holds and folds them past a shallower walk's depth; and K* at
+    depth 2, windows 0-3, equals the tuple walk's slice-and-lookup sum,
+    window 0 equal to K_2, or both K* and the table refuse a word with
+    chain mass and no base measure."""
+    cfg, affine = drawn
+    sys_ = cl.validate_system(cfg)
+    n_max, depth = 5, 2
+    measures = [None, cl.pushforward_measure(sys_, 3)]
+    if not affine:
+        measures.append(cl.EXACT)
+    for measure in measures:
+        walk = cl.walk_cylinders(sys_, n_max, measure)
+        shallow = cl.walk_cylinders(sys_, 1, measure)
+        oracle = tuple_walk(sys_, n_max, measure)
+        for n, (words, m_vals, phi_vals) in oracle.items():
+            rows = walk.rows[n]
+            assert rows.words == words
+            assert rows.m_values.tobytes() == m_vals.tobytes()
+            assert rows.phi0_values.tobytes() == phi_vals.tobytes()
+            pairs = np.column_stack((m_vals, phi_vals))[::-1]
+            for read in (walk, shallow):
+                found = read.along(words[::-1])
+                assert list(found) == list(words[::-1])
+                assert np.array(list(found.values())).tobytes() == pairs.tobytes()
+        if measure is None:
+            continue
+        m_vals, phi_vals = oracle[depth][1:]
+        if np.any((m_vals > 0.0) & ~(phi_vals > 0.0)):
+            for read in (lambda: cl.kstar_estimate(sys_, 0, depth, walk),
+                         lambda: cl.build_table(walk, depth)):
+                with pytest.raises(cl.AbsoluteContinuityViolation):
+                    read()
+            continue
+        values = [cl.kstar_estimate(sys_, w, depth, walk) for w in range(4)]
+        assert values == [tuple_kstar(oracle, w, depth) for w in range(4)]
+        assert values[0] == cl.kl_n(cl.build_table(walk, depth))
+
+
+@_SETTINGS
+@given(systems(), st.data())
+def test_window_words_count_what_the_window_builds_on_random_systems(drawn,
+                                                                     data):
+    """cover.window_words, from matrix powers alone, is the number of words
+    the cover window of a whole-space query and of a drawn word set holds,
+    for shifts 0-2 and piece depths 1-4."""
+    sys_ = cl.validate_system(drawn[0])
+    depth = data.draw(st.integers(1, 3))
+    max_shift, max_depth = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 4))
+    hi = max(depth, max_depth)
+    walk = cl.walk_cylinders(
+        sys_, cl.cover.window_depth(depth, max_shift, hi), None)
+    words = cl.enumerate_words(sys_, depth)
+    chosen = cl.cylinder_set(sys_, data.draw(
+        st.lists(st.sampled_from(words), min_size=1, unique=True)))
+    for q, query in ((cl.full_cylinder_set(sys_, depth), depth),
+                     (chosen, chosen)):
+        spelled, _ = cl.cover._window(walk, q, max_shift, hi, max_depth)
+        assert (cl.cover.window_words(sys_, query, max_shift, max_depth)
+                == len(spelled))
 
 
 @_SETTINGS
