@@ -51,8 +51,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import cylinders
 from .coding import parse_word
 from .cylinders import CylinderSet, Walk, Word, cylinder_set
@@ -133,16 +131,10 @@ def _window(walk: Walk, q: CylinderSet, max_shift: int, hi: int,
     # the one that ends later, a sequence in both can continue as a query
     # sequence of that piece.
     base = walk.to(window_depth(q.depth, max_shift, hi)).rows
-    past, future = base[max_shift + 1], base[hi - q.depth + 1]
-    last, first = past.ids[past.edge], future.ids[future.edge_columns()[0]]
-    # the past words that overlap w by its first edge, and the future words
-    # that overlap it by its last, each in the walk's order
-    ending = {e: past.word_list(np.flatnonzero(last == e))
-              for e in {w[0] for w in q.words}}
-    starting = {e: future.word_list(np.flatnonzero(first == e))
-                for e in {w[-1] for w in q.words}}
+    past = base[max_shift + 1].words  # overlap w by its first edge
+    future = base[hi - q.depth + 1].words  # and by its last edge
     joined = (u[:-1] + w + v[1:] for w in q.words
-              for u in ending[w[0]] for v in starting[w[-1]])
+              for u in past if u[-1] == w[0] for v in future if v[0] == w[-1])
     cap = cylinders.WORD_CAP
     words = list(itertools.islice(joined, cap + 1))
     if len(words) > cap:

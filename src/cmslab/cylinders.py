@@ -24,7 +24,7 @@ first edge for K*, and `words` rebuilds the tuples on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -297,17 +297,13 @@ class CylinderRows:
     def __len__(self) -> int:
         return len(self.m_values)
 
-    def edge_columns(self, rows=slice(None)) -> list[np.ndarray]:
-        """The edge positions of the words at `rows`, first edge first."""
-        columns, level = [], self
-        while level is not None:
-            columns.append(level.edge[rows])
-            rows, level = level.parent[rows], level.prefix
-        return columns[::-1]
-
     def word_list(self, rows=slice(None)) -> list[Word]:
         """The words at `rows` (a slice or an index array), in that order."""
-        return list(zip(*(self.ids[c].tolist() for c in self.edge_columns(rows))))
+        columns, level = [], self
+        while level is not None:
+            columns.append(self.ids[level.edge[rows]].tolist())
+            rows, level = level.parent[rows], level.prefix
+        return list(zip(*reversed(columns)))
 
     @property
     def words(self) -> tuple[Word, ...]:
@@ -337,12 +333,13 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _edge_arrays(sys: MarkovSystem) -> tuple[np.ndarray, ...]:
-    """Int32 arrays over edge positions in sys.edges and vertex positions
-    (index - 1): `slots`, the positions of every vertex's out-edges in
-    turn, in out-edge order; `first`, each vertex's first slot; `degree`,
-    its out-degree; `target`, each edge's target vertex; and `rank`, each
-    edge's place among its source's out-edges."""
+def _edge_arrays(sys: MarkovSystem) -> tuple:
+    """`position`, each edge id's position in sys.edges, then int32 arrays
+    over edge positions and vertex positions (index - 1): `slots`, the
+    positions of every vertex's out-edges in turn, in out-edge order;
+    `first`, each vertex's first slot; `degree`, its out-degree; `target`,
+    each edge's target vertex; and `rank`, each edge's place among its
+    source's out-edges."""
     position = {e.id: i for i, e in enumerate(sys.edges)}
     slots = np.array([position[e.id] for v in range(1, len(sys.vertices) + 1)
                       for e in sys.out_edges(v)], dtype=np.int32)
@@ -351,15 +348,16 @@ def _edge_arrays(sys: MarkovSystem) -> tuple[np.ndarray, ...]:
     rank = np.empty(len(slots), dtype=np.int32)
     rank[slots] = np.arange(len(slots), dtype=np.int32) - np.repeat(first, degree)
     target = np.array([e.target - 1 for e in sys.edges], dtype=np.int32)
-    return slots, first, degree, target, rank
+    return position, slots, first, degree, target, rank
 
 
-def _index_rows(sys: MarkovSystem, n_max: int) -> list[tuple[np.ndarray, ...]]:
+def _index_rows(sys: MarkovSystem, n_max: int,
+                edge_arrays: tuple) -> list[tuple[np.ndarray, ...]]:
     """(parent, edge) of every depth 1..n_max, one depth at a time: the
     children of a row are its last vertex's out-edges in order, so depth n
     repeats each row of depth n - 1 by that vertex's out-degree.  The rows
     come in the walk's order, by start vertex and then by out-edge order."""
-    slots, first, degree, target, _ = _edge_arrays(sys)
+    _, slots, first, degree, target, _ = edge_arrays
     edge_type = np.min_scalar_type(len(sys.edges) - 1)
     at = np.arange(len(degree), dtype=np.int32)  # depth 0: the vertices
     levels = []
@@ -383,12 +381,14 @@ class Walk:
     """The rows of every word of depth 1..depth from one walk of `system`
     under `measure` (None: phi0 alone, M 0 on every word); every reader
     takes one, with its measure.  Each depth is index arrays and value
-    arrays (CylinderRows), about 21 bytes per word."""
+    arrays (CylinderRows), about 21 bytes per word; `edge_arrays` are the
+    system's (_edge_arrays), which its readers index by."""
 
     system: MarkovSystem
     measure: Measure
     depth: int
     rows: dict[int, CylinderRows]
+    edge_arrays: tuple = field(repr=False)
 
     def to(self, n: int) -> Walk:
         """This walk when it holds every word of depth n, else one fresh
@@ -407,8 +407,7 @@ class Walk:
         for w in found:
             if len(w) in self.rows:
                 by_depth.setdefault(len(w), []).append(w)
-        rank = _edge_arrays(self.system)[4]
-        position = {e.id: i for i, e in enumerate(self.system.edges)}
+        position, *_, rank = self.edge_arrays
         for n, held in by_depth.items():
             edges = [self.system.require_admissible(w) for w in held]
             at = np.array([w[0].source - 1 for w in edges])
@@ -427,7 +426,7 @@ class Walk:
         """Per depth k = 1..n, the row at depth k - 1 of each depth-k word
         less its first edge (at k = 1 its last vertex's index - 1): the
         child, by the word's last edge, of the tail of its prefix."""
-        _, _, _, target, rank = _edge_arrays(self.system)
+        *_, target, rank = self.edge_arrays
         out = [target[self.rows[1].edge]]
         for k in range(2, n + 1):
             rows = self.rows[k]
@@ -453,7 +452,8 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure) -> Walk:
         raise ValueError("depth must be >= 1")
     check_word_cap(sys, n_max)
     step, root = _chain(sys, measure)
-    levels = _index_rows(sys, n_max)
+    edge_arrays = _edge_arrays(sys)
+    levels = _index_rows(sys, n_max, edge_arrays)
     m_vals = [np.zeros(len(parent)) for parent, _ in levels]
     phi_vals = [np.zeros(len(parent)) for parent, _ in levels]
     # per depth, (M, Phi) stepped and not yet stored, and the row they start
@@ -514,7 +514,7 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure) -> Walk:
             m_values=_read_only(m), phi0_values=_read_only(phi),
             parent=_read_only(parent), edge=_read_only(edge), prefix=prefix,
             ids=ids)
-    return Walk(sys, measure, n_max, rows)
+    return Walk(sys, measure, n_max, rows, edge_arrays)
 
 
 def _require_measure(walk: Walk) -> None:
