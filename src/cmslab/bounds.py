@@ -11,6 +11,7 @@ and the multiplicative lower-bound factor used by the cover cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -83,28 +84,17 @@ def kstar_estimate(sys: MarkovSystem, window: int, depth: int,
     Words of length depth+window are weighted by their chain mass and scored
     by the largest table log Z over their window+1 backward depth-`depth`
     shifts, so the estimate never falls as the window grows; window=0
-    reproduces kl_n exactly.  Each shift's sub-word is found by index
-    arithmetic on the walk's rows (Walk.tails, then parents).  The table
-    and the words are read from walk.to(depth + window); `sys` must be the
-    walk's system (ValueError).
+    reproduces kl_n exactly.  The rows of the shifted sub-words come from
+    the walk (Walk.shifted_rows), so K* is the largest log Z over them.
+    The table and the words are read from walk.to(depth + window); `sys`
+    must be the walk's system (ValueError).
     """
     if window < 0:
         raise ValueError("window must be >= 0")
     if walk.system is not sys:
         raise ValueError("kstar_estimate: the walk is of another system")
-    length = depth + window
-    walk = walk.to(length)
+    walk = walk.to(depth + window)
     logz = build_table(walk, depth).logz_values
-    tails = walk.tails(length) if window else []
-    # at each shift, `suffix` holds each long word's row of its suffix from
-    # that shift on, at depth length - shift; the suffix's first `depth`
-    # edges are its prefix length - shift - depth parents up
-    suffix = np.arange(len(walk.rows[length]))
-    for shift in range(window + 1):
-        if shift:
-            suffix = tails[length - shift][suffix]
-        sub = suffix
-        for k in range(length - shift, depth, -1):
-            sub = walk.rows[k].parent[sub]
-        log_best = logz[sub] if not shift else np.maximum(log_best, logz[sub])
-    return _divergence(walk.rows[length].m_values, log_best)
+    log_best = functools.reduce(np.maximum, (
+        logz[sub] for sub in walk.shifted_rows(depth, window)))
+    return _divergence(walk.rows[depth + window].m_values, log_best)

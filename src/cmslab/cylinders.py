@@ -14,18 +14,21 @@ through words.
 
 A walk holds no word tuple.  Each depth is four arrays: per word, the row
 of its prefix one depth up (`parent`), the position of its last edge in
-the system's edges (`edge`), M and phi0.  A row's children are contiguous,
+the system's edges (`edge`), M and phi0.  The index arrays are laid out
+first, from the word-tree tables the system derived once, and the walk
+writes each word's M and phi0 in place.  A row's children are contiguous,
 in out-edge order, so the readers work by index arithmetic on whole arrays:
 build_table and the divergences read the value arrays, Walk.along descends
-the parents to a word's row, Walk.tails maps a word to its word less the
-first edge for K*, and `words` rebuilds the tuples on demand.
+the parents to a word's row, Walk.shifted_rows finds the rows of each
+word's shifted sub-words for K*, and `words` rebuilds the tuples on demand.
+This module alone reads the index arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass, fields
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -99,9 +102,8 @@ def tree_power(sys: MarkovSystem, n: int) -> np.ndarray:
     v = len(sys.vertices)
     top = float(_walk_cap() + 1)
     b = np.zeros((2 * v, 2 * v))
+    b[:v, :v] = sys.adjacency
     b[:v, v:] = b[v:, v:] = np.identity(v)
-    for e in sys.edges:
-        b[e.source - 1, e.target - 1] += 1
     power = np.identity(2 * v)
     while n:
         if n & 1:
@@ -333,47 +335,30 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _edge_arrays(sys: MarkovSystem) -> tuple:
-    """`position`, each edge id's position in sys.edges, then int32 arrays
-    over edge positions and vertex positions (index - 1): `slots`, the
-    positions of every vertex's out-edges in turn, in out-edge order;
-    `first`, each vertex's first slot; `degree`, its out-degree; `target`,
-    each edge's target vertex; and `rank`, each edge's place among its
-    source's out-edges."""
-    position = {e.id: i for i, e in enumerate(sys.edges)}
-    slots = np.array([position[e.id] for v in range(1, len(sys.vertices) + 1)
-                      for e in sys.out_edges(v)], dtype=np.int32)
-    degree = sys.out_degrees[1:].astype(np.int32)
-    first = np.cumsum(degree, dtype=np.int32) - degree
-    rank = np.empty(len(slots), dtype=np.int32)
-    rank[slots] = np.arange(len(slots), dtype=np.int32) - np.repeat(first, degree)
-    target = np.array([e.target - 1 for e in sys.edges], dtype=np.int32)
-    return position, slots, first, degree, target, rank
-
-
-def _index_rows(sys: MarkovSystem, n_max: int,
-                edge_arrays: tuple) -> list[tuple[np.ndarray, ...]]:
-    """(parent, edge) of every depth 1..n_max, one depth at a time: the
-    children of a row are its last vertex's out-edges in order, so depth n
-    repeats each row of depth n - 1 by that vertex's out-degree.  The rows
-    come in the walk's order, by start vertex and then by out-edge order."""
-    _, slots, first, degree, target, _ = edge_arrays
+def _index_rows(sys: MarkovSystem, n_max: int
+                ) -> tuple[list[tuple[np.ndarray, ...]], list[list[int]]]:
+    """(parent, edge) of every depth 1..n_max, one depth at a time, and per
+    start vertex its first row at each depth: the children of a row are its
+    last vertex's out-edges in order, from the row's first child on, so
+    depth n repeats each row of depth n - 1 by that vertex's out-degree.
+    The rows come in the walk's order, by start vertex and then by out-edge
+    order."""
+    degree, first = sys.out_degrees[1:], sys.first_slots
     edge_type = np.min_scalar_type(len(sys.edges) - 1)
     at = np.arange(len(degree), dtype=np.int32)  # depth 0: the vertices
-    levels = []
+    levels, starts, start = [], [], at  # each start vertex's first row
     for _ in range(n_max):
         counts = degree[at]
+        children = np.cumsum(counts, dtype=np.int32) - counts  # first child
         parent = np.repeat(np.arange(len(at), dtype=np.int32), counts)
-        slot = np.repeat(first[at] - (np.cumsum(counts, dtype=np.int32) - counts),
-                         counts)
+        slot = np.repeat(first[at] - children, counts)
         slot += np.arange(len(slot), dtype=np.int32)
-        edge = slots[slot].astype(edge_type)
+        edge = sys.out_slots[slot].astype(edge_type)
+        start = children[start]
         levels.append((parent, edge))
-        at = target[edge]
-    return levels
-
-
-_STORE_ROWS = 4096  # leaf values a walk holds in lists before storing them
+        starts.append(start)
+        at = sys.edge_targets[edge]
+    return levels, np.array(starts).T.tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,14 +366,13 @@ class Walk:
     """The rows of every word of depth 1..depth from one walk of `system`
     under `measure` (None: phi0 alone, M 0 on every word); every reader
     takes one, with its measure.  Each depth is index arrays and value
-    arrays (CylinderRows), about 21 bytes per word; `edge_arrays` are the
-    system's (_edge_arrays), which its readers index by."""
+    arrays (CylinderRows), about 21 bytes per word; its readers index them
+    by the system's word-tree tables."""
 
     system: MarkovSystem
     measure: Measure
     depth: int
     rows: dict[int, CylinderRows]
-    edge_arrays: tuple = field(repr=False)
 
     def to(self, n: int) -> Walk:
         """This walk when it holds every word of depth n, else one fresh
@@ -407,7 +391,7 @@ class Walk:
         for w in found:
             if len(w) in self.rows:
                 by_depth.setdefault(len(w), []).append(w)
-        position, *_, rank = self.edge_arrays
+        position, rank = self.system.edge_positions, self.system.edge_ranks
         for n, held in by_depth.items():
             edges = [self.system.require_admissible(w) for w in held]
             at = np.array([w[0].source - 1 for w in edges])
@@ -422,28 +406,44 @@ class Walk:
             found.update(zip(missing, _fold(self.system, self.measure, missing)))
         return found
 
-    def tails(self, n: int) -> list[np.ndarray]:
-        """Per depth k = 1..n, the row at depth k - 1 of each depth-k word
-        less its first edge (at k = 1 its last vertex's index - 1): the
-        child, by the word's last edge, of the tail of its prefix."""
-        *_, target, rank = self.edge_arrays
-        out = [target[self.rows[1].edge]]
-        for k in range(2, n + 1):
-            rows = self.rows[k]
-            out.append(np.searchsorted(self.rows[k - 1].parent,
-                                       out[-1][rows.parent]) + rank[rows.edge])
-        return out
+    def shifted_rows(self, depth: int, window: int) -> Iterator[np.ndarray]:
+        """For each shift s = 0..window, the depth-`depth` row of the
+        sub-word w[s:s + depth] of each word w of depth + window, which
+        this walk must hold, in w's row order.  The word less its first
+        edge is the child, by its last edge, of its prefix less the first
+        edge (at depth 1, its last vertex); s such steps find w[s:], and
+        its parents the sub-word."""
+        length = depth + window
+        tails = []  # per depth k, that depth-(k - 1) row of each word
+        if window:
+            target, rank = self.system.edge_targets, self.system.edge_ranks
+            tails.append(target[self.rows[1].edge])
+            for k in range(2, length + 1):
+                rows = self.rows[k]
+                tails.append(np.searchsorted(self.rows[k - 1].parent,
+                                             tails[-1][rows.parent])
+                             + rank[rows.edge])
+        suffix = np.arange(len(self.rows[length]))
+        for shift in range(window + 1):
+            if shift:
+                suffix = tails[length - shift][suffix]
+            sub = suffix  # its row at depth length - shift
+            for k in range(length - shift, depth, -1):
+                sub = self.rows[k].parent[sub]
+            yield sub
 
 
 def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure) -> Walk:
     """The Walk of every depth 1..n_max from one depth-first walk of the tree.
 
     Words come by start vertex, then lexicographic by edge ids; their index
-    arrays are laid out first (_index_rows).  Each node takes one step of
-    its parent's chain state, which carries M and phi0 together (with
-    measure None M is 0), and the values are stored in the rows' order;
-    exact mode solves the stationary law once, and under a measure no atom
-    or point moves.  With no measure a start vertex outside the support set
+    arrays are laid out first (_index_rows), from the system's word-tree
+    tables.  Each node takes one step of its parent's chain state, which
+    carries M and phi0 together (with measure None M is 0), and writes the
+    two values straight into its depth's preallocated arrays, at that
+    depth's write cursor: the walk meets each depth's rows in order.  Exact
+    mode solves the stationary law once, and under a measure no atom or
+    point moves.  With no measure a start vertex outside the support set
     is not walked: M and phi0 are 0.0 on every word below it.  The walk
     holds one state per level of the current path.  The rows are
     unchecked; build_table checks them.
@@ -452,32 +452,16 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure) -> Walk:
         raise ValueError("depth must be >= 1")
     check_word_cap(sys, n_max)
     step, root = _chain(sys, measure)
-    edge_arrays = _edge_arrays(sys)
-    levels = _index_rows(sys, n_max, edge_arrays)
+    levels, firsts = _index_rows(sys, n_max)
     m_vals = [np.zeros(len(parent)) for parent, _ in levels]
     phi_vals = [np.zeros(len(parent)) for parent, _ in levels]
-    # per depth, (M, Phi) stepped and not yet stored, and the row they start
-    stepped = [([], []) for _ in levels]
-    at = [0] * n_max
-    bounds = np.arange(len(sys.vertices) + 1)  # each start vertex's rows
-    starts = []
-    for parent, _ in levels:
-        bounds = np.searchsorted(parent, bounds)
-        starts.append(bounds.tolist())
-
-    def store():
-        for i, (masses, phis) in enumerate(stepped):
-            end = at[i] + len(masses)
-            m_vals[i][at[i]:end] = masses
-            phi_vals[i][at[i]:end] = phis
-            at[i] = end
-            masses.clear()
-            phis.clear()
-
+    # a memoryview takes a Python float per item faster than the array does
+    m_out, phi_out = list(map(memoryview, m_vals)), list(map(memoryview, phi_vals))
+    m_leaf, phi_leaf = m_out[-1], phi_out[-1]
     for v in range(1, len(sys.vertices) + 1):
         if measure is None and v not in sys.support_set:
             continue
-        at[:] = [start[v - 1] for start in starts]
+        *at, row = firsts[v - 1]  # the next row of each depth, and of leaves
         # explicit stack of (out-edges not yet taken, chain state) per level
         # of the current path; a recursive closure would be a reference
         # cycle that keeps the rows alive until the cyclic collector
@@ -486,35 +470,32 @@ def walk_cylinders(sys: MarkovSystem, n_max: int, measure: Measure) -> Walk:
             edges, state = stack[-1]
             n = len(stack)  # the children's depth
             if n == n_max:  # step every leaf child in one loop
-                masses, phis = stepped[-1]
                 for e in edges:
                     leaf = step(state, e, True)
-                    masses.append(leaf[0])
-                    phis.append(leaf[1])
+                    m_leaf[row] = leaf[0]
+                    phi_leaf[row] = leaf[1]
+                    row += 1
                 stack.pop()
-                if len(masses) >= _STORE_ROWS:
-                    store()
                 continue
             e = next(edges, None)
             if e is None:
                 stack.pop()
                 continue
             child = step(state, e, False)
-            masses, phis = stepped[n - 1]
-            masses.append(child[0])
-            phis.append(child[1])
+            i = at[n - 1]
+            m_out[n - 1][i] = child[0]
+            phi_out[n - 1][i] = child[1]
+            at[n - 1] = i + 1
             stack.append((iter(sys.out_edges(e.target)), child))
-        store()
 
-    ids = np.array([e.id for e in sys.edges], dtype=object)
     n_support, rows, prefix = len(sys.support_set), {}, None
     for n, ((parent, edge), m, phi) in enumerate(zip(levels, m_vals, phi_vals), 1):
         phi /= n_support
         prefix = rows[n] = CylinderRows(
             m_values=_read_only(m), phi0_values=_read_only(phi),
             parent=_read_only(parent), edge=_read_only(edge), prefix=prefix,
-            ids=ids)
-    return Walk(sys, measure, n_max, rows, edge_arrays)
+            ids=sys.edge_ids)
+    return Walk(sys, measure, n_max, rows)
 
 
 def _require_measure(walk: Walk) -> None:

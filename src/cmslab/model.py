@@ -174,7 +174,13 @@ class MarkovSystem:
     base(t(e)) by edge id; and the scalars ``contraction_rate`` (the max
     Lipschitz constant of an edge map), ``max_displacement`` (the max
     |delta_e|), ``max_gradient_norm`` (the max |beta_e|) and
-    ``all_constant_probabilities``.  Every array is read-only.
+    ``all_constant_probabilities``; and the word tree's tables that walks
+    and counts index by: ``edge_positions`` (id -> position in ``edges``)
+    and by position ``edge_ids`` (objects), ``edge_targets`` (index - 1)
+    and ``edge_ranks`` (place among the source's out-edges); ``out_slots``,
+    every vertex's out-edge positions in turn, and ``first_slots``, each
+    vertex's first slot; and ``adjacency``, the V x V edge counts.  Every
+    array and mapping is read-only; the index arrays are int32.
     ``normalization_gap``, the largest |sum_e p_e(x) - 1| over a vertex's
     out-edges e and the points x of its region, is the slack validation
     admitted; validate_system hands it over from its checks.
@@ -191,6 +197,13 @@ class MarkovSystem:
     base_points: np.ndarray = field(init=False, repr=False)
     out_degrees: np.ndarray = field(init=False, repr=False)
     deltas: Mapping[str, np.ndarray] = field(init=False, repr=False)
+    edge_positions: Mapping[str, int] = field(init=False, repr=False)
+    edge_ids: np.ndarray = field(init=False, repr=False)
+    out_slots: np.ndarray = field(init=False, repr=False)
+    first_slots: np.ndarray = field(init=False, repr=False)
+    edge_ranks: np.ndarray = field(init=False, repr=False)
+    edge_targets: np.ndarray = field(init=False, repr=False)
+    adjacency: np.ndarray = field(init=False, repr=False)
     contraction_rate: float = field(init=False)
     max_displacement: float = field(init=False)
     max_gradient_norm: float = field(init=False)
@@ -201,18 +214,30 @@ class MarkovSystem:
         out = {v.index: tuple(sorted((e for e in self.edges if e.source == v.index),
                                      key=lambda e: e.id)) for v in self.vertices}
         base = np.zeros((len(self.vertices) + 1, self.dimension))
-        degrees = np.zeros(len(self.vertices) + 1, dtype=int)
+        degrees = np.zeros(len(self.vertices) + 1, dtype=np.int32)
         for v in self.vertices:
             base[v.index], degrees[v.index] = v.base_point, len(out[v.index])
         deltas = {e.id: e.map.apply(by_index[e.source].base_point)
                   - by_index[e.target].base_point for e in self.edges}
-        for arr in (base, degrees, *deltas.values()):
+        position = {e.id: i for i, e in enumerate(self.edges)}
+        n = len(by_index)
+        tree = {name: np.array(values, dtype=dtype) for name, dtype, values in (
+            ("edge_ids", object, [e.id for e in self.edges]),
+            ("out_slots", np.int32,
+             [position[e.id] for v in range(1, n + 1) for e in out[v]]),
+            ("first_slots", np.int32, np.cumsum(degrees)[:-1]),
+            ("edge_ranks", np.int32, [out[e.source].index(e) for e in self.edges]),
+            ("edge_targets", np.int32, [e.target - 1 for e in self.edges]),
+            ("adjacency", int, [np.bincount([e.target - 1 for e in out[v]],
+                                            minlength=n) for v in range(1, n + 1)]))}
+        for arr in (base, degrees, *deltas.values(), *tree.values()):
             arr.setflags(write=False)
         # the instance is frozen, so the derived fields go into its dict
         self.__dict__.update(
             _vertex_by_index=by_index, _edge_by_id={e.id: e for e in self.edges},
             _out_edges=out, base_points=base, out_degrees=degrees,
             deltas=MappingProxyType(deltas),
+            edge_positions=MappingProxyType(position), **tree,
             contraction_rate=max(e.map.lipschitz_constant for e in self.edges),
             max_displacement=max(float(np.linalg.norm(d)) for d in deltas.values()),
             max_gradient_norm=max(float(np.linalg.norm(e.prob.beta))

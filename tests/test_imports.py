@@ -129,3 +129,33 @@ def test_only_the_reader_reads_a_file():
     reads = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
              for owner in _file_reads(ast.parse(path.read_text()))}
     assert reads == {("cli.py", "_read_json")}
+
+
+def _row_index_reads(tree: ast.Module) -> list[int]:
+    """The lines that read a `parent` or `edge` attribute as an array:
+    indexed or indexing (`rows.parent[i]`, `rank[rows.edge]`), or handed to
+    a numpy function.  A path's `.parent` and the system's `edge` method
+    are neither."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            operands = [node.value, node.slice]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "np"):
+            operands = node.args
+        else:
+            continue
+        found += [o.lineno for o in operands if isinstance(o, ast.Attribute)
+                  and o.attr in ("parent", "edge")]
+    return found
+
+
+def test_only_the_walk_reads_the_row_layout():
+    """A walk's index rows, each word's prefix row (`parent`) and last
+    edge (`edge`), are read in cylinders.py alone: every other module reads
+    words, values or shifted sub-word rows through the Walk, so the layout
+    can change in one module."""
+    reads = {path.name for path in sorted(SRC.glob("*.py"))
+             if _row_index_reads(ast.parse(path.read_text()))}
+    assert reads == {"cylinders.py"}

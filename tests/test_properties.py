@@ -120,10 +120,15 @@ def test_derived_tables_are_their_recomputation_on_random_systems(drawn):
     recomputation from the config's numbers: the largest spectral norm of
     an edge map, A_e base(s) + b_e - base(t) per edge and its largest norm,
     the largest gradient norm, each vertex's normalization gap by
-    box_range, the base points and out-degrees by vertex index and whether
-    every probability is constant; and every array is read-only."""
+    box_range, the base points and out-degrees by vertex index, whether
+    every probability is constant, and the word tree's tables, also with
+    the config's edges listed in reverse; and every array and mapping is
+    read-only."""
     cfg, _ = drawn
     sys_ = cl.validate_system(cfg)
+    for edges in (cfg["edges"], cfg["edges"][::-1]):
+        _check_word_tree_tables(cl.validate_system(dict(cfg, edges=edges)),
+                                len(cfg["vertices"]), edges)
     k = cfg["dimension"]
     base = {v["index"]: np.array(v["base_point"]) for v in cfg["vertices"]}
     linear = {e["id"]: np.array(e["linear"]).reshape(k, k) for e in cfg["edges"]}
@@ -158,6 +163,43 @@ def test_derived_tables_are_their_recomputation_on_random_systems(drawn):
         assert not arr.flags.writeable
     with pytest.raises(TypeError):
         sys_.deltas["new"] = np.zeros(k)
+
+
+def _check_word_tree_tables(sys_, n_vertices: int, edges: list) -> None:
+    """The word-tree tables of sys_ against their recomputation from the
+    config's vertex count and edges, in config order: edge positions and
+    ids, out-edge slots by vertex and each vertex's first slot, each edge's
+    rank among its source's sorted out-edges and its target, and the
+    adjacency counts; each array of its dtype and read-only, the positions
+    a read-only mapping."""
+    position = {e["id"]: i for i, e in enumerate(edges)}
+    out = {v: sorted((e for e in edges if e["source"] == v),
+                     key=lambda e: e["id"]) for v in range(1, n_vertices + 1)}
+    degrees = [len(out[v]) for v in range(1, n_vertices + 1)]
+    ranks = dict.fromkeys(position, None)
+    for v in out:
+        ranks.update((e["id"], r) for r, e in enumerate(out[v]))
+    adjacency = np.zeros((n_vertices, n_vertices), dtype=int)
+    for e in edges:
+        adjacency[e["source"] - 1, e["target"] - 1] += 1
+    assert dict(sys_.edge_positions) == position
+    assert sys_.edge_ids.dtype == object
+    assert sys_.edge_ids.tolist() == [e["id"] for e in edges]
+    expected = {
+        "out_slots": [position[e["id"]] for v in out for e in out[v]],
+        "first_slots": [sum(degrees[:v]) for v in range(n_vertices)],
+        "edge_ranks": [ranks[e["id"]] for e in edges],
+        "edge_targets": [e["target"] - 1 for e in edges],
+    }
+    for name, values in expected.items():
+        arr = getattr(sys_, name)
+        assert arr.dtype == np.int32 and arr.tolist() == values, name
+        assert not arr.flags.writeable
+    assert sys_.adjacency.tolist() == adjacency.tolist()
+    for arr in (sys_.edge_ids, sys_.adjacency):
+        assert not arr.flags.writeable
+    with pytest.raises(TypeError):
+        sys_.edge_positions["new"] = 0
 
 
 @_SETTINGS
@@ -195,12 +237,12 @@ def test_index_rows_are_the_tuple_walk_on_random_systems(drawn):
     index rows rebuild the tuple walk's words in order, with M and phi0
     equal by tobytes(); Walk.along reads the same pairs for the words a
     walk holds and folds them past a shallower walk's depth; and K* at
-    depth 2, windows 0-3, equals the tuple walk's slice-and-lookup sum,
-    window 0 equal to K_2, or both K* and the table refuse a word with
+    depths 1-3, windows 0-3, equals the tuple walk's slice-and-lookup sum,
+    window 0 equal to K_n, or both K* and the table refuse a word with
     chain mass and no base measure."""
     cfg, affine = drawn
     sys_ = cl.validate_system(cfg)
-    n_max, depth = 5, 2
+    n_max = 6
     measures = [None, cl.pushforward_measure(sys_, 3)]
     if not affine:
         measures.append(cl.EXACT)
@@ -220,16 +262,17 @@ def test_index_rows_are_the_tuple_walk_on_random_systems(drawn):
                 assert np.array(list(found.values())).tobytes() == pairs.tobytes()
         if measure is None:
             continue
-        m_vals, phi_vals = oracle[depth][1:]
-        if np.any((m_vals > 0.0) & ~(phi_vals > 0.0)):
-            for read in (lambda: cl.kstar_estimate(sys_, 0, depth, walk),
-                         lambda: cl.build_table(walk, depth)):
-                with pytest.raises(cl.AbsoluteContinuityViolation):
-                    read()
-            continue
-        values = [cl.kstar_estimate(sys_, w, depth, walk) for w in range(4)]
-        assert values == [tuple_kstar(oracle, w, depth) for w in range(4)]
-        assert values[0] == cl.kl_n(cl.build_table(walk, depth))
+        for depth in (1, 2, 3):
+            m_vals, phi_vals = oracle[depth][1:]
+            if np.any((m_vals > 0.0) & ~(phi_vals > 0.0)):
+                for read in (lambda: cl.kstar_estimate(sys_, 0, depth, walk),
+                             lambda: cl.build_table(walk, depth)):
+                    with pytest.raises(cl.AbsoluteContinuityViolation):
+                        read()
+                continue
+            values = [cl.kstar_estimate(sys_, w, depth, walk) for w in range(4)]
+            assert values == [tuple_kstar(oracle, w, depth) for w in range(4)]
+            assert values[0] == cl.kl_n(cl.build_table(walk, depth))
 
 
 @_SETTINGS
