@@ -176,9 +176,7 @@ def _check_word_tree_tables(sys_, n_vertices: int, edges: list) -> None:
     out = {v: sorted((e for e in edges if e["source"] == v),
                      key=lambda e: e["id"]) for v in range(1, n_vertices + 1)}
     degrees = [len(out[v]) for v in range(1, n_vertices + 1)]
-    ranks = dict.fromkeys(position, None)
-    for v in out:
-        ranks.update((e["id"], r) for r, e in enumerate(out[v]))
+    ranks = {e["id"]: r for v in out for r, e in enumerate(out[v])}
     adjacency = np.zeros((n_vertices, n_vertices), dtype=int)
     for e in edges:
         adjacency[e["source"] - 1, e["target"] - 1] += 1
@@ -239,9 +237,15 @@ def test_index_rows_are_the_tuple_walk_on_random_systems(drawn):
     walk holds and folds them past a shallower walk's depth; and K* at
     depths 1-3, windows 0-3, equals the tuple walk's slice-and-lookup sum,
     window 0 equal to K_n, or both K* and the table refuse a word with
-    chain mass and no base measure."""
+    chain mass and no base measure.  The config's edges are read as drawn,
+    where each vertex's out-edges come in id order, and reversed, where
+    out-edge slots and edge positions differ."""
     cfg, affine = drawn
-    sys_ = cl.validate_system(cfg)
+    for edges in (cfg["edges"], cfg["edges"][::-1]):
+        _check_index_rows(cl.validate_system(dict(cfg, edges=edges)), affine)
+
+
+def _check_index_rows(sys_, affine: bool) -> None:
     n_max = 6
     measures = [None, cl.pushforward_measure(sys_, 3)]
     if not affine:
